@@ -36,7 +36,9 @@ bool StateReader::Take(void* out, size_t size) {
     Fail("state stream truncated");
     return false;
   }
-  std::memcpy(out, data_ + pos_, size);
+  if (size != 0) {  // out may be null for an empty blob (an empty vector's data())
+    std::memcpy(out, data_ + pos_, size);
+  }
   pos_ += size;
   return true;
 }

@@ -6,8 +6,9 @@
 // Memory orderings follow Lê/Pop/Cohen/Zappa Nardelli, "Correct and Efficient
 // Work-Stealing for Weak Memory Models" (PPoPP'13) — the C11 formalization of
 // Chase-Lev — so the implementation is data-race-free under the C++ memory
-// model (and therefore TSan-clean, which CI verifies with a multi-worker fleet
-// run under the tsan preset).
+// model. The one deviation is Push, which publishes with a release store instead
+// of a release fence, so ThreadSanitizer (which ignores standalone fences) can see
+// the hand-off; the tsan preset's fleet_test runs multi-worker fleets over it.
 //
 // The buffer is fixed-size (capacity chosen at construction): a fleet has a
 // known machine count and a machine is enqueued in at most one deque at a time,
@@ -44,9 +45,11 @@ class StealDeque {
     const int64_t t = top_.load(std::memory_order_acquire);
     VFM_CHECK_MSG(b - t < static_cast<int64_t>(capacity_), "StealDeque overflow");
     buffer_[b & mask_].store(item, std::memory_order_relaxed);
-    // Publish the element before the new bottom becomes visible to thieves.
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Publish the element before the new bottom becomes visible to thieves: this
+    // release store pairs with Steal's acquire load of bottom_. (Lê et al.'s
+    // standalone release fence plus a relaxed store is equivalent, but TSan does not
+    // model standalone fences, and on x86 both compile to a plain store.)
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   // Owner only: dequeue from the bottom (LIFO — keeps the owner on cache-warm

@@ -77,22 +77,22 @@ Hart::Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* 
 void Hart::EnsureCaches() {
   caches_ready_ = true;
   if (pending_icache_entries_ != 0) {
-    icache_.resize(pending_icache_entries_);
+    icache_ = MappedArray<FetchEntry>(pending_icache_entries_);
     icache_mask_ = pending_icache_entries_ - 1;
     pending_icache_entries_ = 0;
   }
   if (pending_tlb_entries_ != 0) {
     for (auto& array : tlb_) {
-      array.resize(pending_tlb_entries_);
+      array = MappedArray<TlbEntry>(pending_tlb_entries_);
     }
     tlb_mask_ = pending_tlb_entries_ - 1;
     pending_tlb_entries_ = 0;
   }
   if (pending_sb_entries_ != 0) {
-    sblocks_.resize(pending_sb_entries_);
+    sblocks_ = MappedArray<SuperblockEntry>(pending_sb_entries_);
     sb_mask_ = pending_sb_entries_ - 1;
     if (pending_threaded_) {
-      tcode_.resize(pending_sb_entries_);
+      tcode_ = MappedArray<ThreadedBlock>(pending_sb_entries_);
       pending_threaded_ = false;
     }
     pending_sb_entries_ = 0;
@@ -609,16 +609,16 @@ StepResult Hart::Tick() {
 
   const DecodedInstr instr = Decode(static_cast<uint32_t>(word));
 
-  // Fill the cache and mark every page this decode depends on: the instruction bytes
-  // (4-byte-aligned, so one page) and the PTEs the walk read. The stamp is taken
+  // Fill the cache and mark every line this decode depends on: the instruction bytes
+  // (4-byte-aligned, so one 64-byte line) and the PTEs the walk read. The stamp is taken
   // AFTER the translate — the walk's A/D update may itself have stored into a marked
   // page and bumped the code generation. Only RAM-backed fetches are cached; an
   // instruction fetched from a device has no stable bytes to validate.
   if (icache_mask_ != 0 && bus_->IsRam(fetch.paddr, 4)) {
     ++icache_misses_;
-    bus_->MarkExecPage(fetch.paddr);
+    bus_->MarkExecLine(fetch.paddr);
     for (unsigned i = 0; i < fetch.pte_count; ++i) {
-      bus_->MarkExecPage(fetch.pte_addrs[i]);
+      bus_->MarkExecLine(fetch.pte_addrs[i]);
     }
     FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
     entry.tag = pc_;
@@ -1223,8 +1223,7 @@ Hart::SbRun Hart::ExecuteSuperblock(const SuperblockEntry& sb, unsigned start,
 void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
   const void* const* table = nullptr;
   ExecuteThreaded(nullptr, nullptr, 0, 0, &table);  // label addresses live there
-  tb->ops.clear();
-  tb->ops.reserve(sb.count + 1u);
+  tb->op_count = 0;
   tb->has_mem = false;
   const uint64_t base_cost = cost_->instr_base;
   bool ends_with_branch = false;
@@ -1268,14 +1267,14 @@ void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
       }
       if (d.rd == 0) {
         kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
-      } else if (!tb->ops.empty()) {
+      } else if (tb->op_count != 0) {
         // Constant folding: a li/auipc (kConst) followed by ALU-immediate ops that
         // read and write the same register collapses into one kConstChain carrying
         // the final value. Intermediate values are unobservable inside the chain
         // (members are consecutive and each reads only the chain register), and a
         // batch boundary inside a chain deopts to per-member execution, so folding
         // is architecturally invisible.
-        ThreadedOp& prev = tb->ops.back();
+        ThreadedOp& prev = tb->ops[tb->op_count - 1];
         const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
         if ((pk == LoweredOp::kConst || pk == LoweredOp::kConstChain) && prev.a == d.rd &&
             d.rs1 == d.rd) {
@@ -1354,8 +1353,8 @@ void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
           // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
           // immediately following beqz/bnez fuses into one op (the compare rd is
           // still written — it stays architecturally visible).
-          if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && !tb->ops.empty()) {
-            ThreadedOp& prev = tb->ops.back();
+          if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && tb->op_count != 0) {
+            ThreadedOp& prev = tb->ops[tb->op_count - 1];
             const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
             const bool on_zero = d.op == Op::kBeq;
             LoweredOp fused = LoweredOp::kEnd;
@@ -1399,7 +1398,7 @@ void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
     op.kind = static_cast<uint8_t>(kind);
     op.handler = table != nullptr ? table[op.kind] : nullptr;
     op.uhandler = table != nullptr ? table[kLoweredOpCount + op.kind] : nullptr;
-    tb->ops.push_back(op);
+    tb->ops[tb->op_count++] = op;
   }
   if (!ends_with_branch) {
     // Blocks cut by a barrier, a page boundary, or the length cap end without a
@@ -1412,13 +1411,13 @@ void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
     end.count = 0;
     end.src = sb.count;
     end.next_pc = sb.tag + uint64_t{4} * sb.count;
-    tb->ops.push_back(end);
+    tb->ops[tb->op_count++] = end;
   }
   tb->total_count = 0;
   tb->total_cycles = 0;
-  for (const ThreadedOp& o : tb->ops) {
-    tb->total_count += o.count;
-    tb->total_cycles += o.cycles;
+  for (unsigned i = 0; i < tb->op_count; ++i) {
+    tb->total_count += tb->ops[i].count;
+    tb->total_cycles += tb->ops[i].cycles;
   }
 }
 
@@ -1469,7 +1468,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
   TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
   TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
   uint64_t* const g = gpr_;
-  const ThreadedOp* op = tb->ops.data();
+  const ThreadedOp* op = tb->ops;
   // Same spill discipline as ExecuteSuperblock: pc and the counter deltas live in
   // locals, spilled only at exits and around slow-path memory ops. `climit` folds
   // the stop_cycles compare into the local cycle delta.
@@ -1524,7 +1523,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
       goto exit_spill;       \
     }                        \
     if (pc == sb->tag) {     \
-      op = tb->ops.data();   \
+      op = tb->ops;          \
       VFM_TGO();             \
     }                        \
     goto exit_spill;         \
@@ -1657,7 +1656,7 @@ dispatch:
       goto exit_spill;                           \
     }                                            \
     if (pc == sb->tag) {                         \
-      op = tb->ops.data();                       \
+      op = tb->ops;                              \
       if (cycles + tb->total_cycles <= climit) { \
         goto* op->uhandler;                      \
       }                                          \

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/mapped_array.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
@@ -218,14 +219,17 @@ class Hart {
   // when the tag (virtual pc), translation context (satp/priv/virt), and generation
   // stamp all match; `extra_cycles` replays the page-walk cost of the original fetch
   // so cached execution charges exactly the cycles the slow path would.
+  // The cache arrays below are MappedArrays: slots start all-zero, never
+  // constructed, and a zero stamp never matches (cache_stamp() and tlb_stamp() are
+  // at least 1, because fence_gen_ and tlb_gen_ start at 1).
   struct FetchEntry {
-    uint64_t tag = ~uint64_t{0};  // virtual pc; ~0 is never a valid (aligned) pc
-    uint64_t stamp = 0;           // cache_stamp() at fill time
-    uint64_t satp = 0;            // effective satp (vsatp when virtualized) at fill
-    uint64_t extra_cycles = 0;    // page-walk cycles of the original fetch
+    uint64_t tag;                 // virtual pc
+    uint64_t stamp;               // cache_stamp() at fill time
+    uint64_t satp;                // effective satp (vsatp when virtualized) at fill
+    uint64_t extra_cycles;        // page-walk cycles of the original fetch
     DecodedInstr instr;
-    uint8_t priv = 0;
-    bool virt = false;
+    uint8_t priv;
+    bool virt;
   };
 
   // One slot of the software TLB: a cached page translation plus everything needed to
@@ -237,27 +241,27 @@ class Hart {
   // re-walks and performs the D-bit update. `extra_cycles` replays the walk cost so
   // hits charge exactly the cycles the walk would.
   struct TlbEntry {
-    uint64_t vpage = ~uint64_t{0};  // vaddr >> 12; ~0 is never a valid Sv39 page
-    uint64_t paddr_page = 0;        // translated page base (low 12 bits clear)
-    uint64_t satp = 0;              // satp value the walk used (part of the key)
-    uint64_t stamp = 0;             // tlb_stamp() at fill time
-    uint64_t extra_cycles = 0;      // page-walk cycles of the original walk
-    uint64_t pte_addrs[3] = {};     // PTE addresses the walk read (replayed to callers)
-    uint8_t pte_count = 0;
-    uint8_t ctx = 0;                // TlbCtx() at fill time (priv/SUM/MXR)
+    uint64_t vpage;                 // vaddr >> 12; ~0 (per-address sfence) never matches
+    uint64_t paddr_page;            // translated page base (low 12 bits clear)
+    uint64_t satp;                  // satp value the walk used (part of the key)
+    uint64_t stamp;                 // tlb_stamp() at fill time
+    uint64_t extra_cycles;          // page-walk cycles of the original walk
+    uint64_t pte_addrs[3];          // PTE addresses the walk read (replayed to callers)
+    uint8_t pte_count;
+    uint8_t ctx;                    // TlbCtx() at fill time (priv/SUM/MXR)
     // True when the fill-time PMP check proved the whole 4 KiB frame is permitted
     // for this access type and privilege (one entry contains the frame). Hits may
     // then skip the per-access PMP scan: any access inside the frame matches the
     // same entry with the same verdict, and the stamp folds in the bank's
     // generation, so any PMP write invalidates the entry before it can lie.
-    bool pmp_whole_page = false;
+    bool pmp_whole_page;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
     // and superblock memory ops may access `host_page` directly, provided
     // pmp_whole_page holds and `*page_mark` is zero (a marked page must go through
     // Bus::Write so dependency generations bump). Only set when pmp_whole_page; the
     // stamp folds in Bus::ram_generation() so pointers never outlive a RAM remap.
-    uint8_t* host_page = nullptr;
-    const uint8_t* page_mark = nullptr;
+    uint8_t* host_page;
+    const uint8_t* page_mark;
   };
 
   // One pre-validated instruction of a superblock: the decoded instruction, its
@@ -281,19 +285,19 @@ class Hart {
   // a block cut short by a cold decode-cache slot; a later dispatch retries the build
   // to extend it once the continuation has been decoded.
   struct SuperblockEntry {
-    uint64_t tag = ~uint64_t{0};  // starting virtual pc
-    uint64_t stamp = 0;           // cache_stamp() at build time
-    uint64_t satp = 0;            // effective satp at build time
-    uint16_t count = 0;
-    bool open_end = false;
-    uint8_t priv = 0;
-    bool virt = false;
+    uint64_t tag;                 // starting virtual pc
+    uint64_t stamp;               // cache_stamp() at build time
+    uint64_t satp;                // effective satp at build time
+    uint16_t count;
+    bool open_end;
+    uint8_t priv;
+    bool virt;
     // Threaded-tier promotion state (DESIGN.md §2g): valid dispatches so far
     // (saturating at the promotion threshold) and whether the matching ThreadedBlock
     // slot currently holds this block's lowering. Both reset on every (re)build, so
     // a lowered run can never outlive the superblock it was lowered from.
-    uint32_t hits = 0;
-    bool lowered = false;
+    uint32_t hits;
+    bool lowered;
     BlockInstr instrs[kMaxSuperblockLen];
   };
 
@@ -322,16 +326,18 @@ class Hart {
 
   // A promoted superblock's lowered run. Slots parallel the superblock cache
   // (same index), and a slot's contents are meaningful only while the owning
-  // SuperblockEntry is valid and has `lowered` set.
+  // SuperblockEntry is valid and has `lowered` set. A run holds at most one op per
+  // source instruction plus the end sentinel.
   struct ThreadedBlock {
-    std::vector<ThreadedOp> ops;
-    bool has_mem = false;  // skip the tlb_stamp() sample for pure-ALU blocks
+    uint32_t op_count;
+    bool has_mem;  // skip the tlb_stamp() sample for pure-ALU blocks
     // Whole-run charges, for the unchecked dispatch mode: a pure-ALU block whose
     // entire run fits the remaining budget executes with no per-op accounting at
     // all — the totals are added once at the terminal op. Blocks with memory ops
     // always run checked (their TLB-replayed walk cycles vary per dispatch).
-    uint32_t total_count = 0;
-    uint64_t total_cycles = 0;
+    uint32_t total_count;
+    uint64_t total_cycles;
+    ThreadedOp ops[kMaxSuperblockLen + 1];  // after the header, which dispatch reads first
   };
 
   // Data-access translation context captured once per block dispatch. Valid for the
@@ -465,18 +471,18 @@ class Hart {
 
   // Decoded-instruction cache (direct-mapped, indexed by pc >> 2). Empty when the
   // cache is disabled; icache_mask_ == 0 doubles as the "disabled" flag.
-  std::vector<FetchEntry> icache_;
+  MappedArray<FetchEntry> icache_;
   uint64_t icache_mask_ = 0;
-  uint64_t fence_gen_ = 0;  // bumped by fence.i
+  uint64_t fence_gen_ = 1;  // bumped by fence.i; starts at 1 so zeroed slots never hit
   uint64_t icache_hits_ = 0;
   uint64_t icache_misses_ = 0;
 
   // Software TLB: one direct-mapped array per access type (fetch/load/store), indexed
   // by virtual page number. Separate arrays keep the A/D fill invariant local to each
   // access type. Empty when disabled; tlb_mask_ == 0 doubles as the "disabled" flag.
-  std::vector<TlbEntry> tlb_[3];
+  MappedArray<TlbEntry> tlb_[3];
   uint64_t tlb_mask_ = 0;
-  uint64_t tlb_gen_ = 0;  // bumped by FlushTlb
+  uint64_t tlb_gen_ = 1;  // bumped by FlushTlb; starts at 1 so zeroed slots never hit
   uint64_t tlb_hits_ = 0;
   uint64_t tlb_misses_ = 0;
   uint64_t tlb_flushes_ = 0;
@@ -484,7 +490,7 @@ class Hart {
   // Superblock cache (direct-mapped, indexed by start pc >> 2). Empty when disabled;
   // sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode cache: blocks
   // are built from, and validated against, its entries.
-  std::vector<SuperblockEntry> sblocks_;
+  MappedArray<SuperblockEntry> sblocks_;
   uint64_t sb_mask_ = 0;
   uint64_t sb_hits_ = 0;
   uint64_t sb_misses_ = 0;
@@ -495,7 +501,7 @@ class Hart {
 
   // Threaded-code tier (DESIGN.md §2g): lowered runs parallel to sblocks_. Empty
   // when the tier (or the superblock cache) is disabled.
-  std::vector<ThreadedBlock> tcode_;
+  MappedArray<ThreadedBlock> tcode_;
   uint32_t threaded_threshold_ = 8;
 
   // Deferred cache sizing (see EnsureCaches): entry counts computed at construction,

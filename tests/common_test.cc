@@ -1,4 +1,5 @@
-// Unit tests for src/common: bit utilities, Result/Status, hashing, RNG, histogram.
+// Unit tests for src/common: bit utilities, Result/Status, hashing, RNG, histogram,
+// state streams.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include "src/common/histogram.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
+#include "src/common/state.h"
 
 namespace vfm {
 namespace {
@@ -199,6 +201,23 @@ TEST(HistogramTest, DistributionReportShape) {
   EXPECT_EQ(report.front().first, 50.0);
   EXPECT_EQ(report.back().first, 100.0);
   EXPECT_EQ(report.back().second, 9u);
+}
+
+// An empty blob reads into an empty vector, whose data() is null: the reader must
+// not hand that pointer to memcpy (UBSan flags it even for size 0).
+TEST(StateTest, EmptyBlobsRoundTrip) {
+  StateWriter writer;
+  const uint8_t unused = 0;
+  writer.Bytes(&unused, 0);
+  writer.Str("");
+  writer.U8(0x5A);
+  StateReader reader(writer.bytes());
+  std::vector<uint8_t> blob{1, 2, 3};
+  reader.Bytes(&blob);
+  EXPECT_TRUE(blob.empty());
+  EXPECT_EQ(reader.Str(), "");
+  EXPECT_EQ(reader.U8(), 0x5A);
+  EXPECT_TRUE(reader.ok()) << reader.error();
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
-// Unit tests for the physical bus: RAM routing, MMIO dispatch, bulk access.
+// Unit tests for the physical bus: RAM routing, MMIO dispatch, bulk access, and the
+// dependency marks behind translation-cache invalidation.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/common/bits.h"
+#include "src/common/state.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
@@ -137,6 +142,141 @@ TEST(BusTest, MultipleRamRegions) {
   EXPECT_TRUE(bus.Read(0x9000'0010, 8, &value));
   EXPECT_EQ(value, 42u);
   EXPECT_FALSE(bus.IsRam(0x8800'0000, 4));
+}
+
+// -- Dependency marks (DESIGN.md §2b). ------------------------------------------------
+// Exec marks are line-granular for stores: only a store overlapping a 64-byte line a
+// cached decode read bumps code_generation(). PT marks, bulk writes and the mark byte
+// the harts' host-pointer path tests stay page-granular.
+
+constexpr uint64_t kBase = 0x8000'0000;
+
+// The page's dependency-mark byte, as the harts' host-pointer fast path sees it.
+uint8_t MarkByte(const Bus& bus, uint64_t paddr) {
+  uint8_t* data = nullptr;
+  const uint8_t* marks = nullptr;
+  EXPECT_TRUE(bus.HostPage(paddr, &data, &marks));
+  return marks == nullptr ? 0 : *marks;
+}
+
+TEST(BusMarkTest, StoreToAnotherLineOfExecPageDoesNotInvalidate) {
+  Bus bus;
+  bus.AddRam(kBase, 0x4000);
+  bus.MarkExecLine(kBase + 0x1040);  // line 1 of page 1
+  EXPECT_EQ(MarkByte(bus, kBase + 0x1000), Bus::kExecMark);
+  EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));  // line 0
+  EXPECT_TRUE(bus.Write(kBase + 0x1038, 8, 1));  // ends on line 0's last byte
+  EXPECT_TRUE(bus.Write(kBase + 0x1080, 4, 1));  // line 2
+  EXPECT_TRUE(bus.Write(kBase + 0x1FF8, 8, 1));  // line 63
+  EXPECT_EQ(bus.code_generation(), 0u);
+  // The mark survives those stores, and still routes the page through Bus::Write.
+  EXPECT_EQ(MarkByte(bus, kBase + 0x1000), Bus::kExecMark);
+  EXPECT_TRUE(bus.Write(kBase + 0x107F, 1, 1));  // the marked line's last byte
+  EXPECT_EQ(bus.code_generation(), 1u);
+  EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
+}
+
+TEST(BusMarkTest, StoresOverlappingMarkedLineInvalidate) {
+  Bus bus;
+  bus.AddRam(kBase, 0x4000);
+  // Aligned, inside the line.
+  bus.MarkExecLine(kBase + 0x1104);
+  EXPECT_TRUE(bus.Write(kBase + 0x1110, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 1u);
+  // Misaligned across two lines: only the second line is marked.
+  bus.MarkExecLine(kBase + 0x1140);
+  EXPECT_TRUE(bus.Write(kBase + 0x113C, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 2u);
+  // ... and only the first line is marked.
+  bus.MarkExecLine(kBase + 0x1100);
+  EXPECT_TRUE(bus.Write(kBase + 0x113E, 4, 1));
+  EXPECT_EQ(bus.code_generation(), 3u);
+  // Across a page boundary into a marked line of the next page; the first page
+  // holds no marks at all.
+  bus.MarkExecLine(kBase + 0x2000);
+  EXPECT_TRUE(bus.Write(kBase + 0x1FFC, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 4u);
+  // Across a page boundary into an exec-marked page, but not into its marked line.
+  bus.MarkExecLine(kBase + 0x2040);
+  EXPECT_TRUE(bus.Write(kBase + 0x1FFC, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 4u);
+  // Across a page boundary out of a marked last line.
+  bus.MarkExecLine(kBase + 0x1FC0);
+  EXPECT_TRUE(bus.Write(kBase + 0x1FFE, 4, 1));
+  EXPECT_EQ(bus.code_generation(), 5u);
+}
+
+TEST(BusMarkTest, PtMarksAndBulkWritesStayPageGranular) {
+  Bus bus;
+  bus.AddRam(kBase, 0x4000);
+  ASSERT_TRUE(bus.MarkPtPage(kBase + 0x2008));
+  bus.MarkExecLine(kBase + 0x2000);
+  // A PT-marked page invalidates the TLBs on a store anywhere in it; the store
+  // misses the exec line, so the decode caches stay valid.
+  EXPECT_TRUE(bus.Write(kBase + 0x2FF8, 8, 1));
+  EXPECT_EQ(bus.pt_generation(), 1u);
+  EXPECT_EQ(bus.code_generation(), 0u);
+  EXPECT_EQ(MarkByte(bus, kBase + 0x2000), Bus::kExecMark);
+  // A bulk write (image load, DMA) invalidates on the page's exec mark, whatever
+  // line it lands on.
+  const uint8_t bytes[16] = {};
+  EXPECT_TRUE(bus.WriteBytes(kBase + 0x2800, bytes, sizeof bytes));
+  EXPECT_EQ(bus.code_generation(), 1u);
+  EXPECT_EQ(MarkByte(bus, kBase + 0x2000), 0u);
+}
+
+TEST(BusMarkTest, MarksAtBothEndsOfLargeRegionAreFoundAndCleared) {
+  constexpr uint64_t kSize = 128ull << 20;
+  constexpr uint64_t kLast = kBase + kSize - 0x1000;
+  Bus bus;
+  bus.AddRam(kBase, kSize);
+  bus.MarkExecLine(kBase);
+  bus.MarkExecLine(kLast + 0xFC0);
+  ASSERT_TRUE(bus.MarkPtPage(kLast));
+  // An invalidation through the first page clears the last page's exec line too,
+  // but leaves its PT mark.
+  EXPECT_TRUE(bus.Write(kBase, 4, 1));
+  EXPECT_EQ(bus.code_generation(), 1u);
+  EXPECT_EQ(MarkByte(bus, kBase), 0u);
+  EXPECT_EQ(MarkByte(bus, kLast), Bus::kPtMark);
+  EXPECT_TRUE(bus.Write(kLast + 0xFF8, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 1u);
+  EXPECT_EQ(bus.pt_generation(), 1u);
+  EXPECT_EQ(MarkByte(bus, kLast), 0u);
+  // And the other way round.
+  bus.MarkExecLine(kBase);
+  bus.MarkExecLine(kLast + 0xFC0);
+  EXPECT_TRUE(bus.Write(kLast + 0xFF8, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 2u);
+  EXPECT_EQ(MarkByte(bus, kBase), 0u);
+  EXPECT_TRUE(bus.Write(kBase, 4, 1));
+  EXPECT_EQ(bus.code_generation(), 2u);
+}
+
+TEST(BusMarkTest, AdoptRamAndLoadStateClearMarks) {
+  Bus bus;
+  bus.AddRam(kBase, 0x4000);
+  StateWriter writer;
+  bus.SaveState(writer);
+  std::vector<std::shared_ptr<RamImage>> images;
+  bus.FreezeRam(&images);
+
+  bus.MarkExecLine(kBase + 0x1000);
+  ASSERT_TRUE(bus.MarkPtPage(kBase + 0x3000));
+  bus.AdoptRam(images);
+  EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
+  EXPECT_EQ(MarkByte(bus, kBase + 0x3000), 0u);
+  EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));
+  EXPECT_TRUE(bus.Write(kBase + 0x3000, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 0u);
+  EXPECT_EQ(bus.pt_generation(), 0u);
+
+  bus.MarkExecLine(kBase + 0x1000);
+  StateReader reader(writer.bytes());
+  ASSERT_TRUE(bus.LoadState(reader));
+  EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
+  EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));
+  EXPECT_EQ(bus.code_generation(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Additional simulator edge cases: vectored trap entry, trap-virtualization controls
 // (TW/TVM/TSR) exercised from guest code, counter gating end to end, superpage
-// execution, and multi-hart CLINT behaviour.
+// execution, multi-hart CLINT behaviour, and the line-granular invalidation of
+// decoded code.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/platform/platform.h"
 #include "src/sim/machine.h"
 #include "src/sim/mmu.h"
+#include "src/workloads/workloads.h"
 
 namespace vfm {
 namespace {
@@ -432,6 +434,178 @@ TEST(SimEdgeTest, LoadImageOverExecutedCodeInvalidatesDecodeCache) {
   hart.set_pc(second.entry);
   ASSERT_TRUE(machine.RunUntil([&] { return hart.gpr(s2) == 2; }, 10'000));
   EXPECT_EQ(hart.gpr(s2), 2u);
+}
+
+// -- Line-granular decode-cache invalidation (DESIGN.md §2b). -----------------------
+
+TEST(SimEdgeTest, StoreToAnotherLineOfExecutedPageKeepsDecodeCache) {
+  // Data in the code's own 4 KiB page, one 64-byte line past the last instruction —
+  // where every guest here keeps its trap frames. Storing to it must not drop the
+  // page's cached decodes.
+  MachineConfig config;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  Assembler a(0x8000'0000);
+  a.La(t0, "data");
+  a.Li(t1, 100);
+  a.Bind("loop");
+  a.Sd(t1, t0, 0);
+  a.Addi(t1, t1, -1);
+  a.Bnez(t1, "loop");
+  a.Li(s2, 1);
+  a.Bind("hang");
+  a.J("hang");
+  a.Align(64);
+  a.Bind("data");
+  a.Word64(0);
+  Image image = std::move(a.Finish()).value();
+  const uint64_t data = image.Symbol("data");
+  ASSERT_EQ(data >> 12, image.entry >> 12);
+  ASSERT_EQ(data >> 6, (image.Symbol("hang") >> 6) + 1);  // the line after the code
+  machine.LoadImage(image.base, image.bytes);
+  hart.set_pc(image.entry);
+
+  const uint64_t generation = machine.bus().code_generation();
+  ASSERT_TRUE(machine.RunUntil([&] { return hart.gpr(s2) == 1; }, 10'000));
+  hart.Tick();  // decodes `j hang`
+  EXPECT_EQ(machine.bus().code_generation(), generation);
+  EXPECT_EQ(hart.decode_cache_misses(), 8u);  // 8 instructions, each decoded once
+
+  // A store to the data line between two fetches of decoded code: the next fetch
+  // still hits.
+  ASSERT_TRUE(machine.bus().Write(data, 8, 7));
+  const uint64_t hits = hart.decode_cache_hits();
+  const uint64_t misses = hart.decode_cache_misses();
+  hart.Tick();  // j hang
+  EXPECT_EQ(hart.decode_cache_hits(), hits + 1);
+  EXPECT_EQ(hart.decode_cache_misses(), misses);
+  EXPECT_EQ(machine.bus().code_generation(), generation);
+}
+
+TEST(SimEdgeTest, StoreToFetchWalkPteLineInvalidatesDecodeCache) {
+  PagedHarness h;
+  Bus& bus = h.machine().bus();
+  h.Put(0, 0x00000013);  // nop
+  const auto fetch_misses = [&h] {
+    h.hart().set_pc(PagedHarness::kCode);
+    h.hart().Tick();
+    return h.hart().decode_cache_misses();
+  };
+  const uint64_t misses = fetch_misses();  // marks the nop's line and its walk's PTE line
+  const uint64_t generation = bus.code_generation();
+
+  // The fetch walk read only the root's superpage PTE (kRoot + 16, line 0). A store to
+  // another line of the root page leaves the decode cached (it still bumps the TLBs:
+  // PT marks are page-granular).
+  const uint64_t pt_generation = bus.pt_generation();
+  ASSERT_TRUE(bus.Write(PagedHarness::kRoot + 0x800, 8, 0));
+  EXPECT_GT(bus.pt_generation(), pt_generation);
+  EXPECT_EQ(bus.code_generation(), generation);
+  EXPECT_EQ(fetch_misses(), misses);
+
+  // A store into the PTE's own line (an unused slot next to it) drops the decode.
+  ASSERT_TRUE(bus.Write(PagedHarness::kRoot + 8 * 5, 8, 0));
+  EXPECT_EQ(bus.code_generation(), generation + 1);
+  EXPECT_EQ(fetch_misses(), misses + 1);
+}
+
+TEST(SimEdgeTest, FormerlyMarkedLinesStopInvalidatingUntilCodeRunsAgain) {
+  MachineConfig config;
+  Machine machine(config);
+  Assembler a(0x8000'0000);
+  a.Li(s2, 1);
+  a.Bind("hang");
+  a.J("hang");
+  Image image = std::move(a.Finish()).value();
+  const uint64_t hang = image.Symbol("hang");
+  machine.LoadImage(image.base, image.bytes);
+  machine.hart(0).set_pc(image.entry);
+  ASSERT_TRUE(machine.RunUntil([&] { return machine.hart(0).gpr(s2) == 1; }, 1'000));
+  machine.hart(0).Tick();  // the hart now spins on the decoded `j hang`
+
+  // Rewrites the executed word with itself and reports whether that invalidated.
+  const auto store_invalidates = [hang](Machine& m) {
+    uint64_t word = 0;
+    m.bus().Read(hang, 4, &word);
+    const uint64_t before = m.bus().code_generation();
+    m.bus().Write(hang, 4, word);
+    return m.bus().code_generation() != before;
+  };
+
+  // After an invalidation: the marks are gone until the code runs again.
+  EXPECT_TRUE(store_invalidates(machine));
+  EXPECT_FALSE(store_invalidates(machine));
+  machine.hart(0).Tick();
+  EXPECT_TRUE(store_invalidates(machine));
+
+  // After RestoreSnapshot.
+  machine.hart(0).Tick();
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+  machine.hart(0).Tick();
+  ASSERT_TRUE(machine.RestoreSnapshot(snapshot));
+  EXPECT_FALSE(store_invalidates(machine));
+  machine.hart(0).Tick();
+  EXPECT_TRUE(store_invalidates(machine));
+
+  // After Fork: the child starts unmarked; the parent keeps its marks.
+  machine.hart(0).Tick();
+  const std::unique_ptr<Machine> child = machine.Fork();
+  EXPECT_FALSE(store_invalidates(*child));
+  child->hart(0).Tick();
+  EXPECT_TRUE(store_invalidates(*child));
+  EXPECT_TRUE(store_invalidates(machine));
+}
+
+// Every guest here keeps hot data (trap frames, stacks, result slots, the fleet
+// server's latency ring) right after its code, in the code's last page, and none
+// writes its own code once loaded. So no guest store may invalidate decoded code:
+// code_generation() stays where BootSystem left it. A count, not a timing, so it
+// holds under every build preset.
+TEST(SimEdgeTest, BootedGuestsNeverInvalidateDecodedCode) {
+  const PlatformProfile platform = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  WorkloadProfile profile = RedisProfile();
+  profile.requests = 200;
+  for (const DeployMode mode :
+       {DeployMode::kNative, DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {
+    System system = BootSystem(platform, mode, BuildWorkloadKernel(platform, profile));
+    Machine& m = *system.machine;
+    const uint64_t generation = m.bus().code_generation();
+    ASSERT_TRUE(m.RunUntilFinished(100'000'000));
+    EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), profile.requests);
+    EXPECT_EQ(m.bus().code_generation(), generation)
+        << "deploy mode " << static_cast<int>(mode) << ": "
+        << m.bus().code_generation() - generation << " invalidations in "
+        << m.total_instret() << " instructions";
+  }
+
+  // One fleet-server machine serving requests, stepped the way a fleet worker does.
+  FleetServerLayout layout;
+  System server = BootSystem(platform, DeployMode::kNative,
+                             BuildFleetServerKernel(platform, MemcachedLatencyProfile(),
+                                                    /*poll_interval_ticks=*/500, &layout));
+  Machine& m = *server.machine;
+  const uint64_t generation = m.bus().code_generation();
+  constexpr unsigned kRequests = 16;
+  m.InjectUartInput(std::string(kRequests, static_cast<char>(kFleetRequestByte)) +
+                    std::string(1, static_cast<char>(kFleetShutdownByte)));
+  bool finished = false;
+  for (int i = 0; i < 100'000 && !finished; ++i) {
+    const Machine::SliceResult r = m.RunSlice(20'000);
+    finished = r.finished;
+    uint64_t wake = 0;
+    if (!finished && r.idle) {
+      ASSERT_TRUE(m.NextDeadline(&wake));
+      m.FastForwardIdleTo(wake);
+    }
+  }
+  ASSERT_TRUE(finished);
+  uint64_t completed = 0;
+  ASSERT_TRUE(m.bus().Read(layout.completed_addr, 8, &completed));
+  EXPECT_EQ(completed, kRequests);
+  EXPECT_EQ(m.bus().code_generation(), generation)
+      << m.bus().code_generation() - generation << " invalidations in "
+      << m.total_instret() << " instructions";
 }
 
 }  // namespace
