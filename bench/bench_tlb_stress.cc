@@ -2,7 +2,7 @@
 // Sv39 pages (three-level fine mappings, no superpages on the data path) with a
 // periodic full sfence.vma. bench_sim_speed's compute loop barely translates —
 // this guest translates on every third instruction, so it measures the win where
-// the TLB matters and pins down the ablation (`tuning.tlb_enabled = false`) cost.
+// the TLB matters and pins down the ablation (`tuning.tlb_entries = 0`) cost.
 // Emits BENCH_tlb_stress.json with both throughputs, the speedup, the hit rate,
 // and a cycle-fidelity check (the TLB must not change simulated cycles).
 
@@ -33,7 +33,9 @@ constexpr unsigned kSweepsPerFence = 64;
 // performs no PTE writes.
 std::unique_ptr<Machine> BuildMachine(bool tlb_enabled) {
   MachineConfig config;
-  config.tuning.tlb_enabled = tlb_enabled;
+  if (!tlb_enabled) {
+    config.tuning.tlb_entries = 0;
+  }
   // Host-speed measurement setup: batch as long as possible so the run loop's
   // per-batch bookkeeping does not drown the translation cost under test. The
   // guest never reads time and takes no interrupts, so stretching the timebase

@@ -60,19 +60,6 @@ bool IsLoadOp(Op op) {
   }
 }
 
-uint64_t SignExtendLoad(Op op, uint64_t value) {
-  switch (op) {
-    case Op::kLb:
-      return SignExtend(value, 8);
-    case Op::kLh:
-      return SignExtend(value, 16);
-    case Op::kLw:
-      return SignExtend(value, 32);
-    default:
-      return value;
-  }
-}
-
 bool OffloadAllowed(const MonitorConfig& config, OsTrapCause cause) {
   return config.offload_enabled &&
          (config.offload_mask & (uint32_t{1} << static_cast<unsigned>(cause))) != 0;
@@ -378,7 +365,7 @@ bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
     if (!vclint_.Read(offset, size, &value)) {
       return false;
     }
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, value));
+    hart.set_gpr(instr.rd, LoadExtend(instr.op, value));
   } else {
     if (!vclint_.Write(offset, size, hart.gpr(instr.rs2))) {
       return false;
@@ -452,7 +439,7 @@ bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
   }
   (void)cause;
   if (is_load) {
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, assembled));
+    hart.set_gpr(instr.rd, LoadExtend(instr.op, assembled));
   }
   hs.vctx.set_pc(hart.csrs().mepc() + 4);
   ResumeFirmware(hart);
@@ -678,7 +665,7 @@ bool Monitor::EmulateMisalignedOs(Hart& hart, const TrapInfo& trap) {
     }
   }
   if (is_load) {
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, assembled));
+    hart.set_gpr(instr.rd, LoadExtend(instr.op, assembled));
   }
   ++stats_.fastpath_hits;
   ReturnToOs(hart, pcsr.mepc() + 4);
@@ -958,7 +945,7 @@ bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
     if (!machine_->bus().Read(addr, size, &value)) {
       return false;
     }
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, value));
+    hart.set_gpr(instr.rd, LoadExtend(instr.op, value));
   } else {
     if (!machine_->bus().Write(addr, size, hart.gpr(instr.rs2))) {
       return false;

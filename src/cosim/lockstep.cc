@@ -37,39 +37,36 @@ MachineConfig CosimMachineConfig(const CosimProgram& program, const LockstepConf
   MachineConfig mc;
   mc.hart_count = program.opts.harts;
   mc.isa.has_time_csr = true;  // richer CSR surface: `time` reads compare, not trap
-  mc.tuning.decode_cache_entries = config.decode_cache_entries;
-  mc.tuning.tlb_entries = config.tlb_entries;
-  mc.tuning.tlb_enabled = config.tlb_enabled;
-  mc.tuning.superblock_entries = config.superblock_entries;
-  mc.tuning.threaded_enabled = config.threaded;
-  mc.tuning.threaded_promote_threshold = config.threaded_threshold;
-  mc.tuning.quantum_harts = config.quantum_harts;
-  mc.tuning.parallel_harts = config.parallel_harts;
+  mc.tuning = config.tuning;
   mc.map.ram_size = CosimLayout::kRamSize;
   return mc;
 }
 
 const std::vector<LockstepConfig>& LockstepConfigs() {
+  // Designated initializers leave every unnamed knob at its SimTuning default.
   static const std::vector<LockstepConfig> kConfigs = {
-      {"nocache-notlb", 0, 0, false, 0},      // baseline: every layer interpreted
-      {"dcache-notlb", 16384, 0, false, 0},   // decode cache alone
-      {"nocache-tlb", 0, 4096, true, 0},      // TLB alone
-      {"tiny-dcache-tlb", 64, 64, true, 0},   // both, tiny: exercises aliasing eviction
-      {"superblock", 16384, 4096, true, 2048},  // block engine, threaded tier off
-      {"tiny-superblock", 64, 64, true, 4},   // tiny everything: block aliasing + eviction
-      // Threaded-code tier (DESIGN.md §2g) on top of the full stack: the default
-      // promotion threshold, and an eager threshold-1 + tiny-cache point so every
-      // block runs lowered and invalidation/eviction hit promoted blocks often.
-      {"threaded", 16384, 4096, true, 2048, true, 8},
-      {"threaded-eager", 64, 64, true, 4, true, 1},
-      // Deterministic quantum scheduling over the full tier stack (DESIGN.md §2i).
+      // Baseline: every layer interpreted.
+      {"nocache-notlb", {.decode_cache_entries = 0, .tlb_entries = 0, .superblock_entries = 0}},
+      // Decode cache alone.
+      {"dcache-notlb", {.tlb_entries = 0, .superblock_entries = 0}},
+      // TLB alone.
+      {"nocache-tlb", {.decode_cache_entries = 0, .superblock_entries = 0}},
+      // Both, tiny: exercises aliasing eviction.
+      {"tiny-dcache-tlb",
+       {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 0}},
+      // The full stack: lowered superblocks over the decode cache and TLB.
+      {"superblock", {}},
+      // Tiny everything: block aliasing, eviction and invalidation of live blocks.
+      {"tiny-superblock",
+       {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 4}},
+      // Deterministic quantum scheduling over the full stack (DESIGN.md §2i).
       // "quantum" runs the schedule serially in hart order; "parallel" runs the
       // same schedule with one host thread per hart. On multi-hart programs the
       // pair is compared against each other (bit-identity of the parallel engine
       // is the property under test); single-hart programs bypass both knobs, so
       // there they must match the baseline like any other tuning.
-      {"quantum", 16384, 4096, true, 2048, true, 8, true, false},
-      {"parallel", 16384, 4096, true, 2048, true, 8, false, true},
+      {"quantum", {.quantum_harts = true}},
+      {"parallel", {.parallel_harts = true}},
   };
   return kConfigs;
 }
@@ -577,7 +574,8 @@ CheckResult CheckProgram(const CosimProgram& program) {
   const char* quantum_anchor_name = nullptr;
   for (size_t i = 1; i < configs.size(); ++i) {
     const bool own_schedule =
-        (configs[i].quantum_harts || configs[i].parallel_harts) && program.opts.harts > 1;
+        (configs[i].tuning.quantum_harts || configs[i].tuning.parallel_harts) &&
+        program.opts.harts > 1;
     const RunOutcome alt = RunProgram(program, configs[i], /*with_refmodel=*/false);
     if (!alt.build_error.empty()) {
       return {false, "build: " + alt.build_error};

@@ -1,9 +1,9 @@
 // Lockstep differential execution of generated guest programs (DESIGN.md §2e).
 //
 // One program is run to completion on several Machine configurations that differ
-// only in host-side tuning (decoded-instruction cache, software TLB, and superblock
-// engine on/off — knobs documented as having no effect on simulated behaviour), and
-// the complete observable
+// only in host-side tuning (decoded-instruction cache, software TLB, and lowered
+// superblocks on/off and sized — knobs documented as having no effect on simulated
+// behaviour), and the complete observable
 // outcome of each run — final architectural state of every hart, retired-instruction
 // and cycle counts, the full trap trace, UART output, a RAM image hash, and the
 // finisher verdict — is compared field by field. The baseline configuration runs a
@@ -28,23 +28,15 @@
 
 namespace vfm {
 
-// One tuning point of the lockstep matrix.
+// One tuning point of the lockstep matrix. The quantum-schedule knobs
+// (SimTuning::quantum_harts/parallel_harts, DESIGN.md §2i) change the guest-visible
+// hart interleaving on multi-hart programs — the one documented SimTuning
+// exception — so CheckProgram compares quantum-schedule configurations against each
+// other (serial quantum vs parallel), not against the per-round baseline.
+// Single-hart programs ignore both knobs and compare against the baseline as usual.
 struct LockstepConfig {
   const char* name;
-  uint32_t decode_cache_entries;
-  uint32_t tlb_entries;
-  bool tlb_enabled;
-  uint32_t superblock_entries = 0;
-  bool threaded = false;             // threaded-code tier over superblocks
-  uint32_t threaded_threshold = 8;   // promotion threshold (1 = promote immediately)
-  // Deterministic quantum scheduling (DESIGN.md §2i). On multi-hart programs these
-  // change the guest-visible hart interleaving — the one documented SimTuning
-  // exception — so CheckProgram compares quantum-schedule configurations against
-  // each other (serial quantum vs parallel), not against the per-round baseline.
-  // Single-hart programs ignore both knobs and compare against the baseline as
-  // usual.
-  bool quantum_harts = false;
-  bool parallel_harts = false;
+  SimTuning tuning;
 };
 
 // The decode-cache x TLB x superblock configurations every program runs under. Index
@@ -102,8 +94,9 @@ struct RunOutcome {
   // Reference-model lockstep (baseline configuration, single-hart programs only).
   uint64_t ref_checks = 0;       // privileged steps checked against RefStep
   std::string ref_divergence;    // first hart-vs-refmodel mismatch, empty if none
-  // Threaded-tier engagement (observability only — tuning-dependent by design, so
-  // deliberately NOT part of CompareOutcomes). Summed over all harts.
+  // Block-engine engagement (observability only — tuning-dependent by design, so
+  // deliberately NOT part of CompareOutcomes). Summed over all harts: block builds
+  // and mid-block deopts.
   uint64_t threaded_promotions = 0;
   uint64_t threaded_deopts = 0;
 };

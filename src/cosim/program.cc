@@ -326,8 +326,8 @@ Action MakeAction(Rng& rng, PrivMode& mode, bool& paged, unsigned& wfi_left,
     case ActionKind::kSelfModify:
       // Patched instruction: addi rd, ra, imm — harmless, visibly changes rd.
       act.b = static_cast<int32_t>(rng.Next() & 0x7FF);
-      // Sub 1 is the hot-patch variant (the store executes inside a warm, possibly
-      // promoted block). Derived from the already-drawn register picks rather than
+      // Sub 1 is the hot-patch variant (the store executes inside a warm, lowered
+      // block). Derived from the already-drawn register picks rather than
       // a fresh rng call, so the action stream of existing seed files is unchanged.
       act.sub = static_cast<uint8_t>((act.rd ^ act.ra) & 1);
       break;
@@ -590,10 +590,10 @@ void EmitAction(Assembler& a, const Action& act, unsigned idx, unsigned depth) {
       break;
     case ActionKind::kSelfModify: {
       if (act.sub == 1) {
-        // Hot patch: the patching store sits inside a loop whose block warms up
-        // (and, with the threaded tier on, gets promoted). The store target is a
-        // data scratch word until the iteration before last redirects it at the
-        // site, so the invalidating store executes from within the hot block and
+        // Hot patch: the patching store sits inside a loop that runs as a lowered
+        // block once its members are decoded. The store target is a data scratch
+        // word until the iteration before last redirects it at the site, so the
+        // invalidating store executes from within the hot block and
         // the final iteration fetches the patched word. Deliberately no fence.i:
         // this exercises the store-to-exec-page invalidation path, mid-dispatch.
         // Fixed registers (t0-t2, s2, plus the s11 loop convention) guarantee the

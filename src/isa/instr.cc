@@ -485,71 +485,20 @@ bool OpIsPrivileged(Op op) {
 
 SbClass SuperblockClass(Op op) {
   switch (op) {
+#define VFM_X(name) case Op::k##name:
     case Op::kLui:
     case Op::kAuipc:
-    case Op::kAddi:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kXori:
-    case Op::kOri:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kSrai:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kSll:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kXor:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kOr:
-    case Op::kAnd:
-    case Op::kAddiw:
-    case Op::kSlliw:
-    case Op::kSrliw:
-    case Op::kSraiw:
-    case Op::kAddw:
-    case Op::kSubw:
-    case Op::kSllw:
-    case Op::kSrlw:
-    case Op::kSraw:
-    case Op::kMul:
-    case Op::kMulh:
-    case Op::kMulhsu:
-    case Op::kMulhu:
-    case Op::kDiv:
-    case Op::kDivu:
-    case Op::kRem:
-    case Op::kRemu:
-    case Op::kMulw:
-    case Op::kDivw:
-    case Op::kDivuw:
-    case Op::kRemw:
-    case Op::kRemuw:
-      return SbClass::kSimple;
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kSd:
-      return SbClass::kMem;
+    VFM_ALU_IMM_OPS(VFM_X)
+    VFM_ALU_REG_OPS(VFM_X)
+    return SbClass::kSimple;
+    VFM_LOAD_OPS(VFM_X)
+    VFM_STORE_OPS(VFM_X)
+    return SbClass::kMem;
     case Op::kJal:
     case Op::kJalr:
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      return SbClass::kBranch;
+    VFM_BRANCH_OPS(VFM_X)
+    return SbClass::kBranch;
+#undef VFM_X
     default:
       // CSR ops, ecall/ebreak, xRET, WFI, fences, AMOs, and undecodable words: all can
       // trap, change translation/interrupt state, or need per-instruction ordering.
@@ -559,69 +508,20 @@ SbClass SuperblockClass(Op op) {
 
 LoweredOp LoweredOpFor(Op op) {
   switch (op) {
+#define VFM_X(name) \
+  case Op::k##name: \
+    return LoweredOp::k##name;
+    VFM_ALU_IMM_OPS(VFM_X)
+    VFM_ALU_REG_OPS(VFM_X)
+    VFM_BRANCH_OPS(VFM_X)
+    VFM_LOAD_OPS(VFM_X)
+    VFM_STORE_OPS(VFM_X)
+    VFM_X(Jal)
+    VFM_X(Jalr)
+#undef VFM_X
     case Op::kLui:
     case Op::kAuipc:
       return LoweredOp::kConst;
-    case Op::kAddi: return LoweredOp::kAddi;
-    case Op::kSlti: return LoweredOp::kSlti;
-    case Op::kSltiu: return LoweredOp::kSltiu;
-    case Op::kXori: return LoweredOp::kXori;
-    case Op::kOri: return LoweredOp::kOri;
-    case Op::kAndi: return LoweredOp::kAndi;
-    case Op::kSlli: return LoweredOp::kSlli;
-    case Op::kSrli: return LoweredOp::kSrli;
-    case Op::kSrai: return LoweredOp::kSrai;
-    case Op::kAddiw: return LoweredOp::kAddiw;
-    case Op::kSlliw: return LoweredOp::kSlliw;
-    case Op::kSrliw: return LoweredOp::kSrliw;
-    case Op::kSraiw: return LoweredOp::kSraiw;
-    case Op::kAdd: return LoweredOp::kAdd;
-    case Op::kSub: return LoweredOp::kSub;
-    case Op::kSll: return LoweredOp::kSll;
-    case Op::kSlt: return LoweredOp::kSlt;
-    case Op::kSltu: return LoweredOp::kSltu;
-    case Op::kXor: return LoweredOp::kXor;
-    case Op::kSrl: return LoweredOp::kSrl;
-    case Op::kSra: return LoweredOp::kSra;
-    case Op::kOr: return LoweredOp::kOr;
-    case Op::kAnd: return LoweredOp::kAnd;
-    case Op::kAddw: return LoweredOp::kAddw;
-    case Op::kSubw: return LoweredOp::kSubw;
-    case Op::kSllw: return LoweredOp::kSllw;
-    case Op::kSrlw: return LoweredOp::kSrlw;
-    case Op::kSraw: return LoweredOp::kSraw;
-    case Op::kMul: return LoweredOp::kMul;
-    case Op::kMulh: return LoweredOp::kMulh;
-    case Op::kMulhsu: return LoweredOp::kMulhsu;
-    case Op::kMulhu: return LoweredOp::kMulhu;
-    case Op::kDiv: return LoweredOp::kDiv;
-    case Op::kDivu: return LoweredOp::kDivu;
-    case Op::kRem: return LoweredOp::kRem;
-    case Op::kRemu: return LoweredOp::kRemu;
-    case Op::kMulw: return LoweredOp::kMulw;
-    case Op::kDivw: return LoweredOp::kDivw;
-    case Op::kDivuw: return LoweredOp::kDivuw;
-    case Op::kRemw: return LoweredOp::kRemw;
-    case Op::kRemuw: return LoweredOp::kRemuw;
-    case Op::kBeq: return LoweredOp::kBeq;
-    case Op::kBne: return LoweredOp::kBne;
-    case Op::kBlt: return LoweredOp::kBlt;
-    case Op::kBge: return LoweredOp::kBge;
-    case Op::kBltu: return LoweredOp::kBltu;
-    case Op::kBgeu: return LoweredOp::kBgeu;
-    case Op::kJal: return LoweredOp::kJal;
-    case Op::kJalr: return LoweredOp::kJalr;
-    case Op::kLb: return LoweredOp::kLb;
-    case Op::kLh: return LoweredOp::kLh;
-    case Op::kLw: return LoweredOp::kLw;
-    case Op::kLd: return LoweredOp::kLd;
-    case Op::kLbu: return LoweredOp::kLbu;
-    case Op::kLhu: return LoweredOp::kLhu;
-    case Op::kLwu: return LoweredOp::kLwu;
-    case Op::kSb: return LoweredOp::kSb;
-    case Op::kSh: return LoweredOp::kSh;
-    case Op::kSw: return LoweredOp::kSw;
-    case Op::kSd: return LoweredOp::kSd;
     default:
       return LoweredOp::kEnd;  // barriers/invalid: never lowerable inside a block
   }

@@ -37,25 +37,16 @@ struct SimTuning {
   // Entries per access type in the per-hart software TLB (direct-mapped, indexed by
   // virtual page number). Must be a power of two; 0 disables the TLB. Like the decode
   // cache, hits replay the walk's cycle cost, so this never changes simulated
-  // behaviour — `tlb_enabled` is kept as a separate switch for ablation runs.
+  // behaviour.
   uint32_t tlb_entries = 4096;
-  bool tlb_enabled = true;
   // Entries in the per-hart superblock cache (DESIGN.md §2f): straight-line runs of
-  // already-decoded instructions executed by a tight dispatch loop that spills
-  // architectural counters only at block exits. Direct-mapped by start pc >> 2;
-  // rounded up to a power of two; 0 disables. Superblocks are built from decode-cache
+  // already-decoded instructions, lowered when built into pre-resolved ops that one
+  // computed-goto executor dispatches, spilling architectural counters only at block
+  // exits. Lowering bakes in the exact cycle charges of the interpreter path, so
+  // blocks are behaviour- and cycle-invisible. Direct-mapped by start pc >> 2;
+  // rounded up to a power of two; 0 disables. Blocks are built from decode-cache
   // entries, so they are also implicitly disabled when decode_cache_entries == 0.
   uint32_t superblock_entries = 2048;
-  // Threaded-code tier over superblocks (DESIGN.md §2g): a superblock whose hit count
-  // reaches the promotion threshold is lowered into a pre-resolved run dispatched by
-  // direct handler pointers (computed goto where the compiler supports it). Like the
-  // tiers below it, lowering bakes in the exact cycle charges of the interpreter
-  // path, so the tier is behavior- and cycle-invisible. Implicitly disabled when
-  // superblocks are (the tier lowers from, and validates against, superblock state).
-  bool threaded_enabled = true;
-  // Valid dispatches of a block before it is promoted; the threshold'th dispatch runs
-  // threaded (so 1 promotes every block on its first execution). Clamped to >= 1.
-  uint32_t threaded_promote_threshold = 8;
   // Deterministic quantum scheduling for multi-hart machines (DESIGN.md §2i): instead
   // of interleaving harts one instruction at a time, each hart privately executes a
   // segment up to the next mtime-tick boundary and cross-hart effects (stores, MMIO,
@@ -75,6 +66,8 @@ struct SimTuning {
 // parameters set the relative costs that the paper's measurements depend on (trap
 // round-trip cost, CSR access cost, memory cost), so each platform profile produces
 // its own absolute numbers while preserving the result shapes.
+// Machine requires instr_base >= 1 (the block executor's budget compare counts on every
+// instruction charging a cycle) and mtime_tick_cycles >= 1.
 struct CostModel {
   uint64_t instr_base = 1;        // cycles per simple instruction
   uint64_t instr_muldiv = 8;      // extra cycles for mul/div

@@ -12,31 +12,6 @@ namespace vfm {
 
 namespace {
 
-unsigned AccessSizeOf(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLw:
-    case Op::kLwu:
-    case Op::kSw:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
-bool IsStoreOp(Op op) { return op == Op::kSb || op == Op::kSh || op == Op::kSw || op == Op::kSd; }
-
-}  // namespace
-
-namespace {
-
 // Rounds up to a power of two so the index is a mask.
 uint64_t RoundUpPow2(uint64_t entries) {
   while ((entries & (entries - 1)) != 0) {
@@ -55,22 +30,13 @@ Hart::Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* 
   if (tuning.decode_cache_entries != 0) {
     pending_icache_entries_ = RoundUpPow2(tuning.decode_cache_entries);
   }
-  if (tuning.tlb_enabled && tuning.tlb_entries != 0) {
+  if (tuning.tlb_entries != 0) {
     pending_tlb_entries_ = RoundUpPow2(tuning.tlb_entries);
   }
   // The superblock cache builds from decode-cache entries, so it is only allocated
   // when the decode cache exists.
   if (pending_icache_entries_ != 0 && tuning.superblock_entries != 0) {
     pending_sb_entries_ = RoundUpPow2(tuning.superblock_entries);
-    // The threaded tier lowers from superblocks, so it only exists when they do.
-    // instr_base >= 1 is required by the executor's single clamped budget compare
-    // (every retired instruction charges at least one cycle); all cost models
-    // satisfy it, but a hypothetical free-instruction model falls back cleanly.
-    if (tuning.threaded_enabled && cost->instr_base >= 1) {
-      pending_threaded_ = true;
-      threaded_threshold_ =
-          tuning.threaded_promote_threshold == 0 ? 1 : tuning.threaded_promote_threshold;
-    }
   }
 }
 
@@ -91,10 +57,6 @@ void Hart::EnsureCaches() {
   if (pending_sb_entries_ != 0) {
     sblocks_ = MappedArray<SuperblockEntry>(pending_sb_entries_);
     sb_mask_ = pending_sb_entries_ - 1;
-    if (pending_threaded_) {
-      tcode_ = MappedArray<ThreadedBlock>(pending_sb_entries_);
-      pending_threaded_ = false;
-    }
     pending_sb_entries_ = 0;
   }
 }
@@ -678,31 +640,7 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
         valid = FillSuperblock(&sb);
       }
       if (valid) {
-        // Tier selection (DESIGN.md §2g): count this valid dispatch toward promotion
-        // (saturating), lower on the dispatch that reaches the threshold, and run
-        // lowered blocks through the threaded executor. Everything below the tier
-        // choice is identical — both executors charge the same cycles and spill the
-        // same state, so the choice is invisible to simulated behaviour.
-        SbRun run;
-        ThreadedBlock* tb = nullptr;
-        if (!tcode_.empty()) {
-          if (sb.hits < threaded_threshold_) {
-            ++sb.hits;
-          }
-          if (sb.hits >= threaded_threshold_) {
-            tb = &tcode_[(pc_ >> 2) & sb_mask_];
-          }
-        }
-        if (tb != nullptr) {
-          if (!sb.lowered) {
-            LowerSuperblock(sb, tb);
-            sb.lowered = true;
-            ++threaded_promotions_;
-          }
-          run = ExecuteThreaded(&sb, tb, max_steps - batch.executed, stop_cycles);
-        } else {
-          run = ExecuteSuperblock(sb, 0, max_steps - batch.executed, stop_cycles);
-        }
+        const SbRun run = ExecuteBlock(&sb, max_steps - batch.executed, stop_cycles);
         batch.executed += run.dispatched;
         batch.retired += run.dispatched - (run.last.trapped ? 1 : 0);
         batch.last = run.last;
@@ -710,10 +648,13 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
             csrs_.mcycle() >= stop_cycles || bus_->mmio_ops() != mmio_start) {
           return batch;
         }
-        continue;
+        if (!run.misfit) {
+          continue;
+        }
       }
-      // Cold decode-cache slot at pc_: one per-instruction tick decodes it, after
-      // which the next lookup can build the block.
+      // One per-instruction tick. After a misfit it runs the fused op's first
+      // member and stops at the exact per-instruction boundary; at a cold
+      // decode-cache slot it decodes pc_, so the next lookup can build the block.
     }
     batch.last = Tick();
     if (batch.last.aborted) {
@@ -734,15 +675,20 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   const uint64_t stamp = cache_stamp();
   const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
   const uint8_t priv = static_cast<uint8_t>(priv_);
+  const void* const* table = nullptr;
+  ExecuteBlock(nullptr, 0, 0, &table);  // the handler label addresses live there
   uint64_t pc = pc_;
-  unsigned count = 0;
+  unsigned count = 0;  // members captured
+  unsigned n = 0;      // ops written
   bool open_end = false;
+  bool has_mem = false;
+  bool ends_with_branch = false;
   // Capture straight-line decode-cache entries until a block-ending condition. Every
   // member must pass the full FetchEntry hit condition under one stamp — that single
   // check at build time, plus the stamp compare at dispatch, is what proves the whole
   // block is still exactly what per-instruction fetch would execute. Nothing is
-  // written until at least one instruction is captured, so a failed (re)build never
-  // damages the existing entry.
+  // written before the first member is captured, so a failed (re)build never damages
+  // the existing entry.
   while (count < kMaxSuperblockLen) {
     const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
     if (!(entry.tag == pc && entry.stamp == stamp && entry.satp == effective_satp &&
@@ -754,13 +700,12 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
     if (cls == SbClass::kBarrier) {
       break;  // privileged/CSR/fence/AMO ops always run through the Tick path
     }
-    BlockInstr& bi = sb->instrs[count];
-    bi.instr = entry.instr;
-    bi.extra_cycles = entry.extra_cycles;
-    bi.cls = cls;
+    n = LowerInstr(sb->ops, n, entry.instr, pc, entry.extra_cycles, table);
     ++count;
+    has_mem |= cls == SbClass::kMem;
     if (cls == SbClass::kBranch) {
-      break;  // a branch is executed in-block as the final instruction
+      ends_with_branch = true;  // a branch is the block's final op
+      break;
     }
     pc += 4;
     if ((pc & MaskLow(12)) == 0) {
@@ -770,6 +715,12 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   if (count == 0) {
     return false;
   }
+  if (!ends_with_branch) {
+    // Blocks cut by a barrier, a page boundary, or the length cap end without a
+    // branch: a sentinel spills and returns after the last real op.
+    sb->ops[n].handler = table[static_cast<unsigned>(LoweredOp::kEnd)];
+    sb->ops[n].kind = LoweredOp::kEnd;
+  }
   sb->tag = pc_;
   sb->stamp = stamp;
   sb->satp = effective_satp;
@@ -777,11 +728,104 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   sb->open_end = open_end;
   sb->priv = priv;
   sb->virt = virt_;
-  // Any (re)build demotes: the block re-warms toward the promotion threshold and the
-  // old lowering (whose member list may now differ) is never dispatched again.
-  sb->hits = 0;
-  sb->lowered = false;
+  sb->has_mem = has_mem;
+  ++sb_builds_;
   return true;
+}
+
+unsigned Hart::LowerInstr(BlockOp* ops, unsigned n, const DecodedInstr& d, uint64_t ipc,
+                          uint64_t fetch_cycles, const void* const* table) const {
+  BlockOp* const prev = n != 0 ? &ops[n - 1] : nullptr;
+  const uint64_t target = ipc + static_cast<uint64_t>(d.imm);  // pc-relative value
+  LoweredOp kind = LoweredOpFor(d.op);
+  int64_t imm = d.imm;
+  uint64_t cycles = AluCost(d.op) + fetch_cycles;
+  // Merges this member into `prev`, which then retires one more instruction as
+  // `merged`. Members are consecutive, so prev's intermediate state is unobservable,
+  // and an op that cannot fit the batch budget spills before its first member.
+  const auto merge = [&](LoweredOp merged) {
+    prev->next_pc = ipc + 4;
+    prev->cycles += static_cast<uint32_t>(cycles);
+    ++prev->count;
+    prev->kind = merged;
+    prev->handler = table[static_cast<unsigned>(merged)];
+    return n;
+  };
+
+  switch (SuperblockClass(d.op)) {
+    case SbClass::kSimple:
+      if (d.op == Op::kAuipc) {
+        imm = static_cast<int64_t>(target);  // the block's pc is static
+      }
+      if (d.rd == 0) {
+        kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
+      } else if (prev != nullptr &&
+                 (prev->kind == LoweredOp::kConst || prev->kind == LoweredOp::kConstChain) &&
+                 prev->a == d.rd && d.rs1 == d.rd && IsAluImm(d.op)) {
+        // Constant folding: a li/auipc followed by ALU-immediate ops that read and
+        // write the same register collapses into one kConstChain holding the result.
+        prev->imm = static_cast<int64_t>(
+            AluResult(d.op, static_cast<uint64_t>(prev->imm), static_cast<uint64_t>(d.imm)));
+        return merge(LoweredOp::kConstChain);
+      }
+      break;
+    case SbClass::kBranch:
+      if (d.op == Op::kJal) {
+        imm = static_cast<int64_t>(target);
+        kind = d.rd == 0 ? LoweredOp::kJ : LoweredOp::kJal;
+      } else if (d.op == Op::kJalr) {
+        kind = d.rd == 0 ? LoweredOp::kJr : LoweredOp::kJalr;
+      } else {
+        imm = static_cast<int64_t>(target);  // taken pc
+        // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
+        // immediately following beqz/bnez (the compare rd is still written).
+        if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && prev != nullptr &&
+            prev->count == 1 && prev->a == d.rs1 && prev->a != 0) {
+          const bool on_zero = d.op == Op::kBeq;
+          LoweredOp fused = LoweredOp::kEnd;
+          switch (prev->kind) {
+            case LoweredOp::kSlt:
+              fused = on_zero ? LoweredOp::kSltBeqz : LoweredOp::kSltBnez;
+              break;
+            case LoweredOp::kSltu:
+              fused = on_zero ? LoweredOp::kSltuBeqz : LoweredOp::kSltuBnez;
+              break;
+            case LoweredOp::kSlti:
+              fused = on_zero ? LoweredOp::kSltiBeqz : LoweredOp::kSltiBnez;
+              break;
+            case LoweredOp::kSltiu:
+              fused = on_zero ? LoweredOp::kSltiuBeqz : LoweredOp::kSltiuBnez;
+              break;
+            default:
+              break;
+          }
+          if (fused != LoweredOp::kEnd) {
+            prev->imm2 = static_cast<int32_t>(prev->imm);  // compare immediate
+            prev->imm = imm;                               // absolute taken target
+            return merge(fused);
+          }
+        }
+      }
+      break;
+    case SbClass::kMem:
+      cycles += cost_->instr_mem;
+      break;
+    case SbClass::kBarrier:
+      break;  // never lowered: FillSuperblock ends the block before a barrier
+  }
+  BlockOp& op = ops[n];
+  op.handler = table[static_cast<unsigned>(kind)];
+  op.next_pc = ipc + 4;
+  op.imm = imm;
+  op.cycles = static_cast<uint32_t>(cycles);
+  op.imm2 = 0;
+  op.op = d.op;
+  op.a = d.rd;
+  op.b = d.rs1;
+  op.c = d.rs2;
+  op.count = 1;
+  op.kind = kind;
+  return n + 1;
 }
 
 void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
@@ -807,671 +851,33 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
   ctx->store_ctx = TlbCtx(priv, sum, mxr, AccessType::kStore);
 }
 
-Hart::SbRun Hart::ExecuteSuperblock(const SuperblockEntry& sb, unsigned start,
-                                    uint64_t steps_left, uint64_t stop_cycles) {
-  SbRun run;
-  if (start == 0) {
-    ++sb_blocks_;  // a deopt continuation is the same block, not a new dispatch
-  }
-  const uint64_t mmio_start = bus_->mmio_ops();
-  const uint64_t base_cost = cost_->instr_base;
-  FastMemCtx mem_ctx;
-  // Architectural counters and the pc live in locals while inside the block; they are
-  // spilled to csrs_/pc_ only at block exits and around slow-path memory ops. The
-  // stop checks below compare cycles_base + cycles, which is exactly what mcycle()
-  // would read if spilled, so batch boundaries land on the same instruction as the
-  // per-instruction loop.
-  uint64_t pc = pc_;
-  uint64_t cycles = 0;
-  uint64_t retired = 0;
-  uint64_t cycles_base = csrs_.mcycle();
-  uint64_t last_cycles = 0;
-  unsigned i = start;
-
-  while (true) {
-    const BlockInstr& bi = sb.instrs[i];
-    const DecodedInstr& d = bi.instr;
-    uint64_t next_pc = pc + 4;
-    uint64_t instr_cycles = base_cost + bi.extra_cycles;
-
-    if (bi.cls == SbClass::kSimple) {
-      const uint64_t rs1 = gpr_[d.rs1];
-      const uint64_t rs2 = gpr_[d.rs2];
-      switch (d.op) {
-        case Op::kLui:
-          set_gpr(d.rd, static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAuipc:
-          set_gpr(d.rd, pc + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAddi:
-          set_gpr(d.rd, rs1 + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kSlti:
-          set_gpr(d.rd, static_cast<int64_t>(rs1) < d.imm ? 1 : 0);
-          break;
-        case Op::kSltiu:
-          set_gpr(d.rd, rs1 < static_cast<uint64_t>(d.imm) ? 1 : 0);
-          break;
-        case Op::kXori:
-          set_gpr(d.rd, rs1 ^ static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kOri:
-          set_gpr(d.rd, rs1 | static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAndi:
-          set_gpr(d.rd, rs1 & static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kSlli:
-          set_gpr(d.rd, rs1 << (d.imm & 63));
-          break;
-        case Op::kSrli:
-          set_gpr(d.rd, rs1 >> (d.imm & 63));
-          break;
-        case Op::kSrai:
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (d.imm & 63)));
-          break;
-        case Op::kAdd:
-          set_gpr(d.rd, rs1 + rs2);
-          break;
-        case Op::kSub:
-          set_gpr(d.rd, rs1 - rs2);
-          break;
-        case Op::kSll:
-          set_gpr(d.rd, rs1 << (rs2 & 63));
-          break;
-        case Op::kSlt:
-          set_gpr(d.rd, static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2) ? 1 : 0);
-          break;
-        case Op::kSltu:
-          set_gpr(d.rd, rs1 < rs2 ? 1 : 0);
-          break;
-        case Op::kXor:
-          set_gpr(d.rd, rs1 ^ rs2);
-          break;
-        case Op::kSrl:
-          set_gpr(d.rd, rs1 >> (rs2 & 63));
-          break;
-        case Op::kSra:
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (rs2 & 63)));
-          break;
-        case Op::kOr:
-          set_gpr(d.rd, rs1 | rs2);
-          break;
-        case Op::kAnd:
-          set_gpr(d.rd, rs1 & rs2);
-          break;
-        case Op::kAddiw:
-          set_gpr(d.rd, SignExtend((rs1 + static_cast<uint64_t>(d.imm)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSlliw:
-          set_gpr(d.rd, SignExtend((rs1 << (d.imm & 31)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSrliw:
-          set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (d.imm & 31), 32));
-          break;
-        case Op::kSraiw:
-          set_gpr(d.rd, static_cast<uint64_t>(
-                            static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (d.imm & 31)));
-          break;
-        case Op::kAddw:
-          set_gpr(d.rd, SignExtend((rs1 + rs2) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSubw:
-          set_gpr(d.rd, SignExtend((rs1 - rs2) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSllw:
-          set_gpr(d.rd, SignExtend((rs1 << (rs2 & 31)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSrlw:
-          set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (rs2 & 31), 32));
-          break;
-        case Op::kSraw:
-          set_gpr(d.rd, static_cast<uint64_t>(
-                            static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (rs2 & 31)));
-          break;
-        case Op::kMul:
-          set_gpr(d.rd, rs1 * rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kMulh: {
-          const __int128 a = static_cast<int64_t>(rs1);
-          const __int128 b = static_cast<int64_t>(rs2);
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kMulhsu: {
-          const __int128 a = static_cast<int64_t>(rs1);
-          const __int128 b = static_cast<__int128>(rs2);
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kMulhu: {
-          const unsigned __int128 a = rs1;
-          const unsigned __int128 b = rs2;
-          set_gpr(d.rd, static_cast<uint64_t>((a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDiv: {
-          const int64_t a = static_cast<int64_t>(rs1);
-          const int64_t b = static_cast<int64_t>(rs2);
-          uint64_t q;
-          if (b == 0) {
-            q = ~uint64_t{0};
-          } else if (a == INT64_MIN && b == -1) {
-            q = static_cast<uint64_t>(a);
-          } else {
-            q = static_cast<uint64_t>(a / b);
-          }
-          set_gpr(d.rd, q);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDivu:
-          set_gpr(d.rd, rs2 == 0 ? ~uint64_t{0} : rs1 / rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kRem: {
-          const int64_t a = static_cast<int64_t>(rs1);
-          const int64_t b = static_cast<int64_t>(rs2);
-          uint64_t r;
-          if (b == 0) {
-            r = rs1;
-          } else if (a == INT64_MIN && b == -1) {
-            r = 0;
-          } else {
-            r = static_cast<uint64_t>(a % b);
-          }
-          set_gpr(d.rd, r);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemu:
-          set_gpr(d.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kMulw:
-          set_gpr(d.rd, SignExtend((rs1 * rs2) & 0xFFFFFFFF, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kDivw: {
-          const int32_t a = static_cast<int32_t>(rs1);
-          const int32_t b = static_cast<int32_t>(rs2);
-          int32_t q;
-          if (b == 0) {
-            q = -1;
-          } else if (a == INT32_MIN && b == -1) {
-            q = a;
-          } else {
-            q = a / b;
-          }
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(q)));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDivuw: {
-          const uint32_t a = static_cast<uint32_t>(rs1);
-          const uint32_t b = static_cast<uint32_t>(rs2);
-          const uint32_t q = b == 0 ? ~uint32_t{0} : a / b;
-          set_gpr(d.rd, SignExtend(q, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemw: {
-          const int32_t a = static_cast<int32_t>(rs1);
-          const int32_t b = static_cast<int32_t>(rs2);
-          int32_t r;
-          if (b == 0) {
-            r = a;
-          } else if (a == INT32_MIN && b == -1) {
-            r = 0;
-          } else {
-            r = a % b;
-          }
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(r)));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemuw: {
-          const uint32_t a = static_cast<uint32_t>(rs1);
-          const uint32_t b = static_cast<uint32_t>(rs2);
-          const uint32_t r = b == 0 ? a : a % b;
-          set_gpr(d.rd, SignExtend(r, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        default:
-          break;  // unreachable: FillSuperblock only classifies the ops above kSimple
-      }
-    } else if (bi.cls == SbClass::kBranch) {
-      const uint64_t rs1 = gpr_[d.rs1];
-      const uint64_t rs2 = gpr_[d.rs2];
-      switch (d.op) {
-        case Op::kJal:
-          set_gpr(d.rd, next_pc);
-          next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kJalr: {
-          const uint64_t target = (rs1 + static_cast<uint64_t>(d.imm)) & ~uint64_t{1};
-          set_gpr(d.rd, next_pc);
-          next_pc = target;
-          break;
-        }
-        case Op::kBeq:
-          if (rs1 == rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBne:
-          if (rs1 != rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBlt:
-          if (static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2)) {
-            next_pc = pc + static_cast<uint64_t>(d.imm);
-          }
-          break;
-        case Op::kBge:
-          if (static_cast<int64_t>(rs1) >= static_cast<int64_t>(rs2)) {
-            next_pc = pc + static_cast<uint64_t>(d.imm);
-          }
-          break;
-        case Op::kBltu:
-          if (rs1 < rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBgeu:
-          if (rs1 >= rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        default:
-          break;  // unreachable
-      }
-    } else {  // SbClass::kMem
-      if (!mem_ctx.built) {
-        BuildFastMemCtx(&mem_ctx);
-      }
-      const uint64_t vaddr = gpr_[d.rs1] + static_cast<uint64_t>(d.imm);
-      const unsigned size = AccessSizeOf(d.op);
-      const bool is_store = IsStoreOp(d.op);
-      bool fast = false;
-      if (mem_ctx.engaged && IsAligned(vaddr, size)) {
-        TlbEntry& slot =
-            tlb_[static_cast<unsigned>(is_store ? AccessType::kStore : AccessType::kLoad)]
-                [(vaddr >> 12) & tlb_mask_];
-        // Full TLB hit condition, re-checked per access (a slow-path store earlier in
-        // this very block may have bumped a generation). host_page != nullptr implies
-        // pmp_whole_page, and an aligned power-of-two access never leaves the frame,
-        // so no per-access PMP scan is needed. A store must additionally see a clean
-        // mark byte: writes to exec-/PT-marked pages go through Bus::Write so the
-        // dependency generations bump exactly as the slow path would.
-        // Segment mode keeps fast loads (with a store-buffer overlay below) but
-        // forces every store to the slow path, where it is buffered (DESIGN.md §2i).
-        if (slot.vpage == vaddr >> 12 && slot.satp == mem_ctx.satp &&
-            slot.ctx == (is_store ? mem_ctx.store_ctx : mem_ctx.load_ctx) &&
-            slot.stamp == tlb_stamp() && slot.host_page != nullptr &&
-            (!is_store || (*slot.page_mark == 0 && !segment_active_))) {
-          ++tlb_hits_;  // parity: the slow path's Translate would count this hit
-          ++fastmem_hits_;
-          const uint64_t offset = vaddr & MaskLow(12);
-          if (is_store) {
-            std::memcpy(slot.host_page + offset, &gpr_[d.rs2], size);
-            if (reservation_) {
-              const uint64_t paddr = slot.paddr_page | offset;
-              if (AlignDown(*reservation_, 8) == AlignDown(paddr, 8)) {
-                reservation_.reset();
-              }
-            }
-          } else {
-            uint64_t value = 0;
-            std::memcpy(&value, slot.host_page + offset, size);
-            if (segment_active_ && !sbuf_.empty()) {
-              OverlayLoad(slot.paddr_page | offset, size, &value);
-            }
-            switch (d.op) {
-              case Op::kLb:
-                value = SignExtend(value, 8);
-                break;
-              case Op::kLh:
-                value = SignExtend(value, 16);
-                break;
-              case Op::kLw:
-                value = SignExtend(value, 32);
-                break;
-              default:
-                break;
-            }
-            set_gpr(d.rd, value);
-          }
-          instr_cycles += cost_->instr_mem + slot.extra_cycles;
-          fast = true;
-        }
-      }
-      if (!fast) {
-        // Slow path: spill the exact architectural state (TakeTrap records pc_ into
-        // xepc; the bus path may recurse into translation), run the op through the
-        // ordinary interpreter helper, and re-base the local counters after.
-        ++fastmem_misses_;
-        pc_ = pc;
-        csrs_.AddInstret(retired);
-        csrs_.AddCycles(cycles);
-        retired = 0;
-        cycles = 0;
-        StepResult r = ExecuteLoadStore(d);
-        if (r.aborted) {
-          // Segment sync event: the op had no effect and is not counted; pc_ and the
-          // counters were spilled exactly above, so the barrier re-runs it via Tick.
-          run.end_batch = true;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        r.cycles += bi.extra_cycles;  // the member's replayed fetch-walk cost
-        if (!r.trapped) {
-          csrs_.AddInstret(1);
-        }
-        csrs_.AddCycles(r.cycles);
-        ++run.dispatched;
-        ++i;
-        if (r.trapped) {
-          // pc_ was vectored by TakeTrap; counters are already spilled.
-          run.end_batch = true;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        pc = pc_;  // the helper retired to the next sequential pc
-        cycles_base = csrs_.mcycle();
-        const bool mmio = bus_->mmio_ops() != mmio_start;
-        const bool stale = cache_stamp() != sb.stamp;
-        if (mmio || stale || i >= sb.count || run.dispatched >= steps_left ||
-            cycles_base >= stop_cycles) {
-          // `stale` abandons the block (a store invalidated code this block may
-          // contain) without ending the batch: RunBatch re-validates and rebuilds.
-          run.end_batch = mmio;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        continue;
-      }
-    }
-
-    pc = next_pc;
-    cycles += instr_cycles;
-    ++retired;
-    ++run.dispatched;
-    ++i;
-    if (i >= sb.count || run.dispatched >= steps_left ||
-        cycles_base + cycles >= stop_cycles) {
-      last_cycles = instr_cycles;
-      break;
-    }
-  }
-
-  pc_ = pc;
-  csrs_.AddInstret(retired);
-  csrs_.AddCycles(cycles);
-  icache_hits_ += run.dispatched;
-  sb_instrs_ += run.dispatched;
-  run.last.executed = true;
-  run.last.cycles = last_cycles;
-  return run;
-}
-
-void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
-  const void* const* table = nullptr;
-  ExecuteThreaded(nullptr, nullptr, 0, 0, &table);  // label addresses live there
-  tb->op_count = 0;
-  tb->has_mem = false;
-  const uint64_t base_cost = cost_->instr_base;
-  bool ends_with_branch = false;
-  for (unsigned i = 0; i < sb.count; ++i) {
-    const BlockInstr& bi = sb.instrs[i];
-    const DecodedInstr& d = bi.instr;
-    const uint64_t ipc = sb.tag + uint64_t{4} * i;
-    ThreadedOp op;
-    op.next_pc = ipc + 4;
-    op.imm = d.imm;
-    op.cycles = static_cast<uint32_t>(base_cost + bi.extra_cycles);
-    op.src = static_cast<uint16_t>(i);
-    op.a = d.rd;
-    op.b = d.rs1;
-    op.c = d.rs2;
-    LoweredOp kind = LoweredOpFor(d.op);
-
-    if (bi.cls == SbClass::kSimple) {
-      switch (d.op) {
-        case Op::kAuipc:
-          // The block's virtual pc is static, so auipc is a constant at lowering time.
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kMul:
-        case Op::kMulh:
-        case Op::kMulhsu:
-        case Op::kMulhu:
-        case Op::kDiv:
-        case Op::kDivu:
-        case Op::kRem:
-        case Op::kRemu:
-        case Op::kMulw:
-        case Op::kDivw:
-        case Op::kDivuw:
-        case Op::kRemw:
-        case Op::kRemuw:
-          op.cycles += static_cast<uint32_t>(cost_->instr_muldiv);
-          break;
-        default:
-          break;
-      }
-      if (d.rd == 0) {
-        kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
-      } else if (tb->op_count != 0) {
-        // Constant folding: a li/auipc (kConst) followed by ALU-immediate ops that
-        // read and write the same register collapses into one kConstChain carrying
-        // the final value. Intermediate values are unobservable inside the chain
-        // (members are consecutive and each reads only the chain register), and a
-        // batch boundary inside a chain deopts to per-member execution, so folding
-        // is architecturally invisible.
-        ThreadedOp& prev = tb->ops[tb->op_count - 1];
-        const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
-        if ((pk == LoweredOp::kConst || pk == LoweredOp::kConstChain) && prev.a == d.rd &&
-            d.rs1 == d.rd) {
-          uint64_t v = static_cast<uint64_t>(prev.imm);
-          const uint64_t imm = static_cast<uint64_t>(d.imm);
-          bool folded = true;
-          switch (d.op) {
-            case Op::kAddi:
-              v += imm;
-              break;
-            case Op::kXori:
-              v ^= imm;
-              break;
-            case Op::kOri:
-              v |= imm;
-              break;
-            case Op::kAndi:
-              v &= imm;
-              break;
-            case Op::kSlli:
-              v <<= (d.imm & 63);
-              break;
-            case Op::kSrli:
-              v >>= (d.imm & 63);
-              break;
-            case Op::kSrai:
-              v = static_cast<uint64_t>(static_cast<int64_t>(v) >> (d.imm & 63));
-              break;
-            case Op::kSlti:
-              v = static_cast<int64_t>(v) < d.imm ? 1 : 0;
-              break;
-            case Op::kSltiu:
-              v = v < imm ? 1 : 0;
-              break;
-            case Op::kAddiw:
-              v = SignExtend((v + imm) & 0xFFFFFFFF, 32);
-              break;
-            case Op::kSlliw:
-              v = SignExtend((v << (d.imm & 31)) & 0xFFFFFFFF, 32);
-              break;
-            case Op::kSrliw:
-              v = SignExtend((v & 0xFFFFFFFF) >> (d.imm & 31), 32);
-              break;
-            case Op::kSraiw:
-              v = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)) >>
-                                        (d.imm & 31));
-              break;
-            default:
-              folded = false;
-              break;
-          }
-          if (folded) {
-            prev.imm = static_cast<int64_t>(v);
-            prev.next_pc = ipc + 4;
-            prev.cycles += op.cycles;
-            prev.count = static_cast<uint8_t>(prev.count + 1);
-            prev.kind = static_cast<uint8_t>(LoweredOp::kConstChain);
-            prev.handler = table != nullptr ? table[prev.kind] : nullptr;
-            prev.uhandler = table != nullptr ? table[kLoweredOpCount + prev.kind] : nullptr;
-            continue;
-          }
-        }
-      }
-    } else if (bi.cls == SbClass::kBranch) {
-      ends_with_branch = true;  // FillSuperblock makes a branch the final member
-      switch (d.op) {
-        case Op::kJal:
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));
-          kind = d.rd == 0 ? LoweredOp::kJ : LoweredOp::kJal;
-          break;
-        case Op::kJalr:
-          kind = d.rd == 0 ? LoweredOp::kJr : LoweredOp::kJalr;
-          break;
-        default: {
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));  // taken pc
-          // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
-          // immediately following beqz/bnez fuses into one op (the compare rd is
-          // still written — it stays architecturally visible).
-          if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && tb->op_count != 0) {
-            ThreadedOp& prev = tb->ops[tb->op_count - 1];
-            const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
-            const bool on_zero = d.op == Op::kBeq;
-            LoweredOp fused = LoweredOp::kEnd;
-            if (prev.count == 1 && prev.a == d.rs1 && prev.a != 0) {
-              switch (pk) {
-                case LoweredOp::kSlt:
-                  fused = on_zero ? LoweredOp::kSltBeqz : LoweredOp::kSltBnez;
-                  break;
-                case LoweredOp::kSltu:
-                  fused = on_zero ? LoweredOp::kSltuBeqz : LoweredOp::kSltuBnez;
-                  break;
-                case LoweredOp::kSlti:
-                  fused = on_zero ? LoweredOp::kSltiBeqz : LoweredOp::kSltiBnez;
-                  break;
-                case LoweredOp::kSltiu:
-                  fused = on_zero ? LoweredOp::kSltiuBeqz : LoweredOp::kSltiuBnez;
-                  break;
-                default:
-                  break;
-              }
-            }
-            if (fused != LoweredOp::kEnd) {
-              prev.imm2 = static_cast<int32_t>(prev.imm);  // compare immediate
-              prev.imm = op.imm;                           // absolute taken target
-              prev.next_pc = ipc + 4;                      // fall-through pc
-              prev.cycles += op.cycles;
-              prev.count = 2;
-              prev.kind = static_cast<uint8_t>(fused);
-              prev.handler = table != nullptr ? table[prev.kind] : nullptr;
-              prev.uhandler = table != nullptr ? table[kLoweredOpCount + prev.kind] : nullptr;
-              continue;
-            }
-          }
-          break;
-        }
-      }
-    } else {  // SbClass::kMem
-      op.cycles += static_cast<uint32_t>(cost_->instr_mem);
-      tb->has_mem = true;
-    }
-    op.kind = static_cast<uint8_t>(kind);
-    op.handler = table != nullptr ? table[op.kind] : nullptr;
-    op.uhandler = table != nullptr ? table[kLoweredOpCount + op.kind] : nullptr;
-    tb->ops[tb->op_count++] = op;
-  }
-  if (!ends_with_branch) {
-    // Blocks cut by a barrier, a page boundary, or the length cap end without a
-    // branch: a zero-cost sentinel spills and returns after the last real op.
-    ThreadedOp end;
-    end.kind = static_cast<uint8_t>(LoweredOp::kEnd);
-    end.handler = table != nullptr ? table[end.kind] : nullptr;
-    end.uhandler = table != nullptr ? table[kLoweredOpCount + end.kind] : nullptr;
-    end.cycles = 0;
-    end.count = 0;
-    end.src = sb.count;
-    end.next_pc = sb.tag + uint64_t{4} * sb.count;
-    tb->ops[tb->op_count++] = end;
-  }
-  tb->total_count = 0;
-  tb->total_cycles = 0;
-  for (unsigned i = 0; i < tb->op_count; ++i) {
-    tb->total_count += tb->ops[i].count;
-    tb->total_cycles += tb->ops[i].cycles;
-  }
-}
-
-// The threaded-code executor (DESIGN.md §2g). Dispatch is a computed goto on GCC and
-// Clang — each lowered op carries its handler's label address — with a switch on
-// LoweredOp::kind as the portable fallback. The budget discipline mirrors
-// ExecuteSuperblock exactly: per-instruction post-checks against steps_left and the
-// cycle limit, so batch boundaries land on the same instruction as per-instruction
-// stepping; fused ops (which retire several instructions atomically) pre-check that
-// they fit entirely and otherwise deopt, handing the block tail to the superblock
-// tier, which executes one instruction at a time to the exact boundary.
-#if defined(__GNUC__) || defined(__clang__)
-#define VFM_THREADED_GOTO 1
-#else
-#define VFM_THREADED_GOTO 0
-#endif
-
-Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock* tb,
-                                  uint64_t steps_left, uint64_t stop_cycles,
-                                  const void* const** table_out) {
-#if VFM_THREADED_GOTO
+// The block executor (DESIGN.md §2f). Dispatch is a computed goto: each lowered op
+// carries its handler's label address. Budget checks land batch boundaries on the
+// same instruction as per-instruction stepping: every op post-checks the budget, and
+// fused ops (which retire several instructions atomically) pre-check that they fit
+// entirely, else spill before their first member for RunBatch to run it as one tick.
+Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
+                               uint64_t stop_cycles, const void* const** table_out) {
   if (table_out != nullptr) {
-    // Checked handlers first, then the unchecked set (same X-macro order), so
-    // LowerSuperblock indexes checked at [kind] and unchecked at [count + kind].
     static const void* const kTable[] = {
 #define VFM_X(name) &&t_##name,
-        VFM_LOWERED_OPS(VFM_X)
-#undef VFM_X
-#define VFM_X(name) &&u_##name,
         VFM_LOWERED_OPS(VFM_X)
 #undef VFM_X
     };
     *table_out = kTable;
     return {};
   }
-#else
-  if (table_out != nullptr) {
-    *table_out = nullptr;  // the switch fallback dispatches on ThreadedOp::kind
-    return {};
-  }
-#endif
 
   SbRun run;
   ++sb_blocks_;
-  ++threaded_blocks_;
   const uint64_t mmio_start = bus_->mmio_ops();
   FastMemCtx fm;
   TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
   TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
   uint64_t* const g = gpr_;
-  const ThreadedOp* op = tb->ops;
-  // Same spill discipline as ExecuteSuperblock: pc and the counter deltas live in
-  // locals, spilled only at exits and around slow-path memory ops. `climit` folds
-  // the stop_cycles compare into the local cycle delta.
+  const BlockOp* op = sb->ops;
+  // Architectural counters and the pc live in locals while inside the block; they are
+  // spilled to csrs_/pc_ only at exits and around slow-path memory ops.
   uint64_t pc = pc_;        // written only by branch handlers; fall-through exits
                             // recover it from the last op's next_pc
   uint64_t cycles = 0;      // charged since the last spill
@@ -1481,25 +887,18 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
   // The dispatch loop makes a single budget compare per op: cycles >= climit, with
   // climit clamped by the remaining step budget. This is exact for the cycle bound
   // and conservative for the step bound — every retired instruction charges at
-  // least instr_base >= 1 cycle (constructor gate), so the cycle compare fires
-  // at-or-before the step compare would, and an early block exit is invisible:
-  // RunBatch re-checks its own bounds and simply re-dispatches. Fused ops
-  // pre-check the step budget exactly (VFM_TFIT), so `dispatched` never
-  // overshoots steps_left.
+  // least instr_base >= 1 cycle (a Machine invariant), so the cycle compare
+  // fires at-or-before the step compare would, and an early block exit is
+  // invisible: RunBatch re-checks its own bounds and simply re-dispatches. Fused ops
+  // pre-check the step budget exactly (VFM_TFIT), so `dispatched` never overshoots.
   uint64_t climit = stop_cycles > cycles_base ? stop_cycles - cycles_base : 0;
   climit = climit < steps_left ? climit : steps_left;
   // tlb_stamp() is stable across fast-path ops (fast stores never touch marked
   // pages, so no generation it folds can bump); resampled after every slow-path op.
-  uint64_t tstamp = tb->has_mem ? tlb_stamp() : 0;
+  uint64_t tstamp = sb->has_mem ? tlb_stamp() : 0;
 
-#if VFM_THREADED_GOTO
 #define VFM_TGO() goto* op->handler
-#else
-#define VFM_TGO() goto dispatch
-#endif
-// Post-execution bookkeeping + budget post-check of a non-terminal op, then dispatch
-// of the next op. The post-check discipline matches ExecuteSuperblock's loop tail,
-// so batch boundaries land on the same instruction.
+// Bookkeeping + budget post-check of a non-terminal op, then dispatch of the next.
 #define VFM_TNEXT()          \
   do {                       \
     cycles += op->cycles;    \
@@ -1523,195 +922,200 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
       goto exit_spill;       \
     }                        \
     if (pc == sb->tag) {     \
-      op = tb->ops;          \
+      op = sb->ops;          \
       VFM_TGO();             \
     }                        \
     goto exit_spill;         \
   } while (0)
 // Fused ops retire `n` instructions atomically: they must fit the remaining budget
-// entirely, else the superblock tier executes the tail to the exact boundary.
+// entirely.
 #define VFM_TFIT(n)                                                       \
   do {                                                                    \
     if (dispatched + (n) > steps_left || cycles + op->cycles >= climit) { \
-      goto deopt_misfit;                                                  \
+      goto misfit;                                                        \
     }                                                                     \
   } while (0)
-// Load/store with host-pointer fast path baked in: one handler does the address
-// add, the TLB probe (full hit condition, as in ExecuteSuperblock), and the host
-// memcpy. Any miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM
-// frame, marked page — takes the shared interpreter slow path below.
-#define VFM_TLOAD(size_, extract_)                                            \
-  do {                                                                        \
-    if (!fm.built) {                                                          \
-      BuildFastMemCtx(&fm);                                                   \
-    }                                                                         \
-    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);            \
-    if (!fm.engaged || !IsAligned(va, size_)) {                               \
-      goto slow_mem;                                                          \
-    }                                                                         \
-    TlbEntry& slot = tlb_ld[(va >> 12) & tlb_mask_];                          \
-    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
-        slot.ctx != fm.load_ctx || slot.stamp != tstamp ||                    \
-        slot.host_page == nullptr) {                                          \
-      goto slow_mem;                                                          \
-    }                                                                         \
-    ++tlb_hits_;                                                              \
-    ++fastmem_hits_;                                                          \
-    uint64_t value = 0;                                                       \
-    std::memcpy(&value, slot.host_page + (va & MaskLow(12)), size_);          \
-    if (segment_active_ && !sbuf_.empty()) {                                  \
-      OverlayLoad(slot.paddr_page | (va & MaskLow(12)), size_, &value);       \
-    }                                                                         \
-    if (op->a != 0) {                                                         \
-      g[op->a] = extract_;                                                    \
-    }                                                                         \
-    cycles += slot.extra_cycles;                                              \
-    VFM_TNEXT();                                                              \
+// Load/store with the host-pointer fast path baked in: one handler does the address
+// add, the TLB probe (full hit condition, re-checked per access), and the host
+// memcpy. host_page != nullptr implies pmp_whole_page, and an aligned power-of-two
+// access never leaves the frame, so no per-access PMP scan is needed. Any miss —
+// unaligned, not engaged, cold/foreign/stale slot, non-RAM frame — takes the slow
+// path. A store must also see a clean mark byte (writes to exec-/PT-marked pages go
+// through Bus::Write so the dependency generations bump), and segment mode keeps
+// fast loads (with a store-buffer overlay) but buffers every store (DESIGN.md §2i).
+#define VFM_TLOAD(name)                                                        \
+  do {                                                                         \
+    constexpr unsigned kSize = AccessSize(Op::k##name);                        \
+    if (!fm.built) {                                                           \
+      BuildFastMemCtx(&fm);                                                    \
+    }                                                                          \
+    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
+    if (!fm.engaged || !IsAligned(va, kSize)) {                                \
+      goto slow_mem;                                                           \
+    }                                                                          \
+    TlbEntry& slot = tlb_ld[(va >> 12) & tlb_mask_];                           \
+    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                      \
+        slot.ctx != fm.load_ctx || slot.stamp != tstamp ||                     \
+        slot.host_page == nullptr) {                                           \
+      goto slow_mem;                                                           \
+    }                                                                          \
+    ++tlb_hits_;  /* parity: the slow path's Translate would count this hit */ \
+    ++fastmem_hits_;                                                           \
+    uint64_t value = 0;                                                        \
+    std::memcpy(&value, slot.host_page + (va & MaskLow(12)), kSize);           \
+    if (segment_active_ && !sbuf_.empty()) {                                   \
+      OverlayLoad(slot.paddr_page | (va & MaskLow(12)), kSize, &value);        \
+    }                                                                          \
+    if (op->a != 0) {                                                          \
+      g[op->a] = LoadExtend(Op::k##name, value);                               \
+    }                                                                          \
+    cycles += slot.extra_cycles;                                               \
+    VFM_TNEXT();                                                               \
   } while (0)
-#define VFM_TSTORE(size_)                                                     \
-  do {                                                                        \
-    if (!fm.built) {                                                          \
-      BuildFastMemCtx(&fm);                                                   \
-    }                                                                         \
-    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);            \
-    if (!fm.engaged || !IsAligned(va, size_)) {                               \
-      goto slow_mem;                                                          \
-    }                                                                         \
-    TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                          \
-    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
-        slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                   \
-        slot.host_page == nullptr || *slot.page_mark != 0 ||                  \
-        segment_active_) {                                                    \
-      goto slow_mem;                                                          \
-    }                                                                         \
-    ++tlb_hits_;                                                              \
-    ++fastmem_hits_;                                                          \
-    const uint64_t offset = va & MaskLow(12);                                 \
-    std::memcpy(slot.host_page + offset, &g[op->c], size_);                   \
-    if (reservation_) {                                                       \
-      const uint64_t paddr = slot.paddr_page | offset;                        \
-      if (AlignDown(*reservation_, 8) == AlignDown(paddr, 8)) {               \
-        reservation_.reset();                                                 \
-      }                                                                       \
-    }                                                                         \
-    cycles += slot.extra_cycles;                                              \
-    VFM_TNEXT();                                                              \
+#define VFM_TSTORE(name)                                                       \
+  do {                                                                         \
+    constexpr unsigned kSize = AccessSize(Op::k##name);                        \
+    if (!fm.built) {                                                           \
+      BuildFastMemCtx(&fm);                                                    \
+    }                                                                          \
+    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
+    if (!fm.engaged || !IsAligned(va, kSize)) {                                \
+      goto slow_mem;                                                           \
+    }                                                                          \
+    TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                           \
+    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                      \
+        slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                    \
+        slot.host_page == nullptr || *slot.page_mark != 0 ||                   \
+        segment_active_) {                                                     \
+      goto slow_mem;                                                           \
+    }                                                                          \
+    ++tlb_hits_;                                                               \
+    ++fastmem_hits_;                                                           \
+    const uint64_t offset = va & MaskLow(12);                                  \
+    std::memcpy(slot.host_page + offset, &g[op->c], kSize);                    \
+    if (reservation_) {                                                        \
+      const uint64_t paddr = slot.paddr_page | offset;                         \
+      if (AlignDown(*reservation_, 8) == AlignDown(paddr, 8)) {                \
+        reservation_.reset();                                                  \
+      }                                                                        \
+    }                                                                          \
+    cycles += slot.extra_cycles;                                               \
+    VFM_TNEXT();                                                               \
   } while (0)
 
-#if VFM_THREADED_GOTO
-  // Unchecked fast iteration (computed-goto builds only): when a pure-ALU block's
-  // whole run fits the remaining budget, dispatch through handlers that skip the
-  // per-op accounting entirely — the terminal op adds the block totals and
-  // re-checks before chaining. Blocks with memory ops always run checked: their
-  // TLB-replayed walk cycles vary per dispatch, so the run total is not static.
-  if (!tb->has_mem && tb->total_cycles <= climit) {
-    goto* op->uhandler;
-  }
-#endif
   VFM_TGO();
 
-#if !VFM_THREADED_GOTO
-dispatch:
-  switch (static_cast<LoweredOp>(op->kind)) {
-#define VFM_X(name)        \
-  case LoweredOp::k##name: \
-    goto t_##name;
-    VFM_LOWERED_OPS(VFM_X)
+  // -- Handlers, one per LoweredOp. Those of the block-op table are generated from
+  // it and compute through the shared semantics helpers in src/isa/instr.h.
+t_End:
+  goto exit_fall;  // block ended without a branch; resume at the fall-through pc
+t_Nop:
+  VFM_TNEXT();
+t_Const:
+  g[op->a] = static_cast<uint64_t>(op->imm);
+  VFM_TNEXT();
+t_ConstChain:
+  VFM_TFIT(op->count);
+  g[op->a] = static_cast<uint64_t>(op->imm);
+  VFM_TNEXT();
+#define VFM_X(name)                                                             \
+  t_##name:                                                                     \
+  g[op->a] = AluResult(Op::k##name, g[op->b], static_cast<uint64_t>(op->imm)); \
+  VFM_TNEXT();
+  VFM_ALU_IMM_OPS(VFM_X)
 #undef VFM_X
+#define VFM_X(name)                                        \
+  t_##name:                                                \
+  g[op->a] = AluResult(Op::k##name, g[op->b], g[op->c]);  \
+  VFM_TNEXT();
+  VFM_ALU_REG_OPS(VFM_X)
+#undef VFM_X
+#define VFM_X(name)                                                                  \
+  t_##name:                                                                          \
+  pc = BranchTaken(Op::k##name, g[op->b], g[op->c]) ? static_cast<uint64_t>(op->imm) \
+                                                     : op->next_pc;                  \
+  VFM_TFIN();
+  VFM_BRANCH_OPS(VFM_X)
+#undef VFM_X
+t_J:
+  pc = static_cast<uint64_t>(op->imm);
+  VFM_TFIN();
+t_Jal:
+  g[op->a] = op->next_pc;
+  pc = static_cast<uint64_t>(op->imm);
+  VFM_TFIN();
+t_Jr:
+  pc = JalrTarget(g[op->b], op->imm);
+  VFM_TFIN();
+t_Jalr:
+  pc = JalrTarget(g[op->b], op->imm);
+  g[op->a] = op->next_pc;
+  VFM_TFIN();
+// Fused compare + branch-on-zero: the compare result is still written.
+#define VFM_FUSED(name, cmp, rhs, taken_on_zero)                      \
+  t_##name : {                                                        \
+    VFM_TFIT(2);                                                      \
+    const uint64_t v = AluResult(Op::k##cmp, g[op->b], rhs);          \
+    g[op->a] = v;                                                     \
+    pc = (v == 0) == (taken_on_zero) ? static_cast<uint64_t>(op->imm) \
+                                     : op->next_pc;                   \
+    VFM_TFIN();                                                       \
   }
-#endif
-
-// Checked-mode handlers: per-op accounting and budget post-checks.
-#define VFM_TCHECKED 1
-#define VFM_TH(name) t_##name
-#define VFM_TEND() goto exit_fall
-#include "src/sim/hart_threaded.inc"
-#undef VFM_TEND
-#undef VFM_TH
-#undef VFM_TCHECKED
-
-#if VFM_THREADED_GOTO
-// Unchecked-mode handlers: no per-op accounting — the whole iteration was
-// pre-checked to fit, so only the terminal op touches the counters, adding the
-// block totals and deciding whether the next iteration can stay unchecked,
-// must run checked (final partial pass to the exact boundary), or exits.
-#undef VFM_TNEXT
-#undef VFM_TFIN
-#undef VFM_TFIT
-#define VFM_TCHECKED 0
-#define VFM_TH(name) u_##name
-#define VFM_TNEXT()       \
-  do {                    \
-    ++op;                 \
-    goto* op->uhandler;   \
-  } while (0)
-#define VFM_TFIT(n) \
-  do {              \
-  } while (0)
-#define VFM_TFIN()                               \
-  do {                                           \
-    cycles += tb->total_cycles;                  \
-    dispatched += tb->total_count;               \
-    if (cycles >= climit) {                      \
-      goto exit_spill;                           \
-    }                                            \
-    if (pc == sb->tag) {                         \
-      op = tb->ops;                              \
-      if (cycles + tb->total_cycles <= climit) { \
-        goto* op->uhandler;                      \
-      }                                          \
-      goto* op->handler;                         \
-    }                                            \
-    goto exit_spill;                             \
-  } while (0)
-#define VFM_TEND()                 \
-  do {                             \
-    cycles += tb->total_cycles;    \
-    dispatched += tb->total_count; \
-    goto exit_fall;                \
-  } while (0)
-#include "src/sim/hart_threaded.inc"
-#undef VFM_TEND
-#undef VFM_TH
-#undef VFM_TCHECKED
-#endif  // VFM_THREADED_GOTO
+  VFM_FUSED(SltBeqz, Slt, g[op->c], true)
+  VFM_FUSED(SltBnez, Slt, g[op->c], false)
+  VFM_FUSED(SltuBeqz, Sltu, g[op->c], true)
+  VFM_FUSED(SltuBnez, Sltu, g[op->c], false)
+  VFM_FUSED(SltiBeqz, Slti, static_cast<uint64_t>(int64_t{op->imm2}), true)
+  VFM_FUSED(SltiBnez, Slti, static_cast<uint64_t>(int64_t{op->imm2}), false)
+  VFM_FUSED(SltiuBeqz, Sltiu, static_cast<uint64_t>(int64_t{op->imm2}), true)
+  VFM_FUSED(SltiuBnez, Sltiu, static_cast<uint64_t>(int64_t{op->imm2}), false)
+#undef VFM_FUSED
+#define VFM_X(name) \
+  t_##name:         \
+  VFM_TLOAD(name);
+  VFM_LOAD_OPS(VFM_X)
+#undef VFM_X
+#define VFM_X(name) \
+  t_##name:         \
+  VFM_TSTORE(name);
+  VFM_STORE_OPS(VFM_X)
+#undef VFM_X
 
 slow_mem: {
-  // The exact superblock slow path: spill the architectural state, run the op
-  // through the ordinary interpreter helper, re-base the locals, and re-validate
-  // the block before resuming threaded dispatch.
+  // Spill the exact architectural state (TakeTrap records pc_ into xepc; the bus
+  // path may recurse into translation), run the op through the interpreter's
+  // load/store helper, re-base the locals, and re-validate the block before resuming.
   ++fastmem_misses_;
-  const BlockInstr& bi = sb->instrs[op->src];
-  pc_ = sb->tag + uint64_t{4} * op->src;  // the member's pc, for trap reporting
+  pc_ = op->next_pc - 4;  // the member's pc (memory ops lower 1:1)
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
   cycles = 0;
-  StepResult r = ExecuteLoadStore(bi.instr);
+  DecodedInstr d;
+  d.op = op->op;
+  d.rd = op->a;
+  d.rs1 = op->b;
+  d.rs2 = op->c;
+  d.imm = op->imm;
+  StepResult r = ExecuteLoadStore(d);
   if (r.aborted) {
     // Segment sync event: the op had no effect and is not counted; pc_ and the
     // counters were spilled exactly above, so the barrier re-runs it via Tick.
     run.end_batch = true;
     run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_done;
   }
-  r.cycles += bi.extra_cycles;  // the member's replayed fetch-walk cost
+  // The member's replayed fetch-walk cost: what its lowering charged beyond the
+  // base and memory cost ExecuteLoadStore charges itself.
+  r.cycles += op->cycles - (cost_->instr_base + cost_->instr_mem);
   if (!r.trapped) {
     csrs_.AddInstret(1);
   }
   csrs_.AddCycles(r.cycles);
   ++dispatched;
   if (r.trapped) {
-    run.end_batch = true;
+    run.end_batch = true;  // pc_ was vectored by TakeTrap; counters are spilled
     run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_done;
   }
   spill_base = dispatched;  // the slow op's instret was added above
   cycles_base = csrs_.mcycle();
@@ -1719,16 +1123,14 @@ slow_mem: {
   const bool mmio = bus_->mmio_ops() != mmio_start;
   const bool stale = cache_stamp() != sb->stamp;
   if (mmio || stale || dispatched >= steps_left || cycles_base >= stop_cycles) {
+    // `stale` abandons the block (the store invalidated code it may contain)
+    // without ending the batch: RunBatch re-validates and rebuilds.
     if (stale) {
-      ++threaded_deopts_;  // the store invalidated code this block may contain
+      ++sb_deopts_;
     }
     run.end_batch = mmio;
     run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_done;
   }
   climit = stop_cycles - cycles_base;  // > 0: checked just above
   const uint64_t steps_rem = steps_left - dispatched;
@@ -1737,22 +1139,15 @@ slow_mem: {
   VFM_TGO();
 }
 
-deopt_misfit: {
-  // A fused op would overshoot the batch budget: spill at the member boundary and
-  // let the superblock tier run the tail per-instruction to the exact boundary.
-  ++threaded_deopts_;
-  pc_ = sb->tag + uint64_t{4} * op->src;  // first member of the fused op
+misfit:
+  // A fused op would overshoot the batch budget: spill before its first member,
+  // which RunBatch then runs as one interpreted tick.
+  ++sb_deopts_;
+  pc_ = op->next_pc - uint64_t{4} * op->count;
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
-  icache_hits_ += dispatched;
-  sb_instrs_ += dispatched;
-  threaded_instrs_ += dispatched;
-  const SbRun tail = ExecuteSuperblock(*sb, op->src, steps_left - dispatched, stop_cycles);
-  run.dispatched = dispatched + tail.dispatched;
-  run.end_batch = tail.end_batch;
-  run.last = tail.last;
-  return run;
-}
+  run.misfit = true;
+  goto exit_done;
 
 exit_fall:
   pc = op[-1].next_pc;  // non-branch exit: resume after the last executed op
@@ -1760,11 +1155,11 @@ exit_spill:
   pc_ = pc;
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
+  run.last.executed = true;
+exit_done:
   run.dispatched = dispatched;
   icache_hits_ += dispatched;
   sb_instrs_ += dispatched;
-  threaded_instrs_ += dispatched;
-  run.last.executed = true;
   return run;
 
 #undef VFM_TSTORE
@@ -1778,6 +1173,7 @@ exit_spill:
 StepResult Hart::Execute(const DecodedInstr& d) {
   const uint64_t rs1 = gpr_[d.rs1];
   const uint64_t rs2 = gpr_[d.rs2];
+  const uint64_t imm = static_cast<uint64_t>(d.imm);
   const uint64_t next = pc_ + 4;
   const uint64_t base_cost = cost_->instr_base;
 
@@ -1785,240 +1181,32 @@ StepResult Hart::Execute(const DecodedInstr& d) {
     case Op::kInvalid:
       return IllegalInstr(d);
     case Op::kLui:
-      set_gpr(d.rd, static_cast<uint64_t>(d.imm));
+      set_gpr(d.rd, imm);
       return Retire(next, base_cost);
     case Op::kAuipc:
-      set_gpr(d.rd, pc_ + static_cast<uint64_t>(d.imm));
+      set_gpr(d.rd, pc_ + imm);
       return Retire(next, base_cost);
     case Op::kJal:
       set_gpr(d.rd, next);
-      return Retire(pc_ + static_cast<uint64_t>(d.imm), base_cost);
+      return Retire(pc_ + imm, base_cost);
     case Op::kJalr: {
-      const uint64_t target = (rs1 + static_cast<uint64_t>(d.imm)) & ~uint64_t{1};
+      const uint64_t target = JalrTarget(rs1, d.imm);
       set_gpr(d.rd, next);
       return Retire(target, base_cost);
     }
-    case Op::kBeq:
-      return Retire(rs1 == rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBne:
-      return Retire(rs1 != rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBlt:
-      return Retire(static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2)
-                        ? pc_ + static_cast<uint64_t>(d.imm)
-                        : next,
-                    base_cost);
-    case Op::kBge:
-      return Retire(static_cast<int64_t>(rs1) >= static_cast<int64_t>(rs2)
-                        ? pc_ + static_cast<uint64_t>(d.imm)
-                        : next,
-                    base_cost);
-    case Op::kBltu:
-      return Retire(rs1 < rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBgeu:
-      return Retire(rs1 >= rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kSd:
-      return ExecuteLoadStore(d);
-
-    case Op::kAddi:
-      set_gpr(d.rd, rs1 + static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kSlti:
-      set_gpr(d.rd, static_cast<int64_t>(rs1) < d.imm ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kSltiu:
-      set_gpr(d.rd, rs1 < static_cast<uint64_t>(d.imm) ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kXori:
-      set_gpr(d.rd, rs1 ^ static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kOri:
-      set_gpr(d.rd, rs1 | static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kAndi:
-      set_gpr(d.rd, rs1 & static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kSlli:
-      set_gpr(d.rd, rs1 << (d.imm & 63));
-      return Retire(next, base_cost);
-    case Op::kSrli:
-      set_gpr(d.rd, rs1 >> (d.imm & 63));
-      return Retire(next, base_cost);
-    case Op::kSrai:
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (d.imm & 63)));
-      return Retire(next, base_cost);
-
-    case Op::kAdd:
-      set_gpr(d.rd, rs1 + rs2);
-      return Retire(next, base_cost);
-    case Op::kSub:
-      set_gpr(d.rd, rs1 - rs2);
-      return Retire(next, base_cost);
-    case Op::kSll:
-      set_gpr(d.rd, rs1 << (rs2 & 63));
-      return Retire(next, base_cost);
-    case Op::kSlt:
-      set_gpr(d.rd, static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2) ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kSltu:
-      set_gpr(d.rd, rs1 < rs2 ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kXor:
-      set_gpr(d.rd, rs1 ^ rs2);
-      return Retire(next, base_cost);
-    case Op::kSrl:
-      set_gpr(d.rd, rs1 >> (rs2 & 63));
-      return Retire(next, base_cost);
-    case Op::kSra:
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (rs2 & 63)));
-      return Retire(next, base_cost);
-    case Op::kOr:
-      set_gpr(d.rd, rs1 | rs2);
-      return Retire(next, base_cost);
-    case Op::kAnd:
-      set_gpr(d.rd, rs1 & rs2);
-      return Retire(next, base_cost);
-
-    case Op::kAddiw:
-      set_gpr(d.rd, SignExtend((rs1 + static_cast<uint64_t>(d.imm)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSlliw:
-      set_gpr(d.rd, SignExtend((rs1 << (d.imm & 31)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSrliw:
-      set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (d.imm & 31), 32));
-      return Retire(next, base_cost);
-    case Op::kSraiw:
-      set_gpr(d.rd, static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (d.imm & 31)));
-      return Retire(next, base_cost);
-    case Op::kAddw:
-      set_gpr(d.rd, SignExtend((rs1 + rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSubw:
-      set_gpr(d.rd, SignExtend((rs1 - rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSllw:
-      set_gpr(d.rd, SignExtend((rs1 << (rs2 & 31)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSrlw:
-      set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (rs2 & 31), 32));
-      return Retire(next, base_cost);
-    case Op::kSraw:
-      set_gpr(d.rd, static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (rs2 & 31)));
-      return Retire(next, base_cost);
-
-    case Op::kMul:
-      set_gpr(d.rd, rs1 * rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kMulh: {
-      const __int128 a = static_cast<int64_t>(rs1);
-      const __int128 b = static_cast<int64_t>(rs2);
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kMulhsu: {
-      const __int128 a = static_cast<int64_t>(rs1);
-      const __int128 b = static_cast<__int128>(rs2);
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kMulhu: {
-      const unsigned __int128 a = rs1;
-      const unsigned __int128 b = rs2;
-      set_gpr(d.rd, static_cast<uint64_t>((a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDiv: {
-      const int64_t a = static_cast<int64_t>(rs1);
-      const int64_t b = static_cast<int64_t>(rs2);
-      uint64_t q;
-      if (b == 0) {
-        q = ~uint64_t{0};
-      } else if (a == INT64_MIN && b == -1) {
-        q = static_cast<uint64_t>(a);
-      } else {
-        q = static_cast<uint64_t>(a / b);
-      }
-      set_gpr(d.rd, q);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDivu:
-      set_gpr(d.rd, rs2 == 0 ? ~uint64_t{0} : rs1 / rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kRem: {
-      const int64_t a = static_cast<int64_t>(rs1);
-      const int64_t b = static_cast<int64_t>(rs2);
-      uint64_t r;
-      if (b == 0) {
-        r = rs1;
-      } else if (a == INT64_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = static_cast<uint64_t>(a % b);
-      }
-      set_gpr(d.rd, r);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemu:
-      set_gpr(d.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kMulw:
-      set_gpr(d.rd, SignExtend((rs1 * rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kDivw: {
-      const int32_t a = static_cast<int32_t>(rs1);
-      const int32_t b = static_cast<int32_t>(rs2);
-      int32_t q;
-      if (b == 0) {
-        q = -1;
-      } else if (a == INT32_MIN && b == -1) {
-        q = a;
-      } else {
-        q = a / b;
-      }
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(q)));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDivuw: {
-      const uint32_t a = static_cast<uint32_t>(rs1);
-      const uint32_t b = static_cast<uint32_t>(rs2);
-      const uint32_t q = b == 0 ? ~uint32_t{0} : a / b;
-      set_gpr(d.rd, SignExtend(q, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemw: {
-      const int32_t a = static_cast<int32_t>(rs1);
-      const int32_t b = static_cast<int32_t>(rs2);
-      int32_t r;
-      if (b == 0) {
-        r = a;
-      } else if (a == INT32_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(r)));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemuw: {
-      const uint32_t a = static_cast<uint32_t>(rs1);
-      const uint32_t b = static_cast<uint32_t>(rs2);
-      const uint32_t r = b == 0 ? a : a % b;
-      set_gpr(d.rd, SignExtend(r, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
+#define VFM_X(name) case Op::k##name:
+    VFM_BRANCH_OPS(VFM_X)
+    return Retire(BranchTaken(d.op, rs1, rs2) ? pc_ + imm : next, base_cost);
+    VFM_LOAD_OPS(VFM_X)
+    VFM_STORE_OPS(VFM_X)
+    return ExecuteLoadStore(d);
+    VFM_ALU_IMM_OPS(VFM_X)
+    set_gpr(d.rd, AluResult(d.op, rs1, imm));
+    return Retire(next, base_cost);
+    VFM_ALU_REG_OPS(VFM_X)
+    set_gpr(d.rd, AluResult(d.op, rs1, rs2));
+    return Retire(next, AluCost(d.op));
+#undef VFM_X
 
     case Op::kFence:
       return Retire(next, base_cost);
@@ -2090,10 +1278,10 @@ StepResult Hart::Execute(const DecodedInstr& d) {
 
 StepResult Hart::ExecuteLoadStore(const DecodedInstr& d) {
   const uint64_t vaddr = gpr_[d.rs1] + static_cast<uint64_t>(d.imm);
-  const unsigned size = AccessSizeOf(d.op);
+  const unsigned size = AccessSize(d.op);
   const uint64_t cost = cost_->instr_base + cost_->instr_mem;
 
-  if (IsStoreOp(d.op)) {
+  if (IsStore(d.op)) {
     if (!csrs_.config().hw_misaligned && !IsAligned(vaddr, size)) {
       return TakeTrap(CauseValue(ExceptionCause::kStoreAddrMisaligned), vaddr);
     }
@@ -2139,20 +1327,7 @@ StepResult Hart::ExecuteLoadStore(const DecodedInstr& d) {
   if (segment_active_ && !sbuf_.empty()) {
     OverlayLoad(out.paddr, size, &value);
   }
-  switch (d.op) {
-    case Op::kLb:
-      value = SignExtend(value, 8);
-      break;
-    case Op::kLh:
-      value = SignExtend(value, 16);
-      break;
-    case Op::kLw:
-      value = SignExtend(value, 32);
-      break;
-    default:
-      break;  // unsigned loads and ld are already zero-extended
-  }
-  set_gpr(d.rd, value);
+  set_gpr(d.rd, LoadExtend(d.op, value));
   return Retire(pc_ + 4, cost + out.extra_cycles);
 }
 
@@ -2186,7 +1361,7 @@ StepResult Hart::ExecuteAmo(const DecodedInstr& d) {
     if (!bus_->Read(out.paddr, size, &value)) {
       return TakeTrap(CauseValue(ExceptionCause::kLoadAccessFault), vaddr);
     }
-    set_gpr(d.rd, is64 ? value : SignExtend(value, 32));
+    set_gpr(d.rd, is64 ? value : LoadExtend(Op::kLw, value));
     reservation_ = out.paddr;
     return Retire(pc_ + 4, cost + out.extra_cycles);
   }
@@ -2213,8 +1388,8 @@ StepResult Hart::ExecuteAmo(const DecodedInstr& d) {
   if (!bus_->Read(out.paddr, size, &old)) {
     return TakeTrap(CauseValue(ExceptionCause::kLoadAccessFault), vaddr);
   }
-  const uint64_t old_val = is64 ? old : SignExtend(old, 32);
-  const uint64_t rhs = is64 ? gpr_[d.rs2] : SignExtend(gpr_[d.rs2] & 0xFFFFFFFF, 32);
+  const uint64_t old_val = is64 ? old : LoadExtend(Op::kLw, old);
+  const uint64_t rhs = is64 ? gpr_[d.rs2] : LoadExtend(Op::kLw, gpr_[d.rs2]);
   uint64_t result = 0;
   switch (d.op) {
     case Op::kAmoswapW:
@@ -2536,7 +1711,7 @@ bool Hart::LoadState(StateReader& reader) {
   // Translation caches are derived state: rather than serialize them, advance the
   // generation counters so every cached entry's stamp mismatches. All stamp
   // components are monotonic, so a +1 on each local counter strictly exceeds any
-  // previously recorded stamp — no stale decode/TLB/superblock/threaded entry can
+  // previously recorded stamp — no stale decode/TLB/superblock entry can
   // validate again, and they rebuild (and re-mark dependency pages) on demand.
   ++fence_gen_;
   ++tlb_gen_;

@@ -154,8 +154,8 @@ class Hart {
   uint64_t tlb_misses() const { return tlb_misses_; }
   uint64_t tlb_flushes() const { return tlb_flushes_; }
 
-  // Superblock engine counters (DESIGN.md §2f). A superblock "hit" is a dispatch into
-  // a valid cached block; a "miss" is a lookup that had to (re)build one. Mean block
+  // Block engine counters (DESIGN.md §2f). A superblock "hit" is a dispatch into a
+  // valid cached block; a "miss" is a lookup that had to (re)build one. Mean block
   // length is superblock_instrs()/superblock_blocks(). None of these affect the
   // decode-cache counters: every instruction dispatched from a block still counts one
   // decode-cache hit, keeping hit-rate parity with the per-instruction loop.
@@ -164,16 +164,15 @@ class Hart {
   uint64_t superblock_blocks() const { return sb_blocks_; }
   uint64_t superblock_instrs() const { return sb_instrs_; }
 
-  // Threaded-code tier counters (DESIGN.md §2g). `threaded_instrs` counts
-  // instructions retired under threaded dispatch (a subset of superblock_instrs:
-  // the decode-cache/superblock parity rule above applies unchanged). A promotion
-  // lowers one superblock into threaded form; a deopt is a mid-block handoff back
-  // to the superblock/interpreter path (budget misfit of a fused op, or a stamp
-  // mismatch after a slow-path store invalidated code this block may contain).
-  uint64_t threaded_blocks() const { return threaded_blocks_; }
-  uint64_t threaded_instrs() const { return threaded_instrs_; }
-  uint64_t threaded_promotions() const { return threaded_promotions_; }
-  uint64_t threaded_deopts() const { return threaded_deopts_; }
+  // Every block runs lowered, so the threaded_* names count block-engine events:
+  // threaded_blocks/instrs equal superblock_blocks/instrs, a promotion is a block
+  // build (each build lowers), and a deopt is a mid-block handoff (a fused op that
+  // cannot fit the batch budget, whose first member then runs as one interpreted
+  // tick, or a slow-path store that invalidated code this block may contain).
+  uint64_t threaded_blocks() const { return sb_blocks_; }
+  uint64_t threaded_instrs() const { return sb_instrs_; }
+  uint64_t threaded_promotions() const { return sb_builds_; }
+  uint64_t threaded_deopts() const { return sb_deopts_; }
 
   // Host-pointer memory fast path counters: hits are loads/stores completed directly
   // against cached host RAM pointers inside a superblock; misses are in-block memory
@@ -194,7 +193,7 @@ class Hart {
   // Uniform state API (DESIGN.md §2h): architectural state only — GPRs, pc,
   // privilege, virtualization mode, WFI parking, the load reservation, the trap
   // counter, and the nested CSR file (which carries the PMP bank). The translation
-  // caches (decode cache, TLB, superblocks, threaded code) are host-side derived
+  // caches (decode cache, TLB, lowered superblocks) are host-side derived
   // state: they are never serialized, and LoadState instead bumps the hart's
   // generation counters so every cached entry mis-stamps and rebuilds on demand.
   void SaveState(StateWriter& writer) const;
@@ -264,80 +263,50 @@ class Hart {
     const uint8_t* page_mark;
   };
 
-  // One pre-validated instruction of a superblock: the decoded instruction, its
-  // replayed fetch-walk cycles, and its dispatch class.
-  struct BlockInstr {
-    DecodedInstr instr;
-    uint64_t extra_cycles = 0;
-    SbClass cls = SbClass::kBarrier;
-  };
-
   static constexpr unsigned kMaxSuperblockLen = 64;
 
+  // One lowered op of a block (DESIGN.md §2f): the handler's computed-goto label
+  // address, operand register indices, and everything the handler needs
+  // pre-resolved: the sign-extended immediate, folded constant or absolute branch
+  // target in `imm`, the pc after the op's last member in `next_pc`, and the summed
+  // cycle charge of its members in `cycles` (memory ops add the TLB slot's replayed
+  // walk cost at run time). An op retires `count` consecutive members, so its first
+  // member is at next_pc - 4 * count.
+  struct BlockOp {
+    const void* handler;
+    uint64_t next_pc;
+    int64_t imm;
+    uint32_t cycles;
+    int32_t imm2;    // baked compare immediate of a fused slti/sltiu + branch
+    Op op;           // source op (the slow memory path re-executes it)
+    uint8_t a;       // rd (or the compare rd of a fused compare+branch)
+    uint8_t b;       // rs1
+    uint8_t c;       // rs2 (store data register)
+    uint8_t count;   // source instructions this op retires
+    LoweredOp kind;
+  };
+
   // One slot of the superblock cache: a straight-line run of decode-cache entries
-  // captured under one validity stamp. The key/stamp discipline is exactly
-  // FetchEntry's — the block is valid iff every member FetchEntry would still hit —
-  // which holds because all members were verified valid at build time under the same
-  // (stamp, satp, priv, virt) and any event that could invalidate one bumps a counter
-  // folded into cache_stamp(). Ends at the first kBarrier op (excluded), at a kBranch
-  // (included: executed in-block as the final instruction), at a 4 KiB page boundary
-  // (the next pc may translate differently), or at kMaxSuperblockLen. `open_end` marks
-  // a block cut short by a cold decode-cache slot; a later dispatch retries the build
-  // to extend it once the continuation has been decoded.
+  // captured under one validity stamp and lowered as it is built. The key/stamp
+  // discipline is exactly FetchEntry's — the block is valid iff every member
+  // FetchEntry would still hit — which holds because all members were verified valid
+  // at build time under the same (stamp, satp, priv, virt) and any event that could
+  // invalidate one bumps a counter folded into cache_stamp(). Ends at the first
+  // kBarrier op (excluded), at a kBranch (included: the final op), at a 4 KiB page
+  // boundary (the next pc may translate differently), or at kMaxSuperblockLen; a
+  // block that does not end in a branch ends in a kEnd op. `open_end` marks a block
+  // cut short by a cold decode-cache slot; a later dispatch retries the build to
+  // extend it once the continuation has been decoded.
   struct SuperblockEntry {
     uint64_t tag;                 // starting virtual pc
     uint64_t stamp;               // cache_stamp() at build time
     uint64_t satp;                // effective satp at build time
-    uint16_t count;
+    uint16_t count;               // source instructions
     bool open_end;
     uint8_t priv;
     bool virt;
-    // Threaded-tier promotion state (DESIGN.md §2g): valid dispatches so far
-    // (saturating at the promotion threshold) and whether the matching ThreadedBlock
-    // slot currently holds this block's lowering. Both reset on every (re)build, so
-    // a lowered run can never outlive the superblock it was lowered from.
-    uint32_t hits;
-    bool lowered;
-    BlockInstr instrs[kMaxSuperblockLen];
-  };
-
-  // One lowered op of a threaded block (DESIGN.md §2g): the handler address
-  // (computed-goto label, with `kind` as the switch-dispatch fallback), operand
-  // register indices, and everything the handler needs pre-resolved — sign-extended
-  // immediate or folded constant or absolute branch target in `imm`, the pc after
-  // the op in `next_pc`, and the summed cycle charge of all fused source
-  // instructions in `cycles` (mem ops add the TLB slot's replayed walk cost at run
-  // time). `src` anchors deopt: the index of the first source BlockInstr, where the
-  // superblock tier resumes when a fused op cannot fit the remaining batch budget.
-  struct ThreadedOp {
-    const void* handler = nullptr;   // checked handler: per-op budget accounting
-    const void* uhandler = nullptr;  // unchecked handler: budget pre-checked per iteration
-    uint64_t next_pc = 0;
-    int64_t imm = 0;
-    uint32_t cycles = 0;
-    int32_t imm2 = 0;  // baked compare immediate of a fused slti/sltiu + branch
-    uint16_t src = 0;
-    uint8_t a = 0;  // rd (or the compare rd of a fused compare+branch)
-    uint8_t b = 0;  // rs1
-    uint8_t c = 0;  // rs2 (store data register)
-    uint8_t count = 1;  // source instructions this op retires
-    uint8_t kind = 0;   // LoweredOp
-  };
-
-  // A promoted superblock's lowered run. Slots parallel the superblock cache
-  // (same index), and a slot's contents are meaningful only while the owning
-  // SuperblockEntry is valid and has `lowered` set. A run holds at most one op per
-  // source instruction plus the end sentinel.
-  struct ThreadedBlock {
-    uint32_t op_count;
     bool has_mem;  // skip the tlb_stamp() sample for pure-ALU blocks
-    // Whole-run charges, for the unchecked dispatch mode: a pure-ALU block whose
-    // entire run fits the remaining budget executes with no per-op accounting at
-    // all — the totals are added once at the terminal op. Blocks with memory ops
-    // always run checked (their TLB-replayed walk cycles vary per dispatch).
-    uint32_t total_count;
-    uint64_t total_cycles;
-    ThreadedOp ops[kMaxSuperblockLen + 1];  // after the header, which dispatch reads first
+    BlockOp ops[kMaxSuperblockLen + 1];
   };
 
   // Data-access translation context captured once per block dispatch. Valid for the
@@ -351,10 +320,11 @@ class Hart {
     uint8_t store_ctx = 0;
   };
 
-  // Outcome of one superblock dispatch, consumed by RunBatch.
+  // Outcome of one block dispatch, consumed by RunBatch.
   struct SbRun {
     uint64_t dispatched = 0;  // ticks consumed (== instructions dispatched)
     bool end_batch = false;   // batch must end (trap, WFI, MMIO, ...)
+    bool misfit = false;      // a fused op did not fit the budget: Tick its first member
     StepResult last;          // result of the final tick, RunBatch-compatible
   };
 
@@ -398,26 +368,28 @@ class Hart {
   StepResult IllegalInstr(const DecodedInstr& instr);
   StepResult Retire(uint64_t next_pc, uint64_t cycles);
 
+  // Cycles charged by a simple (kSimple-class) op, before replayed fetch-walk cost.
+  uint64_t AluCost(Op op) const {
+    return cost_->instr_base + (IsMulDiv(op) ? cost_->instr_muldiv : 0);
+  }
+
   // Builds (or rebuilds) the superblock starting at pc_ from currently-valid
-  // decode-cache entries. Returns false if not even one instruction could be
+  // decode-cache entries, lowering each member into the slot as it is captured.
+  // Returns false, leaving the slot untouched, if not even one instruction could be
   // captured (cold or stale decode-cache slot at pc_).
   bool FillSuperblock(SuperblockEntry* sb);
-  // Dispatches through `sb` starting at member index `start`, retiring up to
-  // steps_left instructions or until stop_cycles, a trap, or a slow-path event ends
-  // the block or the batch. `start` != 0 is the threaded tier's deopt continuation
-  // (the caller has already spilled pc_/instret/cycles at the member boundary).
-  SbRun ExecuteSuperblock(const SuperblockEntry& sb, unsigned start, uint64_t steps_left,
-                          uint64_t stop_cycles);
-  // Lowers a promoted superblock into `tb` (DESIGN.md §2g): 1:1 handler mapping plus
-  // constant folding of li/auipc + ALU-immediate chains, compare+branch fusion, and
-  // cycle-charge pre-summing. Pure translation — no architectural effects.
-  void LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb);
-  // Executes a lowered block by direct handler dispatch. With `table_out` non-null,
-  // performs no execution and only returns the handler table for LowerSuperblock
-  // (the computed-goto labels are local to this function); sb/tb may be null then.
-  SbRun ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock* tb,
-                        uint64_t steps_left, uint64_t stop_cycles,
-                        const void* const** table_out = nullptr);
+  // Lowers block member `d` at `ipc` after ops[0, n): folds li/auipc +
+  // ALU-immediate chains, fuses compare+branch pairs, and pre-sums cycle charges.
+  // Returns the new op count. Pure translation — no architectural effects.
+  unsigned LowerInstr(BlockOp* ops, unsigned n, const DecodedInstr& d, uint64_t ipc,
+                      uint64_t fetch_cycles, const void* const* table) const;
+  // Executes a block by direct handler dispatch, retiring up to steps_left
+  // instructions or until stop_cycles, a trap, or a slow-path event ends the block
+  // or the batch. With `table_out` non-null, performs no execution and only returns
+  // the handler table for LowerInstr (the computed-goto labels are local to this
+  // function); sb may be null then.
+  SbRun ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
+                     const void* const** table_out = nullptr);
   void BuildFastMemCtx(FastMemCtx* ctx) const;
 
   // Allocates the configured translation-cache arrays on first execution. Harts are
@@ -496,25 +468,17 @@ class Hart {
   uint64_t sb_misses_ = 0;
   uint64_t sb_blocks_ = 0;
   uint64_t sb_instrs_ = 0;
+  uint64_t sb_builds_ = 0;
+  uint64_t sb_deopts_ = 0;
   uint64_t fastmem_hits_ = 0;
   uint64_t fastmem_misses_ = 0;
-
-  // Threaded-code tier (DESIGN.md §2g): lowered runs parallel to sblocks_. Empty
-  // when the tier (or the superblock cache) is disabled.
-  MappedArray<ThreadedBlock> tcode_;
-  uint32_t threaded_threshold_ = 8;
 
   // Deferred cache sizing (see EnsureCaches): entry counts computed at construction,
   // applied on first execution. All zero once applied (or when disabled).
   uint64_t pending_icache_entries_ = 0;
   uint64_t pending_tlb_entries_ = 0;
   uint64_t pending_sb_entries_ = 0;
-  bool pending_threaded_ = false;
   bool caches_ready_ = false;
-  uint64_t threaded_blocks_ = 0;
-  uint64_t threaded_instrs_ = 0;
-  uint64_t threaded_promotions_ = 0;
-  uint64_t threaded_deopts_ = 0;
 
   // Quantum-mode segment state (always quiescent outside a RunQuantum barrier
   // interval: segment inactive, nothing pending, buffer empty — so none of this is

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/common/log.h"
@@ -54,10 +55,25 @@ bool Finisher::LoadState(StateReader& reader) {
 
 namespace {
 
-// Pairwise-disjointness check for the memory map: silent region aliasing would route
-// accesses to whichever window registered first, an error class better caught at
-// construction with names attached.
-void ValidateMemoryMap(const MachineConfig& config) {
+// Why `config` cannot be built into a running machine, or "" if it can: at least
+// one hart, the two cost-model invariants (the block executor's single budget
+// compare needs every instruction to charge a cycle; the run loops divide cycles by
+// the mtime tick), and a memory map with non-empty RAM whose regions are pairwise
+// disjoint (silent aliasing would route accesses to whichever window registered
+// first). The Machine constructor aborts on these; ReadMachineConfig rejects them.
+std::string ConfigError(const MachineConfig& config) {
+  if (config.hart_count == 0) {
+    return "hart_count is 0";
+  }
+  if (config.cost.instr_base == 0) {
+    return "cost.instr_base is 0 (every instruction must charge a cycle)";
+  }
+  if (config.cost.mtime_tick_cycles == 0) {
+    return "cost.mtime_tick_cycles is 0";
+  }
+  if (config.map.ram_size == 0) {
+    return "map.ram_size is 0";
+  }
   struct Region {
     const char* name;
     uint64_t base;
@@ -78,15 +94,17 @@ void ValidateMemoryMap(const MachineConfig& config) {
       const bool overlap = regions[i].base < regions[j].base + regions[j].size &&
                            regions[j].base < regions[i].base + regions[i].size;
       if (overlap) {
-        VFM_LOG_ERROR("sim",
+        char message[160];
+        std::snprintf(message, sizeof message,
                       "memory map regions overlap: %s [0x%" PRIx64 ", 0x%" PRIx64
                       ") and %s [0x%" PRIx64 ", 0x%" PRIx64 ")",
                       regions[i].name, regions[i].base, regions[i].base + regions[i].size,
                       regions[j].name, regions[j].base, regions[j].base + regions[j].size);
-        VFM_CHECK_MSG(false, "MemoryMap regions overlap");
+        return message;
       }
     }
   }
+  return "";
 }
 
 // Converts the quantum-boundary cycle delta (measured on hart 0's clock) into an
@@ -185,8 +203,13 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
   }
 }
 
+// MCFG section version. Version 2 dropped three SimTuning fields (tlb_enabled,
+// threaded_enabled, threaded_promote_threshold); version 1 files are rejected
+// rather than misread.
+constexpr uint32_t kMachineConfigVersion = 2;
+
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
-  writer.BeginSection(StateTag("MCFG"), 1);
+  writer.BeginSection(StateTag("MCFG"), kMachineConfigVersion);
   WriteConfigFingerprint(writer, config);
   writer.U64(config.isa.mvendorid);
   writer.U64(config.isa.marchid);
@@ -208,10 +231,7 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
   writer.U32(config.tuning.decode_cache_entries);
   writer.U32(config.tuning.max_batch_instructions);
   writer.U32(config.tuning.tlb_entries);
-  writer.Bool(config.tuning.tlb_enabled);
   writer.U32(config.tuning.superblock_entries);
-  writer.Bool(config.tuning.threaded_enabled);
-  writer.U32(config.tuning.threaded_promote_threshold);
   writer.Bool(config.tuning.quantum_harts);
   writer.Bool(config.tuning.parallel_harts);
   writer.EndSection();
@@ -219,7 +239,13 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
 
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   MachineConfig c;
-  reader.BeginSection(StateTag("MCFG"));
+  const uint32_t version = reader.BeginSection(StateTag("MCFG"));
+  if (reader.ok() && version != kMachineConfigVersion) {
+    reader.Fail("machine config version " + std::to_string(version) +
+                " is not supported (this build reads version " +
+                std::to_string(kMachineConfigVersion) + "); re-record the snapshot");
+    return false;
+  }
   c.hart_count = reader.U32();
   c.map.ram_base = reader.U64();
   c.map.ram_size = reader.U64();
@@ -256,13 +282,16 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   c.tuning.decode_cache_entries = reader.U32();
   c.tuning.max_batch_instructions = reader.U32();
   c.tuning.tlb_entries = reader.U32();
-  c.tuning.tlb_enabled = reader.Bool();
   c.tuning.superblock_entries = reader.U32();
-  c.tuning.threaded_enabled = reader.Bool();
-  c.tuning.threaded_promote_threshold = reader.U32();
   c.tuning.quantum_harts = reader.Bool();
   c.tuning.parallel_harts = reader.Bool();
   reader.EndSection();
+  if (reader.ok()) {
+    const std::string error = ConfigError(c);
+    if (!error.empty()) {
+      reader.Fail("machine config: " + error);
+    }
+  }
   if (!reader.ok()) {
     return false;
   }
@@ -273,8 +302,8 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
 }
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
-  VFM_CHECK(config_.hart_count >= 1);
-  ValidateMemoryMap(config_);
+  const std::string config_error = ConfigError(config_);
+  VFM_CHECK_MSG(config_error.empty(), "invalid MachineConfig: %s", config_error.c_str());
   bus_.AddRam(config_.map.ram_base, config_.map.ram_size);
 
   clint_ = std::make_unique<Clint>(config_.hart_count);
@@ -309,7 +338,7 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
   // are always spilled before a load/store or CSR read executes, so the division
   // here sees precisely the per-instruction mcycle. Multi-hart machines step per
   // round and push every round, so they keep the plain stored counter.
-  if (config_.hart_count == 1 && config_.cost.mtime_tick_cycles != 0) {
+  if (config_.hart_count == 1) {
     Hart* hart0 = harts_[0].get();
     const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
     clint_->set_tick_source([hart0, tick_cycles] { return hart0->cycles() / tick_cycles; });
@@ -541,9 +570,6 @@ uint64_t Machine::FastForwardIdle(uint64_t max_rounds) {
 
 uint64_t Machine::FastForwardIdleTo(uint64_t target_tick) {
   const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
-  if (tick_cycles == 0) {
-    return 0;
-  }
   // The jump advances the machine-lifetime round coordinate, so a recording must
   // carry it as a run event for replay to land on the same coordinates.
   const bool traced =
@@ -662,8 +688,7 @@ bool Machine::RunUntilFinishedInner(uint64_t max_instructions, uint64_t max_roun
     // horizon is unbounded and the instruction budget alone limits the batch.
     const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
     uint64_t stop_cycles = (clint_->mtime() + 1) * tick_cycles;
-    if (owner_ == nullptr && !config_.isa.has_sstc && tick_cycles != 0 &&
-        !(blockdev_ && blockdev_->busy())) {
+    if (owner_ == nullptr && !config_.isa.has_sstc && !(blockdev_ && blockdev_->busy())) {
       const uint64_t cmp = clint_->mtimecmp(0);
       if (cmp <= clint_->mtime()) {
         stop_cycles = ~uint64_t{0};
@@ -813,28 +838,26 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
     // batch cap alone sizes the segments. This keeps rendezvous costs amortized
     // over thousands of instructions instead of one ~hundred-cycle timer tick.
     uint64_t stop_delta = ~uint64_t{0};
-    if (tick_cycles != 0) {
-      const uint64_t now0 = harts_[0]->cycles();
-      uint64_t horizon_cycles = (clint_->mtime() + 1) * tick_cycles;
-      if (owner_ == nullptr && !config_.isa.has_sstc && !(blockdev_ && blockdev_->busy())) {
-        uint64_t earliest_cmp = ~uint64_t{0};
-        for (unsigned i = 0; i < hart_count(); ++i) {
-          const uint64_t cmp = clint_->mtimecmp(i);
-          if (cmp > clint_->mtime() && cmp < earliest_cmp) {
-            earliest_cmp = cmp;
-          }
-        }
-        if (earliest_cmp == ~uint64_t{0}) {
-          horizon_cycles = ~uint64_t{0};
-        } else {
-          horizon_cycles = earliest_cmp > ~uint64_t{0} / tick_cycles
-                               ? ~uint64_t{0}
-                               : earliest_cmp * tick_cycles;
+    const uint64_t now0 = harts_[0]->cycles();
+    uint64_t horizon_cycles = (clint_->mtime() + 1) * tick_cycles;
+    if (owner_ == nullptr && !config_.isa.has_sstc && !(blockdev_ && blockdev_->busy())) {
+      uint64_t earliest_cmp = ~uint64_t{0};
+      for (unsigned i = 0; i < hart_count(); ++i) {
+        const uint64_t cmp = clint_->mtimecmp(i);
+        if (cmp > clint_->mtime() && cmp < earliest_cmp) {
+          earliest_cmp = cmp;
         }
       }
-      if (horizon_cycles != ~uint64_t{0}) {
-        stop_delta = horizon_cycles > now0 ? horizon_cycles - now0 : 1;
+      if (earliest_cmp == ~uint64_t{0}) {
+        horizon_cycles = ~uint64_t{0};
+      } else {
+        horizon_cycles = earliest_cmp > ~uint64_t{0} / tick_cycles
+                             ? ~uint64_t{0}
+                             : earliest_cmp * tick_cycles;
       }
+    }
+    if (horizon_cycles != ~uint64_t{0}) {
+      stop_delta = horizon_cycles > now0 ? horizon_cycles - now0 : 1;
     }
     // -- Segments: private per-hart execution, serial in hart order or on the pool;
     // bit-identical either way because segments only read frozen shared state. The
@@ -920,11 +943,9 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
     rounds += quantum_rounds;
     lifetime_rounds_ += quantum_rounds;
     // (d) Timebase and device ticks, from hart 0's clock, exactly as StepAll does.
-    if (tick_cycles != 0) {
-      const uint64_t ticks_due = harts_[0]->cycles() / tick_cycles;
-      if (ticks_due > clint_->mtime()) {
-        clint_->set_mtime(ticks_due);
-      }
+    const uint64_t ticks_due = harts_[0]->cycles() / tick_cycles;
+    if (ticks_due > clint_->mtime()) {
+      clint_->set_mtime(ticks_due);
     }
     if (blockdev_) {
       blockdev_->Tick(clint_->mtime());
@@ -1719,6 +1740,7 @@ bool ReadSnapshotFile(const std::string& path, MachineConfig* config,
   StateReader reader(bytes);
   reader.BeginSection(StateTag("SNPF"));
   if (!ReadMachineConfig(reader, config)) {
+    VFM_LOG_ERROR("sim", "snapshot file %s: %s", path.c_str(), reader.error().c_str());
     return false;
   }
   reader.Bytes(&snapshot->state);

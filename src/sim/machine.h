@@ -110,6 +110,8 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
 
 // Full MachineConfig serialization (fingerprint fields plus cost model and tuning),
 // used by snapshot *files* so tools can reconstruct a Machine from the file alone.
+// ReadMachineConfig Fail()s the reader on a config the Machine constructor would
+// abort on (no harts, a zero instr_base or mtime tick, an empty or overlapping map).
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config);
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config);
 

@@ -80,7 +80,8 @@ TEST_F(CosimTest, LockstepSmoke) {
     const CosimProgram p = GenerateProgram(seed, opts);
     const CheckResult result = CheckProgram(p);
     EXPECT_TRUE(result.ok) << "seed " << seed << ": " << result.detail;
-    const RunOutcome out = RunProgram(p, LockstepConfigs()[0], /*with_refmodel=*/true);
+    const RunOutcome out =
+        RunProgram(p, *FindLockstepConfig("nocache-notlb"), /*with_refmodel=*/true);
     finished += out.finished;
     total_traps += out.total_traps;
     ref_checks += out.ref_checks;
@@ -185,8 +186,9 @@ TEST_F(CosimTest, ReplayReproducesOutcome) {
   const CosimProgram p = GenerateProgram(0xFEED, opts);
   const Result<CosimProgram> replay = ParseSeedFile(SaveSeedFile(p));
   ASSERT_TRUE(replay.ok()) << replay.error();
-  const RunOutcome a = RunProgram(p, LockstepConfigs()[3], /*with_refmodel=*/false);
-  const RunOutcome b = RunProgram(replay.value(), LockstepConfigs()[3], /*with_refmodel=*/false);
+  const LockstepConfig& config = *FindLockstepConfig("tiny-dcache-tlb");
+  const RunOutcome a = RunProgram(p, config, /*with_refmodel=*/false);
+  const RunOutcome b = RunProgram(replay.value(), config, /*with_refmodel=*/false);
   EXPECT_EQ(CompareOutcomes(a, b), "");
 }
 

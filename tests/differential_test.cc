@@ -172,14 +172,16 @@ TEST_P(HartVsRefTest, InterruptSelectionAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(
     TuningMatrix, HartVsRefTest,
-    ::testing::Values(TuningCase{"NocacheNotlb", {0, 4096, 0, false, 0, false, 8}},
-                      TuningCase{"DcacheNotlb", {16384, 4096, 0, false, 0, false, 8}},
-                      TuningCase{"NocacheTlb", {0, 4096, 4096, true, 0, false, 8}},
-                      TuningCase{"TinyDcacheTlb", {64, 4096, 64, true, 0, false, 8}},
-                      TuningCase{"Superblock", {16384, 4096, 4096, true, 2048, false, 8}},
-                      TuningCase{"TinySuperblock", {64, 4096, 64, true, 4, false, 8}},
-                      TuningCase{"Threaded", {16384, 4096, 4096, true, 2048, true, 8}},
-                      TuningCase{"ThreadedEager", {64, 4096, 64, true, 4, true, 1}}),
+    ::testing::Values(
+        TuningCase{"NocacheNotlb",
+                   {.decode_cache_entries = 0, .tlb_entries = 0, .superblock_entries = 0}},
+        TuningCase{"DcacheNotlb", {.tlb_entries = 0, .superblock_entries = 0}},
+        TuningCase{"NocacheTlb", {.decode_cache_entries = 0, .superblock_entries = 0}},
+        TuningCase{"TinyDcacheTlb",
+                   {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 0}},
+        TuningCase{"Superblock", {}},
+        TuningCase{"TinySuperblock",
+                   {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 4}}),
     [](const ::testing::TestParamInfo<TuningCase>& tc) { return tc.param.name; });
 
 // ---- Full-system invariant: world switches never perturb OS state. ---------------

@@ -256,7 +256,7 @@ class PagedHarness {
 
   explicit PagedHarness(bool tlb_enabled = true, bool hw_misaligned = false) {
     MachineConfig config;
-    config.tuning.tlb_enabled = tlb_enabled;
+    config.tuning.tlb_entries = tlb_enabled ? 4096 : 0;
     config.isa.hw_misaligned = hw_misaligned;
     machine_ = std::make_unique<Machine>(config);
     hart_ = &machine_->hart(0);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "src/asm/assembler.h"
 #include "src/common/bits.h"
@@ -494,7 +496,7 @@ TEST_F(TlbTest, CycleAccountingIdenticalWithTlbDisabled) {
   // exactly the same simulated cycles with the TLB on and off.
   const auto run = [](bool enabled) {
     MachineConfig config;
-    config.tuning.tlb_enabled = enabled;
+    config.tuning.tlb_entries = enabled ? 4096 : 0;
     Machine machine(config);
     Hart& hart = machine.hart(0);
     SetupPaging(machine);
@@ -529,7 +531,7 @@ TEST_F(TlbTest, CycleAccountingIdenticalWithTlbDisabled) {
 
 TEST_F(TlbTest, DisabledTlbCountsNothing) {
   MachineConfig config;
-  config.tuning.tlb_enabled = false;
+  config.tuning.tlb_entries = 0;
   Machine machine(config);
   Hart& hart = machine.hart(0);
   SetupPaging(machine);
@@ -738,16 +740,13 @@ TEST(SuperblockMachineTest, SelfModifyingLoopMatchesPerInstruction) {
   EXPECT_EQ(with_blocks, without_blocks);
 }
 
-// -- Threaded-code execution tier over superblocks (DESIGN.md §2g). -----------------
+// -- Lowered blocks (DESIGN.md §2f): every valid block is lowered when it is built. ---
 
-class ThreadedTierTest : public ::testing::Test {
+class LoweredBlockTest : public ::testing::Test {
  protected:
-  void Init(uint32_t threshold) {
+  LoweredBlockTest() {
     MachineConfig config;
     config.hart_count = 1;
-    config.tuning.superblock_entries = 2048;
-    config.tuning.threaded_enabled = true;
-    config.tuning.threaded_promote_threshold = threshold;
     machine_ = std::make_unique<Machine>(config);
     hart_ = &machine_->hart(0);
   }
@@ -764,10 +763,9 @@ class ThreadedTierTest : public ::testing::Test {
     hart_->RunBatch(3, ~uint64_t{0});
   }
 
-  // With threshold 1: pass 1 decodes per-instruction, pass 2 builds the superblock
-  // and the same dispatch reaches the threshold, so pass 2 already runs threaded.
-  void WarmPromoted() {
-    Init(1);
+  // Pass 1 decodes per-instruction; pass 2 builds the block, which lowers it, and
+  // runs it through the block executor.
+  void WarmLowered() {
     LoadStraightLine();
     RunPass();
     RunPass();
@@ -780,29 +778,27 @@ class ThreadedTierTest : public ::testing::Test {
   Hart* hart_;
 };
 
-TEST_F(ThreadedTierTest, PromotesOnExactlyTheThresholdDispatch) {
-  Init(3);
+TEST_F(LoweredBlockTest, LowersOnFirstValidDispatchAndReuses) {
   LoadStraightLine();
-  RunPass();  // per-instruction decode
-  RunPass();  // builds the block: valid dispatch 1
-  RunPass();  // valid dispatch 2 — one short of the threshold
+  RunPass();  // per-instruction decode: no block can be built yet
   EXPECT_EQ(hart_->threaded_promotions(), 0u);
   EXPECT_EQ(hart_->threaded_blocks(), 0u);
-  RunPass();  // valid dispatch 3: lowers and runs threaded
+  RunPass();  // first valid dispatch: builds, lowers and runs the block
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->threaded_instrs(), 3u);
-  RunPass();  // already lowered: reused, not re-promoted
+  RunPass();  // the lowered block is reused, not rebuilt
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
   EXPECT_EQ(hart_->threaded_instrs(), 6u);
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
   EXPECT_EQ(hart_->gpr(t0), 1u);
   EXPECT_EQ(hart_->gpr(t1), 2u);
   EXPECT_EQ(hart_->gpr(t2), 3u);
 }
 
-TEST_F(ThreadedTierTest, FenceIDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(LoweredBlockTest, FenceIInvalidatesLoweredBlock) {
+  WarmLowered();
   machine_->bus().Write(kRam + 0x1000, 4, 0x0000100F);  // fence.i
   hart_->set_pc(kRam + 0x1000);
   hart_->Tick();
@@ -811,33 +807,33 @@ TEST_F(ThreadedTierTest, FenceIDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->gpr(t2), 3u);  // identical architectural outcome either way
-  RunPass();  // rebuild re-warms from zero and re-promotes
+  RunPass();  // rebuilt and lowered again
   EXPECT_EQ(hart_->threaded_promotions(), 2u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST_F(ThreadedTierTest, StoreToExecPageDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(LoweredBlockTest, StoreToExecPageInvalidatesLoweredBlock) {
+  WarmLowered();
   EXPECT_EQ(hart_->gpr(t2), 3u);
-  // Overwrite the third instruction of the promoted block in guest RAM.
+  // Overwrite the third instruction of the lowered block in guest RAM.
   machine_->bus().Write(kRam + 8, 4, 0x00700393);  // addi t2, zero, 7
   hart_->set_gpr(t2, 0);
   RunPass();  // stale: per-instruction execution already sees the patched word
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->gpr(t2), 7u);
   hart_->set_gpr(t2, 0);
-  RunPass();  // rebuilt from the new bytes and re-promoted
+  RunPass();  // rebuilt from the new bytes
   EXPECT_EQ(hart_->threaded_promotions(), 2u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
   EXPECT_EQ(hart_->gpr(t2), 7u);
 }
 
-TEST_F(ThreadedTierTest, PmpRewriteDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(LoweredBlockTest, PmpRewriteInvalidatesLoweredBlock) {
+  WarmLowered();
   hart_->csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
   hart_->csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
   hart_->set_gpr(t2, 0);
-  RunPass();  // stamp mismatch: no stale threaded dispatch
+  RunPass();  // stamp mismatch: no stale dispatch
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->gpr(t2), 3u);
   RunPass();
@@ -845,10 +841,10 @@ TEST_F(ThreadedTierTest, PmpRewriteDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST_F(ThreadedTierTest, SatpChangeDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(LoweredBlockTest, SatpChangeInvalidatesLoweredBlock) {
+  WarmLowered();
   // Blocks (and their lowerings) are keyed on the effective satp: a switched address
-  // space must rebuild rather than reuse the promoted lowering.
+  // space must rebuild rather than reuse the lowering.
   hart_->csrs().Set(kCsrSatp, (uint64_t{8} << 60) | ((kRam + 0x1000) >> 12));
   hart_->set_gpr(t2, 0);
   RunPass();
@@ -859,19 +855,16 @@ TEST_F(ThreadedTierTest, SatpChangeDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST(ThreadedMachineTest, SelfModifyingStoreInPromotedBlockDeopts) {
+TEST(LoweredBlockMachineTest, SelfModifyingStoreInsideBlockDeopts) {
   // A patching store that walks one page per iteration through data RAM (host-
-  // pointer fast path, no code invalidation) while its block warms up and gets
-  // promoted, then lands on the code page on iteration 11 — so the invalidating
-  // store executes *inside* the promoted threaded block. The mid-block deopt must
-  // replay the rest of the block bit-identically, and the whole run — with the
-  // tier at either threshold, or off — must retire the same instructions in the
-  // same simulated cycles.
-  const auto run = [](bool threaded, uint32_t threshold, uint64_t* deopts) {
+  // pointer fast path, no code invalidation) while its block runs lowered, then
+  // lands on the code page on iteration 11 — so the invalidating store executes
+  // *inside* the lowered block. The mid-block deopt must hand off bit-identically:
+  // the run retires the same instructions in the same simulated cycles as the
+  // per-instruction machine.
+  const auto run = [](uint32_t sb_entries, uint64_t* deopts) {
     MachineConfig config;
-    config.tuning.superblock_entries = 2048;
-    config.tuning.threaded_enabled = threaded;
-    config.tuning.threaded_promote_threshold = threshold;
+    config.tuning.superblock_entries = sb_entries;
     Machine machine(config);
     Hart& hart = machine.hart(0);
     Assembler a(kRam + 0xC000);
@@ -902,18 +895,249 @@ TEST(ThreadedMachineTest, SelfModifyingStoreInPromotedBlockDeopts) {
                            hart.pc(), hart.decode_cache_hits(),
                            hart.decode_cache_misses());
   };
-  uint64_t eager_deopts = 0;
-  uint64_t default_deopts = 0;
-  uint64_t off_deopts = 0;
-  const auto eager = run(true, 1, &eager_deopts);
-  const auto defaulted = run(true, 8, &default_deopts);
-  const auto off = run(false, 8, &off_deopts);
-  EXPECT_TRUE(std::get<0>(eager));
-  EXPECT_EQ(std::get<1>(eager), 26u);  // 12 * 1 + 2 * 7
-  EXPECT_GE(eager_deopts, 1u);         // the store fired inside a promoted block
-  EXPECT_EQ(off_deopts, 0u);
-  EXPECT_EQ(eager, defaulted);
-  EXPECT_EQ(eager, off);
+  uint64_t block_deopts = 0;
+  uint64_t per_instruction_deopts = 0;
+  const auto blocks = run(2048, &block_deopts);
+  const auto per_instruction = run(0, &per_instruction_deopts);
+  EXPECT_TRUE(std::get<0>(blocks));
+  EXPECT_EQ(std::get<1>(blocks), 26u);  // 12 * 1 + 2 * 7
+  EXPECT_GE(block_deopts, 1u);          // the store fired inside a lowered block
+  EXPECT_EQ(per_instruction_deopts, 0u);
+  EXPECT_EQ(blocks, per_instruction);
+}
+
+TEST(LoweredBlockMachineTest, BudgetEdgesInsideFusedOpsMatchPerInstruction) {
+  // A loop body whose block holds a four-member kConstChain (lui/addi/slli/ori), a
+  // mul (so cycle stops fall between step counts) and a fused slt + bnez. Every step
+  // budget and every cycle stop that lands inside the block — including inside both
+  // fused ops, which cannot run partially and hand their first member to one
+  // interpreted tick — must leave exactly the state of the per-instruction machine.
+  constexpr unsigned kBodyInstrs = 9;
+  constexpr unsigned kBodyCycles = 17;  // 8 single-cycle instructions + mul (1 + 8)
+  const auto make = [](uint32_t sb_entries) {
+    MachineConfig config;
+    config.map.ram_size = 1 << 20;
+    config.tuning.superblock_entries = sb_entries;
+    auto machine = std::make_unique<Machine>(config);
+    Assembler a(kRam);
+    a.Bind("loop");
+    a.Lui(a0, 0x12345);  // a0 = 0x12345678, shifted and or'd: one folded chain
+    a.Addi(a0, a0, 0x678);
+    a.Slli(a0, a0, 4);
+    a.Ori(a0, a0, 9);
+    a.Add(a1, a1, a0);
+    a.Mul(a2, a1, a0);
+    a.Addi(s2, s2, 1);
+    a.Slt(t0, s2, s3);  // fuses with the bnez below
+    a.Bnez(t0, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine->LoadImage(image.base, image.bytes);
+    Hart& hart = machine->hart(0);
+    hart.set_pc(image.entry);
+    hart.set_gpr(s3, 4);
+    // One per-instruction pass decodes the body; the block is built on the next.
+    hart.RunBatch(kBodyInstrs, ~uint64_t{0});
+    return machine;
+  };
+  const auto state = [](const Hart& hart) {
+    std::vector<uint64_t> words = {hart.pc(), hart.instret(), hart.cycles()};
+    for (unsigned i = 0; i < 32; ++i) {
+      words.push_back(hart.gpr(i));
+    }
+    return words;
+  };
+  const auto check = [&](uint64_t steps, uint64_t stop_offset, const char* what) {
+    auto blocks = make(2048);
+    auto per_instruction = make(0);
+    for (Machine* m : {blocks.get(), per_instruction.get()}) {
+      Hart& hart = m->hart(0);
+      const uint64_t stop =
+          stop_offset == 0 ? ~uint64_t{0} : hart.cycles() + stop_offset;
+      hart.RunBatch(steps, stop);
+    }
+    EXPECT_EQ(state(blocks->hart(0)), state(per_instruction->hart(0)))
+        << what << " steps=" << steps << " stop=+" << stop_offset;
+    // The run from the boundary to the end of the loop matches as well.
+    blocks->hart(0).RunBatch(1000, ~uint64_t{0});
+    per_instruction->hart(0).RunBatch(1000, ~uint64_t{0});
+    EXPECT_EQ(state(blocks->hart(0)), state(per_instruction->hart(0)))
+        << what << " resumed, steps=" << steps << " stop=+" << stop_offset;
+    EXPECT_GT(blocks->hart(0).threaded_blocks(), 0u);
+    return blocks->hart(0).threaded_deopts();
+  };
+  uint64_t deopts = 0;
+  for (uint64_t steps = 1; steps <= 2 * kBodyInstrs + 1; ++steps) {
+    deopts += check(steps, 0, "step budget");
+  }
+  for (uint64_t stop = 1; stop <= 2 * kBodyCycles + 1; ++stop) {
+    deopts += check(1000, stop, "cycle stop");
+  }
+  EXPECT_GT(deopts, 0u);  // some boundaries did fall inside a fused op
+}
+
+// -- Integer semantics against the ISA manual. ---------------------------------------
+// Every execution path computes through one definition (AluResult in
+// src/isa/instr.h), so cross-tuning cosim only compares that formula with itself.
+// These literal results come from the RISC-V unprivileged spec: RV64I shifts use
+// rs2[5:0] and W forms rs2[4:0], W results sign-extend bit 31, and the M extension's
+// division-by-zero and overflow table.
+
+enum : uint32_t { kOpImm = 0x13, kOpImm32 = 0x1B, kOpReg = 0x33, kOpReg32 = 0x3B };
+
+// R-type with rd = t2, rs1 = t0, rs2 = t1.
+constexpr uint32_t EncodeR(uint32_t funct7, uint32_t funct3, uint32_t opcode) {
+  return funct7 << 25 | 6u << 20 | 5u << 15 | funct3 << 12 | 7u << 7 | opcode;
+}
+// I-type with rd = t2, rs1 = t0; `imm` carries the shift funct bits for srai/sraiw.
+constexpr uint32_t EncodeI(int32_t imm, uint32_t funct3, uint32_t opcode) {
+  return (static_cast<uint32_t>(imm) & 0xFFF) << 20 | 5u << 15 | funct3 << 12 | 7u << 7 |
+         opcode;
+}
+
+struct SpecCase {
+  const char* what;
+  uint32_t word;
+  uint64_t rs1;
+  uint64_t rs2;  // unused by register-immediate forms
+  uint64_t expected;
+};
+
+constexpr uint64_t kAllOnes = ~uint64_t{0};
+constexpr uint64_t kMin64 = uint64_t{1} << 63;
+constexpr uint64_t kMin32Sext = 0xFFFF'FFFF'8000'0000;
+
+const SpecCase kSpecCases[] = {
+    // Division by zero: quotient all ones, remainder the dividend.
+    {"div x/0", EncodeR(1, 4, kOpReg), 7, 0, kAllOnes},
+    {"divu x/0", EncodeR(1, 5, kOpReg), 7, 0, kAllOnes},
+    {"rem x/0", EncodeR(1, 6, kOpReg), 7, 0, 7},
+    {"remu x/0", EncodeR(1, 7, kOpReg), 7, 0, 7},
+    {"divw x/0", EncodeR(1, 4, kOpReg32), 7, 0, kAllOnes},
+    {"divuw x/0", EncodeR(1, 5, kOpReg32), 7, 0, kAllOnes},
+    {"remw x/0", EncodeR(1, 6, kOpReg32), 0x8000'0000, 0, kMin32Sext},
+    {"remuw x/0", EncodeR(1, 7, kOpReg32), 0x1'2345'6789, 0, 0x2345'6789},
+    // Signed overflow: the quotient is the dividend, the remainder 0.
+    {"div INT64_MIN/-1", EncodeR(1, 4, kOpReg), kMin64, kAllOnes, kMin64},
+    {"rem INT64_MIN/-1", EncodeR(1, 6, kOpReg), kMin64, kAllOnes, 0},
+    {"divw INT32_MIN/-1", EncodeR(1, 4, kOpReg32), 0x8000'0000, kAllOnes, kMin32Sext},
+    {"remw INT32_MIN/-1", EncodeR(1, 6, kOpReg32), 0x8000'0000, kAllOnes, 0},
+    // Signed division truncates toward zero.
+    {"div -7/2", EncodeR(1, 4, kOpReg), static_cast<uint64_t>(-7), 2, static_cast<uint64_t>(-3)},
+    {"rem -7/2", EncodeR(1, 6, kOpReg), static_cast<uint64_t>(-7), 2, kAllOnes},
+    // Shift amounts: 31, 32 and 63, and rs2 >= 64 masked to rs2[5:0] (rs2[4:0] for W).
+    {"sll by 63", EncodeR(0, 1, kOpReg), 1, 63, kMin64},
+    {"sll by 67", EncodeR(0, 1, kOpReg), 1, 67, 8},
+    {"srl by 63", EncodeR(0, 5, kOpReg), kMin64, 63, 1},
+    {"srl by 96", EncodeR(0, 5, kOpReg), kMin64, 96, uint64_t{1} << 31},
+    {"sra by 63", EncodeR(0x20, 5, kOpReg), kMin64, 63, kAllOnes},
+    {"sra by 65", EncodeR(0x20, 5, kOpReg), kMin64, 65, 0xC000'0000'0000'0000},
+    {"sllw by 31", EncodeR(0, 1, kOpReg32), 1, 31, kMin32Sext},
+    {"sllw by 32", EncodeR(0, 1, kOpReg32), 0x8000'0000, 32, kMin32Sext},
+    {"srlw by 31", EncodeR(0, 5, kOpReg32), 0x8000'0000, 31, 1},
+    {"srlw by 64", EncodeR(0, 5, kOpReg32), 0x8000'0000, 64, kMin32Sext},
+    {"sraw by 31", EncodeR(0x20, 5, kOpReg32), 0x8000'0000, 31, kAllOnes},
+    {"slli by 63", EncodeI(63, 1, kOpImm), 1, 0, kMin64},
+    {"srli by 32", EncodeI(32, 5, kOpImm), 0xFFFF'FFFF'0000'0000, 0, 0xFFFF'FFFF},
+    {"srai by 63", EncodeI(0x400 | 63, 5, kOpImm), kMin64, 0, kAllOnes},
+    {"slliw by 31", EncodeI(31, 1, kOpImm32), 1, 0, kMin32Sext},
+    {"srliw by 31", EncodeI(31, 5, kOpImm32), kMin32Sext, 0, 1},
+    {"sraiw by 31", EncodeI(0x400 | 31, 5, kOpImm32), 0x8000'0000, 0, kAllOnes},
+    // W results sign-extend bit 31.
+    {"addw", EncodeR(0, 0, kOpReg32), 0x7FFF'FFFF, 1, kMin32Sext},
+    {"addiw", EncodeI(1, 0, kOpImm32), 0x7FFF'FFFF, 0, kMin32Sext},
+    {"subw", EncodeR(0x20, 0, kOpReg32), 0, 1, kAllOnes},
+    {"mulw", EncodeR(1, 0, kOpReg32), 0x1'0000, 0x8000, kMin32Sext},
+    // High multiplies: the signedness of each operand.
+    {"mulh -1*-1", EncodeR(1, 1, kOpReg), kAllOnes, kAllOnes, 0},
+    {"mulh -1*1", EncodeR(1, 1, kOpReg), kAllOnes, 1, kAllOnes},
+    {"mulh min*min", EncodeR(1, 1, kOpReg), kMin64, kMin64, uint64_t{1} << 62},
+    {"mulhsu -1*(2^64-1)", EncodeR(1, 2, kOpReg), kAllOnes, kAllOnes, kAllOnes},
+    {"mulhsu 1*(2^64-1)", EncodeR(1, 2, kOpReg), 1, kAllOnes, 0},
+    {"mulhu (2^64-1)^2", EncodeR(1, 3, kOpReg), kAllOnes, kAllOnes, kAllOnes - 1},
+    // Signed versus unsigned compares on -1 (immediates sign-extend first).
+    {"slt -1<0", EncodeR(0, 2, kOpReg), kAllOnes, 0, 1},
+    {"sltu -1<0", EncodeR(0, 3, kOpReg), kAllOnes, 0, 0},
+    {"slti -1<0", EncodeI(0, 2, kOpImm), kAllOnes, 0, 1},
+    {"sltiu 0<-1", EncodeI(-1, 3, kOpImm), 0, 0, 1},
+    {"sltiu -1<-1", EncodeI(-1, 3, kOpImm), kAllOnes, 0, 0},
+};
+
+TEST(IntegerSpecTest, EveryPathMatchesTheManual) {
+  for (const SpecCase& c : kSpecCases) {
+    const DecodedInstr d = Decode(c.word);
+    ASSERT_TRUE(d.valid()) << c.what;
+
+    // Per instruction: the interpreter alone.
+    {
+      MachineConfig config;
+      config.map.ram_size = 1 << 20;
+      config.tuning.superblock_entries = 0;
+      Machine machine(config);
+      Hart& hart = machine.hart(0);
+      machine.bus().Write(kRam, 4, c.word);
+      hart.set_pc(kRam);
+      hart.set_gpr(t0, c.rs1);
+      hart.set_gpr(t1, c.rs2);
+      hart.Tick();
+      EXPECT_EQ(hart.gpr(t2), c.expected) << c.what << " (per instruction)";
+    }
+
+    // Inside a lowered block: a first pass decodes, the second builds and runs it.
+    {
+      MachineConfig config;
+      config.map.ram_size = 1 << 20;
+      Machine machine(config);
+      Hart& hart = machine.hart(0);
+      machine.bus().Write(kRam, 4, c.word);
+      machine.bus().Write(kRam + 4, 4, 0x10500073);  // wfi ends the block
+      hart.set_gpr(t0, c.rs1);
+      hart.set_gpr(t1, c.rs2);
+      for (int pass = 0; pass < 2; ++pass) {
+        hart.set_gpr(t2, 0);
+        hart.set_pc(kRam);
+        hart.RunBatch(1, ~uint64_t{0});
+      }
+      EXPECT_EQ(hart.threaded_blocks(), 1u) << c.what;
+      EXPECT_EQ(hart.gpr(t2), c.expected) << c.what << " (lowered block)";
+    }
+
+    // Folded: the constant folder evaluates register-immediate ops on a known rs1.
+    // rs1 is built in t2 by lui + slli/ori steps and the op reads and writes t2, so
+    // the whole chain lowers to one kConstChain holding the result.
+    if (IsAluImm(d.op)) {
+      MachineConfig config;
+      config.map.ram_size = 1 << 20;
+      Machine machine(config);
+      Hart& hart = machine.hart(0);
+      Assembler a(kRam);
+      a.Lui(t2, 0);
+      for (int shift = 55; shift >= 0; shift -= 11) {
+        if (shift != 55) {
+          a.Slli(t2, t2, 11);
+        }
+        a.Ori(t2, t2, static_cast<int32_t>((c.rs1 >> shift) & 0x7FF));
+      }
+      Image image = std::move(a.Finish()).value();
+      const uint32_t op_on_t2 = (c.word & ~(31u << 15)) | (7u << 15);  // rs1 = t2
+      image.bytes.resize(image.bytes.size() + 8);
+      const uint32_t tail[2] = {op_on_t2, 0x10500073};  // op, then wfi
+      std::memcpy(image.bytes.data() + image.bytes.size() - 8, tail, 8);
+      machine.LoadImage(image.base, image.bytes);
+      const uint64_t chain = image.bytes.size() / 4 - 1;
+      for (int pass = 0; pass < 2; ++pass) {  // the chain, then the wfi
+        hart.set_waiting(false);
+        hart.set_pc(kRam);
+        hart.RunBatch(chain + 1, ~uint64_t{0});
+      }
+      EXPECT_EQ(hart.gpr(t2), c.expected) << c.what << " (folded)";
+      // A one-step budget cannot fit the chain: only a fused op misfits.
+      hart.set_waiting(false);
+      hart.set_pc(kRam);
+      hart.RunBatch(1, ~uint64_t{0});
+      EXPECT_EQ(hart.threaded_deopts(), 1u) << c.what << " (chain not folded)";
+    }
+  }
 }
 
 // -- WFI idle fast-forward (Machine::FastForwardIdle). ------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
 #include "src/sim/machine.h"
+#include "src/trace/trace.h"
 
 namespace vfm {
 namespace {
@@ -309,7 +311,7 @@ TEST(SnapshotRoundTripTest, TwoHartProgramRoundTrips) {
   gen.num_actions = 96;
   gen.budget = 20'000;
   CosimProgram program = GenerateProgram(/*seed=*/0xabc1, gen);
-  const LockstepConfig& config = LockstepConfigs()[6];  // threaded, full caches
+  const LockstepConfig& config = *FindLockstepConfig("superblock");  // full caches
   const RunOutcome whole = RunProgram(program, config, /*with_refmodel=*/false);
   ASSERT_TRUE(whole.build_error.empty()) << whole.build_error;
   const RunOutcome split = RunProgramSplit(program, config, /*snapshot_at=*/4'000);
@@ -398,7 +400,7 @@ TEST(ForkTest, ForkedChildrenRunDifferentProgramsIndependently) {
   gen.budget = 10'000;
   const CosimProgram prog_a = GenerateProgram(101, gen);
   const CosimProgram prog_b = GenerateProgram(202, gen);
-  const LockstepConfig& config = LockstepConfigs()[4];  // superblock tuning
+  const LockstepConfig& config = *FindLockstepConfig("superblock");
 
   const RunOutcome fresh_a = RunProgram(prog_a, config, /*with_refmodel=*/false);
   const RunOutcome fresh_b = RunProgram(prog_b, config, /*with_refmodel=*/false);
@@ -423,11 +425,8 @@ TEST(SnapshotRoundTripTest, RestoreThenSelfModifyTakesEffect) {
   mc.tuning.decode_cache_entries = 16384;
   mc.tuning.superblock_entries = 2048;
   mc.tuning.tlb_entries = 4096;
-  mc.tuning.tlb_enabled = true;
-  mc.tuning.threaded_enabled = true;
-  mc.tuning.threaded_promote_threshold = 1;
 
-  // A tiny program: a counted loop that the threaded tier promotes, then finish.
+  // A tiny program: a counted loop that runs as a lowered block, then finish.
   //   loop: addi a0, a0, 1 ; bne a0, a1, loop ; <finish store>
   const uint64_t base = mc.map.ram_base;
   Machine machine(mc);
@@ -604,6 +603,82 @@ TEST(ParallelSnapshotTest, ForkOfParallelMachineMatchesQuantumSerial) {
   parallel_child->SaveSnapshot(child_again);
   EXPECT_EQ(child_snap.state, child_again.state);
   EXPECT_EQ(SnapshotRamBytes(child_snap), SnapshotRamBytes(child_again));
+}
+
+// ---------------------------------------------------------------------------------
+// Snapshot files carry a full MachineConfig; a config the machine cannot run must be
+// rejected at read time, not crash the tool that builds a machine from it.
+
+TEST(SnapshotFileTest, RejectsConfigsTheMachineCannotRun) {
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  Machine machine(mc);
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+  const std::string path = ::testing::TempDir() + "/snapshot_config.snap";
+  const auto file_bytes = [&](const MachineConfig& config) {
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(WriteSnapshotFile(path, config, snapshot, {}));
+    EXPECT_TRUE(ReadTraceFile(path, &bytes));
+    return bytes;
+  };
+  const std::vector<uint8_t> good = file_bytes(mc);
+  // A field's offset: the first byte that differs in a file whose config differs
+  // only in that field (by +1, which always changes the low byte).
+  const auto offset_of = [&](const auto& bump) {
+    MachineConfig other = mc;
+    bump(other);
+    const std::vector<uint8_t> bytes = file_bytes(other);
+    size_t i = 0;
+    while (i < good.size() && good[i] == bytes[i]) {
+      ++i;
+    }
+    return i;
+  };
+  struct Patch {
+    const char* what;
+    size_t offset;
+    unsigned width;
+    uint64_t value;
+  };
+  const Patch patches[] = {
+      {"hart_count = 0", offset_of([](MachineConfig& c) { ++c.hart_count; }), 4, 0},
+      {"mtime_tick_cycles = 0",
+       offset_of([](MachineConfig& c) { ++c.cost.mtime_tick_cycles; }), 8, 0},
+      {"instr_base = 0", offset_of([](MachineConfig& c) { ++c.cost.instr_base; }), 8, 0},
+      {"uart inside the CLINT window", offset_of([](MachineConfig& c) { ++c.map.uart_base; }),
+       8, mc.map.clint_base + 0x100},
+      {"ram_size = 0", offset_of([](MachineConfig& c) { ++c.map.ram_size; }), 8, 0},
+  };
+
+  MachineConfig read_back;
+  Snapshot snapshot_back;
+  ASSERT_TRUE(WriteTraceFile(path, good));
+  ASSERT_TRUE(ReadSnapshotFile(path, &read_back, &snapshot_back));
+  for (const Patch& patch : patches) {
+    ASSERT_LT(patch.offset + patch.width, good.size()) << patch.what;
+    std::vector<uint8_t> bytes = good;
+    std::memcpy(bytes.data() + patch.offset, &patch.value, patch.width);
+    ASSERT_TRUE(WriteTraceFile(path, bytes));
+    EXPECT_FALSE(ReadSnapshotFile(path, &read_back, &snapshot_back)) << patch.what;
+  }
+
+  // Version 1 of the config section (with three since-removed SimTuning fields) is
+  // rejected rather than misread.
+  const uint32_t tag = StateTag("MCFG");
+  size_t tag_at = 0;
+  while (tag_at + 8 <= good.size() && std::memcmp(good.data() + tag_at, &tag, 4) != 0) {
+    ++tag_at;
+  }
+  ASSERT_LT(tag_at + 8, good.size());
+  std::vector<uint8_t> old_version = good;
+  const uint32_t version = 1;
+  std::memcpy(old_version.data() + tag_at + 4, &version, 4);
+  StateReader reader(old_version.data() + tag_at, old_version.size() - tag_at);
+  EXPECT_FALSE(ReadMachineConfig(reader, &read_back));
+  EXPECT_NE(reader.error().find("version 1"), std::string::npos) << reader.error();
+  ASSERT_TRUE(WriteTraceFile(path, old_version));
+  EXPECT_FALSE(ReadSnapshotFile(path, &read_back, &snapshot_back));
 }
 
 // ---------------------------------------------------------------------------------

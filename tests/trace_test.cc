@@ -33,7 +33,6 @@ MachineConfig LoopConfig() {
   mc.tuning.decode_cache_entries = 16384;
   mc.tuning.superblock_entries = 2048;
   mc.tuning.tlb_entries = 4096;
-  mc.tuning.tlb_enabled = true;
   return mc;
 }
 
@@ -267,14 +266,7 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
     MachineConfig mc;
     mc.hart_count = 2;
     mc.isa.has_time_csr = true;
-    mc.tuning.decode_cache_entries = c.decode_cache_entries;
-    mc.tuning.tlb_entries = c.tlb_entries;
-    mc.tuning.tlb_enabled = c.tlb_enabled;
-    mc.tuning.superblock_entries = c.superblock_entries;
-    mc.tuning.threaded_enabled = c.threaded;
-    mc.tuning.threaded_promote_threshold = c.threaded_threshold;
-    mc.tuning.quantum_harts = c.quantum_harts;
-    mc.tuning.parallel_harts = c.parallel_harts;
+    mc.tuning = c.tuning;
     mc.map.ram_size = CosimLayout::kRamSize;
     return mc;
   };
@@ -352,7 +344,7 @@ TEST(CosimTraceTest, TraceCarriesMidRunSnapshotPointAndInputs) {
   // mid-program and both recorded run calls execute (the second one fast-forwards
   // through the idle stretch — replayed idle skips are part of what is verified).
   const CosimProgram program = GenerateProgram(/*seed=*/0x4444, gen);
-  const LockstepConfig& config = LockstepConfigs()[6];  // threaded, full caches
+  const LockstepConfig& config = *FindLockstepConfig("superblock");  // full caches
   const TracedRunResult traced =
       RunProgramTraced(program, config, config, /*trace_at=*/800);
   ASSERT_TRUE(traced.error.empty()) << traced.error;

@@ -107,7 +107,7 @@ bool CheckAndReport(const vfm::CosimProgram& program, const Options& opts,
 
 // The --record leg: records `program` mid-run into a snapshot-anchored event trace
 // and replays it on a second machine. Single-hart programs record and replay on the
-// threaded tier; multi-hart programs record on the serial quantum schedule and
+// full superblock stack; multi-hart programs record on the serial quantum schedule and
 // replay on the parallel engine, so the replay verifier doubles as a cross-schedule
 // bit-identity check. A replay divergence is persisted as <dir>/trace-fail-<seed>
 // .snap/.trace (the trace ddmin-shrunk first) with a one-command repro line.
@@ -115,9 +115,9 @@ bool TraceAndReport(const vfm::CosimProgram& program, const Options& opts,
                     const char* origin) {
   const bool multi = program.opts.harts > 1;
   const vfm::LockstepConfig* record_cfg =
-      vfm::FindLockstepConfig(multi ? "quantum" : "threaded");
+      vfm::FindLockstepConfig(multi ? "quantum" : "superblock");
   const vfm::LockstepConfig* replay_cfg =
-      vfm::FindLockstepConfig(multi ? "parallel" : "threaded");
+      vfm::FindLockstepConfig(multi ? "parallel" : "superblock");
   if (record_cfg == nullptr || replay_cfg == nullptr) {
     std::fprintf(stderr, "cosim_fuzz: lockstep config table is missing quantum/parallel\n");
     return false;
@@ -204,16 +204,16 @@ bool ReplayFile(const std::string& path, const Options& opts) {
   replay_opts.shrink = false;  // the file is already minimal; just reproduce
   if (CheckAndReport(program.value(), replay_opts, path.c_str())) {
     std::printf("%s: no divergence (all configurations identical)\n", path.c_str());
-    // Report how hard the threaded tier was exercised, so pinned seeds can be
-    // checked for actually reaching promotion/deopt paths (not just passing).
+    // Report how hard the block engine was exercised, so pinned seeds can be
+    // checked for actually reaching block-build/deopt paths (not just passing).
     for (const vfm::LockstepConfig& config : vfm::LockstepConfigs()) {
-      if (!config.threaded) {
+      if (config.tuning.superblock_entries == 0 || config.tuning.decode_cache_entries == 0) {
         continue;
       }
       const vfm::RunOutcome out =
           vfm::RunProgram(program.value(), config, /*with_refmodel=*/false);
-      std::printf("  %s: %" PRIu64 " promotions, %" PRIu64 " threaded deopts\n",
-                  config.name, out.threaded_promotions, out.threaded_deopts);
+      std::printf("  %s: %" PRIu64 " block builds, %" PRIu64 " deopts\n", config.name,
+                  out.threaded_promotions, out.threaded_deopts);
     }
     if (program.value().opts.snapshot_at != 0) {
       std::printf("  snapshot leg: split at %" PRIu64

@@ -68,14 +68,7 @@ bool ApplyTuning(const std::string& name, vfm::MachineConfig* config) {
                  name.c_str());
     return false;
   }
-  config->tuning.decode_cache_entries = t->decode_cache_entries;
-  config->tuning.tlb_entries = t->tlb_entries;
-  config->tuning.tlb_enabled = t->tlb_enabled;
-  config->tuning.superblock_entries = t->superblock_entries;
-  config->tuning.threaded_enabled = t->threaded;
-  config->tuning.threaded_promote_threshold = t->threaded_threshold;
-  config->tuning.quantum_harts = t->quantum_harts;
-  config->tuning.parallel_harts = t->parallel_harts;
+  config->tuning = t->tuning;
   return true;
 }
 
