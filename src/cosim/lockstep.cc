@@ -59,13 +59,9 @@ const std::vector<LockstepConfig>& LockstepConfigs() {
       // Tiny everything: block aliasing, eviction and invalidation of live blocks.
       {"tiny-superblock",
        {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 4}},
-      // Deterministic quantum scheduling over the full stack (DESIGN.md §2i).
-      // "quantum" runs the schedule serially in hart order; "parallel" runs the
-      // same schedule with one host thread per hart. On multi-hart programs the
-      // pair is compared against each other (bit-identity of the parallel engine
-      // is the property under test); single-hart programs bypass both knobs, so
-      // there they must match the baseline like any other tuning.
-      {"quantum", {.quantum_harts = true}},
+      // The full stack with each hart's quantum segment on its own host thread
+      // (DESIGN.md §2i): on multi-hart programs the worker pool must reproduce the
+      // serial quantum schedule bit for bit; single-hart programs ignore the knob.
       {"parallel", {.parallel_harts = true}},
   };
   return kConfigs;
@@ -565,31 +561,18 @@ CheckResult CheckProgram(const CosimProgram& program) {
   if (!baseline.ref_divergence.empty()) {
     return {false, "refmodel: " + baseline.ref_divergence};
   }
-  // Quantum-schedule configurations change the guest-visible hart interleaving on
-  // multi-hart programs (the documented SimTuning exception), so they form their own
-  // comparison group: the serial quantum run anchors it and the parallel engine must
-  // reproduce it bit for bit. On single-hart programs both knobs are bypassed and
-  // the configurations compare against the baseline like every other tuning.
-  RunOutcome quantum_anchor;
-  const char* quantum_anchor_name = nullptr;
+  // Every configuration, multi-hart programs included, must reproduce the baseline:
+  // every run call drives the one run loop, so the quantum schedule of a multi-hart
+  // program may depend on neither the decode-cache/TLB/superblock tuning nor the
+  // worker pool.
   for (size_t i = 1; i < configs.size(); ++i) {
-    const bool own_schedule =
-        (configs[i].tuning.quantum_harts || configs[i].tuning.parallel_harts) &&
-        program.opts.harts > 1;
     const RunOutcome alt = RunProgram(program, configs[i], /*with_refmodel=*/false);
     if (!alt.build_error.empty()) {
       return {false, "build: " + alt.build_error};
     }
-    if (own_schedule && quantum_anchor_name == nullptr) {
-      quantum_anchor = alt;
-      quantum_anchor_name = configs[i].name;
-      continue;
-    }
-    const RunOutcome& reference = own_schedule ? quantum_anchor : baseline;
-    const char* reference_name = own_schedule ? quantum_anchor_name : configs[0].name;
-    const std::string diff = CompareOutcomes(reference, alt);
+    const std::string diff = CompareOutcomes(baseline, alt);
     if (!diff.empty()) {
-      return {false, std::string(configs[i].name) + " vs " + reference_name + ": " + diff};
+      return {false, std::string(configs[i].name) + " vs " + configs[0].name + ": " + diff};
     }
   }
   // The snapshot leg: every configuration's split run (save at snapshot_at retired
@@ -612,9 +595,10 @@ CheckResult CheckProgram(const CosimProgram& program) {
   // The record/replay leg: recording the back half of the run (with injected inputs)
   // and replaying it from the anchor snapshot on a fresh machine of the same tuning
   // must be divergence-free on every configuration. On multi-hart programs a
-  // cross-tuning leg records on the serial quantum schedule and replays on the
-  // parallel engine — the two are bit-identical by §2i, so the replay verifier
-  // passing here is exactly that property restated through the trace.
+  // cross-tuning leg records on the serial quantum schedule ("superblock") and
+  // replays on the parallel engine — the two are bit-identical by §2i, so the
+  // replay verifier passing here is exactly that property restated through the
+  // trace.
   if (program.opts.trace_at != 0) {
     for (const LockstepConfig& config : configs) {
       const TracedRunResult traced =
@@ -628,17 +612,17 @@ CheckResult CheckProgram(const CosimProgram& program) {
       }
     }
     if (program.opts.harts > 1) {
-      const LockstepConfig* quantum = FindLockstepConfig("quantum");
+      const LockstepConfig* serial = FindLockstepConfig("superblock");
       const LockstepConfig* parallel = FindLockstepConfig("parallel");
-      if (quantum != nullptr && parallel != nullptr) {
+      if (serial != nullptr && parallel != nullptr) {
         const TracedRunResult cross =
-            RunProgramTraced(program, *quantum, *parallel, program.opts.trace_at);
+            RunProgramTraced(program, *serial, *parallel, program.opts.trace_at);
         if (!cross.error.empty()) {
-          return {false, "quantum->parallel trace: " + cross.error};
+          return {false, "superblock->parallel trace: " + cross.error};
         }
         if (!cross.replay.ok) {
           return {false,
-                  "quantum->parallel trace replay: " + DescribeReplay(cross.replay)};
+                  "superblock->parallel trace replay: " + DescribeReplay(cross.replay)};
         }
       }
     }

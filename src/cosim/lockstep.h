@@ -6,11 +6,14 @@
 // behaviour), and the complete observable
 // outcome of each run — final architectural state of every hart, retired-instruction
 // and cycle counts, the full trap trace, UART output, a RAM image hash, and the
-// finisher verdict — is compared field by field. The baseline configuration runs a
-// per-instruction StepAll loop (so the batched run loop of the other configurations
-// is itself under test) and, for single-hart programs, additionally steps every
-// privileged instruction against the reference model in-flight, extending src/verif's
-// single-step checking to whole-program trap/PMP/paging interleavings.
+// finisher verdict — is compared field by field against the baseline configuration.
+// On single-hart programs the baseline runs a per-instruction StepAll loop (so the
+// batched run of the other configurations is itself under test) and additionally
+// steps every privileged instruction against the reference model in-flight,
+// extending src/verif's single-step checking to whole-program trap/PMP/paging
+// interleavings. Multi-hart programs run the quantum schedule (DESIGN.md §2i) on
+// every configuration, so there the comparison checks that the schedule depends on
+// neither the cache tuning nor the parallel worker pool.
 //
 // A divergence is minimized by ShrinkProgram (ddmin over the program's kept-action
 // set) and persisted as a replayable seed file (program.h).
@@ -28,23 +31,19 @@
 
 namespace vfm {
 
-// One tuning point of the lockstep matrix. The quantum-schedule knobs
-// (SimTuning::quantum_harts/parallel_harts, DESIGN.md §2i) change the guest-visible
-// hart interleaving on multi-hart programs — the one documented SimTuning
-// exception — so CheckProgram compares quantum-schedule configurations against each
-// other (serial quantum vs parallel), not against the per-round baseline.
-// Single-hart programs ignore both knobs and compare against the baseline as usual.
+// One tuning point of the lockstep matrix.
 struct LockstepConfig {
   const char* name;
   SimTuning tuning;
 };
 
-// The decode-cache x TLB x superblock configurations every program runs under. Index
-// 0 is the caches-off baseline; the "tiny" entries use deliberately small caches so
-// index-aliasing eviction paths are exercised, not just hits.
+// The decode-cache x TLB x superblock configurations every program runs under, plus
+// the parallel worker pool. Index 0 is the caches-off baseline; the "tiny" entries
+// use deliberately small caches so index-aliasing eviction paths are exercised, not
+// just hits.
 const std::vector<LockstepConfig>& LockstepConfigs();
 
-// Looks a configuration up by name ("parallel", "quantum", ...); nullptr if unknown.
+// Looks a configuration up by name ("superblock", "parallel", ...); nullptr if unknown.
 const LockstepConfig* FindLockstepConfig(const std::string& name);
 
 // The MachineConfig a lockstep run builds for (program, config) — exported so tools
@@ -125,9 +124,9 @@ RunOutcome RunProgramSplit(const CosimProgram& program, const LockstepConfig& co
 // masked source, and a snapshot point (the CoW freeze the fuzzer's snapshot leg
 // performs) — all chosen to be invisible to the generated program's outcome. The
 // trace is then replayed from the anchor on a second, freshly built machine using
-// `replay_config`; with equal configs the replay must be divergence-free, and with
-// differing quantum-schedule configs the verifier's first-divergence coordinate
-// localizes where the schedules part ways.
+// `replay_config`. Configs differ only in host tuning, which the trace fingerprint
+// excludes, so the replay must be divergence-free either way; if it is not, the
+// verifier's first-divergence coordinate localizes where the two runs part ways.
 struct TracedRunResult {
   std::string error;           // setup failure (program build, restore, ...)
   RunOutcome outcome;          // the recorded run's observable outcome

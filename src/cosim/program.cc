@@ -756,30 +756,34 @@ void EmitSHandler(Assembler& a) {
   a.Sret();
 }
 
-// Hart 1 (two-hart programs): a WFI echo loop. MIE stays clear so pending machine
-// interrupts wake the hart without trapping; every wake bumps a counter, clears its
-// MSIP, and rearms its timer — deterministic cross-hart interleaving fodder.
+// Harts 1.. (multi-hart programs): a WFI echo loop. MIE stays clear so pending
+// machine interrupts wake the hart without trapping; every wake bumps a counter at
+// gp+32, clears its MSIP, and rearms its timer — deterministic cross-hart
+// interleaving fodder. The hart's own CLINT slots are indexed by mhartid (t0).
 void EmitSecondary(Assembler& a) {
   a.Bind("secondary");
+  a.Slli(t3, t0, 3);
+  a.Li(t1, kClintMtimecmp);
+  a.Add(t3, t3, t1);  // &mtimecmp[hartid]
+  a.Slli(t4, t0, 2);
+  a.Li(t1, kClintBase);
+  a.Add(t4, t4, t1);  // &msip[hartid]
   a.Li(t1, 0x88);  // MTIE | MSIE
   a.Csrw(kCsrMie, t1);
   a.Li(t1, kClintMtime);
   a.Ld(t2, t1, 0);
   a.Addi(t2, t2, 1500);
-  a.Li(t1, kClintMtimecmp + 8);
-  a.Sd(t2, t1, 0);
+  a.Sd(t2, t3, 0);
   a.Bind("sec_loop");
   a.Wfi();
   a.Ld(t1, gp, 32);
   a.Addi(t1, t1, 1);
   a.Sd(t1, gp, 32);
-  a.Li(t1, kClintBase + 4);
-  a.Sw(zero, t1, 0);
+  a.Sw(zero, t4, 0);
   a.Li(t1, kClintMtime);
   a.Ld(t2, t1, 0);
   a.Addi(t2, t2, 1500);
-  a.Li(t1, kClintMtimecmp + 8);
-  a.Sd(t2, t1, 0);
+  a.Sd(t2, t3, 0);
   a.J("sec_loop");
 }
 
@@ -967,7 +971,7 @@ Result<CosimProgram> ParseSeedFile(const std::string& text) {
       return Result<CosimProgram>::Error("unknown seed-file key: " + key);
     }
   }
-  if (opts.harts < 1 || opts.harts > 2 || opts.num_actions == 0 || opts.num_actions > 4096) {
+  if (opts.harts < 1 || opts.harts > 4 || opts.num_actions == 0 || opts.num_actions > 4096) {
     return Result<CosimProgram>::Error("seed file out of range (harts/actions)");
   }
   CosimProgram p = GenerateProgram(seed, opts);

@@ -81,7 +81,7 @@ struct Action {
 };
 
 struct GenOptions {
-  unsigned harts = 1;         // 1 or 2 (hart 1 runs a WFI/IPI echo loop)
+  unsigned harts = 1;         // 1 to 4 (harts 1.. run a WFI/IPI echo loop)
   unsigned num_actions = 160;
   uint64_t budget = 100'000;  // instruction budget per run
   unsigned trap_limit = 300;  // M-handler bails through the finisher past this

@@ -24,15 +24,20 @@ struct HartIsaConfig {
 };
 
 // Host-side interpreter tuning. None of these affect simulated behaviour or cycle
-// accounting — they only trade host memory for host speed (DESIGN.md §2b).
+// accounting — they only trade host memory for host speed (DESIGN.md §2b). The one
+// scoped exception is max_batch_instructions on multi-hart machines, where it sizes
+// the quantum, a guest-visible schedule point (see below).
 struct SimTuning {
   // Entries in the per-hart decoded-instruction cache (direct-mapped, indexed by
   // pc >> 2). Must be a power of two; 0 disables the cache entirely.
   uint32_t decode_cache_entries = 16384;
-  // Upper bound on instructions executed per Hart::RunBatch call from the batched
-  // run loop (Machine::RunUntilFinished). Batches also end early at trap,
-  // interrupt-window (mtime tick), WFI, and MMIO boundaries, which is what keeps
-  // batched execution cycle-exact with the per-instruction loop.
+  // Upper bound on instructions executed per Hart::RunBatch call from the run loop
+  // (Machine::RunUntilFinished, RunSlice; 0 means 1). Batches also end early at
+  // trap, interrupt-window (mtime tick), WFI, and MMIO boundaries, which is what
+  // keeps a single hart's batched execution cycle-exact with per-instruction
+  // stepping. On a multi-hart machine it caps the segment each hart runs per
+  // quantum (DESIGN.md §2i); quantum boundaries are where harts observe each
+  // other, so there the cap is part of the deterministic schedule.
   uint32_t max_batch_instructions = 4096;
   // Entries per access type in the per-hart software TLB (direct-mapped, indexed by
   // virtual page number). Must be a power of two; 0 disables the TLB. Like the decode
@@ -47,18 +52,10 @@ struct SimTuning {
   // rounded up to a power of two; 0 disables. Blocks are built from decode-cache
   // entries, so they are also implicitly disabled when decode_cache_entries == 0.
   uint32_t superblock_entries = 2048;
-  // Deterministic quantum scheduling for multi-hart machines (DESIGN.md §2i): instead
-  // of interleaving harts one instruction at a time, each hart privately executes a
-  // segment up to the next mtime-tick boundary and cross-hart effects (stores, MMIO,
-  // traps, timer advance) are applied at the barrier in canonical hart order. This is
-  // the one documented exception to the "tuning never affects simulated behaviour"
-  // rule above: the quantum schedule is a different — still fully deterministic —
-  // legal interleaving of the harts than the round-robin schedule, so guest-visible
-  // state can differ from the per-instruction loop on multi-hart machines (it is
-  // bit-identical on single-hart machines, where both flags are ignored).
-  // `parallel_harts` runs the same quantum schedule with each hart's segment on its
-  // own host thread; it is bit-identical to `quantum_harts` by construction.
-  bool quantum_harts = false;
+  // Runs each hart's quantum segment on its own host thread (DESIGN.md §2i). Never
+  // changes behaviour: segments only read frozen shared state, so the worker pool
+  // is bit-identical to running the segments serially in hart order. Ignored on
+  // single-hart machines.
   bool parallel_harts = false;
 };
 

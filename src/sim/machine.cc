@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <new>
 #include <string>
 
 #include "src/common/check.h"
@@ -204,9 +205,9 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
 }
 
 // MCFG section version. Version 2 dropped three SimTuning fields (tlb_enabled,
-// threaded_enabled, threaded_promote_threshold); version 1 files are rejected
-// rather than misread.
-constexpr uint32_t kMachineConfigVersion = 2;
+// threaded_enabled, threaded_promote_threshold), version 3 dropped quantum_harts;
+// files of an older version are rejected rather than misread.
+constexpr uint32_t kMachineConfigVersion = 3;
 
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
   writer.BeginSection(StateTag("MCFG"), kMachineConfigVersion);
@@ -232,7 +233,6 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
   writer.U32(config.tuning.max_batch_instructions);
   writer.U32(config.tuning.tlb_entries);
   writer.U32(config.tuning.superblock_entries);
-  writer.Bool(config.tuning.quantum_harts);
   writer.Bool(config.tuning.parallel_harts);
   writer.EndSection();
 }
@@ -283,7 +283,6 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   c.tuning.max_batch_instructions = reader.U32();
   c.tuning.tlb_entries = reader.U32();
   c.tuning.superblock_entries = reader.U32();
-  c.tuning.quantum_harts = reader.Bool();
   c.tuning.parallel_harts = reader.Bool();
   reader.EndSection();
   if (reader.ok()) {
@@ -332,16 +331,24 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
     harts_.back()->csrs().set_time_source([clint] { return clint->SyncedTime(); });
     harts_.back()->set_pc(config_.map.ram_base);
   }
-  // Single-hart machines batch instructions (RunUntilFinished) and defer the mtime
-  // push to batch boundaries; the CLINT's tick source lets mid-batch mtime reads
-  // (MMIO and the time CSR) observe the exact per-instruction value anyway. Cycles
-  // are always spilled before a load/store or CSR read executes, so the division
-  // here sees precisely the per-instruction mcycle. Multi-hart machines step per
-  // round and push every round, so they keep the plain stored counter.
+  segment_stops_.resize(config_.hart_count);
+  segment_results_.resize(config_.hart_count);
+  // A single hart batches instructions and defers the mtime push to batch
+  // boundaries; the CLINT's tick source lets mid-batch mtime reads (MMIO and the
+  // time CSR) observe the exact per-instruction value anyway. Cycles are always
+  // spilled before a load/store or CSR read executes, so the division here sees
+  // precisely the per-instruction mcycle. Multi-hart machines keep the plain stored
+  // counter, pushed at quantum barriers: every hart of a segment reads the same
+  // frozen timebase (DESIGN.md §2i). They also arm the barrier-ordering asserts
+  // (Clint pending lines, Bus MMIO dispatch): any such access while segments are in
+  // flight is a scheduling bug, not a tolerable reordering.
   if (config_.hart_count == 1) {
     Hart* hart0 = harts_[0].get();
     const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
     clint_->set_tick_source([hart0, tick_cycles] { return hart0->cycles() / tick_cycles; });
+  } else {
+    bus_.SetMmioBarrierGate(&segment_in_flight_);
+    clint_->SetBarrierGate(&segment_in_flight_);
   }
 }
 
@@ -363,8 +370,6 @@ void Machine::EnsurePool() {
     return;
   }
   pool_ = std::make_unique<WorkerPool>();
-  pool_->results.resize(hart_count());
-  pool_->stops.resize(hart_count());
   for (unsigned i = 1; i < hart_count(); ++i) {
     pool_->threads.emplace_back([this, i] { WorkerMain(i); });
   }
@@ -384,13 +389,13 @@ void Machine::WorkerMain(unsigned hart_index) {
       }
       seen_epoch = pool.epoch;
       batch = pool.batch;
-      stop = pool.stops[hart_index];
+      stop = segment_stops_[hart_index];
     }
     // The segment itself: this hart's private execution. Everything it shares with
     // other segments is read-only for the duration (RAM, devices, mtime), except the
     // bus's dependency page marks, which are monotonic relaxed-atomic set-bits.
     Hart& hart = *harts_[hart_index];
-    pool.results[hart_index] = hart.RunBatch(batch, stop);
+    new (&segment_results_[hart_index]) Hart::BatchResult(hart.RunBatch(batch, stop));
     {
       std::lock_guard<std::mutex> lock(pool.mutex);
       ++pool.done;
@@ -449,45 +454,6 @@ void Machine::RefreshInterruptLines() {
       csrs.SetInterruptLine(InterruptCause::kSupervisorExternal, seip);
     }
   }
-}
-
-uint64_t Machine::StepAll() {
-  const bool traced = BeginTracedRun(TraceRunKind::kStepAll, 0, 0);
-  // Superblock host-pointer stores bypass Bus::Write, so any execution round may
-  // dirty RAM behind the bus's back; mark conservatively for the CoW freeze reuse.
-  bus_.SetRamMaybeDirty();
-  RefreshInterruptLines();
-  uint64_t retired = 0;
-  for (auto& hart : harts_) {
-    const StepResult result = hart->Tick();
-    if (result.executed && !result.trapped) {
-      ++retired;
-    }
-    if (result.trapped) {
-      if (trap_observer_) {
-        trap_observer_(*hart, result);
-      }
-      if (result.entered_mmode && owner_ != nullptr) {
-        owner_->OnMachineTrap(*hart);
-      }
-    }
-  }
-  // Advance the timebase from hart 0's clock.
-  const uint64_t now = harts_[0]->cycles();
-  const uint64_t ticks_due = now / config_.cost.mtime_tick_cycles;
-  if (ticks_due > clint_->mtime()) {
-    clint_->set_mtime(ticks_due);
-  }
-  if (blockdev_) {
-    blockdev_->Tick(clint_->mtime());
-  }
-  lifetime_retired_ += retired;
-  ++lifetime_rounds_;
-  TraceBarrier();
-  if (traced) {
-    EndTracedRun();
-  }
-  return retired;
 }
 
 bool Machine::IdleParked() {
@@ -591,28 +557,13 @@ uint64_t Machine::FastForwardIdleTo(uint64_t target_tick) {
   return skipped;
 }
 
-Machine::SliceResult Machine::RunSlice(uint64_t max_instructions, uint64_t max_rounds) {
-  if (max_rounds == 0) {
-    max_rounds = max_instructions > ~uint64_t{0} / 4 ? ~uint64_t{0}
-                                                     : 4 * max_instructions;
-  }
-  const bool traced =
-      BeginTracedRun(TraceRunKind::kRunSlice, max_instructions, max_rounds);
-  slice_idle_stop_ = true;
-  slice_went_idle_ = false;
+uint64_t Machine::StepAll() {
+  // A one-round slice: the round cap ends the loop after one barrier, before any
+  // idle stop or fast-forward, and a slice reports no budget warning.
   RunProgress progress;
-  const bool finished = RunUntilFinishedInner(max_instructions, max_rounds, &progress);
-  SliceResult result;
-  result.retired = progress.retired;
-  result.rounds = progress.rounds;
-  result.finished = finished;
-  result.idle = slice_went_idle_;
-  slice_idle_stop_ = false;
-  slice_went_idle_ = false;
-  if (traced) {
-    EndTracedRun();
-  }
-  return result;
+  RunLoop(TraceRunKind::kStepAll, /*max_instructions=*/1, /*max_rounds=*/1,
+          /*batch_cap=*/1, nullptr, /*slice=*/true, &progress);
+  return progress.retired;
 }
 
 bool Machine::RunUntilFinished(uint64_t max_instructions) {
@@ -621,168 +572,80 @@ bool Machine::RunUntilFinished(uint64_t max_instructions) {
 
 bool Machine::RunUntilFinished(uint64_t max_instructions, uint64_t max_rounds,
                                RunProgress* progress) {
-  const bool traced =
-      BeginTracedRun(TraceRunKind::kRunUntilFinished, max_instructions, max_rounds);
-  const bool finished = RunUntilFinishedInner(max_instructions, max_rounds, progress);
+  return RunLoop(TraceRunKind::kRunUntilFinished, max_instructions, max_rounds,
+                 config_.tuning.max_batch_instructions, nullptr, /*slice=*/false,
+                 progress) == RunStop::kFinished;
+}
+
+bool Machine::RunUntil(const std::function<bool()>& predicate, uint64_t max_instructions) {
+  return RunUntil(predicate, max_instructions, 4 * max_instructions, nullptr);
+}
+
+bool Machine::RunUntil(const std::function<bool()>& predicate, uint64_t max_instructions,
+                       uint64_t max_rounds, RunProgress* progress) {
+  return RunLoop(TraceRunKind::kRunUntil, max_instructions, max_rounds, 1, &predicate,
+                 /*slice=*/false, progress) != RunStop::kBudget;
+}
+
+Machine::SliceResult Machine::RunSlice(uint64_t max_instructions, uint64_t max_rounds) {
+  if (max_rounds == 0) {
+    max_rounds = max_instructions > ~uint64_t{0} / 4 ? ~uint64_t{0}
+                                                     : 4 * max_instructions;
+  }
+  RunProgress progress;
+  const RunStop stop =
+      RunLoop(TraceRunKind::kRunSlice, max_instructions, max_rounds,
+              config_.tuning.max_batch_instructions, nullptr, /*slice=*/true, &progress);
+  SliceResult result;
+  result.retired = progress.retired;
+  result.rounds = progress.rounds;
+  result.finished = stop == RunStop::kFinished;
+  result.idle = stop == RunStop::kIdle;
+  return result;
+}
+
+Machine::RunStop Machine::RunLoop(TraceRunKind kind, uint64_t max_instructions,
+                                  uint64_t max_rounds, uint64_t batch_cap,
+                                  const std::function<bool()>* predicate, bool slice,
+                                  RunProgress* progress) {
+  const bool traced = BeginTracedRun(kind, max_instructions, max_rounds);
+  // Superblock host-pointer stores bypass Bus::Write, so any run may dirty RAM
+  // behind the bus's back; mark conservatively for the CoW freeze reuse.
+  bus_.SetRamMaybeDirty();
+  const RunStop stop =
+      hart_count() > 1
+          ? RunBarriers<true>(max_instructions, max_rounds, batch_cap, predicate, slice,
+                              progress)
+          : RunBarriers<false>(max_instructions, max_rounds, batch_cap, predicate, slice,
+                               progress);
   if (traced) {
     EndTracedRun();
   }
-  return finished;
+  return stop;
 }
 
-bool Machine::RunUntilFinishedInner(uint64_t max_instructions, uint64_t max_rounds,
-                                    RunProgress* progress) {
-  // Multi-hart machines default to per-instruction rounds (harts observe each
-  // other's stores and IPIs round by round). The quantum tunings switch them to the
-  // deterministic quantum schedule (DESIGN.md §2i), where each hart runs privately
-  // batched segments between mtime-tick barriers — the multi-hart counterpart of
-  // the single-hart batching below.
-  if (hart_count() != 1) {
-    if (config_.tuning.quantum_harts || config_.tuning.parallel_harts) {
-      return RunQuantumLoop(max_instructions, max_rounds, progress);
-    }
-    return RunUntil([] { return false; }, max_instructions, max_rounds, progress);
-  }
-  bus_.SetRamMaybeDirty();  // see StepAll
-  Hart& hart = *harts_[0];
-  const uint64_t max_batch =
-      config_.tuning.max_batch_instructions > 0 ? config_.tuning.max_batch_instructions : 1;
-  const uint64_t round_cap = max_rounds;
-  uint64_t retired = 0;
-  uint64_t rounds = 0;
-  const auto report = [&] {
-    if (progress != nullptr) {
-      progress->retired = retired;
-      progress->rounds = rounds;
-    }
-  };
-  while (!finisher_->finished()) {
-    RefreshInterruptLines();
-    // Batch size: the configured cap, clamped so the batch cannot overshoot either
-    // the instruction budget or the round bound (a batch tick == one StepAll round).
-    uint64_t n = max_batch;
-    const uint64_t instret_left = max_instructions - retired;
-    const uint64_t rounds_left = round_cap - rounds;
-    n = n < instret_left ? n : instret_left;
-    n = n < rounds_left ? n : rounds_left;
-    if (n == 0) {
-      n = 1;  // budget of zero: still run one round, like RunUntil does
-    }
-    // While the block device has a request in flight it may complete on any mtime
-    // tick, so fall back to single-instruction rounds until it goes idle.
-    if (blockdev_ && blockdev_->busy()) {
-      n = 1;
-    }
-    // Batch horizon. A timebase tick is only architecturally observable through
-    // (a) an mtime read — MMIO and time-CSR reads are live-synced from hart 0's
-    // clock (Clint::SyncedTime), so they are exact at any point inside a batch —
-    // and (b) the MTIP edge at mtimecmp(0), where the batch must stop so the
-    // interrupt is sampled on the same instruction boundary as per-instruction
-    // stepping. So the horizon runs to the comparator's cycle, not to the next
-    // tick. Cases that reintroduce per-tick observers keep the one-tick horizon:
-    // Sstc (stimecmp comparators fire on ticks outside the CLINT), a host-side
-    // monitor (it reads the stored mtime between batches), and a busy block
-    // device (its completion deadline is an mtime tick; n == 1 above already
-    // serializes it). When MTIP is already high there is no future edge — the
-    // next flip needs an mtimecmp MMIO write, which ends the batch — so the
-    // horizon is unbounded and the instruction budget alone limits the batch.
-    const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
-    uint64_t stop_cycles = (clint_->mtime() + 1) * tick_cycles;
-    if (owner_ == nullptr && !config_.isa.has_sstc && !(blockdev_ && blockdev_->busy())) {
-      const uint64_t cmp = clint_->mtimecmp(0);
-      if (cmp <= clint_->mtime()) {
-        stop_cycles = ~uint64_t{0};
-      } else {
-        stop_cycles =
-            cmp > ~uint64_t{0} / tick_cycles ? ~uint64_t{0} : cmp * tick_cycles;
-      }
-    }
-    const Hart::BatchResult batch = hart.RunBatch(n, stop_cycles);
-    rounds += batch.executed;
-    retired += batch.retired;
-    lifetime_rounds_ += batch.executed;
-    lifetime_retired_ += batch.retired;
-    if (batch.last.trapped) {
-      if (trap_observer_) {
-        trap_observer_(hart, batch.last);
-      }
-      if (batch.last.entered_mmode && owner_ != nullptr) {
-        owner_->OnMachineTrap(hart);
-      }
-    }
-    const uint64_t now = hart.cycles();
-    const uint64_t ticks_due = now / config_.cost.mtime_tick_cycles;
-    if (ticks_due > clint_->mtime()) {
-      clint_->set_mtime(ticks_due);
-    }
-    if (blockdev_) {
-      blockdev_->Tick(clint_->mtime());
-    }
-    // A parked hart burned its round on one idle cycle; jump straight to the next
-    // wake candidate instead of taking one such round per cycle. Nothing here
-    // observes the skipped rounds, so the full jump is exact (see FastForwardIdle).
-    // In slice mode the machine instead stops at the park point and hands the
-    // fast-forward decision to the scheduler (RunSlice).
-    bool stop_idle = false;
-    if (batch.last.waiting && rounds < round_cap) {
-      if (slice_idle_stop_) {
-        stop_idle = IdleParked();
-      } else {
-        rounds += FastForwardIdle(round_cap - rounds);
-      }
-    }
-    TraceBarrier();
-    if (stop_idle) {
-      slice_went_idle_ = true;
-      report();
-      return false;
-    }
-    if (retired >= max_instructions || rounds >= round_cap) {
-      report();
-      if (!slice_idle_stop_) {
-        VFM_LOG_WARN("sim", "instruction budget exhausted (%llu instructions, %s)",
-                     static_cast<unsigned long long>(max_instructions),
-                     hart.waiting() ? "all harts idle" : "harts still running");
-      }
-      return false;
-    }
-  }
-  report();
-  return true;
-}
-
-bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
-                             RunProgress* progress) {
-  const bool parallel = config_.tuning.parallel_harts;
+template <bool kMulti>
+Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_rounds,
+                                      uint64_t batch_cap,
+                                      const std::function<bool()>* predicate, bool slice,
+                                      RunProgress* progress) {
+  // Segments, store buffers, barrier continuations and idle parity isolate harts
+  // from each other; a lone hart needs none of them, and its copy of the loop
+  // compiles them away.
+  const unsigned count = kMulti ? hart_count() : 1;
+  const bool parallel = kMulti && config_.tuning.parallel_harts;
   if (parallel) {
     EnsurePool();
   }
-  // Arm the barrier-ordering asserts (Clint pending lines, Bus MMIO dispatch) for
-  // the duration of the loop: any such access while segments are in flight is a
-  // scheduling bug, not a tolerable reordering.
-  bus_.SetMmioBarrierGate(&segment_in_flight_);
-  clint_->SetBarrierGate(&segment_in_flight_);
-  struct GateCleanup {
-    Machine* machine;
-    ~GateCleanup() {
-      machine->bus_.SetMmioBarrierGate(nullptr);
-      machine->clint_->SetBarrierGate(nullptr);
-    }
-  } cleanup{this};
-
-  const uint64_t max_batch =
-      config_.tuning.max_batch_instructions > 0 ? config_.tuning.max_batch_instructions : 1;
   const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
-  const uint64_t round_cap = max_rounds;
-  uint64_t retired = 0;
-  uint64_t rounds = 0;
-  const auto report = [&] {
-    if (progress != nullptr) {
-      progress->retired = retired;
-      progress->rounds = rounds;
-    }
-  };
-  const auto handle_trap = [&](Hart& hart, const StepResult& result) {
+  const uint64_t max_tick = ~uint64_t{0} / tick_cycles;  // tick * tick_cycles fits
+  // Per-hart segment bounds and results; the worker pool reads and writes the
+  // members, a lone hart keeps its own on the stack.
+  uint64_t own_stop = 0;
+  Hart::BatchResult own_result;
+  uint64_t* const stops = kMulti ? segment_stops_.data() : &own_stop;
+  Hart::BatchResult* const results = kMulti ? segment_results_.data() : &own_result;
+  const auto deliver_trap = [this](Hart& hart, const StepResult& result) {
     if (result.trapped) {
       if (trap_observer_) {
         trap_observer_(hart, result);
@@ -792,114 +655,111 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
       }
     }
   };
-  std::vector<Hart::BatchResult> serial_results;
-  std::vector<uint64_t> serial_stops;
-  if (!parallel) {
-    serial_results.resize(hart_count());
-  }
-  serial_stops.resize(hart_count());
-  std::vector<Hart::BatchResult>& results = parallel ? pool_->results : serial_results;
-  std::vector<uint64_t>& stops = parallel ? pool_->stops : serial_stops;
-  std::vector<uint64_t> hart_rounds(hart_count());
-
+  uint64_t retired = 0;
+  uint64_t rounds = 0;
+  RunStop stop = RunStop::kFinished;
   while (!finisher_->finished()) {
-    bus_.SetRamMaybeDirty();  // see StepAll
-    RefreshInterruptLines();
-    // Segment size: the batch cap, deliberately NOT clamped to the remaining
-    // instruction budget. Quantum boundaries are guest-visible schedule points, so
-    // they must be a function of architectural state alone — a budget-dependent
-    // clamp would give a split run (RunProgramSplit: smaller phase-1 budget)
-    // different boundaries than the uninterrupted run. Instead the budget check
-    // below stops at the first barrier at or past the budget, identically in both
-    // legs; the overshoot is at most one segment per hart.
-    uint64_t n = max_batch > 0 ? max_batch : 1;
-    // The round clamp IS budget-consistent across a split (both legs inherit the
-    // remaining allowance, so at the same barrier they compute the same bound).
-    const uint64_t rounds_left = round_cap - rounds;
-    n = n < rounds_left ? n : rounds_left;
-    if (n == 0) {
-      n = 1;  // budget of zero: still run one quantum, like RunUntil does
+    if (predicate != nullptr && (*predicate)()) {
+      stop = RunStop::kPredicate;
+      break;
     }
-    // A busy block device may complete on any mtime tick; serialize to
-    // one-instruction segments until it goes idle (matches the single-hart loop).
-    if (blockdev_ && blockdev_->busy()) {
+    RefreshInterruptLines();
+    // Batch size: the cap, clamped so the batch cannot overshoot the round bound (a
+    // batch tick is one round). The round clamp is consistent across a split run:
+    // both legs inherit the remaining allowance, so at the same barrier they compute
+    // the same bound. One hart also clamps to the instruction budget: its batch
+    // boundaries are invisible, so RunUntilFinished(B) stops at exactly B. Quantum
+    // boundaries are guest-visible schedule points and must be a function of
+    // architectural state alone — a budget clamp would give a split run
+    // (RunProgramSplit: smaller phase-1 budget) different boundaries than the
+    // uninterrupted run — so several harts stop at the first barrier at or past the
+    // budget instead, identically in both legs, overshooting by at most one segment
+    // per hart.
+    uint64_t n = batch_cap < max_rounds - rounds ? batch_cap : max_rounds - rounds;
+    if (!kMulti && max_instructions - retired < n) {
+      n = max_instructions - retired;
+    }
+    // A busy block device may complete on any mtime tick, so it serializes to
+    // one-instruction batches until it goes idle. A zero budget still runs one.
+    const bool blockdev_busy = blockdev_ != nullptr && blockdev_->busy();
+    if (n == 0 || blockdev_busy) {
       n = 1;
     }
-    // Quantum horizon, as a cycle delta on hart 0's clock (see SegmentStopCycles
-    // for why a delta). Tick-aligned events are only sampled at barriers, so by
-    // default the quantum stops at the next mtime tick. When nothing can observe
-    // individual ticks — no host-side M-mode owner reading stored mtime, no Sstc
-    // comparators, no busy block device — the only tick-aligned events left are
-    // the MTIP edges at each hart's CLINT comparator, so the horizon runs to the
-    // earliest future edge instead (the same reasoning as the single-hart batch
-    // horizon above, taken over all harts). With every comparator in the past
-    // there is no future edge — the next one needs an mtimecmp MMIO write, which
-    // is a sync event ending the quantum — so the horizon is unbounded and the
-    // batch cap alone sizes the segments. This keeps rendezvous costs amortized
-    // over thousands of instructions instead of one ~hundred-cycle timer tick.
-    uint64_t stop_delta = ~uint64_t{0};
-    const uint64_t now0 = harts_[0]->cycles();
-    uint64_t horizon_cycles = (clint_->mtime() + 1) * tick_cycles;
-    if (owner_ == nullptr && !config_.isa.has_sstc && !(blockdev_ && blockdev_->busy())) {
-      uint64_t earliest_cmp = ~uint64_t{0};
-      for (unsigned i = 0; i < hart_count(); ++i) {
+    // Horizon. A timebase tick is only architecturally observable through (a) an
+    // mtime read — single-hart MMIO and time-CSR reads are live-synced from hart 0's
+    // clock (Clint::SyncedTime), and a multi-hart MMIO read is a sync event that
+    // ends the segment — and (b) the MTIP edge at a hart's mtimecmp, where the batch
+    // must stop so the interrupt is sampled on the same instruction boundary as
+    // per-instruction stepping. So the horizon runs to the earliest future
+    // comparator edge, not to the next tick. Cases that reintroduce per-tick
+    // observers keep the one-tick horizon: Sstc (stimecmp comparators fire on ticks
+    // outside the CLINT), a host-side monitor (it reads the stored mtime between
+    // batches), and a busy block device (its completion deadline is an mtime tick;
+    // n == 1 above already serializes it). With every comparator in the past there
+    // is no future edge — the next one needs an mtimecmp MMIO write, which ends the
+    // batch — so the horizon is unbounded and the batch cap alone sizes the batch.
+    // This keeps barrier costs amortized over thousands of instructions instead of
+    // one ~hundred-cycle timer tick.
+    uint64_t horizon = (clint_->mtime() + 1) * tick_cycles;
+    if (owner_ == nullptr && !config_.isa.has_sstc && !blockdev_busy) {
+      horizon = ~uint64_t{0};
+      for (unsigned i = 0; i < count; ++i) {
         const uint64_t cmp = clint_->mtimecmp(i);
-        if (cmp > clint_->mtime() && cmp < earliest_cmp) {
-          earliest_cmp = cmp;
+        if (cmp > clint_->mtime()) {
+          const uint64_t edge = cmp > max_tick ? ~uint64_t{0} : cmp * tick_cycles;
+          horizon = edge < horizon ? edge : horizon;
         }
       }
-      if (earliest_cmp == ~uint64_t{0}) {
-        horizon_cycles = ~uint64_t{0};
-      } else {
-        horizon_cycles = earliest_cmp > ~uint64_t{0} / tick_cycles
-                             ? ~uint64_t{0}
-                             : earliest_cmp * tick_cycles;
-      }
     }
-    if (horizon_cycles != ~uint64_t{0}) {
-      stop_delta = horizon_cycles > now0 ? horizon_cycles - now0 : 1;
-    }
-    // -- Segments: private per-hart execution, serial in hart order or on the pool;
-    // bit-identical either way because segments only read frozen shared state. The
-    // absolute stop bounds are fixed here, at the serial point, because the barrier
-    // continuations below need the same bound the segment ran under.
-    for (unsigned i = 0; i < hart_count(); ++i) {
+    // The horizon as a cycle delta on hart 0's clock (see SegmentStopCycles for why
+    // a delta), fixed here at the serial point because barrier continuations need
+    // the same bound the segment ran under. A horizon already passed still runs one
+    // instruction, as any batch does.
+    const uint64_t now0 = harts_[0]->cycles();
+    const uint64_t stop_delta =
+        horizon == ~uint64_t{0} ? horizon : horizon > now0 ? horizon - now0 : 1;
+    for (unsigned i = 0; i < count; ++i) {
       stops[i] = SegmentStopCycles(*harts_[i], stop_delta);
     }
-    for (auto& hart : harts_) {
-      hart->BeginSegment();
+    // -- Segments: private per-hart execution, serial in hart order or on the pool;
+    // bit-identical either way because segments only read frozen shared state.
+    if constexpr (kMulti) {
+      for (auto& hart : harts_) {
+        hart->BeginSegment();
+      }
+      segment_in_flight_ = true;
     }
-    segment_in_flight_ = true;
     if (parallel) {
-      WorkerPool& pool = *pool_;
       {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        pool.batch = n;
-        pool.done = 0;
-        ++pool.epoch;
+        std::lock_guard<std::mutex> lock(pool_->mutex);
+        pool_->batch = n;
+        pool_->done = 0;
+        ++pool_->epoch;
       }
-      pool.work_cv.notify_all();
-      results[0] = harts_[0]->RunBatch(n, stops[0]);
-      std::unique_lock<std::mutex> lock(pool.mutex);
-      pool.done_cv.wait(lock, [&] { return pool.done == hart_count() - 1; });
-    } else {
-      for (unsigned i = 0; i < hart_count(); ++i) {
-        results[i] = harts_[i]->RunBatch(n, stops[i]);
-      }
+      pool_->work_cv.notify_all();
     }
-    segment_in_flight_ = false;
-    for (auto& hart : harts_) {
-      hart->EndSegment();
+    for (unsigned i = 0; i < (parallel ? 1 : count); ++i) {
+      // Constructed in place, so RunBatch writes the slot itself: copying a result
+      // through a temporary reads its fields back wider than they were stored.
+      new (&results[i]) Hart::BatchResult(harts_[i]->RunBatch(n, stops[i]));
+    }
+    if (parallel) {
+      std::unique_lock<std::mutex> lock(pool_->mutex);
+      pool_->done_cv.wait(lock, [&] { return pool_->done == count - 1; });
     }
     // -- Barrier: all cross-hart effects, in canonical hart order. -----------------
     // (a) Buffered stores flush through Bus::Write (marks and generations bump as
     //     the serial stores would have).
-    for (auto& hart : harts_) {
-      hart->ApplySegmentStores();
+    if constexpr (kMulti) {
+      segment_in_flight_ = false;
+      for (auto& hart : harts_) {
+        hart->EndSegment();
+        hart->ApplySegmentStores();
+      }
     }
-    // (b) Segment-final traps replay their observer/owner callbacks.
-    for (unsigned i = 0; i < hart_count(); ++i) {
-      handle_trap(*harts_[i], results[i].last);
+    // (b) Batch-final traps reach the trap observer and the M-mode owner.
+    for (unsigned i = 0; i < count; ++i) {
+      deliver_trap(*harts_[i], results[i].last);
     }
     // (c) Harts whose segment ended early — a sync-event abort (MMIO, AMO/LR/SC,
     //     fence.i, a non-RAM page walk) or a trap — finish their quantum serially
@@ -908,159 +768,98 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
     //     them normally (MMIO executes, stores hit RAM directly). Without this
     //     continuation one sync event would cost its hart the rest of the quantum,
     //     starving MMIO- and trap-heavy phases (firmware boot, SBI calls) by a
-    //     factor of the batch cap.
+    //     factor of the batch cap. Interrupt lines refresh before every
+    //     continuation batch, as they do before every batch: a handler that
+    //     silences its interrupt (an mtimecmp or msip store) must not take the
+    //     stale line again after its mret.
     uint64_t quantum_rounds = 0;
-    for (unsigned i = 0; i < hart_count(); ++i) {
+    for (unsigned i = 0; i < count; ++i) {
       Hart& hart = *harts_[i];
-      uint64_t hr = results[i].executed;
-      retired += results[i].retired;
-      lifetime_retired_ += results[i].retired;
-      if (hart.ConsumeSyncPending() || results[i].last.trapped) {
-        while (hr < n && hart.cycles() < stops[i] && !hart.waiting() &&
-               !finisher_->finished()) {
-          const Hart::BatchResult cont = hart.RunBatch(n - hr, stops[i]);
-          hr += cont.executed;
-          retired += cont.retired;
-          lifetime_retired_ += cont.retired;
-          handle_trap(hart, cont.last);
+      Hart::BatchResult& result = results[i];
+      if (kMulti && (hart.ConsumeSyncPending() || result.last.trapped)) {
+        while (result.executed < n && hart.cycles() < stops[i] &&
+               !hart.waiting() && !finisher_->finished()) {
+          RefreshInterruptLines();
+          const Hart::BatchResult cont = hart.RunBatch(n - result.executed, stops[i]);
+          result.executed += cont.executed;
+          result.retired += cont.retired;
+          deliver_trap(hart, cont.last);
         }
       }
-      hart_rounds[i] = hr;
-      quantum_rounds = hr > quantum_rounds ? hr : quantum_rounds;
+      retired += result.retired;
+      lifetime_retired_ += result.retired;
+      quantum_rounds = result.executed > quantum_rounds ? result.executed : quantum_rounds;
     }
-    // Idle parity: in the per-round schedule a parked hart charges one cycle per
+    // Idle parity: in per-instruction rounds a parked hart charges one cycle per
     // round, so harts that parked partway through this quantum are charged the
     // rounds they idled through. This keeps hart clocks — and mtime, which follows
     // hart 0 — advancing while some harts park, so timers held by a parked hart
-    // still fire while its siblings compute.
-    for (unsigned i = 0; i < hart_count(); ++i) {
-      if (harts_[i]->waiting() && hart_rounds[i] < quantum_rounds) {
-        harts_[i]->csrs().AddCycles(quantum_rounds - hart_rounds[i]);
+    // still fire while its siblings compute. (A lone hart ran the whole quantum.)
+    bool parked = true;
+    for (unsigned i = 0; i < count; ++i) {
+      const bool waiting = harts_[i]->waiting();
+      if (waiting && results[i].executed < quantum_rounds) {
+        harts_[i]->csrs().AddCycles(quantum_rounds - results[i].executed);
       }
+      parked = parked && waiting;
+    }
+    // (d) Timebase and device ticks, from hart 0's clock. Most batches end within
+    //     a tick, so the division runs only once the next tick boundary is passed.
+    const uint64_t now = harts_[0]->cycles();
+    const uint64_t mtime = clint_->mtime();
+    if (mtime < max_tick && (mtime + 1) * tick_cycles <= now) {
+      clint_->set_mtime(now / tick_cycles);
+    }
+    if (blockdev_) {
+      blockdev_->Tick(clint_->mtime());
     }
     // A quantum advances wall-clock by its longest hart segment; count rounds so
     // the 4x round bound keeps its per-instruction meaning for the busiest hart.
     rounds += quantum_rounds;
     lifetime_rounds_ += quantum_rounds;
-    // (d) Timebase and device ticks, from hart 0's clock, exactly as StepAll does.
-    const uint64_t ticks_due = harts_[0]->cycles() / tick_cycles;
-    if (ticks_due > clint_->mtime()) {
-      clint_->set_mtime(ticks_due);
-    }
-    if (blockdev_) {
-      blockdev_->Tick(clint_->mtime());
-    }
-    // (e) Idle fast-forward when the whole machine parked (see FastForwardIdle);
-    //     slice mode stops at the park point instead (RunSlice).
-    bool all_waiting = true;
-    for (const auto& hart : harts_) {
-      all_waiting = all_waiting && hart->waiting();
-    }
-    bool stop_idle = false;
-    if (all_waiting && rounds < round_cap) {
-      if (slice_idle_stop_) {
-        stop_idle = IdleParked();
+    // (e) A parked machine burned its round on one idle cycle; jump straight to the
+    //     next wake candidate instead of taking one such round per cycle. Nothing
+    //     here observes the skipped rounds, so the full jump is exact (see
+    //     FastForwardIdle) — except a predicate, which may watch mtime: capped at
+    //     the next tick, it still observes every timebase value it would have seen
+    //     round by round. A slice instead stops at the park point and hands the
+    //     fast-forward decision to the scheduler (RunSlice).
+    bool idle = false;
+    if (parked && rounds < max_rounds) {
+      if (slice) {
+        idle = IdleParked();
       } else {
-        rounds += FastForwardIdle(round_cap - rounds);
-      }
-    }
-    TraceBarrier();
-    if (stop_idle) {
-      slice_went_idle_ = true;
-      report();
-      return false;
-    }
-    if (retired >= max_instructions || rounds >= round_cap) {
-      report();
-      if (!slice_idle_stop_) {
-        VFM_LOG_WARN("sim", "instruction budget exhausted (%llu instructions, %s)",
-                     static_cast<unsigned long long>(max_instructions),
-                     all_waiting ? "all harts idle" : "harts still running");
-      }
-      return false;
-    }
-  }
-  report();
-  return true;
-}
-
-bool Machine::RunUntil(const std::function<bool()>& predicate, uint64_t max_instructions) {
-  return RunUntil(predicate, max_instructions, 4 * max_instructions, nullptr);
-}
-
-bool Machine::RunUntil(const std::function<bool()>& predicate, uint64_t max_instructions,
-                       uint64_t max_rounds, RunProgress* progress) {
-  const bool traced =
-      BeginTracedRun(TraceRunKind::kRunUntil, max_instructions, max_rounds);
-  const bool stopped = RunUntilInner(predicate, max_instructions, max_rounds, progress);
-  if (traced) {
-    EndTracedRun();
-  }
-  return stopped;
-}
-
-bool Machine::RunUntilInner(const std::function<bool()>& predicate,
-                            uint64_t max_instructions, uint64_t max_rounds,
-                            RunProgress* progress) {
-  const uint64_t round_cap = max_rounds;
-  uint64_t retired = 0;
-  uint64_t rounds = 0;
-  const auto report = [&] {
-    if (progress != nullptr) {
-      progress->retired = retired;
-      progress->rounds = rounds;
-    }
-  };
-  // Check the finisher and predicate every round; rounds are cheap (hart_count ticks).
-  while (!finisher_->finished()) {
-    if (predicate()) {
-      report();
-      return true;
-    }
-    retired += StepAll();
-    ++rounds;
-    bool all_waiting = true;
-    for (const auto& hart : harts_) {
-      all_waiting = all_waiting && hart->waiting();
-    }
-    bool stop_idle = false;
-    if (all_waiting && rounds < round_cap) {
-      if (slice_idle_stop_) {
-        // Slice mode (multi-hart non-quantum machines run their slices through
-        // this loop): stop at the park point, the scheduler fast-forwards.
-        stop_idle = IdleParked();
-      } else {
-        // Idle fast-forward, capped at the next mtime tick: the predicate then
-        // still observes every timebase value it would have seen round by round
-        // (several callers watch mtime), it just skips the idle cycles in between.
-        const uint64_t next_tick_cycles =
-            (clint_->mtime() + 1) * config_.cost.mtime_tick_cycles;
-        const uint64_t now = harts_[0]->cycles();
-        uint64_t cap = round_cap - rounds;
-        if (next_tick_cycles > now && next_tick_cycles - now < cap) {
-          cap = next_tick_cycles - now;
+        uint64_t cap = max_rounds - rounds;
+        if (predicate != nullptr) {
+          const uint64_t next_tick_cycles = (clint_->mtime() + 1) * tick_cycles;
+          if (next_tick_cycles > now && next_tick_cycles - now < cap) {
+            cap = next_tick_cycles - now;
+          }
         }
         rounds += FastForwardIdle(cap);
       }
     }
-    if (stop_idle) {
-      slice_went_idle_ = true;
-      report();
-      return false;
+    TraceBarrier();
+    if (idle) {
+      stop = RunStop::kIdle;
+      break;
     }
     // The round bound also terminates a machine where every hart is parked in WFI.
-    if (retired >= max_instructions || rounds >= round_cap) {
-      report();
-      if (!slice_idle_stop_) {
+    if (retired >= max_instructions || rounds >= max_rounds) {
+      if (!slice) {
         VFM_LOG_WARN("sim", "instruction budget exhausted (%llu instructions, %s)",
                      static_cast<unsigned long long>(max_instructions),
-                     all_waiting ? "all harts idle" : "harts still running");
+                     parked ? "all harts idle" : "harts still running");
       }
-      return false;
+      stop = RunStop::kBudget;
+      break;
     }
   }
-  report();
-  return true;
+  if (progress != nullptr) {
+    progress->retired = retired;
+    progress->rounds = rounds;
+  }
+  return stop;
 }
 
 void Machine::SaveSnapshot(Snapshot& snapshot) {

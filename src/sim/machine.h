@@ -170,25 +170,30 @@ class Machine {
   // Loads a byte image into RAM.
   bool LoadImage(uint64_t addr, const std::vector<uint8_t>& image);
 
-  // Runs one round: each hart ticks once, device lines are refreshed, mtime advances.
-  // Returns the number of instructions retired this round (executed ticks that did
-  // not trap), so run loops can track budgets incrementally instead of re-summing
-  // every hart's minstret each round.
+  // Every run call below drives the one run loop (DESIGN.md §2i). A single hart runs
+  // batched (Hart::RunBatch): device/timer bookkeeping runs only at batch
+  // boundaries, which RunBatch's stop conditions make behaviour- and cycle-identical
+  // to per-instruction stepping, and batches are clamped to the instruction budget.
+  // Multi-hart machines run the deterministic quantum schedule: each hart privately
+  // executes a segment up to the next mtime-tick boundary — serially in hart order,
+  // or concurrently on the worker pool (tuning.parallel_harts), bit-identically —
+  // and all cross-hart effects apply at the barrier in canonical hart order. Quantum
+  // boundaries are guest-visible there, so a multi-hart run stops at the first
+  // barrier at or past its instruction budget.
+
+  // Runs one round — one instruction (or parked tick) per hart, then the barrier —
+  // unless the finisher has fired. Returns the number of instructions retired, so
+  // callers can track budgets incrementally instead of re-summing every hart's
+  // minstret each round.
   uint64_t StepAll();
 
   // Runs until the finisher fires or `max_instructions` retire (across all harts).
   // Returns true if the machine finished (as opposed to hitting the budget).
-  // Single-hart machines run batched (Hart::RunBatch): device/timer bookkeeping runs
-  // only at batch boundaries, which RunBatch's stop conditions make behaviour- and
-  // cycle-identical to per-instruction StepAll rounds. Multi-hart machines with
-  // tuning.quantum_harts or tuning.parallel_harts set run the deterministic quantum
-  // schedule instead (DESIGN.md §2i): each hart privately executes a segment up to
-  // the next mtime-tick boundary — serially in hart order, or concurrently on the
-  // worker pool, bit-identically — and all cross-hart effects apply at the barrier
-  // in canonical hart order.
   bool RunUntilFinished(uint64_t max_instructions);
 
   // Runs until `predicate` returns true, the finisher fires, or the budget runs out.
+  // Returns false only when the budget ran out. Batches are one instruction per
+  // hart, and the predicate is checked before each.
   bool RunUntil(const std::function<bool()>& predicate, uint64_t max_instructions);
 
   // Exact-resume run variants. A run with instruction budget B is bounded by B
@@ -323,14 +328,25 @@ class Machine {
  private:
   void RefreshInterruptLines();
 
-  // Bodies of the public run entry points. The public wrappers bracket them with
-  // the kRun/kRunDone trace events when a recording is active; the wrappers nest
-  // (multi-hart RunUntilFinished delegates to RunUntil, RunUntil steps via
-  // StepAll), so only the outermost call of a recording machine is traced.
-  bool RunUntilFinishedInner(uint64_t max_instructions, uint64_t max_rounds,
-                             RunProgress* progress);
-  bool RunUntilInner(const std::function<bool()>& predicate, uint64_t max_instructions,
-                     uint64_t max_rounds, RunProgress* progress);
+  // The one run loop behind StepAll, RunUntilFinished, RunUntil and RunSlice
+  // (DESIGN.md §2i). Per barrier: `predicate`, when given, is checked; every hart
+  // runs a batch of up to `batch_cap` instructions (a segment, with several harts);
+  // then traps are delivered, mtime and the block device tick, a parked machine
+  // fast-forwards (capped at the next mtime tick when a predicate watches), and the
+  // budget is checked. `slice` is RunSlice's mode: stop at whole-machine idle
+  // instead of fast-forwarding, and treat the budget as an expected stop rather
+  // than a warning. The loop brackets itself with the `kind` trace run event.
+  enum class RunStop { kFinished, kPredicate, kIdle, kBudget };
+  RunStop RunLoop(TraceRunKind kind, uint64_t max_instructions, uint64_t max_rounds,
+                  uint64_t batch_cap, const std::function<bool()>* predicate, bool slice,
+                  RunProgress* progress);
+  // RunLoop's body, compiled once per hart-count class (RunLoop picks by
+  // hart_count()): the single-hart copy drops segments, barrier continuations and
+  // idle parity, so a lone hart pays nothing per batch for the quantum machinery.
+  template <bool kMulti>
+  RunStop RunBarriers(uint64_t max_instructions, uint64_t max_rounds, uint64_t batch_cap,
+                      const std::function<bool()>* predicate, bool slice,
+                      RunProgress* progress);
 
   // -- Record/replay internals (DESIGN.md §2j). -------------------------------------
   struct Recorder;
@@ -338,9 +354,8 @@ class Machine {
   bool BeginTracedRun(TraceRunKind kind, uint64_t a, uint64_t b);
   void EndTracedRun();
   void RecordEvent(TraceEvent event);  // stamps the current coordinate, appends
-  // The per-barrier hook, called at every point the run loops return to serial
-  // machine-global state (end of a StepAll round, a single-hart batch boundary, a
-  // quantum barrier). Recording: emits blockdev-completion edges and periodic
+  // The per-barrier hook, called at every barrier of the run loop (and after a
+  // FastForwardIdleTo jump). Recording: emits blockdev-completion edges and periodic
   // state-hash checkpoints. Replay: consumes and verifies the checkpoints that
   // fall due at the current coordinate.
   void TraceBarrier();
@@ -354,25 +369,12 @@ class Machine {
   uint64_t HashRam() const;
   uint64_t HashBlockdevFull() const;
 
-  // The quantum run loop (DESIGN.md §2i), dispatched from RunUntilFinished for
-  // multi-hart machines when tuning.quantum_harts or tuning.parallel_harts is set.
-  // Per quantum: interrupt lines refresh, every hart privately executes a segment
-  // bounded by the batch cap and the next mtime-tick boundary (on its own clock),
-  // then the barrier applies cross-hart effects in canonical hart order — buffered
-  // stores, trap observer/owner callbacks, sync-pending tick replays, the mtime
-  // advance from hart 0's clock, and the block-device tick. parallel_harts runs the
-  // segments on the worker pool; the result is bit-identical to the serial order
-  // because segments only read frozen shared state (the barrier code is literally
-  // the same). SaveSnapshot/Fork need no special quiesce: workers only run inside
-  // the segment window of this loop, so any caller-visible moment is a barrier.
-  bool RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds, RunProgress* progress);
-
   // Parallel-hart worker pool, created lazily on the first parallel quantum. One
   // worker per hart 1..n-1 (the calling thread runs hart 0's segment). Epoch
-  // protocol: the coordinator publishes the per-quantum work under the mutex and
-  // bumps `epoch`; workers run their hart's segment and count into `done`. The
-  // mutex/condvar handoff establishes happens-before for everything a segment
-  // reads and writes.
+  // protocol: the coordinator publishes the per-quantum work (the batch cap here,
+  // segment_stops_) under the mutex and bumps `epoch`; workers run their hart's
+  // segment into segment_results_ and count into `done`. The mutex/condvar handoff
+  // establishes happens-before for everything a segment reads and writes.
   struct WorkerPool {
     std::mutex mutex;
     std::condition_variable work_cv;
@@ -381,8 +383,6 @@ class Machine {
     unsigned done = 0;
     uint64_t batch = 0;  // segment instruction cap this quantum
     bool shutdown = false;
-    std::vector<uint64_t> stops;  // per-hart absolute stop cycle, indexed by hart
-    std::vector<Hart::BatchResult> results;  // indexed by hart
     std::vector<std::thread> threads;
   };
   void EnsurePool();
@@ -391,8 +391,8 @@ class Machine {
   // WFI fast-forward: when every hart is parked with nothing pending, jumps all
   // clocks straight to the earliest future wake candidate (a timer comparator or the
   // block device deadline) instead of burning one round per idle cycle. Each skipped
-  // round charges exactly the one cycle per hart a parked StepAll round would, so the
-  // wake lands on the identical cycle count. Skips at most `max_rounds` rounds (the
+  // round charges exactly the one cycle per hart a parked round would, so the wake
+  // lands on the identical cycle count. Skips at most `max_rounds` rounds (the
   // caller's remaining round budget, or a tighter cap); returns the rounds skipped,
   // 0 when any hart is runnable or an enabled interrupt is already pending.
   uint64_t FastForwardIdle(uint64_t max_rounds);
@@ -414,12 +414,12 @@ class Machine {
   std::unique_ptr<Recorder> recorder_;  // non-null while recording
   ReplayCursor* replay_ = nullptr;      // non-null while ReplayFrom is running
   bool in_traced_run_ = false;          // a kRun event is open (outermost run call)
-  // RunSlice mode: the run loops stop at whole-machine idle instead of
-  // fast-forwarding, and budget exhaustion is an expected stop, not a warning.
-  bool slice_idle_stop_ = false;
-  bool slice_went_idle_ = false;
+  // Per-hart segment bounds and results of a multi-hart machine's current quantum,
+  // sized at construction; indexed by hart, shared with the worker pool.
+  std::vector<uint64_t> segment_stops_;
+  std::vector<Hart::BatchResult> segment_results_;
   // True exactly while hart segments are in flight; the Bus/Clint barrier-ordering
-  // asserts point here during the quantum loop (written only at serial points; the
+  // asserts of multi-hart machines point here (written only at serial points; the
   // pool's mutex handoff publishes it to workers).
   bool segment_in_flight_ = false;
 };

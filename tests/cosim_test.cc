@@ -66,8 +66,39 @@ TEST_F(CosimTest, SeedFileRoundTrips) {
   EXPECT_FALSE(ParseSeedFile("vfm-cosim v1\nbogus 3\n").ok());
 }
 
+// A 4-hart seed file replays (`cosim_fuzz --harts 4` saves them), and every
+// secondary runs its own echo loop: the wake counter in a secondary's save area
+// (gp+32) moves only once its own timer — the mtimecmp slot indexed by its mhartid —
+// has woken it past its first WFI.
+TEST_F(CosimTest, FourHartSeedFileReplaysAndWakesEverySecondary) {
+  GenOptions opts;
+  opts.harts = 4;
+  const CosimProgram p = GenerateProgram(0x4018, opts);
+  const std::string text = SaveSeedFile(p);
+  const Result<CosimProgram> replay = ParseSeedFile(text);
+  ASSERT_TRUE(replay.ok()) << replay.error();
+  EXPECT_EQ(replay.value().opts.harts, 4u);
+  std::string five = text;
+  five.replace(five.find("harts 4"), 7, "harts 5");
+  EXPECT_FALSE(ParseSeedFile(five).ok());
+
+  const Result<Image> image = BuildCosimImage(replay.value());
+  ASSERT_TRUE(image.ok()) << image.error();
+  Machine machine(CosimMachineConfig(replay.value(), *FindLockstepConfig("superblock")));
+  ASSERT_TRUE(machine.LoadImage(image.value().base, image.value().bytes));
+  machine.RunUntilFinished(replay.value().opts.budget);
+  for (unsigned hart = 2; hart < 4; ++hart) {
+    uint64_t wakes = 0;
+    ASSERT_TRUE(
+        machine.bus().ReadBytes(CosimLayout::kSavePhys + 64 * hart + 32, &wakes, sizeof wakes));
+    EXPECT_GT(wakes, 0u) << "hart " << hart << " never woke from its first WFI";
+  }
+  const CheckResult check = CheckProgram(replay.value());
+  EXPECT_TRUE(check.ok) << check.detail;
+}
+
 // A bounded smoke of the real fuzzing loop: every program must behave identically
-// across all four decode-cache x TLB configurations, and the aggregate run must
+// across every lockstep configuration, and the aggregate run must
 // actually exercise the machinery (programs finish, traps fire, the reference model
 // check engages).
 TEST_F(CosimTest, LockstepSmoke) {

@@ -1181,5 +1181,60 @@ TEST(IdleFastForwardTest, WakesOnExactCycleOfPerInstructionLoop) {
   EXPECT_EQ(fast_forwarded, stepped);
 }
 
+// -- Quantum barrier continuations (DESIGN.md §2i). --------------------------------
+
+TEST(QuantumScheduleTest, HandlerThatSilencesMtipTrapsOnce) {
+  // Hart 0 takes an M-timer interrupt mid-segment and finishes its quantum in a
+  // barrier continuation. Its handler silences MTIP with an mtimecmp store and
+  // returns with mret; the continuation must see the lowered line, or the stale
+  // MTIP traps again on every mret for the rest of the quantum.
+  const auto traps_taken = [](bool parallel) {
+    MachineConfig config;
+    config.hart_count = 2;
+    config.tuning.parallel_harts = parallel;
+    Machine machine(config);
+    constexpr uint64_t kClint = 0x200'0000;
+    Assembler a(kRam);
+    a.Csrr(t0, kCsrMhartid);
+    a.Bnez(t0, "park");
+    a.La(t1, "handler");
+    a.Csrw(kCsrMtvec, t1);
+    a.Li(s0, 0);  // handler entries
+    a.Li(t0, kClint + Clint::kMtimeOffset);
+    a.Ld(t1, t0, 0);
+    a.Addi(t1, t1, 20);
+    a.Li(t0, kClint + Clint::kMtimecmpBase);
+    a.Sd(t1, t0, 0);
+    a.Li(t2, uint64_t{1} << 7);  // mie.MTIE
+    a.Csrw(kCsrMie, t2);
+    a.Csrrsi(zero, kCsrMstatus, 8);  // mstatus.MIE
+    a.Li(t3, 20'000);
+    a.Bind("spin");
+    a.Addi(t3, t3, -1);
+    a.Bnez(t3, "spin");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    a.Bind("park");
+    a.Wfi();
+    a.J("park");
+    a.Bind("handler");
+    a.Addi(s0, s0, 1);
+    a.Li(t5, kClint + Clint::kMtimecmpBase);
+    a.Li(t6, ~uint64_t{0});
+    a.Sd(t6, t5, 0);
+    a.Mret();
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    for (unsigned i = 0; i < 2; ++i) {
+      machine.hart(i).set_pc(image.entry);
+    }
+    EXPECT_TRUE(machine.RunUntilFinished(1'000'000));
+    return machine.hart(0).gpr(s0);
+  };
+  EXPECT_EQ(traps_taken(/*parallel=*/false), 1u);
+  EXPECT_EQ(traps_taken(/*parallel=*/true), 1u);
+}
+
 }  // namespace
 }  // namespace vfm

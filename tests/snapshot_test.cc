@@ -521,7 +521,7 @@ TEST(MonitorSnapshotTest, MonitoredBootRoundTrips) {
 // Parallel-hart snapshots (DESIGN.md §2i): a machine running the quantum schedule on
 // the worker pool snapshots byte-identically to one running the same schedule
 // serially, at the same retired count. SaveSnapshot and Fork need no special
-// quiesce — workers only run inside the segment window of the quantum loop, so any
+// quiesce — workers only run inside the segment window of the run loop, so any
 // caller-visible moment is a barrier.
 
 std::vector<uint8_t> SnapshotRamBytes(const Snapshot& snapshot) {
@@ -539,7 +539,6 @@ std::vector<uint8_t> SnapshotRamBytes(const Snapshot& snapshot) {
 // up in RAM, not just in the hart state.
 System BootQuantumWorkload(bool parallel) {
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 4, false);
-  profile.machine.tuning.quantum_harts = !parallel;
   profile.machine.tuning.parallel_harts = parallel;
   profile.machine.tuning.max_batch_instructions = 4096;
   KernelConfig config;
@@ -663,22 +662,27 @@ TEST(SnapshotFileTest, RejectsConfigsTheMachineCannotRun) {
     EXPECT_FALSE(ReadSnapshotFile(path, &read_back, &snapshot_back)) << patch.what;
   }
 
-  // Version 1 of the config section (with three since-removed SimTuning fields) is
-  // rejected rather than misread.
+  // Older versions of the config section (version 1 with three since-removed
+  // SimTuning fields, version 2 with quantum_harts) are rejected rather than
+  // misread.
   const uint32_t tag = StateTag("MCFG");
   size_t tag_at = 0;
   while (tag_at + 8 <= good.size() && std::memcmp(good.data() + tag_at, &tag, 4) != 0) {
     ++tag_at;
   }
   ASSERT_LT(tag_at + 8, good.size());
-  std::vector<uint8_t> old_version = good;
-  const uint32_t version = 1;
-  std::memcpy(old_version.data() + tag_at + 4, &version, 4);
-  StateReader reader(old_version.data() + tag_at, old_version.size() - tag_at);
-  EXPECT_FALSE(ReadMachineConfig(reader, &read_back));
-  EXPECT_NE(reader.error().find("version 1"), std::string::npos) << reader.error();
-  ASSERT_TRUE(WriteTraceFile(path, old_version));
-  EXPECT_FALSE(ReadSnapshotFile(path, &read_back, &snapshot_back));
+  for (const uint32_t version : {1u, 2u}) {
+    std::vector<uint8_t> old_version = good;
+    std::memcpy(old_version.data() + tag_at + 4, &version, 4);
+    StateReader reader(old_version.data() + tag_at, old_version.size() - tag_at);
+    EXPECT_FALSE(ReadMachineConfig(reader, &read_back));
+    EXPECT_NE(reader.error().find("version " + std::to_string(version)), std::string::npos)
+        << reader.error();
+    EXPECT_NE(reader.error().find("re-record the snapshot"), std::string::npos)
+        << reader.error();
+    ASSERT_TRUE(WriteTraceFile(path, old_version));
+    EXPECT_FALSE(ReadSnapshotFile(path, &read_back, &snapshot_back));
+  }
 }
 
 // ---------------------------------------------------------------------------------

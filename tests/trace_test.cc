@@ -2,8 +2,8 @@
 // (truncated, corrupt, version-skewed, wrong machine config), record -> replay
 // bit-identity for bare and monitored runs, replay across mid-run snapshot points,
 // injected-divergence detection with exact (hart, retired, round) coordinates —
-// identical on the quantum and parallel tunings — and replay equality across the
-// full lockstep tuning matrix.
+// identical on the serial and parallel quantum engines — and replay equality
+// across the full lockstep tuning matrix.
 
 #include <gtest/gtest.h>
 
@@ -258,9 +258,9 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
   const Result<Image> image = BuildCosimImage(program);
   ASSERT_TRUE(image.ok()) << image.error();
 
-  const LockstepConfig* quantum = FindLockstepConfig("quantum");
+  const LockstepConfig* serial = FindLockstepConfig("superblock");
   const LockstepConfig* parallel = FindLockstepConfig("parallel");
-  ASSERT_NE(quantum, nullptr);
+  ASSERT_NE(serial, nullptr);
   ASSERT_NE(parallel, nullptr);
   auto machine_config = [&](const LockstepConfig& c) {
     MachineConfig mc;
@@ -271,7 +271,7 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
     return mc;
   };
 
-  Machine recorder(machine_config(*quantum));
+  Machine recorder(machine_config(*serial));
   ASSERT_TRUE(recorder.LoadImage(image.value().base, image.value().bytes));
   Machine::RunProgress progress;
   recorder.RunUntilFinished(2'000, 8'000, &progress);
@@ -283,7 +283,7 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
   recorder.StopRecording(&trace);
 
   ReplayResult results[2];
-  const LockstepConfig* replay_configs[2] = {quantum, parallel};
+  const LockstepConfig* replay_configs[2] = {serial, parallel};
   for (int i = 0; i < 2; ++i) {
     Machine machine(machine_config(*replay_configs[i]));
     results[i] = machine.ReplayFrom(anchor, trace, [&machine] {
@@ -374,12 +374,12 @@ TEST(CosimTraceTest, TwoHartQuantumToParallelCrossReplay) {
   gen.num_actions = 96;
   gen.budget = 20'000;
   const CosimProgram program = GenerateProgram(/*seed=*/0xabc1, gen);
-  const LockstepConfig* quantum = FindLockstepConfig("quantum");
+  const LockstepConfig* serial = FindLockstepConfig("superblock");
   const LockstepConfig* parallel = FindLockstepConfig("parallel");
-  ASSERT_NE(quantum, nullptr);
+  ASSERT_NE(serial, nullptr);
   ASSERT_NE(parallel, nullptr);
   const TracedRunResult traced =
-      RunProgramTraced(program, *quantum, *parallel, /*trace_at=*/800);
+      RunProgramTraced(program, *serial, *parallel, /*trace_at=*/800);
   ASSERT_TRUE(traced.error.empty()) << traced.error;
   EXPECT_TRUE(traced.replay.ok) << DescribeReplay(traced.replay);
 }

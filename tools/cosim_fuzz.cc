@@ -1,7 +1,8 @@
 // Co-simulation fuzzer CLI (DESIGN.md §2e). Generates seeded random guest programs
-// and runs each across every LockstepConfig (decode cache x TLB) plus the in-flight
-// reference-model check. On divergence, the failing program is ddmin-shrunk and saved
-// as a replayable seed file; `--replay <file>` reproduces it deterministically.
+// and runs each across every LockstepConfig (decode cache x TLB x superblock, and
+// the parallel worker pool) plus the in-flight reference-model check. On
+// divergence, the failing program is ddmin-shrunk and saved as a replayable seed
+// file; `--replay <file>` reproduces it deterministically.
 //
 //   cosim_fuzz --programs 500 --seed 1            # fuzz 500 programs
 //   cosim_fuzz --replay cosim-fail-0x2a.cosim     # reproduce a recorded failure
@@ -9,7 +10,7 @@
 //
 // Record/replay legs (DESIGN.md §2j): `--record DIR` additionally runs every program
 // with an anchor snapshot + input-event trace recorded mid-run and replayed on a
-// second machine (quantum-recorded traces replay on the parallel engine for
+// second machine (serial-quantum traces replay on the parallel engine for
 // multi-hart programs); a replay divergence persists DIR/trace-fail-<seed>.{snap,trace}
 // — a one-command repro via `--replay-trace` or tools/vfm_replay. `--trace-at N`
 // threads the trace leg through CheckProgram itself (all tunings), like the seed-file
@@ -58,7 +59,7 @@ constexpr uint64_t kDefaultRecordAnchor = 800;
 void Usage() {
   std::fprintf(stderr,
                "usage: cosim_fuzz [--programs N] [--seed S] [--actions N] [--budget N]\n"
-               "                  [--harts 1|2] [--snapshot-at N] [--trace-at N] [--fork-boot]\n"
+               "                  [--harts 1-4] [--snapshot-at N] [--trace-at N] [--fork-boot]\n"
                "                  [--replay FILE] [--corpus DIR]\n"
                "                  [--record DIR] [--replay-trace BASE]\n"
                "                  [--save-dir DIR] [--no-shrink]\n");
@@ -107,19 +108,19 @@ bool CheckAndReport(const vfm::CosimProgram& program, const Options& opts,
 
 // The --record leg: records `program` mid-run into a snapshot-anchored event trace
 // and replays it on a second machine. Single-hart programs record and replay on the
-// full superblock stack; multi-hart programs record on the serial quantum schedule and
-// replay on the parallel engine, so the replay verifier doubles as a cross-schedule
-// bit-identity check. A replay divergence is persisted as <dir>/trace-fail-<seed>
-// .snap/.trace (the trace ddmin-shrunk first) with a one-command repro line.
+// full superblock stack; multi-hart programs replay that recording of the serial
+// quantum schedule on the parallel engine, so the replay verifier doubles as a
+// worker-pool bit-identity check. A replay divergence is persisted as
+// <dir>/trace-fail-<seed>.snap/.trace (the trace ddmin-shrunk first) with a
+// one-command repro line.
 bool TraceAndReport(const vfm::CosimProgram& program, const Options& opts,
                     const char* origin) {
   const bool multi = program.opts.harts > 1;
-  const vfm::LockstepConfig* record_cfg =
-      vfm::FindLockstepConfig(multi ? "quantum" : "superblock");
+  const vfm::LockstepConfig* record_cfg = vfm::FindLockstepConfig("superblock");
   const vfm::LockstepConfig* replay_cfg =
       vfm::FindLockstepConfig(multi ? "parallel" : "superblock");
   if (record_cfg == nullptr || replay_cfg == nullptr) {
-    std::fprintf(stderr, "cosim_fuzz: lockstep config table is missing quantum/parallel\n");
+    std::fprintf(stderr, "cosim_fuzz: lockstep config table is missing superblock/parallel\n");
     return false;
   }
   const uint64_t trace_at = opts.trace_at != 0 ? opts.trace_at : kDefaultRecordAnchor;
@@ -226,7 +227,7 @@ bool ReplayFile(const std::string& path, const Options& opts) {
                   " retired instructions, replayed divergence-free on all %zu "
                   "configurations%s\n",
                   program.value().opts.trace_at, vfm::LockstepConfigs().size(),
-                  program.value().opts.harts > 1 ? " (plus quantum -> parallel cross-replay)"
+                  program.value().opts.harts > 1 ? " (plus superblock -> parallel cross-replay)"
                                                  : "");
     }
     return true;
@@ -257,6 +258,10 @@ int main(int argc, char** argv) {
       opts.budget = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--harts") {
       opts.harts = std::atoi(next());
+      if (opts.harts < 1 || opts.harts > 4) {  // what a seed file can replay
+        Usage();
+        return 2;
+      }
     } else if (arg == "--snapshot-at") {
       opts.snapshot_at = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--trace-at") {

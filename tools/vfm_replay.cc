@@ -6,8 +6,8 @@
 //
 // The machine is rebuilt from the config embedded in the snapshot file; `--tuning`
 // swaps in a named lockstep tuning (legal because the trace fingerprint deliberately
-// excludes tuning — replaying a quantum-recorded trace on the parallel engine is how
-// schedule divergences are localized). `--tamper-gpr R` flips hart 0's register R
+// excludes tuning — replaying a serially recorded trace on the parallel engine is
+// how worker-pool divergences are localized). `--tamper-gpr R` flips hart 0's register R
 // right after the restore, to demonstrate the verifier's divergence coordinate.
 // Exit status: 0 = replayed clean, 1 = diverged (first coordinate printed), 2 = error.
 //
