@@ -207,8 +207,12 @@ void WriteSimSpeedJson() {
   // segments long enough that the barrier is noise (with no timers armed the
   // quantum horizon is the batch cap), against the same 4-hart machine at one
   // instruction per quantum (the CI gate compares parallel against it at equal
-  // hart count).
+  // hart count). The short-segment pair caps quanta well below the worker pool's
+  // crossover (Machine::kMinPooledSegment): parallel_harts must then run them in
+  // hart order, as fast as the serial schedule, instead of paying a thread
+  // handoff per quantum.
   constexpr uint32_t kLongSegments = 65536;
+  constexpr uint32_t kShortSegments = 128;
   const double mips_per_instr_4h = MeasureMultiHartMips(4, false, 1);
   const double mips_quantum_2h = MeasureMultiHartMips(2, false, kLongSegments);
   const double mips_quantum_4h = MeasureMultiHartMips(4, false, kLongSegments);
@@ -216,6 +220,8 @@ void WriteSimSpeedJson() {
   const double mips_parallel_2h = MeasureMultiHartMips(2, true, kLongSegments);
   const double mips_parallel_4h = MeasureMultiHartMips(4, true, kLongSegments);
   const double mips_parallel_8h = MeasureMultiHartMips(8, true, kLongSegments);
+  const double mips_quantum_4h_short = MeasureMultiHartMips(4, false, kShortSegments);
+  const double mips_parallel_4h_short = MeasureMultiHartMips(4, true, kShortSegments);
 
   JsonResultWriter json("sim_speed");
   json.Add("instructions_retired", static_cast<double>(instructions));
@@ -255,6 +261,8 @@ void WriteSimSpeedJson() {
   json.Add("mips_parallel_2h", mips_parallel_2h);
   json.Add("mips_parallel_4h", mips_parallel_4h);
   json.Add("mips_parallel_8h", mips_parallel_8h);
+  json.Add("mips_quantum_4h_short", mips_quantum_4h_short);
+  json.Add("mips_parallel_4h_short", mips_parallel_4h_short);
   json.Add("parallel_per_hart_mips_4h", mips_parallel_4h / 4.0);
   json.Add("parallel_speedup_4h",
            mips_per_instr_4h > 0 ? mips_parallel_4h / mips_per_instr_4h : 0.0);

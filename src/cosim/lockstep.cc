@@ -59,9 +59,10 @@ const std::vector<LockstepConfig>& LockstepConfigs() {
       // Tiny everything: block aliasing, eviction and invalidation of live blocks.
       {"tiny-superblock",
        {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 4}},
-      // The full stack with each hart's quantum segment on its own host thread
-      // (DESIGN.md §2i): on multi-hart programs the worker pool must reproduce the
-      // serial quantum schedule bit for bit; single-hart programs ignore the knob.
+      // The full stack with parallel_harts: quanta long enough to pay for the
+      // handoff run each hart's segment on its own host thread (DESIGN.md §2i), and
+      // on multi-hart programs the worker pool must reproduce the serial quantum
+      // schedule bit for bit; single-hart programs ignore the knob.
       {"parallel", {.parallel_harts = true}},
   };
   return kConfigs;
@@ -464,6 +465,7 @@ TracedRunResult RunProgramTraced(const CosimProgram& program,
   // two tunings gets localized to its first differing coordinate.
   const std::unique_ptr<Machine> rep = MakeCosimMachine(program, replay_config);
   res.replay = rep->ReplayFrom(res.anchor, res.trace);
+  res.replay_pooled_quanta = rep->pooled_quanta();
   return res;
 }
 

@@ -133,6 +133,8 @@ struct TracedRunResult {
   ReplayResult replay;         // the replay verifier's verdict
   Snapshot anchor;             // the anchor snapshot the trace hangs off
   std::vector<uint8_t> trace;  // the serialized event log
+  // Quanta the replay ran on the worker pool (Machine::pooled_quanta).
+  uint64_t replay_pooled_quanta = 0;
 };
 TracedRunResult RunProgramTraced(const CosimProgram& program,
                                  const LockstepConfig& record_config,

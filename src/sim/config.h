@@ -52,10 +52,12 @@ struct SimTuning {
   // rounded up to a power of two; 0 disables. Blocks are built from decode-cache
   // entries, so they are also implicitly disabled when decode_cache_entries == 0.
   uint32_t superblock_entries = 2048;
-  // Runs each hart's quantum segment on its own host thread (DESIGN.md §2i). Never
-  // changes behaviour: segments only read frozen shared state, so the worker pool
-  // is bit-identical to running the segments serially in hart order. Ignored on
-  // single-hart machines.
+  // Lets long quanta run each hart's segment on its own host thread (DESIGN.md
+  // §2i): a quantum goes to the worker pool only when its segments may run at least
+  // Machine::kMinPooledSegment instructions, and shorter ones run in hart order on
+  // the calling thread. Never changes behaviour: segments only read frozen shared
+  // state, so the worker pool is bit-identical to running the segments serially in
+  // hart order. Ignored on single-hart machines.
   bool parallel_harts = false;
 };
 

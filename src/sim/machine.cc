@@ -633,10 +633,7 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
   // from each other; a lone hart needs none of them, and its copy of the loop
   // compiles them away.
   const unsigned count = kMulti ? hart_count() : 1;
-  const bool parallel = kMulti && config_.tuning.parallel_harts;
-  if (parallel) {
-    EnsurePool();
-  }
+  const bool may_pool = kMulti && config_.tuning.parallel_harts;
   const uint64_t tick_cycles = config_.cost.mtime_tick_cycles;
   const uint64_t max_tick = ~uint64_t{0} / tick_cycles;  // tick * tick_cycles fits
   // Per-hart segment bounds and results; the worker pool reads and writes the
@@ -722,7 +719,13 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
       stops[i] = SegmentStopCycles(*harts_[i], stop_delta);
     }
     // -- Segments: private per-hart execution, serial in hart order or on the pool;
-    // bit-identical either way because segments only read frozen shared state.
+    // bit-identical either way because segments only read frozen shared state. Every
+    // instruction charges at least one cycle, so no segment runs past
+    // min(n, stop_delta) instructions. Only a bound of kMinPooledSegment or more pays
+    // for the pool's thread handoff; shorter quanta (a monitor's one-tick horizon,
+    // per-instruction RunUntil/StepAll, a busy block device) run in hart order here.
+    const bool parallel =
+        may_pool && (n < stop_delta ? n : stop_delta) >= kMinPooledSegment;
     if constexpr (kMulti) {
       for (auto& hart : harts_) {
         hart->BeginSegment();
@@ -730,6 +733,8 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
       segment_in_flight_ = true;
     }
     if (parallel) {
+      EnsurePool();
+      ++pooled_quanta_;
       {
         std::lock_guard<std::mutex> lock(pool_->mutex);
         pool_->batch = n;

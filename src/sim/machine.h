@@ -175,11 +175,22 @@ class Machine {
   // boundaries, which RunBatch's stop conditions make behaviour- and cycle-identical
   // to per-instruction stepping, and batches are clamped to the instruction budget.
   // Multi-hart machines run the deterministic quantum schedule: each hart privately
-  // executes a segment up to the next mtime-tick boundary — serially in hart order,
-  // or concurrently on the worker pool (tuning.parallel_harts), bit-identically —
-  // and all cross-hart effects apply at the barrier in canonical hart order. Quantum
+  // executes a segment up to the quantum horizon — serially in hart order, or, when
+  // tuning.parallel_harts is set and the segments may run long enough to pay for
+  // the handoff, concurrently on the worker pool, bit-identically — and all
+  // cross-hart effects apply at the barrier in canonical hart order. Quantum
   // boundaries are guest-visible there, so a multi-hart run stops at the first
   // barrier at or past its instruction budget.
+
+  // Segment bound at which a quantum goes to the worker pool. A quantum's segments
+  // run at most min(batch cap, horizon in cycles) instructions each, since every
+  // instruction charges at least one cycle; below this bound the pool's thread
+  // handoff costs more than running the segments in hart order on the calling
+  // thread (the measured crossover, DESIGN.md §2i).
+  static constexpr uint64_t kMinPooledSegment = 2048;
+  // Quanta whose segments ran on the worker pool since construction. Host-side
+  // bookkeeping only: not part of snapshots, and a fork starts at 0.
+  uint64_t pooled_quanta() const { return pooled_quanta_; }
 
   // Runs one round — one instruction (or parked tick) per hart, then the barrier —
   // unless the finisher has fired. Returns the number of instructions retired, so
@@ -369,12 +380,14 @@ class Machine {
   uint64_t HashRam() const;
   uint64_t HashBlockdevFull() const;
 
-  // Parallel-hart worker pool, created lazily on the first parallel quantum. One
-  // worker per hart 1..n-1 (the calling thread runs hart 0's segment). Epoch
-  // protocol: the coordinator publishes the per-quantum work (the batch cap here,
-  // segment_stops_) under the mutex and bumps `epoch`; workers run their hart's
-  // segment into segment_results_ and count into `done`. The mutex/condvar handoff
-  // establishes happens-before for everything a segment reads and writes.
+  // Parallel-hart worker pool, created lazily on the first pooled quantum (one whose
+  // segment bound reaches kMinPooledSegment), so a machine whose quanta all stay
+  // short never starts a thread. One worker per hart 1..n-1 (the calling thread runs
+  // hart 0's segment). Epoch protocol: the coordinator publishes the per-quantum
+  // work (the batch cap here, segment_stops_) under the mutex and bumps `epoch`;
+  // workers run their hart's segment into segment_results_ and count into `done`.
+  // The mutex/condvar handoff establishes happens-before for everything a segment
+  // reads and writes.
   struct WorkerPool {
     std::mutex mutex;
     std::condition_variable work_cv;
@@ -408,6 +421,7 @@ class Machine {
   MmodeOwner* owner_ = nullptr;
   TrapObserver trap_observer_;
   std::unique_ptr<WorkerPool> pool_;
+  uint64_t pooled_quanta_ = 0;  // see pooled_quanta()
   // Machine-lifetime progress counters (see progress()); serialized in snapshots.
   uint64_t lifetime_retired_ = 0;
   uint64_t lifetime_rounds_ = 0;

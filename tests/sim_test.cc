@@ -5,10 +5,13 @@
 
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/asm/assembler.h"
 #include "src/common/bits.h"
+#include "src/kernel/kernel.h"
+#include "src/platform/platform.h"
 #include "src/sim/machine.h"
 #include "src/sim/mmu.h"
 
@@ -1188,7 +1191,8 @@ TEST(QuantumScheduleTest, HandlerThatSilencesMtipTrapsOnce) {
   // barrier continuation. Its handler silences MTIP with an mtimecmp store and
   // returns with mret; the continuation must see the lowered line, or the stale
   // MTIP traps again on every mret for the rest of the quantum.
-  const auto traps_taken = [](bool parallel) {
+  // Returns (handler entries, pooled quanta).
+  const auto run = [](bool parallel) {
     MachineConfig config;
     config.hart_count = 2;
     config.tuning.parallel_harts = parallel;
@@ -1230,10 +1234,149 @@ TEST(QuantumScheduleTest, HandlerThatSilencesMtipTrapsOnce) {
       machine.hart(i).set_pc(image.entry);
     }
     EXPECT_TRUE(machine.RunUntilFinished(1'000'000));
-    return machine.hart(0).gpr(s0);
+    return std::make_pair(machine.hart(0).gpr(s0), machine.pooled_quanta());
   };
-  EXPECT_EQ(traps_taken(/*parallel=*/false), 1u);
-  EXPECT_EQ(traps_taken(/*parallel=*/true), 1u);
+  EXPECT_EQ(run(/*parallel=*/false), std::make_pair(uint64_t{1}, uint64_t{0}));
+  const auto [traps, pooled] = run(/*parallel=*/true);
+  EXPECT_EQ(traps, 1u);
+  EXPECT_GE(pooled, 1u);  // the parallel leg does reach the worker pool
+}
+
+// -- Worker-pool dispatch (DESIGN.md §2i). ------------------------------------------
+// With parallel_harts a quantum goes to the pool only when its segment bound
+// reaches Machine::kMinPooledSegment; either way the run is bit-identical to the
+// serial hart order.
+
+std::vector<uint8_t> RamBytes(const Snapshot& snapshot) {
+  std::vector<uint8_t> all;
+  for (const auto& image : snapshot.ram) {
+    std::vector<uint8_t> bytes(image->size());
+    image->CopyTo(bytes.data());
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  }
+  return all;
+}
+
+void ExpectSameSnapshot(Machine& serial, Machine& parallel) {
+  Snapshot serial_snap, parallel_snap;
+  serial.SaveSnapshot(serial_snap);
+  parallel.SaveSnapshot(parallel_snap);
+  EXPECT_EQ(serial_snap.state, parallel_snap.state);
+  EXPECT_EQ(RamBytes(serial_snap), RamBytes(parallel_snap));
+}
+
+TEST(PoolDispatchTest, MonitoredMachineNeverReachesThePool) {
+  // Under a monitor every quantum ends at the next mtime tick (150 cycles on
+  // vf2-sim), far below the crossover: parallel_harts runs it all inline.
+  const auto boot = [](bool parallel) {
+    PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 4, false);
+    profile.machine.tuning.parallel_harts = parallel;
+    KernelConfig config;
+    config.base = profile.kernel_base;
+    config.hart_count = 4;
+    KernelBuilder kb(config);
+    kb.EmitStartSecondaries();
+    kb.EmitMemoryLoop(100'000'000);  // effectively endless
+    kb.EmitFinish(/*pass=*/true);
+    kb.DefineSecondaryMain();
+    kb.EmitComputeLoop(1'000'000'000, 16);
+    kb.EmitSecondaryPark();
+    return BootSystem(profile, DeployMode::kMiralis, kb.Finish());
+  };
+  System serial = boot(/*parallel=*/false);
+  System parallel = boot(/*parallel=*/true);
+  ASSERT_NE(parallel.monitor, nullptr);
+  const uint64_t budget = 1'200'000;
+  Machine::RunProgress sp, pp;
+  serial.machine->RunUntilFinished(budget, 4 * budget, &sp);
+  parallel.machine->RunUntilFinished(budget, 4 * budget, &pp);
+  ASSERT_FALSE(parallel.machine->finisher().finished());
+  ASSERT_EQ(sp.retired, pp.retired);
+  EXPECT_GE(pp.retired, 1'000'000u);
+  EXPECT_EQ(parallel.machine->pooled_quanta(), 0u);
+  ExpectSameSnapshot(*serial.machine, *parallel.machine);
+}
+
+TEST(PoolDispatchTest, ArmedTimerPhasesRunInlineAndMatchSerial) {
+  // Hart 0 alternates two phases. Armed: it keeps mtimecmp a few ticks (a few
+  // hundred cycles) ahead of its own clock, so the horizon keeps every quantum
+  // short. (It reads mcycle, not mtime: mtime is frozen for a quantum, so a
+  // deadline taken from it falls behind within one long quantum.) Disarmed: no
+  // comparator lies in the future, so the 4096-instruction batch cap sizes the
+  // quanta. Harts 1-3 count and publish their counts while reading hart 0's
+  // phase count, so the barrier's store order shows up in RAM.
+  constexpr uint64_t kClint = 0x200'0000;
+  constexpr uint64_t kData = kRam + 0x10'0000;
+  const auto build = [](bool parallel) {
+    MachineConfig config;
+    config.hart_count = 4;
+    config.tuning.parallel_harts = parallel;
+    auto machine = std::make_unique<Machine>(config);
+    Assembler a(kRam);
+    a.Li(t2, kData);
+    a.Csrr(t0, kCsrMhartid);
+    a.Bnez(t0, "worker");
+    a.Li(s2, kClint + Clint::kMtimecmpBase);
+    a.Li(s3, MachineConfig().cost.mtime_tick_cycles);
+    a.Bind("phase");
+    a.Li(s1, 512);
+    a.Bind("armed");
+    a.Csrr(t1, kCsrMcycle);
+    a.Divu(t1, t1, s3);  // hart 0's clock in ticks: mtime at the next barrier
+    a.Addi(t1, t1, 6);   // a few hundred cycles ahead
+    a.Sd(t1, s2, 0);
+    a.Li(t3, 60);
+    a.Bind("armed_spin");
+    a.Addi(t3, t3, -1);
+    a.Bnez(t3, "armed_spin");
+    a.Addi(s1, s1, -1);
+    a.Bnez(s1, "armed");
+    a.Li(t1, ~uint64_t{0});
+    a.Sd(t1, s2, 0);
+    a.Li(t3, 20'000);
+    a.Bind("disarmed_spin");
+    a.Addi(t3, t3, -1);
+    a.Bnez(t3, "disarmed_spin");
+    a.Addi(s4, s4, 1);
+    a.Sd(s4, t2, 0);
+    a.J("phase");
+    a.Bind("worker");
+    a.Slli(t1, t0, 3);
+    a.Add(t1, t1, t2);
+    a.Bind("count");
+    a.Addi(s0, s0, 1);
+    a.Sd(s0, t1, 0);
+    a.Ld(s5, t2, 0);
+    a.Add(s6, s6, s5);
+    a.J("count");
+    Image image = std::move(a.Finish()).value();
+    machine->LoadImage(image.base, image.bytes);
+    for (unsigned i = 0; i < 4; ++i) {
+      machine->hart(i).set_pc(image.entry);
+    }
+    return machine;
+  };
+  const std::unique_ptr<Machine> serial = build(/*parallel=*/false);
+  const std::unique_ptr<Machine> parallel = build(/*parallel=*/true);
+  // Short slices, so each phase spans many of them: a slice that retires work
+  // without a pooled quantum ran inline quanta only.
+  bool saw_inline = false;
+  bool saw_pooled = false;
+  uint64_t retired = 0;
+  while (retired < 1'500'000) {
+    const uint64_t pooled_before = parallel->pooled_quanta();
+    const Machine::SliceResult s = serial->RunSlice(2'000, 8'000);
+    const Machine::SliceResult p = parallel->RunSlice(2'000, 8'000);
+    ASSERT_EQ(s.retired, p.retired);
+    ASSERT_GT(p.retired, 0u);
+    (parallel->pooled_quanta() == pooled_before ? saw_inline : saw_pooled) = true;
+    retired += p.retired;
+  }
+  EXPECT_TRUE(saw_inline);
+  EXPECT_TRUE(saw_pooled);
+  EXPECT_GE(parallel->hart(0).gpr(s4), 2u);  // completed armed + disarmed phases
+  EXPECT_EQ(serial->pooled_quanta(), 0u);
+  ExpectSameSnapshot(*serial, *parallel);
 }
 
 }  // namespace

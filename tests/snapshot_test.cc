@@ -565,6 +565,7 @@ TEST(ParallelSnapshotTest, MidRunSnapshotMatchesQuantumSerial) {
   ASSERT_FALSE(serial.machine->finisher().finished());
   ASSERT_FALSE(parallel.machine->finisher().finished());
   ASSERT_EQ(sp.retired, pp.retired);  // identical schedule -> identical stop point
+  EXPECT_GE(parallel.machine->pooled_quanta(), 1u);
 
   Snapshot serial_snap, parallel_snap;
   serial.machine->SaveSnapshot(serial_snap);
@@ -582,6 +583,7 @@ TEST(ParallelSnapshotTest, ForkOfParallelMachineMatchesQuantumSerial) {
   serial.machine->RunUntilFinished(budget, 4 * budget, &sp);
   parallel.machine->RunUntilFinished(budget, 4 * budget, &pp);
   ASSERT_EQ(sp.retired, pp.retired);
+  EXPECT_GE(parallel.machine->pooled_quanta(), 1u);
 
   // Fork both machines mid-run; the children must hold identical state. (The
   // children are compared to each other, not to a direct parent save, because the

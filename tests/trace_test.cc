@@ -249,10 +249,11 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
   // Record a two-hart cosim program on the serial quantum schedule, then replay it
   // twice with the same injected tamper — once on the serial engine, once on the
   // parallel worker pool. Both must report the divergence at the same
-  // (hart, retired, round).
+  // (hart, retired, round). The program is long enough to still be running at the
+  // anchor, so the parallel replay hands quanta to the pool before the divergence.
   GenOptions gen;
   gen.harts = 2;
-  gen.num_actions = 96;
+  gen.num_actions = 160;
   gen.budget = 20'000;
   const CosimProgram program = GenerateProgram(/*seed=*/0x17ace, gen);
   const Result<Image> image = BuildCosimImage(program);
@@ -293,6 +294,9 @@ TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {
     SCOPED_TRACE(replay_configs[i]->name);
     EXPECT_FALSE(results[i].ok);
     EXPECT_TRUE(results[i].diverged) << results[i].error;
+    if (replay_configs[i] == parallel) {
+      EXPECT_GE(machine.pooled_quanta(), 1u);
+    }
   }
   EXPECT_EQ(results[0].hart, results[1].hart);
   EXPECT_EQ(results[0].retired, results[1].retired);
@@ -369,9 +373,10 @@ TEST(CosimTraceTest, TraceCarriesMidRunSnapshotPointAndInputs) {
 }
 
 TEST(CosimTraceTest, TwoHartQuantumToParallelCrossReplay) {
+  // Long enough that the replayed tail hands several quanta to the worker pool.
   GenOptions gen;
   gen.harts = 2;
-  gen.num_actions = 96;
+  gen.num_actions = 160;
   gen.budget = 20'000;
   const CosimProgram program = GenerateProgram(/*seed=*/0xabc1, gen);
   const LockstepConfig* serial = FindLockstepConfig("superblock");
@@ -382,6 +387,7 @@ TEST(CosimTraceTest, TwoHartQuantumToParallelCrossReplay) {
       RunProgramTraced(program, *serial, *parallel, /*trace_at=*/800);
   ASSERT_TRUE(traced.error.empty()) << traced.error;
   EXPECT_TRUE(traced.replay.ok) << DescribeReplay(traced.replay);
+  EXPECT_GE(traced.replay_pooled_quanta, 1u);
 }
 
 TEST(CosimTraceTest, SeedFileCarriesTraceKey) {

@@ -8,6 +8,7 @@
 // request due at start); --profile picks the per-request work (memcached,
 // redis); --json writes the stats as a flat JSON object.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,15 @@ int Usage() {
   return 2;
 }
 
+// Parses a count flag: a positive number, else 0 (empty, trailing junk, zero or out
+// of range), which the caller rejects with the usage text.
+unsigned ParseCount(const char* text) {
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 0);
+  return end != text && *end == '\0' && value <= UINT_MAX ? static_cast<unsigned>(value)
+                                                           : 0;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -46,9 +56,15 @@ int Main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--machines") {
-      config.machines = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+      config.machines = ParseCount(next());
+      if (config.machines == 0) {
+        return Usage();
+      }
     } else if (arg == "--workers") {
-      config.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+      config.workers = ParseCount(next());
+      if (config.workers == 0) {
+        return Usage();
+      }
     } else if (arg == "--requests") {
       config.requests_per_machine = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--rate") {

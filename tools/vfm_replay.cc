@@ -54,9 +54,17 @@ void Usage() {
   std::fprintf(stderr,
                "usage: vfm_replay --snapshot FILE --trace FILE [--tuning NAME] "
                "[--tamper-gpr R]\n"
-               "       vfm_replay --record DIR [--harts N] [--tuning NAME]\n"
+               "       vfm_replay --record DIR [--harts 1-64] [--tuning NAME]\n"
                "                  [--replay-tuning NAME] [--hash-period N]\n"
                "exit status: 0 replayed clean, 1 diverged, 2 error\n");
+}
+
+// Parses a count flag: a number in [1, max], else 0 (empty, trailing junk, zero or
+// out of range), which the caller rejects with the usage text.
+unsigned ParseCount(const char* text, unsigned long max) {
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 0);
+  return end != text && *end == '\0' && value <= max ? static_cast<unsigned>(value) : 0;
 }
 
 // Overlays one lockstep tuning point onto a MachineConfig (the same mapping the
@@ -209,10 +217,12 @@ int RecordMode(const Options& opts) {
   }
   vfm::Machine replayed(replay_config);
   const vfm::ReplayResult clean = replayed.ReplayFrom(snapshot, trace);
-  std::printf("  clean replay%s%s: %s (%" PRIu64 " checkpoints)\n",
+  std::printf("  clean replay%s%s: %s (%" PRIu64 " checkpoints, %" PRIu64
+              " quanta on the worker pool)\n",
               replay_tuning.empty() ? "" : " on ",
               replay_tuning.empty() ? "" : replay_tuning.c_str(),
-              vfm::DescribeReplay(clean).c_str(), clean.hashes_checked);
+              vfm::DescribeReplay(clean).c_str(), clean.hashes_checked,
+              replayed.pooled_quanta());
   if (!clean.ok) {
     return 1;
   }
@@ -270,7 +280,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay-tuning") {
       opts.replay_tuning = next();
     } else if (arg == "--harts") {
-      opts.harts = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+      opts.harts = ParseCount(next(), 64);  // the firmware's hart limit
+      if (opts.harts == 0) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--hash-period") {
       opts.hash_period = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--tamper-gpr") {
