@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "src/isa/csr.h"
-#include "src/isa/sbi.h"
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
 
@@ -63,35 +62,6 @@ Image BootLikeKernel(const PlatformProfile& profile) {
   return kb.Finish();
 }
 
-// Classifies a trap that reached M-mode, for native runs (the monitor classifies its
-// own in MonitorStats).
-OsTrapCause ClassifyNativeTrap(const Hart& hart, uint64_t cause) {
-  switch (static_cast<ExceptionCause>(cause)) {
-    case ExceptionCause::kEcallFromS: {
-      const uint64_t ext = hart.gpr(17);
-      if (ext == SbiExt::kTime) {
-        return OsTrapCause::kSetTimer;
-      }
-      if (ext == SbiExt::kIpi) {
-        return OsTrapCause::kIpi;
-      }
-      if (ext == SbiExt::kRfence) {
-        return OsTrapCause::kRemoteFence;
-      }
-      return OsTrapCause::kOther;
-    }
-    case ExceptionCause::kIllegalInstr: {
-      const DecodedInstr instr = Decode(static_cast<uint32_t>(hart.csrs().Get(kCsrMtval)));
-      return instr.csr == kCsrTime ? OsTrapCause::kTimeRead : OsTrapCause::kOther;
-    }
-    case ExceptionCause::kLoadAddrMisaligned:
-    case ExceptionCause::kStoreAddrMisaligned:
-      return OsTrapCause::kMisaligned;
-    default:
-      return OsTrapCause::kOther;
-  }
-}
-
 struct BootRun {
   uint64_t cycles = 0;
   double seconds = 0;
@@ -112,8 +82,11 @@ BootRun RunBoot(DeployMode mode, bool collect_windows) {
         return;
       }
       // Only count traps from outside the firmware (the OS): the firmware runs in
-      // M-mode natively, so its own re-entries never trap.
-      ++native_counts[static_cast<unsigned>(ClassifyNativeTrap(hart, step.trap_cause))];
+      // M-mode natively, so its own re-entries never trap. The monitor classifies
+      // its own with the same rules (MonitorStats).
+      const OsTrapCause cause = ClassifyOsTrap(step.trap_cause, hart.csrs().Get(kCsrMtval),
+                                               hart.gpr(17), hart.gpr(16));
+      ++native_counts[static_cast<unsigned>(cause)];
     });
   }
 

@@ -39,7 +39,7 @@ Image EnclaveHostKernel(const PlatformProfile& profile, uint64_t payload_entry) 
   a.Li(a6, KeystoneFunc::kRunEnclave);
   a.Ecall();
   a.Bind("f14_check");
-  a.Li(t0, KeystoneExitReason::kDone);
+  a.Li(t0, DomainExit::kDone);
   a.Beq(a1, t0, "f14_done");
   a.Mv(a0, s10);
   a.Li(a7, kKeystoneSbiExt);
@@ -105,8 +105,7 @@ struct Fig14Result {
 Fig14Result RunEnclave(const Rv8Kernel& kernel) {
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
   const Image payload = BuildRv8Payload(profile.enclave_base, kernel);
-  KeystoneConfig kc;
-  KeystonePolicy policy(kc);
+  KeystonePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis,
                              EnclaveHostKernel(profile, payload.entry),
                              FirmwareKind::kOpenSbiSim, &policy);

@@ -80,14 +80,13 @@ int main() {
   a.Li(a7, kAceSbiExt);
   a.Li(a6, AceFunc::kRunCvm);
   a.Ecall();
-  a.Li(t0, AceExitReason::kDone);
+  a.Li(t0, DomainExit::kDone);
   a.Bne(a1, t0, "cvm_run");  // interrupted or yielded: schedule it again
   kb.EmitStoreResult(KernelSlots::kScratch);
   kb.EmitPrint("host: CVM exited\n");
   kb.EmitFinish(/*pass=*/true);
 
-  AceConfig ace_config;
-  AcePolicy policy(ace_config);
+  AcePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish(),
                              FirmwareKind::kOpenSbiSim, &policy);
   system.machine->uart().set_echo(true);
@@ -102,7 +101,7 @@ int main() {
   }
 
   std::printf("\n--- ACE demo summary ---------------------------------------\n");
-  std::printf("CVM measurement (SHA-256): %s\n", policy.measurement(0).c_str());
+  std::printf("CVM measurement (SHA-256): %s\n", policy.measurement().c_str());
   std::printf("CVM exit value:            0x%llx\n",
               static_cast<unsigned long long>(system.ReadResult(KernelSlots::kScratch)));
   std::printf("threat model: host hypervisor AND vendor firmware are excluded from the "

@@ -43,7 +43,7 @@ int main() {
   a.Li(a6, KeystoneFunc::kRunEnclave);
   a.Ecall();
   a.Bind("resume_loop");
-  a.Li(t0, KeystoneExitReason::kDone);
+  a.Li(t0, DomainExit::kDone);
   a.Beq(a1, t0, "enclave_done");
   a.Mv(a0, s10);
   a.Li(a7, kKeystoneSbiExt);
@@ -55,8 +55,7 @@ int main() {
   kb.EmitPrint("host: enclave finished\n");
   kb.EmitFinish(/*pass=*/true);
 
-  KeystoneConfig keystone_config;
-  KeystonePolicy policy(keystone_config);
+  KeystonePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish(),
                              FirmwareKind::kOpenSbiSim, &policy);
   system.machine->uart().set_echo(true);
@@ -71,7 +70,7 @@ int main() {
   }
 
   std::printf("\n--- keystone demo summary ----------------------------------\n");
-  std::printf("enclave measurement (SHA-256): %s\n", policy.measurement(0).c_str());
+  std::printf("enclave measurement (SHA-256): %s\n", policy.measurement().c_str());
   std::printf("enclave exit value:            0x%llx\n",
               static_cast<unsigned long long>(system.ReadResult(KernelSlots::kScratch)));
   std::printf("timer ticks during the run:    %llu (each preempted + resumed the enclave)\n",

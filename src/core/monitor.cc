@@ -23,46 +23,8 @@ constexpr unsigned kA1 = 11;
 constexpr unsigned kA6 = 16;
 constexpr unsigned kA7 = 17;
 
-unsigned LoadStoreSize(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLw:
-    case Op::kLwu:
-    case Op::kSw:
-      return 4;
-    case Op::kLd:
-    case Op::kSd:
-      return 8;
-    default:
-      return 0;
-  }
-}
-
-bool IsLoadOp(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool OffloadAllowed(const MonitorConfig& config, OsTrapCause cause) {
-  return config.offload_enabled &&
-         (config.offload_mask & (uint32_t{1} << static_cast<unsigned>(cause))) != 0;
+  return (config.offload_mask & (uint32_t{1} << static_cast<unsigned>(cause))) != 0;
 }
 
 // Snapshots the trap the hart just delivered to M-mode from its machine CSRs.
@@ -97,6 +59,34 @@ const char* OsTrapCauseName(OsTrapCause cause) {
       break;
   }
   return "?";
+}
+
+OsTrapCause ClassifyOsTrap(uint64_t cause, uint64_t tval, uint64_t ext, uint64_t fid) {
+  switch (static_cast<ExceptionCause>(cause)) {
+    case ExceptionCause::kEcallFromU:
+    case ExceptionCause::kEcallFromS:
+    case ExceptionCause::kEcallFromVs:
+      if (ext == SbiExt::kTime && fid == SbiFunc::kSetTimer) {
+        return OsTrapCause::kSetTimer;
+      }
+      if (ext == SbiExt::kIpi) {
+        return OsTrapCause::kIpi;
+      }
+      return ext == SbiExt::kRfence ? OsTrapCause::kRemoteFence : OsTrapCause::kOther;
+    case ExceptionCause::kIllegalInstr: {
+      const DecodedInstr instr = Decode(static_cast<uint32_t>(tval));
+      const bool time_read =
+          (instr.op == Op::kCsrrs || instr.op == Op::kCsrrw || instr.op == Op::kCsrrc ||
+           instr.op == Op::kCsrrsi || instr.op == Op::kCsrrci) &&
+          instr.csr == kCsrTime;
+      return time_read ? OsTrapCause::kTimeRead : OsTrapCause::kOther;
+    }
+    case ExceptionCause::kLoadAddrMisaligned:
+    case ExceptionCause::kStoreAddrMisaligned:
+      return OsTrapCause::kMisaligned;
+    default:
+      return OsTrapCause::kOther;
+  }
 }
 
 Monitor::Monitor(Machine* machine, const MonitorConfig& config)
@@ -352,15 +342,15 @@ void Monitor::HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap) {
 bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
     return false;  // not a plain load/store (e.g. an AMO): not emulated
   }
+  const unsigned size = AccessSize(instr.op);
   const uint64_t offset = addr - machine_->config().map.clint_base;
   ++stats_.mmio_emulations;
   ChargeCsrAccesses(hart, 6);
 
-  if (IsLoadOp(instr.op)) {
+  if (IsLoad(instr.op)) {
     uint64_t value = 0;
     if (!vclint_.Read(offset, size, &value)) {
       return false;
@@ -393,10 +383,10 @@ bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
 bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
     return false;
   }
+  const unsigned size = AccessSize(instr.op);
   ++stats_.mprv_emulations;
   const uint64_t vmstatus = hs.vctx.csrs().mstatus();
   const PrivMode eff_priv = static_cast<PrivMode>(
@@ -413,7 +403,7 @@ bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
     vbank.SetAddr(i, vcsr.pmpaddr(i));
   }
 
-  const bool is_load = IsLoadOp(instr.op);
+  const bool is_load = IsLoad(instr.op);
   uint64_t assembled = 0;
   for (unsigned i = 0; i < size; ++i) {
     machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access +
@@ -477,44 +467,22 @@ void Monitor::HandleOsTrap(Hart& hart) {
     case ExceptionCause::kEcallFromS:
     case ExceptionCause::kEcallFromU:
     case ExceptionCause::kEcallFromVs:
-      HandleOsEcall(hart);
-      return;
-    case ExceptionCause::kIllegalInstr: {
-      const DecodedInstr instr = Decode(static_cast<uint32_t>(trap.tval));
-      const bool time_read =
-          (instr.op == Op::kCsrrs || instr.op == Op::kCsrrw || instr.op == Op::kCsrrc ||
-           instr.op == Op::kCsrrsi || instr.op == Op::kCsrrci) &&
-          instr.csr == kCsrTime;
-      if (time_read) {
-        RecordOsTrap(OsTrapCause::kTimeRead);
-        if (OffloadAllowed(config_, OsTrapCause::kTimeRead) &&
-            FastPathTimeRead(hart, instr)) {
-          return;
-        }
-      } else {
-        RecordOsTrap(OsTrapCause::kOther);
-      }
-      WorldSwitchToFirmware(hart, trap);
-      return;
-    }
-    case ExceptionCause::kLoadAddrMisaligned:
-    case ExceptionCause::kStoreAddrMisaligned:
-      RecordOsTrap(OsTrapCause::kMisaligned);
-      if (OffloadAllowed(config_, OsTrapCause::kMisaligned) &&
-          EmulateMisalignedOs(hart, trap)) {
-        return;
-      }
-      WorldSwitchToFirmware(hart, trap);
+      HandleOsEcall(hart, trap);
       return;
     default:
-      RecordOsTrap(OsTrapCause::kOther);
-      WorldSwitchToFirmware(hart, trap);
-      return;
+      break;
   }
+  const OsTrapCause cause = ClassifyOsTrap(trap.cause, trap.tval, 0, 0);
+  RecordOsTrap(cause);
+  if (OffloadAllowed(config_, cause) &&
+      ((cause == OsTrapCause::kTimeRead && FastPathTimeRead(hart, trap)) ||
+       (cause == OsTrapCause::kMisaligned && EmulateMisalignedOs(hart, trap)))) {
+    return;
+  }
+  WorldSwitchToFirmware(hart, trap);
 }
 
-void Monitor::HandleOsEcall(Hart& hart) {
-  HartState& hs = state(hart);
+void Monitor::HandleOsEcall(Hart& hart, const TrapInfo& trap) {
   const uint64_t ext = hart.gpr(kA7);
   const uint64_t fid = hart.gpr(kA6);
 
@@ -522,24 +490,13 @@ void Monitor::HandleOsEcall(Hart& hart) {
       policy_->OnOsEcall(*this, hart.index()) == PolicyDecision::kHandled) {
     return;
   }
-
-  if (ext == SbiExt::kTime && fid == SbiFunc::kSetTimer) {
-    RecordOsTrap(OsTrapCause::kSetTimer);
-  } else if (ext == SbiExt::kIpi) {
-    RecordOsTrap(OsTrapCause::kIpi);
-  } else if (ext == SbiExt::kRfence) {
-    RecordOsTrap(OsTrapCause::kRemoteFence);
-  } else {
-    RecordOsTrap(OsTrapCause::kOther);
-  }
-
+  RecordOsTrap(ClassifyOsTrap(trap.cause, trap.tval, ext, fid));
   if (FastPathSbi(hart, ext, fid)) {
     return;
   }
-  (void)hs;
-  TrapInfo trap = CurrentMachineTrap(hart);
-  trap.tval = 0;  // ecalls carry no tval
-  WorldSwitchToFirmware(hart, trap);
+  TrapInfo reinjected = trap;
+  reinjected.tval = 0;  // ecalls carry no tval
+  WorldSwitchToFirmware(hart, reinjected);
 }
 
 bool Monitor::FastPathSbi(Hart& hart, uint64_t ext, uint64_t fid) {
@@ -614,8 +571,9 @@ bool Monitor::FastPathSbi(Hart& hart, uint64_t ext, uint64_t fid) {
   return false;  // not a fast-path call: re-inject into the virtual firmware
 }
 
-bool Monitor::FastPathTimeRead(Hart& hart, const DecodedInstr& instr) {
+bool Monitor::FastPathTimeRead(Hart& hart, const TrapInfo& trap) {
   // Only the plain read forms are offloaded (writes to `time` are not legal anyway).
+  const DecodedInstr instr = Decode(static_cast<uint32_t>(trap.tval));
   const bool write_form = instr.op == Op::kCsrrw || instr.rs1 != 0;
   if (write_form) {
     return false;
@@ -639,14 +597,11 @@ bool Monitor::EmulateMisalignedOs(Hart& hart, const TrapInfo& trap) {
     return false;
   }
   const DecodedInstr instr = Decode(static_cast<uint32_t>(word));
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
-    return false;
-  }
   const bool is_load = trap.cause == CauseValue(ExceptionCause::kLoadAddrMisaligned);
-  if (is_load != IsLoadOp(instr.op)) {
+  if (is_load ? !IsLoad(instr.op) : !IsStore(instr.op)) {
     return false;
   }
+  const unsigned size = AccessSize(instr.op);
 
   uint64_t assembled = 0;
   for (unsigned i = 0; i < size; ++i) {
@@ -922,7 +877,7 @@ void Monitor::DenyAction(Hart& hart, const char* what, uint64_t detail) {
   HartState& hs = state(hart);
   if (hs.in_firmware) {
     const DecodedInstr instr = FetchFirmwareInstr(hart);
-    if (IsLoadOp(instr.op)) {
+    if (IsLoad(instr.op)) {
       hart.set_gpr(instr.rd, 0);
     }
     hs.vctx.set_pc(hart.csrs().mepc() + 4);
@@ -935,12 +890,12 @@ void Monitor::DenyAction(Hart& hart, const char* what, uint64_t detail) {
 bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
     return false;
   }
+  const unsigned size = AccessSize(instr.op);
   ChargeCsrAccesses(hart, 4);
-  if (IsLoadOp(instr.op)) {
+  if (IsLoad(instr.op)) {
     uint64_t value = 0;
     if (!machine_->bus().Read(addr, size, &value)) {
       return false;

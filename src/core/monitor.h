@@ -40,11 +40,9 @@ struct MonitorConfig {
   uint64_t monitor_size = 1 << 20;
   // Entry point of the (second-stage) vendor firmware image, entered in vM-mode.
   uint64_t firmware_entry = 0;
-  // Fast-path offloading of the five dominant trap causes (§3.4). Disabling this is
-  // the "MIRALIS no-offload" configuration of the evaluation.
-  bool offload_enabled = true;
-  // Fine-grained ablation control: a bit per OsTrapCause. A cause is offloaded only
-  // when offload_enabled is set AND its bit is set (default: all causes).
+  // Fast-path offloading of the five dominant trap causes (§3.4): a bit per
+  // OsTrapCause, and a cause is offloaded only when its bit is set (default: all
+  // causes). Mask 0 is the "MIRALIS no-offload" configuration of the evaluation.
   uint32_t offload_mask = ~uint32_t{0};
   // When a policy denies an action: stop the machine (development behaviour) or log
   // and return arbitrary values (the production behaviour sketched in §5.2).
@@ -63,6 +61,11 @@ enum class OsTrapCause : unsigned {
 };
 
 const char* OsTrapCauseName(OsTrapCause cause);
+
+// The Figure-3 category of an OS trap that reached M-mode: `cause` and `tval` are its
+// mcause and mtval, and `ext`/`fid` the SBI extension and function (a7/a6) of an
+// ecall. The monitor's statistics and the native trace of Figure 3 both use it.
+OsTrapCause ClassifyOsTrap(uint64_t cause, uint64_t tval, uint64_t ext, uint64_t fid);
 
 struct MonitorStats {
   uint64_t os_traps = 0;              // traps from direct execution into the monitor
@@ -159,9 +162,9 @@ class Monitor : public MmodeOwner {
   void HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap);
   bool EmulateVirtClintAccess(Hart& hart, uint64_t addr);
   bool EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr);
-  void HandleOsEcall(Hart& hart);
+  void HandleOsEcall(Hart& hart, const TrapInfo& trap);
   bool FastPathSbi(Hart& hart, uint64_t ext, uint64_t fid);
-  bool FastPathTimeRead(Hart& hart, const DecodedInstr& instr);
+  bool FastPathTimeRead(Hart& hart, const TrapInfo& trap);
 
   // World switches.
   void WorldSwitchToOs(Hart& hart);

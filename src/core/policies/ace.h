@@ -2,6 +2,7 @@
 // ports the ACE security-monitor model: the host hypervisor schedules CVMs but cannot
 // access their memory, and — going beyond the original ACE — the vendor firmware is
 // also excluded from the CVM's TCB because it runs deprivileged under the monitor.
+// CVMs are isolated domains (domain.h) that run in VS-mode and own vsatp and hgatp.
 //
 // Platform requirement: the H extension (VS-mode) in the machine configuration. As in
 // our simulator's documented H subset, guest-physical addresses map 1:1 (hgatp bare)
@@ -11,13 +12,9 @@
 #ifndef SRC_CORE_POLICIES_ACE_H_
 #define SRC_CORE_POLICIES_ACE_H_
 
-#include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/core/monitor.h"
-#include "src/core/policy.h"
+#include "src/core/policies/domain.h"
 
 namespace vfm {
 
@@ -26,68 +23,27 @@ constexpr uint64_t kAceSbiExt = 0x414345;
 
 struct AceFunc {
   static constexpr uint64_t kCreateCvm = 0;   // a0 = base, a1 = size, a2 = entry
-  static constexpr uint64_t kRunCvm = 1;      // a0 = id
+  static constexpr uint64_t kRunCvm = 1;      // a0 = id: starts or continues the CVM
   static constexpr uint64_t kDestroyCvm = 2;  // a0 = id
   // CVM-side (ecall from VS-mode).
   static constexpr uint64_t kCvmExit = 16;    // a0 = exit value
   static constexpr uint64_t kCvmYield = 17;
 };
 
-struct AceExitReason {
-  static constexpr uint64_t kDone = 0;
-  static constexpr uint64_t kInterrupted = 1;
-  static constexpr uint64_t kYielded = 2;
-};
-
-struct AceConfig {
-  unsigned max_cvms = 4;
-};
-
-class AcePolicy : public PolicyModule {
+class AcePolicy : public DomainPolicy {
  public:
-  explicit AcePolicy(const AceConfig& config);
-
-  const char* name() const override { return "ace"; }
-  void OnInit(Monitor& monitor) override;
-
-  PolicyDecision OnOsEcall(Monitor& monitor, unsigned hart) override;
-  PolicyDecision OnOsTrap(Monitor& monitor, unsigned hart, const TrapInfo& trap) override;
-  PolicyDecision OnInterrupt(Monitor& monitor, unsigned hart, const TrapInfo& trap) override;
-
-  PmpRegionRequest PolicySlot(unsigned hart) override;
-  bool SuppressVpmp(unsigned hart) override;
-
-  bool cvm_running(unsigned hart) const { return running_[hart] >= 0; }
-  const std::string& measurement(unsigned id) const { return cvms_[id].measurement; }
-
- private:
-  struct Cvm {
-    bool used = false;
-    uint64_t base = 0;
-    uint64_t size = 0;
-    uint64_t entry = 0;
-    bool started = false;
-    std::array<uint64_t, 32> gprs = {};
-    uint64_t pc = 0;
-    uint64_t vsatp = 0;
-    std::string measurement;
-  };
-
-  struct HostContext {
-    std::array<uint64_t, 32> gprs = {};
-    uint64_t resume_pc = 0;
-    uint64_t medeleg = 0;
-  };
-
-  int64_t CreateCvm(Monitor& monitor, uint64_t base, uint64_t size, uint64_t entry);
-  void EnterCvm(Monitor& monitor, unsigned hart, unsigned id, bool fresh);
-  void LeaveCvm(Monitor& monitor, unsigned hart, uint64_t status, uint64_t value,
-                bool resumable);
-
-  AceConfig config_;
-  std::vector<Cvm> cvms_;
-  std::vector<int> running_;
-  std::vector<HostContext> host_ctx_;
+  AcePolicy()
+      : DomainPolicy({.name = "ace",
+                      .ext = kAceSbiExt,
+                      .create = AceFunc::kCreateCvm,
+                      .destroy = AceFunc::kDestroyCvm,
+                      .run = AceFunc::kRunCvm,
+                      .resume = AceFunc::kRunCvm,
+                      .exit = AceFunc::kCvmExit,
+                      .yield = AceFunc::kCvmYield,
+                      .vs_mode = true,
+                      .translation_csrs = {kCsrVsatp, kCsrHgatp},
+                      .switch_csr_accesses = 48}) {}
 };
 
 }  // namespace vfm

@@ -1,21 +1,17 @@
 // The Keystone policy (paper §5.3): a re-implementation of the Keystone security
 // monitor as a policy module, adding enclave support to the monitor. Enclaves are
-// physically-contiguous memory regions protected by a policy PMP entry that takes
-// priority over the virtual PMPs, shielding the enclave from both the OS and the
-// firmware. The SBI interface mirrors Keystone's create/run/resume/destroy lifecycle;
-// attestation is limited to a SHA-256 measurement at creation (as in the paper, the
-// full attestation flow is out of scope).
+// isolated domains (domain.h) that run in U-mode with translation off (satp = 0),
+// shielded from both the OS and the firmware. The SBI interface mirrors Keystone's
+// create/run/resume/destroy lifecycle; attestation is limited to a SHA-256
+// measurement at creation (as in the paper, the full attestation flow is out of
+// scope).
 
 #ifndef SRC_CORE_POLICIES_KEYSTONE_H_
 #define SRC_CORE_POLICIES_KEYSTONE_H_
 
-#include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/core/monitor.h"
-#include "src/core/policy.h"
+#include "src/core/policies/domain.h"
 
 namespace vfm {
 
@@ -26,71 +22,27 @@ constexpr uint64_t kKeystoneSbiExt = 0x08424B45;
 struct KeystoneFunc {
   static constexpr uint64_t kCreateEnclave = 2001;
   static constexpr uint64_t kDestroyEnclave = 2002;
-  static constexpr uint64_t kRunEnclave = 2003;
-  static constexpr uint64_t kResumeEnclave = 2005;
+  static constexpr uint64_t kRunEnclave = 2003;     // starts at the entry point
+  static constexpr uint64_t kResumeEnclave = 2005;  // continues a started enclave
   // Enclave-side calls.
   static constexpr uint64_t kStopEnclave = 3004;   // voluntary yield
   static constexpr uint64_t kExitEnclave = 3006;   // terminal exit with a value
 };
 
-// Values returned in a1 by run/resume describing why control returned to the host.
-struct KeystoneExitReason {
-  static constexpr uint64_t kDone = 0;         // enclave exited; a0 holds its value
-  static constexpr uint64_t kInterrupted = 1;  // preempted; call resume to continue
-  static constexpr uint64_t kYielded = 2;      // enclave stopped voluntarily
-};
-
-struct KeystoneConfig {
-  unsigned max_enclaves = 8;
-};
-
-class KeystonePolicy : public PolicyModule {
+class KeystonePolicy : public DomainPolicy {
  public:
-  explicit KeystonePolicy(const KeystoneConfig& config);
-
-  const char* name() const override { return "keystone"; }
-  void OnInit(Monitor& monitor) override;
-
-  PolicyDecision OnOsEcall(Monitor& monitor, unsigned hart) override;
-  PolicyDecision OnOsTrap(Monitor& monitor, unsigned hart, const TrapInfo& trap) override;
-  PolicyDecision OnInterrupt(Monitor& monitor, unsigned hart, const TrapInfo& trap) override;
-
-  PmpRegionRequest PolicySlot(unsigned hart) override;
-  bool SuppressVpmp(unsigned hart) override;
-
-  // Introspection for tests and benches.
-  bool enclave_running(unsigned hart) const { return running_[hart] >= 0; }
-  unsigned enclave_count() const;
-  const std::string& measurement(unsigned eid) const { return enclaves_[eid].measurement; }
-
- private:
-  struct Enclave {
-    bool used = false;
-    uint64_t base = 0;
-    uint64_t size = 0;
-    uint64_t entry = 0;
-    bool started = false;
-    std::array<uint64_t, 32> gprs = {};
-    uint64_t pc = 0;
-    std::string measurement;
-  };
-
-  struct HostContext {
-    std::array<uint64_t, 32> gprs = {};
-    uint64_t resume_pc = 0;
-    uint64_t satp = 0;
-    uint64_t medeleg = 0;
-  };
-
-  int64_t CreateEnclave(Monitor& monitor, uint64_t base, uint64_t size, uint64_t entry);
-  void EnterEnclave(Monitor& monitor, unsigned hart, unsigned eid, bool fresh);
-  void LeaveEnclave(Monitor& monitor, unsigned hart, uint64_t status, uint64_t value,
-                    bool resumable);
-
-  KeystoneConfig config_;
-  std::vector<Enclave> enclaves_;
-  std::vector<int> running_;           // per hart: enclave id or -1
-  std::vector<HostContext> host_ctx_;  // per hart
+  KeystonePolicy()
+      : DomainPolicy({.name = "keystone",
+                      .ext = kKeystoneSbiExt,
+                      .create = KeystoneFunc::kCreateEnclave,
+                      .destroy = KeystoneFunc::kDestroyEnclave,
+                      .run = KeystoneFunc::kRunEnclave,
+                      .resume = KeystoneFunc::kResumeEnclave,
+                      .exit = KeystoneFunc::kExitEnclave,
+                      .yield = KeystoneFunc::kStopEnclave,
+                      .vs_mode = false,
+                      .translation_csrs = {kCsrSatp},
+                      .switch_csr_accesses = 40}) {}
 };
 
 }  // namespace vfm

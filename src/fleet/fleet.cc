@@ -103,12 +103,6 @@ void FleetManager::EnsureTemplate() {
   }
   platform_ = MakePlatform(config_.platform, /*hart_count=*/1, /*with_blockdev=*/false);
   platform_.machine.map.ram_size = config_.ram_size;
-  // Host-memory footprint: a fleet holds thousands of Machines, so shrink the
-  // per-hart host caches (behaviour-invisible; DESIGN.md §2b) from their
-  // single-machine defaults.
-  platform_.machine.tuning.decode_cache_entries = 4096;
-  platform_.machine.tuning.superblock_entries = 512;
-  platform_.machine.tuning.tlb_entries = 1024;
   kernel_ = BuildFleetServerKernel(platform_, config_.profile,
                                    config_.poll_interval_ticks, &layout_);
   Machine* tmpl = pool_.TemplateFor("fleet-server", [this] {

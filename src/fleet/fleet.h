@@ -57,8 +57,8 @@ struct FleetConfig {
   uint64_t poll_interval_ticks = 500;     // guest server poll timer
   PlatformKind platform = PlatformKind::kVf2Sim;
   // Fleet machines get a small RAM (the server kernel needs ~5 MiB of the
-  // address space) and shrunken host-side caches so a 4096-machine fleet fits
-  // host memory; both are host-visible only.
+  // address space) so a 4096-machine fleet fits host memory; the per-hart host
+  // caches are lazily mapped and cost only the pages a machine touches.
   uint64_t ram_size = 16ull << 20;
   // Skewed-load knobs: the first `heavy_machines` machines use
   // `heavy_interarrival_ticks` instead of the mean (0 = closed-burst). With

@@ -265,7 +265,7 @@ constexpr uint64_t JalrTarget(uint64_t rs1, int64_t imm) {
   return (rs1 + static_cast<uint64_t>(imm)) & ~uint64_t{1};
 }
 
-// Bytes a load or store accesses.
+// Bytes a load or store accesses (8 for any other op: test IsLoad/IsStore first).
 constexpr unsigned AccessSize(Op op) {
   switch (op) {
     case Op::kLb:
@@ -285,6 +285,7 @@ constexpr unsigned AccessSize(Op op) {
   }
 }
 
+constexpr bool IsLoad(Op op) { return op >= Op::kLb && op <= Op::kLwu; }
 constexpr bool IsStore(Op op) { return op >= Op::kSb && op <= Op::kSd; }
 
 // The register value a load writes, from the zero-extended bytes it read.

@@ -164,7 +164,7 @@ System BootSystem(const PlatformProfile& profile, DeployMode mode, Image kernel,
   monitor_config.monitor_base = profile.monitor_base;
   monitor_config.monitor_size = profile.monitor_size;
   monitor_config.firmware_entry = system.firmware.entry;
-  monitor_config.offload_enabled = mode == DeployMode::kMiralis;
+  monitor_config.offload_mask = mode == DeployMode::kMiralis ? ~uint32_t{0} : 0;
   system.monitor = std::make_unique<Monitor>(system.machine.get(), monitor_config);
   if (policy != nullptr) {
     system.monitor->SetPolicy(policy);

@@ -58,7 +58,7 @@ Image CvmHostKernel(const PlatformProfile& profile, uint64_t payload_entry) {
   a.Li(a7, kAceSbiExt);
   a.Li(a6, AceFunc::kRunCvm);
   a.Ecall();
-  a.Li(t0, AceExitReason::kDone);
+  a.Li(t0, DomainExit::kDone);
   a.Bne(a1, t0, "run");
   kb.EmitStoreResult(KernelSlots::kScratch);
   kb.EmitFinish(/*pass=*/true);
@@ -68,7 +68,7 @@ Image CvmHostKernel(const PlatformProfile& profile, uint64_t payload_entry) {
 TEST(AceTest, CvmRunsInVsModeAndExits) {
   PlatformProfile profile = MakePlatform(PlatformKind::kQemuSim, 1, false);
   const Image payload = CvmPayload(profile.enclave_base, 5000, /*with_yield=*/true);
-  AcePolicy policy{AceConfig{}};
+  AcePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis,
                              CvmHostKernel(profile, payload.entry),
                              FirmwareKind::kOpenSbiSim, &policy);
@@ -76,8 +76,8 @@ TEST(AceTest, CvmRunsInVsModeAndExits) {
   ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
   EXPECT_EQ(system.machine->finisher().exit_code(), 0u);
   EXPECT_NE(system.ReadResult(KernelSlots::kScratch), 0u);
-  EXPECT_EQ(policy.measurement(0).size(), 64u);
-  EXPECT_FALSE(policy.cvm_running(0));
+  EXPECT_EQ(policy.measurement().size(), 64u);
+  EXPECT_FALSE(policy.running(0));
 }
 
 TEST(AceTest, CvmValueDeterministicAcrossRuns) {
@@ -85,7 +85,7 @@ TEST(AceTest, CvmValueDeterministicAcrossRuns) {
   for (int round = 0; round < 2; ++round) {
     PlatformProfile profile = MakePlatform(PlatformKind::kQemuSim, 1, false);
     const Image payload = CvmPayload(profile.enclave_base, 2000, round == 1);
-    AcePolicy policy{AceConfig{}};
+    AcePolicy policy;
     System system = BootSystem(profile, DeployMode::kMiralis,
                                CvmHostKernel(profile, payload.entry),
                                FirmwareKind::kOpenSbiSim, &policy);
@@ -114,7 +114,7 @@ TEST(AceTest, CvmMemoryHiddenFromHost) {
   a.Li(t0, profile.enclave_base);
   a.Ld(t1, t0, 0);
   kb.EmitFinish(/*pass=*/true);  // unreachable when the policy PMP holds
-  AcePolicy policy{AceConfig{}};
+  AcePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish(),
                              FirmwareKind::kOpenSbiSim, &policy);
   ASSERT_TRUE(system.machine->LoadImage(payload.base, payload.bytes));
@@ -135,7 +135,7 @@ TEST(AceTest, ForeignHypercallTerminatesCvm) {
   a.J("hang");
   const Image payload = std::move(a.Finish()).value();
 
-  AcePolicy policy{AceConfig{}};
+  AcePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis,
                              CvmHostKernel(profile, payload.entry),
                              FirmwareKind::kOpenSbiSim, &policy);
@@ -144,7 +144,7 @@ TEST(AceTest, ForeignHypercallTerminatesCvm) {
   EXPECT_EQ(system.machine->finisher().exit_code(), 0u);
   EXPECT_EQ(static_cast<int64_t>(system.ReadResult(KernelSlots::kScratch)),
             SbiError::kFailed);
-  EXPECT_FALSE(policy.cvm_running(0));
+  EXPECT_FALSE(policy.running(0));
 }
 
 TEST(AceTest, RequiresHExtension) {
@@ -153,7 +153,7 @@ TEST(AceTest, RequiresHExtension) {
   MonitorConfig mconfig;
   mconfig.firmware_entry = profile.firmware_base;
   Monitor monitor(&machine, mconfig);
-  AcePolicy policy{AceConfig{}};
+  AcePolicy policy;
   EXPECT_DEATH(monitor.SetPolicy(&policy), "requires the H extension");
 }
 

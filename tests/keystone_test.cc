@@ -44,7 +44,7 @@ Image HostKernel(const PlatformProfile& profile, uint64_t payload_entry,
   a.Li(a6, KeystoneFunc::kRunEnclave);
   a.Ecall();
   a.Bind("kt_loop");
-  a.Li(t0, KeystoneExitReason::kDone);
+  a.Li(t0, DomainExit::kDone);
   a.Beq(a1, t0, "kt_done");
   kb.EmitAtomicIncrement(KernelSlots::kScratch + 3);  // resumes performed
   a.Mv(a0, s10);
@@ -62,7 +62,7 @@ EnclaveSystem BootEnclaveSystem(const Rv8Kernel& kernel, uint64_t timer_interval
   EnclaveSystem es;
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
   const Image payload = BuildRv8Payload(profile.enclave_base, kernel);
-  es.policy = std::make_unique<KeystonePolicy>(KeystoneConfig{});
+  es.policy = std::make_unique<KeystonePolicy>();
   es.system = BootSystem(profile, DeployMode::kMiralis,
                          HostKernel(profile, payload.entry, timer_interval),
                          FirmwareKind::kOpenSbiSim, es.policy.get());
@@ -76,7 +76,7 @@ TEST(KeystoneTest, EnclaveRunsToCompletion) {
   EXPECT_EQ(es.system.machine->finisher().exit_code(), 0u);
   EXPECT_EQ(es.system.ReadResult(KernelSlots::kScratch + 2), 0u);  // create ok
   EXPECT_NE(es.system.ReadResult(KernelSlots::kScratch), 0u);      // a check value
-  EXPECT_EQ(es.policy->enclave_count(), 0u);  // destroyed on exit
+  EXPECT_FALSE(es.policy->live());  // destroyed on exit
 }
 
 TEST(KeystoneTest, ExitValueMatchesNativeComputation) {
@@ -127,7 +127,7 @@ TEST(KeystoneTest, EnclaveMemoryHiddenFromOs) {
   a.Li(t0, profile.enclave_base);
   a.Ld(t1, t0, 0);
   kb.EmitFinish(/*pass=*/true);  // unreachable if protection works
-  KeystonePolicy policy{KeystoneConfig{}};
+  KeystonePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish(),
                              FirmwareKind::kOpenSbiSim, &policy);
   ASSERT_TRUE(system.machine->LoadImage(payload.base, payload.bytes));
@@ -138,7 +138,7 @@ TEST(KeystoneTest, EnclaveMemoryHiddenFromOs) {
 TEST(KeystoneTest, MeasurementRecordedAtCreation) {
   EnclaveSystem es = BootEnclaveSystem({"t", 1000, 8, 0, 0}, 0);
   ASSERT_TRUE(es.system.machine->RunUntilFinished(kBudget));
-  EXPECT_EQ(es.policy->measurement(0).size(), 64u);
+  EXPECT_EQ(es.policy->measurement().size(), 64u);
 }
 
 TEST(KeystoneTest, InvalidCreateParametersRejected) {
@@ -170,7 +170,7 @@ TEST(KeystoneTest, InvalidCreateParametersRejected) {
   a.Ecall();
   kb.EmitStoreResult(KernelSlots::kScratch + 2);
   kb.EmitFinish(/*pass=*/true);
-  KeystonePolicy policy{KeystoneConfig{}};
+  KeystonePolicy policy;
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish(),
                              FirmwareKind::kOpenSbiSim, &policy);
   ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
