@@ -4,9 +4,9 @@
 
 namespace vfm {
 
-uint64_t Fnv1a64(const void* data, size_t size) {
+uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
   const auto* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t hash = seed;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 0x100000001b3ull;

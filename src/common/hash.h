@@ -11,8 +11,12 @@
 
 namespace vfm {
 
-// 64-bit FNV-1a over an arbitrary byte buffer.
-uint64_t Fnv1a64(const void* data, size_t size);
+// The 64-bit FNV-1a offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+// 64-bit FNV-1a over an arbitrary byte buffer. To hash several buffers as one
+// stream, pass the hash of the bytes before as `seed`.
+uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed = kFnv1aBasis);
 
 // Incremental SHA-256. Usage: Sha256 h; h.Update(buf, n); auto digest = h.Finish();
 class Sha256 {

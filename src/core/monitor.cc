@@ -17,6 +17,10 @@ constexpr uint64_t kMonitorMie = InterruptMask(InterruptCause::kMachineTimer) |
 constexpr uint64_t kStipMask = InterruptMask(InterruptCause::kSupervisorTimer);
 constexpr uint64_t kSsipMask = InterruptMask(InterruptCause::kSupervisorSoftware);
 
+// Version 2 dropped a per-hart field that was written but never read, and nests the
+// virtual PMP and virtual CLINT as the PmpBank and Clint sections they now are.
+constexpr uint32_t kStateVersion = 2;
+
 // ABI GPR indices used by the SBI calling convention.
 constexpr unsigned kA0 = 10;
 constexpr unsigned kA1 = 11;
@@ -37,6 +41,43 @@ TrapInfo CurrentMachineTrap(Hart& hart) {
   trap.priv = static_cast<PrivMode>(
       ExtractBits(pcsr.mstatus(), MstatusBits::kMppHi, MstatusBits::kMppLo));
   return trap;
+}
+
+// Performs the trapped load or store `instr` at `addr` through `access`, the
+// emulator's backend: `access(type, addr, size, value)` moves `size` bytes (into
+// *value for a load, from *value for a store) and returns false on a fault. A
+// `bytewise` backend gets one call per byte, in address order; any other gets the
+// whole access at once. A load's value is extended into rd. Returns false when
+// `instr` is not a plain load or store, or when `access` fails; a bytewise store
+// has then written the bytes before the failing one.
+template <typename Access>
+bool EmulateLoadStore(Hart& hart, const DecodedInstr& instr, uint64_t addr, bool bytewise,
+                      Access&& access) {
+  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
+    return false;
+  }
+  const AccessType type = IsLoad(instr.op) ? AccessType::kLoad : AccessType::kStore;
+  const unsigned size = AccessSize(instr.op);
+  uint64_t value = type == AccessType::kStore ? hart.gpr(instr.rs2) : 0;
+  if (!bytewise) {
+    if (!access(type, addr, size, &value)) {
+      return false;
+    }
+  } else {
+    const uint64_t data = value;
+    value = 0;
+    for (unsigned i = 0; i < size; ++i) {
+      uint64_t byte = (data >> (8 * i)) & 0xFF;
+      if (!access(type, addr + i, 1u, &byte)) {
+        return false;
+      }
+      value |= byte << (8 * i);
+    }
+  }
+  if (type == AccessType::kLoad) {
+    hart.set_gpr(instr.rd, LoadExtend(instr.op, value));
+  }
+  return true;
 }
 
 }  // namespace
@@ -318,7 +359,7 @@ void Monitor::HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap) {
                     ExtractBits(vmstatus, MstatusBits::kMppHi, MstatusBits::kMppLo) !=
                         static_cast<uint64_t>(PrivMode::kMachine);
   if (mprv) {
-    if (EmulateMprvAccess(hart, cause, addr)) {
+    if (EmulateMprvAccess(hart, addr)) {
       return;
     }
   }
@@ -342,24 +383,19 @@ void Monitor::HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap) {
 bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
-    return false;  // not a plain load/store (e.g. an AMO): not emulated
-  }
-  const unsigned size = AccessSize(instr.op);
   const uint64_t offset = addr - machine_->config().map.clint_base;
-  ++stats_.mmio_emulations;
-  ChargeCsrAccesses(hart, 6);
-
-  if (IsLoad(instr.op)) {
-    uint64_t value = 0;
-    if (!vclint_.Read(offset, size, &value)) {
-      return false;
-    }
-    hart.set_gpr(instr.rd, LoadExtend(instr.op, value));
-  } else {
-    if (!vclint_.Write(offset, size, hart.gpr(instr.rs2))) {
-      return false;
-    }
+  const bool done = EmulateLoadStore(
+      hart, instr, offset, /*bytewise=*/false,
+      [&](AccessType type, uint64_t off, unsigned size, uint64_t* value) {
+        ++stats_.mmio_emulations;
+        ChargeCsrAccesses(hart, 6);
+        return type == AccessType::kLoad ? vclint_.Read(off, size, value)
+                                         : vclint_.Write(off, size, *value);
+      });
+  if (!done) {
+    return false;
+  }
+  if (IsStore(instr.op)) {
     RefreshVirtualClintLines();
     // A virtual mtimecmp write retargets that hart's physical comparator; a virtual
     // msip write pokes the target hart so the monitor can inject the interrupt there.
@@ -380,58 +416,36 @@ bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
   return true;
 }
 
-bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
+bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
-    return false;
-  }
-  const unsigned size = AccessSize(instr.op);
-  ++stats_.mprv_emulations;
-  const uint64_t vmstatus = hs.vctx.csrs().mstatus();
+  const VCsrFile& vcsr = hs.vctx.csrs();
   const PrivMode eff_priv = static_cast<PrivMode>(
-      ExtractBits(vmstatus, MstatusBits::kMppHi, MstatusBits::kMppLo));
-  const uint64_t satp = hs.vctx.csrs().Get(kCsrSatp);
-
+      ExtractBits(vcsr.mstatus(), MstatusBits::kMppHi, MstatusBits::kMppLo));
+  const uint64_t satp = vcsr.Get(kCsrSatp);
+  const CostModel& cost = machine_->config().cost;
   // The reference machine would check this access against the firmware's own PMP
   // configuration at the effective privilege, not against the host bank (whose
   // X-only cover exists precisely to force this trap).
-  const VCsrFile& vcsr = hs.vctx.csrs();
-  PmpBank vbank(vcsr.config().pmp_entries);
-  for (unsigned i = 0; i < vcsr.config().pmp_entries; ++i) {
-    vbank.SetCfg(i, PmpCfg::FromByte(vcsr.pmpcfg_byte(i)));
-    vbank.SetAddr(i, vcsr.pmpaddr(i));
+  Hart::MemResult fault;
+  uint64_t fault_addr = 0;
+  const bool done = EmulateLoadStore(
+      hart, instr, addr, /*bytewise=*/true,
+      [&](AccessType type, uint64_t byte_addr, unsigned size, uint64_t* value) {
+        machine_->ChargeCycles(hart.index(), cost.hal_mem_access + cost.page_walk_level);
+        fault = hart.AccessMemoryAs(type, eff_priv, satp, byte_addr, size, value, &vcsr.pmp());
+        fault_addr = byte_addr;
+        return fault.ok;
+      });
+  if (!done && fault.ok) {
+    return false;  // not a plain load or store
   }
-
-  const bool is_load = IsLoad(instr.op);
-  uint64_t assembled = 0;
-  for (unsigned i = 0; i < size; ++i) {
-    machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access +
-                                             machine_->config().cost.page_walk_level);
-    if (is_load) {
-      uint64_t byte = 0;
-      const Hart::MemResult r = hart.ReadMemoryAs(eff_priv, satp, addr + i, 1, &byte, &vbank);
-      if (!r.ok) {
-        hs.vctx.TakeVirtualTrap(CauseValue(r.cause), addr + i);
-        ResumeFirmware(hart);
-        return true;
-      }
-      assembled |= byte << (8 * i);
-    } else {
-      const uint64_t byte = (hart.gpr(instr.rs2) >> (8 * i)) & 0xFF;
-      const Hart::MemResult r = hart.WriteMemoryAs(eff_priv, satp, addr + i, 1, byte, &vbank);
-      if (!r.ok) {
-        hs.vctx.TakeVirtualTrap(CauseValue(r.cause), addr + i);
-        ResumeFirmware(hart);
-        return true;
-      }
-    }
+  ++stats_.mprv_emulations;
+  if (fault.ok) {
+    hs.vctx.set_pc(hart.csrs().mepc() + 4);
+  } else {
+    hs.vctx.TakeVirtualTrap(CauseValue(fault.cause), fault_addr);
   }
-  (void)cause;
-  if (is_load) {
-    hart.set_gpr(instr.rd, LoadExtend(instr.op, assembled));
-  }
-  hs.vctx.set_pc(hart.csrs().mepc() + 4);
   ResumeFirmware(hart);
   return true;
 }
@@ -586,44 +600,28 @@ bool Monitor::FastPathTimeRead(Hart& hart, const TrapInfo& trap) {
 }
 
 bool Monitor::EmulateMisalignedOs(Hart& hart, const TrapInfo& trap) {
-  CsrFile& pcsr = hart.csrs();
-  const uint64_t addr = trap.tval;
   const PrivMode os_priv = trap.priv;
-  const uint64_t satp = pcsr.satp();
-
+  const uint64_t satp = hart.csrs().satp();
   uint64_t word = 0;
-  const Hart::MemResult fetch = hart.ReadMemoryAs(os_priv, satp, trap.epc, 4, &word);
-  if (!fetch.ok) {
+  if (!hart.AccessMemoryAs(AccessType::kLoad, os_priv, satp, trap.epc, 4, &word).ok) {
     return false;
   }
   const DecodedInstr instr = Decode(static_cast<uint32_t>(word));
   const bool is_load = trap.cause == CauseValue(ExceptionCause::kLoadAddrMisaligned);
-  if (is_load ? !IsLoad(instr.op) : !IsStore(instr.op)) {
+  if (IsLoad(instr.op) != is_load) {
     return false;
   }
-  const unsigned size = AccessSize(instr.op);
-
-  uint64_t assembled = 0;
-  for (unsigned i = 0; i < size; ++i) {
-    machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access);
-    if (is_load) {
-      uint64_t byte = 0;
-      if (!hart.ReadMemoryAs(os_priv, satp, addr + i, 1, &byte).ok) {
-        return false;
-      }
-      assembled |= byte << (8 * i);
-    } else {
-      const uint64_t byte = (hart.gpr(instr.rs2) >> (8 * i)) & 0xFF;
-      if (!hart.WriteMemoryAs(os_priv, satp, addr + i, 1, byte).ok) {
-        return false;
-      }
-    }
-  }
-  if (is_load) {
-    hart.set_gpr(instr.rd, LoadExtend(instr.op, assembled));
+  const bool done = EmulateLoadStore(
+      hart, instr, trap.tval, /*bytewise=*/true,
+      [&](AccessType type, uint64_t byte_addr, unsigned size, uint64_t* value) {
+        machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access);
+        return hart.AccessMemoryAs(type, os_priv, satp, byte_addr, size, value).ok;
+      });
+  if (!done) {
+    return false;
   }
   ++stats_.fastpath_hits;
-  ReturnToOs(hart, pcsr.mepc() + 4);
+  ReturnToOs(hart, hart.csrs().mepc() + 4);
   return true;
 }
 
@@ -711,19 +709,11 @@ void Monitor::SaveOsContext(Hart& hart) {
   CsrFile& pcsr = hart.csrs();
   VCsrFile& vcsr = hs.vctx.csrs();
 
-  vcsr.Set(kCsrSepc, pcsr.Get(kCsrSepc));
-  vcsr.Set(kCsrScause, pcsr.Get(kCsrScause));
-  vcsr.Set(kCsrStval, pcsr.Get(kCsrStval));
-  vcsr.Set(kCsrStvec, pcsr.Get(kCsrStvec));
-  vcsr.Set(kCsrSscratch, pcsr.Get(kCsrSscratch));
-  vcsr.Set(kCsrScounteren, pcsr.Get(kCsrScounteren));
-  vcsr.Set(kCsrSenvcfg, pcsr.Get(kCsrSenvcfg));
-  vcsr.Set(kCsrSatp, pcsr.Get(kCsrSatp));
-  if (vcsr.config().has_sstc) {
-    vcsr.Set(kCsrStimecmp, pcsr.Get(kCsrStimecmp));
+  for (const uint16_t csr : kOsSupervisorCsrs) {
+    if (csr != kCsrStimecmp || vcsr.config().has_sstc) {
+      vcsr.Set(csr, pcsr.Get(csr));
+    }
   }
-  // sstatus view: SIE/SPIE/SPP/SUM/MXR/FS...
-  vcsr.Set(kCsrSstatus, pcsr.Get(kCsrSstatus));
   // Supervisor interrupt enables live in the machine-level mie.
   vcsr.Set(kCsrMie, (vcsr.Get(kCsrMie) & ~kSupervisorInterrupts) |
                         (pcsr.mie() & kSupervisorInterrupts));
@@ -739,18 +729,11 @@ void Monitor::InstallVirtualContext(Hart& hart) {
   CsrFile& pcsr = hart.csrs();
   VCsrFile& vcsr = hs.vctx.csrs();
 
-  pcsr.Set(kCsrSepc, vcsr.Get(kCsrSepc));
-  pcsr.Set(kCsrScause, vcsr.Get(kCsrScause));
-  pcsr.Set(kCsrStval, vcsr.Get(kCsrStval));
-  pcsr.Set(kCsrStvec, vcsr.Get(kCsrStvec));
-  pcsr.Set(kCsrSscratch, vcsr.Get(kCsrSscratch));
-  pcsr.Set(kCsrScounteren, vcsr.Get(kCsrScounteren));
-  pcsr.Set(kCsrSenvcfg, vcsr.Get(kCsrSenvcfg));
-  pcsr.Set(kCsrSatp, vcsr.Get(kCsrSatp));
-  if (vcsr.config().has_sstc) {
-    pcsr.Set(kCsrStimecmp, vcsr.Get(kCsrStimecmp));
+  for (const uint16_t csr : kOsSupervisorCsrs) {
+    if (csr != kCsrStimecmp || vcsr.config().has_sstc) {
+      pcsr.Set(csr, vcsr.Get(csr));
+    }
   }
-  pcsr.Set(kCsrSstatus, vcsr.Get(kCsrSstatus));
   // menvcfg and mcounteren gate S-mode behaviour (Sstc's stimecmp; time/cycle reads)
   // and must follow the virtual firmware's configuration; the monitor itself never
   // depends on either.
@@ -795,7 +778,6 @@ void Monitor::WorldSwitchToFirmware(Hart& hart, const std::optional<TrapInfo>& t
     policy_->OnWorldSwitchToFirmware(*this, hart.index());
   }
 
-  hs.saved_os_mie = pcsr.mie();
   pcsr.Set(kCsrMie, kMonitorMie);
   pcsr.Set(kCsrMedeleg, 0);
   pcsr.Set(kCsrMideleg, 0);
@@ -890,35 +872,27 @@ void Monitor::DenyAction(Hart& hart, const char* what, uint64_t detail) {
 bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  if (!IsLoad(instr.op) && !IsStore(instr.op)) {
+  const bool done = EmulateLoadStore(
+      hart, instr, addr, /*bytewise=*/false,
+      [&](AccessType type, uint64_t mmio_addr, unsigned size, uint64_t* value) {
+        ChargeCsrAccesses(hart, 4);
+        return type == AccessType::kLoad ? machine_->bus().Read(mmio_addr, size, value)
+                                         : machine_->bus().Write(mmio_addr, size, *value);
+      });
+  if (!done) {
     return false;
-  }
-  const unsigned size = AccessSize(instr.op);
-  ChargeCsrAccesses(hart, 4);
-  if (IsLoad(instr.op)) {
-    uint64_t value = 0;
-    if (!machine_->bus().Read(addr, size, &value)) {
-      return false;
-    }
-    hart.set_gpr(instr.rd, LoadExtend(instr.op, value));
-  } else {
-    if (!machine_->bus().Write(addr, size, hart.gpr(instr.rs2))) {
-      return false;
-    }
   }
   hs.vctx.set_pc(hart.csrs().mepc() + 4);
   ResumeFirmware(hart);
   return true;
 }
 
-
 void Monitor::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("MONS"), 1);
+  writer.BeginSection(StateTag("MONS"), kStateVersion);
   writer.U32(static_cast<uint32_t>(harts_.size()));
   for (const auto& hart : harts_) {
     writer.Bool(hart->in_firmware);
     writer.U64(hart->os_timer_deadline);
-    writer.U64(hart->saved_os_mie);
     writer.U64(hart->mip_snapshot);
     writer.Bool(hart->ipi_ssip_request);
     writer.Bool(hart->rfence_request);
@@ -929,7 +903,13 @@ void Monitor::SaveState(StateWriter& writer) const {
 }
 
 bool Monitor::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("MONS"));
+  const uint32_t version = reader.BeginSection(StateTag("MONS"));
+  if (reader.ok() && version != kStateVersion) {
+    reader.Fail("monitor state version " + std::to_string(version) +
+                " is not supported (this build reads version " +
+                std::to_string(kStateVersion) + "); re-record the snapshot");
+    return false;
+  }
   const uint32_t harts = reader.U32();
   if (reader.ok() && harts != harts_.size()) {
     reader.Fail("MONS: hart count mismatch");
@@ -940,7 +920,6 @@ bool Monitor::LoadState(StateReader& reader) {
     }
     hart->in_firmware = reader.Bool();
     hart->os_timer_deadline = reader.U64();
-    hart->saved_os_mie = reader.U64();
     hart->mip_snapshot = reader.U64();
     hart->ipi_ssip_request = reader.Bool();
     hart->rfence_request = reader.Bool();

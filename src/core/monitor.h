@@ -49,6 +49,15 @@ struct MonitorConfig {
   bool stop_on_policy_deny = true;
 };
 
+// The OS's supervisor CSRs: a world switch into the firmware saves them into the
+// virtual CSR file and the switch back installs them (§4.1), and the sandbox policy
+// snapshots them around every firmware entry (§5.2). The monitor switches stimecmp
+// only on platforms with Sstc.
+inline constexpr uint16_t kOsSupervisorCsrs[] = {
+    kCsrSepc,       kCsrScause,  kCsrStval, kCsrStvec,    kCsrSscratch,
+    kCsrScounteren, kCsrSenvcfg, kCsrSatp,  kCsrStimecmp, kCsrSstatus,
+};
+
 // Classification of OS-to-firmware trap causes, the categories of Figure 3.
 enum class OsTrapCause : unsigned {
   kTimeRead = 0,
@@ -146,7 +155,6 @@ class Monitor : public MmodeOwner {
     VirtContext vctx;
     bool in_firmware = true;
     uint64_t os_timer_deadline = ~uint64_t{0};
-    uint64_t saved_os_mie = 0;
     uint64_t mip_snapshot = 0;        // virtual sw-mip at world-switch-in (delta install)
     bool ipi_ssip_request = false;    // fast-path IPI mailbox
     bool rfence_request = false;      // fast-path remote-fence mailbox
@@ -161,7 +169,7 @@ class Monitor : public MmodeOwner {
   void EmulateFirmwareInstr(Hart& hart);
   void HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap);
   bool EmulateVirtClintAccess(Hart& hart, uint64_t addr);
-  bool EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr);
+  bool EmulateMprvAccess(Hart& hart, uint64_t addr);
   void HandleOsEcall(Hart& hart, const TrapInfo& trap);
   bool FastPathSbi(Hart& hart, uint64_t ext, uint64_t fid);
   bool FastPathTimeRead(Hart& hart, const TrapInfo& trap);

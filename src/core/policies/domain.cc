@@ -90,7 +90,9 @@ void DomainPolicy::Enter(Monitor& monitor, Hart& hart, bool fresh) {
   }
   host_.pc = hart.csrs().Get(kCsrMepc) + 4;
   host_medeleg_ = hart.csrs().Get(kCsrMedeleg);
+  host_mideleg_ = hart.csrs().Get(kCsrMideleg);
   hart.csrs().Set(kCsrMedeleg, 0);
+  hart.csrs().Set(kCsrMideleg, 0);
   Swap(hart, host_, domain_);
   running_hart_ = static_cast<int>(hart.index());
   monitor.RebuildPmp(hart);
@@ -106,6 +108,7 @@ void DomainPolicy::Leave(Monitor& monitor, Hart& hart, uint64_t reason, uint64_t
   domain_.pc = hart.csrs().Get(kCsrMepc);
   Swap(hart, domain_, host_);
   hart.csrs().Set(kCsrMedeleg, host_medeleg_);
+  hart.csrs().Set(kCsrMideleg, host_mideleg_);
   running_hart_ = -1;
   hart.set_gpr(kA0, value);
   hart.set_gpr(kA1, reason);

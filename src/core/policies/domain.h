@@ -11,14 +11,17 @@
 //    region, so create returns kDenied while a domain is live, and its id is 0.
 //    Its region lies in RAM. It runs on at most one hart at a time: meanwhile run,
 //    resume and destroy from other harts return kDenied.
-//  * No exception is delegated while a domain runs (medeleg = 0), so every one it
-//    raises reaches this policy and none reaches the host.
+//  * Nothing is delegated while a domain runs (medeleg = mideleg = 0), so every
+//    exception it raises and every interrupt it meets reaches this policy, and none
+//    enters the host's vector from inside the domain. The H extension keeps the VS
+//    bits of mideleg set; those interrupts go through hideleg to VS-mode only.
 //  * Exit and yield are the only domain calls. Any other ecall, and any exception,
 //    ends the domain with (kDone, kFailed) and frees its slot.
 //  * The domain owns its translation CSRs: every entry installs the domain's values,
-//    and every leave saves them and restores the host's medeleg and translation CSRs.
-//  * A machine interrupt preempts the domain: the host sees kInterrupted at its call
-//    site, and the monitor then handles the interrupt there.
+//    and every leave saves them and restores the host's delegation and translation
+//    CSRs.
+//  * An interrupt preempts the domain: the host sees kInterrupted at its call site,
+//    and the monitor then handles the interrupt there.
 //
 // KeystonePolicy and AcePolicy differ only in the constant DomainAbi they pass in.
 
@@ -108,6 +111,7 @@ class DomainPolicy : public PolicyModule {
   Context domain_;
   Context host_;
   uint64_t host_medeleg_ = 0;
+  uint64_t host_mideleg_ = 0;
 };
 
 }  // namespace vfm

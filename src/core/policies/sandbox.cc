@@ -13,13 +13,6 @@ constexpr unsigned kA1 = 11;
 constexpr unsigned kA6 = 16;
 constexpr unsigned kA7 = 17;
 
-// The S-mode CSR shadows the sandbox snapshots and restores around every firmware
-// entry after lockdown, to prevent the firmware from corrupting or leaking OS state.
-constexpr uint16_t kScrubbedScsrs[10] = {
-    kCsrSstatus, kCsrStvec, kCsrSscratch, kCsrSepc,    kCsrScause,
-    kCsrStval,   kCsrSatp,  kCsrScounteren, kCsrSenvcfg, kCsrStimecmp,
-};
-
 bool IsMemFaultCause(uint64_t cause) {
   switch (static_cast<ExceptionCause>(cause)) {
     case ExceptionCause::kLoadAccessFault:
@@ -104,8 +97,8 @@ void SandboxPolicy::SnapshotAndScrub(Monitor& monitor, unsigned hart) {
   for (unsigned i = 0; i < 32; ++i) {
     scrub.gpr_snapshot[i] = phys.gpr(i);
   }
-  for (unsigned i = 0; i < 10; ++i) {
-    scrub.scsr_snapshot[i] = vcsr.Get(kScrubbedScsrs[i]);
+  for (size_t i = 0; i < scrub.scsr_snapshot.size(); ++i) {
+    scrub.scsr_snapshot[i] = vcsr.Get(kOsSupervisorCsrs[i]);
   }
   scrub.mie_snapshot = vcsr.Get(kCsrMie);
 
@@ -146,8 +139,8 @@ void SandboxPolicy::RestoreAfterFirmware(Monitor& monitor, unsigned hart) {
     }
     phys.set_gpr(i, scrub.gpr_snapshot[i]);
   }
-  for (unsigned i = 0; i < 10; ++i) {
-    vcsr.Set(kScrubbedScsrs[i], scrub.scsr_snapshot[i]);
+  for (size_t i = 0; i < scrub.scsr_snapshot.size(); ++i) {
+    vcsr.Set(kOsSupervisorCsrs[i], scrub.scsr_snapshot[i]);
   }
   vcsr.Set(kCsrMie, scrub.mie_snapshot);
   monitor.ChargeCsrAccesses(phys, 8);

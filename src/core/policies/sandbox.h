@@ -56,7 +56,10 @@ class SandboxPolicy : public PolicyModule {
  private:
   struct HartScrubState {
     std::array<uint64_t, 32> gpr_snapshot = {};
-    std::array<uint64_t, 10> scsr_snapshot = {};
+    // The OS's supervisor CSRs (kOsSupervisorCsrs), snapshotted and restored around
+    // every firmware entry after lockdown so the firmware can neither corrupt nor
+    // leak them.
+    std::array<uint64_t, std::size(kOsSupervisorCsrs)> scsr_snapshot = {};
     uint64_t mie_snapshot = 0;
     bool entered_for_ecall = false;
     bool active = false;

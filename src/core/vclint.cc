@@ -1,108 +1,21 @@
 #include "src/core/vclint.h"
 
-#include <algorithm>
-
-#include "src/common/bits.h"
-
-#include "src/common/state.h"
-
 namespace vfm {
 
-VirtClint::VirtClint(Clint* phys, unsigned hart_count)
-    : phys_(phys), vmtimecmp_(hart_count, ~uint64_t{0}), vmsip_(hart_count, false) {}
+VirtClint::VirtClint(Clint* phys, unsigned hart_count) : phys_(phys), regs_(hart_count) {}
 
 bool VirtClint::Read(uint64_t offset, unsigned size, uint64_t* value) const {
-  const unsigned harts = hart_count();
-  if (offset < Clint::kMsipBase + 4 * harts) {
-    if (size != 4 || !IsAligned(offset, 4)) {
-      return false;
-    }
-    *value = vmsip_[offset / 4] ? 1 : 0;
-    return true;
-  }
-  if (offset >= Clint::kMtimecmpBase && offset < Clint::kMtimecmpBase + 8 * harts) {
-    const unsigned hart = static_cast<unsigned>((offset - Clint::kMtimecmpBase) / 8);
-    const uint64_t reg = vmtimecmp_[hart];
-    if (size == 8 && IsAligned(offset, 8)) {
-      *value = reg;
-      return true;
-    }
-    if (size == 4 && IsAligned(offset, 4)) {
-      *value = (offset % 8 == 0) ? (reg & 0xFFFFFFFF) : (reg >> 32);
-      return true;
-    }
-    return false;
-  }
-  if (offset == Clint::kMtimeOffset && size == 8) {
-    *value = phys_->mtime();
-    return true;
-  }
-  if (size == 4 && (offset == Clint::kMtimeOffset || offset == Clint::kMtimeOffset + 4)) {
-    *value = (offset == Clint::kMtimeOffset) ? (phys_->mtime() & 0xFFFFFFFF)
-                                             : (phys_->mtime() >> 32);
-    return true;
-  }
-  return false;
+  regs_.set_mtime(phys_->mtime());
+  return regs_.MmioRead(offset, size, value);
 }
 
 bool VirtClint::Write(uint64_t offset, unsigned size, uint64_t value) {
-  const unsigned harts = hart_count();
-  if (offset < Clint::kMsipBase + 4 * harts) {
-    if (size != 4 || !IsAligned(offset, 4)) {
-      return false;
-    }
-    vmsip_[offset / 4] = (value & 1) != 0;
-    return true;
-  }
-  if (offset >= Clint::kMtimecmpBase && offset < Clint::kMtimecmpBase + 8 * harts) {
-    const unsigned hart = static_cast<unsigned>((offset - Clint::kMtimecmpBase) / 8);
-    if (size == 8 && IsAligned(offset, 8)) {
-      vmtimecmp_[hart] = value;
-      return true;
-    }
-    if (size == 4 && IsAligned(offset, 4)) {
-      uint64_t reg = vmtimecmp_[hart];
-      if (offset % 8 == 0) {
-        reg = (reg & 0xFFFFFFFF00000000ull) | (value & 0xFFFFFFFF);
-      } else {
-        reg = (reg & 0xFFFFFFFFull) | (value << 32);
-      }
-      vmtimecmp_[hart] = reg;
-      return true;
-    }
-    return false;
-  }
   // Firmware writes to mtime are filtered: the monitor never lets the deprivileged
   // firmware warp the global clock (access control to system resources, §3.3).
   if (offset == Clint::kMtimeOffset) {
     return true;
   }
-  return false;
-}
-
-
-void VirtClint::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("VCLN"), 1);
-  writer.U32(hart_count());
-  for (unsigned i = 0; i < hart_count(); ++i) {
-    writer.U64(vmtimecmp_[i]);
-    writer.Bool(vmsip_[i]);
-  }
-  writer.EndSection();
-}
-
-bool VirtClint::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("VCLN"));
-  const uint32_t harts = reader.U32();
-  if (reader.ok() && harts != hart_count()) {
-    reader.Fail("VCLN: hart count mismatch");
-  }
-  for (unsigned i = 0; reader.ok() && i < hart_count(); ++i) {
-    vmtimecmp_[i] = reader.U64();
-    vmsip_[i] = reader.Bool();
-  }
-  reader.EndSection();
-  return reader.ok();
+  return regs_.MmioWrite(offset, size, value);
 }
 
 }  // namespace vfm

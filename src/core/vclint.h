@@ -1,60 +1,60 @@
 // The virtual CLINT: the only MMIO device the monitor must emulate (paper §4.3). It
 // multiplexes the machine timer and software interrupts between the monitor (which
-// uses them for the OS fast path) and the virtual firmware, and exposes the standard
-// CLINT register layout to firmware loads/stores that trap on the protected window.
+// uses them for the OS fast path) and the virtual firmware. Its msip and mtimecmp
+// registers and their MMIO decode are a second instance of the CLINT device model
+// (src/dev/clint), which firmware loads/stores that trap on the protected window
+// reach; only mtime is the physical device's.
 
 #ifndef SRC_CORE_VCLINT_H_
 #define SRC_CORE_VCLINT_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "src/dev/clint.h"
 
 namespace vfm {
-
-class StateReader;
-class StateWriter;
 
 class VirtClint {
  public:
   VirtClint(Clint* phys, unsigned hart_count);
 
   // Firmware-visible MMIO emulation. `offset` is relative to the CLINT base. Reads of
-  // mtime pass through to the physical timer; mtimecmp/msip hit virtual copies.
-  // Returns false for offsets/sizes the real device would reject.
+  // mtime pass through to the physical timer and writes to it are dropped;
+  // mtimecmp/msip hit the virtual registers. Returns false for offsets/sizes the real
+  // device would reject.
   bool Read(uint64_t offset, unsigned size, uint64_t* value) const;
   bool Write(uint64_t offset, unsigned size, uint64_t value);
 
   uint64_t mtime() const { return phys_->mtime(); }
-  uint64_t virtual_mtimecmp(unsigned hart) const { return vmtimecmp_[hart]; }
-  void set_virtual_mtimecmp(unsigned hart, uint64_t value) { vmtimecmp_[hart] = value; }
-  bool virtual_msip(unsigned hart) const { return vmsip_[hart]; }
-  void set_virtual_msip(unsigned hart, bool value) { vmsip_[hart] = value; }
+  uint64_t virtual_mtimecmp(unsigned hart) const { return regs_.mtimecmp(hart); }
+  void set_virtual_mtimecmp(unsigned hart, uint64_t value) { regs_.set_mtimecmp(hart, value); }
+  bool virtual_msip(unsigned hart) const { return regs_.msip(hart); }
+  void set_virtual_msip(unsigned hart, bool value) { regs_.set_msip(hart, value); }
 
   // Whether the firmware's virtual timer / software interrupt is pending.
-  bool VirtualMtip(unsigned hart) const { return phys_->mtime() >= vmtimecmp_[hart]; }
-  bool VirtualMsip(unsigned hart) const { return vmsip_[hart]; }
+  bool VirtualMtip(unsigned hart) const { return phys_->mtime() >= regs_.mtimecmp(hart); }
+  bool VirtualMsip(unsigned hart) const { return regs_.msip(hart); }
 
   // The deadline the physical comparator must be programmed to so that the monitor
   // observes both the firmware's virtual deadline and the OS deadline it manages for
   // the fast path (os_deadline = ~0 when the fast path owns no timer).
   uint64_t PhysicalDeadline(unsigned hart, uint64_t os_deadline) const {
-    return std::min(vmtimecmp_[hart], os_deadline);
+    return std::min(regs_.mtimecmp(hart), os_deadline);
   }
 
-  unsigned hart_count() const { return static_cast<unsigned>(vmtimecmp_.size()); }
+  unsigned hart_count() const { return regs_.hart_count(); }
 
-  // Uniform state API (DESIGN.md §2h): the virtual comparator and msip copies. The
+  // Uniform state API (DESIGN.md §2h): the virtual registers' CLINT section. The
   // physical CLINT pointer is wiring; mtime lives in the physical device's section.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  void SaveState(StateWriter& writer) const { regs_.SaveState(writer); }
+  bool LoadState(StateReader& reader) { return regs_.LoadState(reader); }
 
  private:
   Clint* phys_;
-  std::vector<uint64_t> vmtimecmp_;
-  std::vector<bool> vmsip_;
+  // The virtual registers. Read stages the physical mtime in the copy's counter
+  // before decoding, so a firmware mtime read returns the physical time.
+  mutable Clint regs_;
 };
 
 }  // namespace vfm

@@ -39,34 +39,14 @@ void VirtContext::TakeVirtualTrap(uint64_t cause, uint64_t tval) {
 }
 
 std::optional<uint64_t> VirtContext::PendingVirtualInterrupt() const {
-  const uint64_t pending = csrs_.EffectiveMip() & csrs_.mie();
-  if (pending == 0) {
-    return std::nullopt;
+  if (const std::optional<uint64_t> m = PendingVirtualMachineInterrupt()) {
+    return m;
   }
-  const uint64_t mideleg = csrs_.mideleg();
-  const uint64_t status = csrs_.mstatus();
-
-  const uint64_t m_pending = pending & ~mideleg;
-  const bool m_enabled =
-      priv_ != PrivMode::kMachine || Bit(status, MstatusBits::kMie) != 0;
-  static const InterruptCause kMPriority[] = {
-      InterruptCause::kMachineExternal,    InterruptCause::kMachineSoftware,
-      InterruptCause::kMachineTimer,       InterruptCause::kSupervisorExternal,
-      InterruptCause::kSupervisorSoftware, InterruptCause::kSupervisorTimer,
-  };
-  if (m_pending != 0 && m_enabled) {
-    for (InterruptCause cause : kMPriority) {
-      if ((m_pending & InterruptMask(cause)) != 0) {
-        return CauseValue(cause);
-      }
-    }
-  }
-
-  const uint64_t s_pending = pending & mideleg;
+  const uint64_t s_pending = csrs_.EffectiveMip() & csrs_.mie() & csrs_.mideleg();
   const bool s_enabled = priv_ == PrivMode::kUser ||
                          (priv_ == PrivMode::kSupervisor &&
-                          Bit(status, MstatusBits::kSie) != 0);
-  if (s_pending != 0 && priv_ != PrivMode::kMachine && s_enabled) {
+                          Bit(csrs_.mstatus(), MstatusBits::kSie) != 0);
+  if (s_pending != 0 && s_enabled) {
     static const InterruptCause kSPriority[] = {
         InterruptCause::kSupervisorExternal,
         InterruptCause::kSupervisorSoftware,

@@ -57,7 +57,9 @@ class VirtContext {
   void TakeVirtualTrap(uint64_t cause, uint64_t tval);
 
   // The virtual interrupt that must be injected, if any: pending and enabled under
-  // the virtual mstatus/mie/mideleg (checked after each emulation per §4.1).
+  // the virtual mstatus/mie/mideleg (checked after each emulation per §4.1). Its
+  // M-level choice is PendingVirtualMachineInterrupt's, so checking this selector
+  // against the reference model checks the one the monitor injects with.
   std::optional<uint64_t> PendingVirtualInterrupt() const;
 
   // The subset the *monitor* may inject into vM-mode: virtual M-level interrupts

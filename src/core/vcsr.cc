@@ -49,7 +49,7 @@ unsigned HShadowSlot(uint16_t addr) {
 
 }  // namespace
 
-VCsrFile::VCsrFile(const VhartConfig& config) : config_(config) {
+VCsrFile::VCsrFile(const VhartConfig& config) : config_(config), pmp_(config.pmp_entries) {
   mstatus_ = (uint64_t{2} << MstatusBits::kUxlLo) | (uint64_t{2} << MstatusBits::kSxlLo);
 }
 
@@ -159,16 +159,10 @@ bool VCsrFile::Exists(uint16_t addr) const {
 
 uint64_t VCsrFile::Get(uint16_t addr) const {
   if (InPmpCfgRange(addr)) {
-    const unsigned first = (addr - kCsrPmpcfg0) * 4;
-    uint64_t value = 0;
-    for (unsigned i = 0; i < 8 && first + i < config_.pmp_entries; ++i) {
-      value |= static_cast<uint64_t>(pmpcfg_[first + i]) << (8 * i);
-    }
-    return value;
+    return pmp_.ReadCfgReg(addr - kCsrPmpcfg0);
   }
   if (InPmpAddrRange(addr)) {
-    const unsigned index = addr - kCsrPmpaddr0;
-    return index < config_.pmp_entries ? pmpaddr_[index] : 0;
+    return pmp_.ReadAddrReg(addr - kCsrPmpaddr0);
   }
   if (InHpmRange(addr)) {
     return 0;
@@ -259,44 +253,15 @@ uint64_t VCsrFile::Get(uint16_t addr) const {
 }
 
 void VCsrFile::Set(uint16_t addr, uint64_t value) {
+  // The virtual PMP's WARL legalization and lock rules are PmpBank's. The paper
+  // found several of its 21 bugs in this legalization; Table 2's CSR-write task
+  // sweeps it against the reference model's own rules.
   if (InPmpCfgRange(addr)) {
-    // Virtual PMP configuration with full WARL legalization. This code was the source
-    // of several of the paper's 21 bugs (reserved W=1/R=0, legalization bitmask); the
-    // verification harness sweeps it exhaustively.
-    const unsigned first = (addr - kCsrPmpcfg0) * 4;
-    for (unsigned i = 0; i < 8; ++i) {
-      const unsigned entry = first + i;
-      if (entry >= config_.pmp_entries) {
-        continue;
-      }
-      const uint8_t old_byte = pmpcfg_[entry];
-      if ((old_byte & 0x80) != 0) {
-        continue;  // locked until reset
-      }
-      uint8_t byte = static_cast<uint8_t>((value >> (8 * i)) & 0x9F);
-      const bool grants_w_without_r = (byte & 0x3) == 0x2;
-      if (grants_w_without_r) {
-        byte = old_byte;  // reserved combination: keep the previous value
-      }
-      pmpcfg_[entry] = byte;
-    }
+    pmp_.WriteCfgReg(addr - kCsrPmpcfg0, value);
     return;
   }
   if (InPmpAddrRange(addr)) {
-    const unsigned index = addr - kCsrPmpaddr0;
-    if (index >= config_.pmp_entries) {
-      return;
-    }
-    if ((pmpcfg_[index] & 0x80) != 0) {
-      return;
-    }
-    if (index + 1 < config_.pmp_entries) {
-      const uint8_t next = pmpcfg_[index + 1];
-      if ((next & 0x80) != 0 && ((next >> 3) & 3) == 1) {
-        return;  // base of a locked TOR region
-      }
-    }
-    pmpaddr_[index] = value & MaskLow(54);
+    pmp_.WriteAddrReg(addr - kCsrPmpaddr0, value);
     return;
   }
   if (InHpmRange(addr)) {
@@ -512,10 +477,7 @@ void VCsrFile::SaveState(StateWriter& writer) const {
   writer.U64(stval_);
   writer.U64(satp_);
   writer.U64(stimecmp_);
-  writer.Bytes(pmpcfg_, sizeof pmpcfg_);
-  for (uint64_t addr : pmpaddr_) {
-    writer.U64(addr);
-  }
+  pmp_.SaveState(writer);
   for (uint64_t v : custom_) {
     writer.U64(v);
   }
@@ -556,10 +518,7 @@ bool VCsrFile::LoadState(StateReader& reader) {
   stval_ = reader.U64();
   satp_ = reader.U64();
   stimecmp_ = reader.U64();
-  reader.FixedBytes(pmpcfg_, sizeof pmpcfg_);
-  for (uint64_t& addr : pmpaddr_) {
-    addr = reader.U64();
-  }
+  pmp_.LoadState(reader);
   for (uint64_t& v : custom_) {
     v = reader.U64();
   }

@@ -1,9 +1,10 @@
 // The monitor's virtual CSR file: the shadow copy of the machine-level and
 // supervisor-level CSRs that the deprivileged firmware believes it owns (paper §4.1:
 // "MIRALIS maintains a shadow copy of the CSRs on which the instruction emulator
-// operates"). This is the monitor's own, independent implementation of the CSR WARL
-// semantics — it is the component verified against the reference model (src/refmodel)
-// by the faithful-emulation checks in src/verif.
+// operates"). This is the monitor's own implementation of the CSR WARL semantics —
+// the component verified against the reference model (src/refmodel) by the
+// faithful-emulation checks in src/verif. Its virtual PMP is a PmpBank, the model the
+// physical harts use; the reference model keeps its own PMP rules.
 
 #ifndef SRC_CORE_VCSR_H_
 #define SRC_CORE_VCSR_H_
@@ -13,6 +14,7 @@
 
 #include "src/isa/csr.h"
 #include "src/isa/priv.h"
+#include "src/pmp/pmp.h"
 
 namespace vfm {
 
@@ -48,9 +50,13 @@ class VCsrFile {
   // True if this CSR exists on the virtual platform.
   bool Exists(uint16_t addr) const;
 
-  // Virtual PMP raw state, consumed by the physical-PMP multiplexer (src/core/vpmp).
-  uint8_t pmpcfg_byte(unsigned i) const { return pmpcfg_[i]; }
-  uint64_t pmpaddr(unsigned i) const { return pmpaddr_[i]; }
+  // The virtual PMP: a PmpBank (src/pmp) of the virtual entry count, so the WARL and
+  // lock rules are the physical bank's. The physical-PMP multiplexer (src/core/vpmp)
+  // packs it into the host bank, and the monitor checks emulated MPRV accesses
+  // against it.
+  const PmpBank& pmp() const { return pmp_; }
+  uint8_t pmpcfg_byte(unsigned i) const { return pmp_.GetCfg(i).ToByte(); }
+  uint64_t pmpaddr(unsigned i) const { return pmp_.GetAddr(i); }
 
   // Time source for the virtual time CSR and Sstc comparator.
   void set_time_source(std::function<uint64_t()> source) { time_source_ = std::move(source); }
@@ -109,8 +115,7 @@ class VCsrFile {
   uint64_t satp_ = 0;
   uint64_t stimecmp_ = ~uint64_t{0};
 
-  uint8_t pmpcfg_[64] = {};
-  uint64_t pmpaddr_[64] = {};
+  PmpBank pmp_;
   uint64_t custom_[4] = {};
 
   // Hypervisor-bank shadows (plain storage; used only for world-switch save/restore

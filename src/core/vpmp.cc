@@ -61,6 +61,7 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
   // mimic vM semantics, which would let a malicious firmware grant itself access above
   // the lockdown region through its own PMP configuration.
   const bool lockdown = inputs.firmware_world && inputs.firmware_default_override.has_value();
+  const PmpBank& vbank = vcsr.pmp();
   for (unsigned i = 0; i < virt_entries; ++i) {
     const unsigned entry = VpmpLayout::kVpmpFirst + i;
     if (inputs.suppress_vpmp || inputs.mprv_emulation || lockdown) {
@@ -68,7 +69,7 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
       phys->SetAddr(entry, 0);
       continue;
     }
-    PmpCfg cfg = PmpCfg::FromByte(vcsr.pmpcfg_byte(i));
+    PmpCfg cfg = vbank.GetCfg(i);
     if (inputs.firmware_world && !cfg.locked) {
       // PMP entries do not constrain M-mode unless locked; while the firmware executes
       // in vM-mode the unlocked entries must not restrict it, so they are installed
@@ -81,7 +82,7 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
     // the monitor itself and could not be reclaimed until reset.
     cfg.locked = false;
     phys->SetCfg(entry, cfg);
-    phys->SetAddr(entry, vcsr.pmpaddr(i));
+    phys->SetAddr(entry, vbank.GetAddr(i));
   }
 
   // The all-memory default.

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 
+#include "src/common/hash.h"
 #include "src/isa/csr.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
@@ -69,15 +70,6 @@ const std::vector<LockstepConfig>& LockstepConfigs() {
 }
 
 namespace {
-
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t hash = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 std::string Hex(uint64_t v) {
   char buf[24];
@@ -321,7 +313,7 @@ void CollectOutcome(Machine& machine, RunOutcome* out) {
   out->uart = machine.uart().output();
   std::vector<uint8_t> ram(CosimLayout::kRamSize);
   if (machine.bus().ReadBytes(CosimLayout::kRamBase, ram.data(), ram.size())) {
-    out->ram_hash = Fnv1a(ram.data(), ram.size());
+    out->ram_hash = Fnv1a64(ram.data(), ram.size());
   }
   for (unsigned i = 0; i < machine.hart_count(); ++i) {
     out->harts.push_back(SnapshotHart(machine.hart(i)));

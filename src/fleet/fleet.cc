@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/fleet/steal_deque.h"
 
@@ -26,17 +27,6 @@ uint64_t XorShift64(uint64_t* state) {
   x ^= x << 17;
   *state = x;
   return x;
-}
-
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-uint64_t FnvU64(uint64_t h, uint64_t value) {
-  for (unsigned i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 double TicksToUs(uint64_t ticks, const CostModel& cost) {
@@ -75,19 +65,10 @@ struct FleetManager::Worker {
 };
 
 uint64_t FleetStats::DeterministicSignature() const {
-  uint64_t h = kFnvBasis;
-  h = FnvU64(h, machines);
-  h = FnvU64(h, finished);
-  h = FnvU64(h, stalled);
-  h = FnvU64(h, requests_injected);
-  h = FnvU64(h, requests_completed);
-  h = FnvU64(h, total_retired);
-  h = FnvU64(h, total_rounds);
-  h = FnvU64(h, total_cycles);
-  for (const uint64_t ticks : latencies_ticks) {
-    h = FnvU64(h, ticks);
-  }
-  return h;
+  const uint64_t fields[] = {machines,           finished,      stalled,      requests_injected,
+                             requests_completed, total_retired, total_rounds, total_cycles};
+  return Fnv1a64(latencies_ticks.data(), latencies_ticks.size() * sizeof(uint64_t),
+                 Fnv1a64(fields, sizeof fields));
 }
 
 FleetManager::FleetManager(const FleetConfig& config) : config_(config) {

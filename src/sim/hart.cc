@@ -239,55 +239,11 @@ Hart::AccessOutcome Hart::Translate(uint64_t vaddr, unsigned size, AccessType ty
   return TranslateWith(csrs_.pmp(), /*cacheable=*/true, params, vaddr, size, type);
 }
 
-Hart::MemResult Hart::ReadMemory(uint64_t vaddr, unsigned size, uint64_t* value) {
-  MemResult result;
-  if (!csrs_.config().hw_misaligned && !IsAligned(vaddr, size)) {
-    result.ok = false;
-    result.cause = ExceptionCause::kLoadAddrMisaligned;
-    return result;
-  }
-  const AccessOutcome out = Translate(vaddr, size, AccessType::kLoad, DataPriv(), DataVirt());
-  if (!out.ok) {
-    result.ok = false;
-    result.cause = out.cause;
-    return result;
-  }
-  if (!bus_->Read(out.paddr, size, value)) {
-    result.ok = false;
-    result.cause = ExceptionCause::kLoadAccessFault;
-    return result;
-  }
-  return result;
-}
-
-Hart::MemResult Hart::WriteMemory(uint64_t vaddr, unsigned size, uint64_t value) {
-  MemResult result;
-  if (!csrs_.config().hw_misaligned && !IsAligned(vaddr, size)) {
-    result.ok = false;
-    result.cause = ExceptionCause::kStoreAddrMisaligned;
-    return result;
-  }
-  const AccessOutcome out = Translate(vaddr, size, AccessType::kStore, DataPriv(), DataVirt());
-  if (!out.ok) {
-    result.ok = false;
-    result.cause = out.cause;
-    return result;
-  }
-  if (!bus_->Write(out.paddr, size, value)) {
-    result.ok = false;
-    result.cause = ExceptionCause::kStoreAccessFault;
-    return result;
-  }
-  return result;
-}
-
-Hart::MemResult Hart::ReadMemoryAs(PrivMode priv, uint64_t satp_override, uint64_t vaddr,
-                                   unsigned size, uint64_t* value,
-                                   const PmpBank* pmp_override) {
-  MemResult result;
-  const PmpBank& pmp = pmp_override != nullptr ? *pmp_override : csrs_.pmp();
+Hart::MemResult Hart::AccessMemoryAs(AccessType type, PrivMode priv, uint64_t satp,
+                                     uint64_t vaddr, unsigned size, uint64_t* value,
+                                     const PmpBank* pmp_override) {
   TranslateParams params;
-  params.satp = satp_override;
+  params.satp = satp;
   params.priv = priv;
   const uint64_t mstatus = csrs_.mstatus();
   params.sum = Bit(mstatus, MstatusBits::kSum) != 0;
@@ -296,43 +252,18 @@ Hart::MemResult Hart::ReadMemoryAs(PrivMode priv, uint64_t satp_override, uint64
   // bank), the TLB is bypassed entirely: its stamp tracks only the physical bank's
   // generation, so entries can neither validate against nor be filled under a foreign
   // bank. Overrideless calls share entries with the interpreter path.
-  const AccessOutcome out = TranslateWith(pmp, /*cacheable=*/pmp_override == nullptr, params,
-                                          vaddr, size, AccessType::kLoad);
-  if (!out.ok) {
-    result.ok = false;
-    result.cause = out.cause;
-    return result;
-  }
-  if (!bus_->Read(out.paddr, size, value)) {
-    result.ok = false;
-    result.cause = ExceptionCause::kLoadAccessFault;
-    return result;
-  }
-  return result;
-}
-
-Hart::MemResult Hart::WriteMemoryAs(PrivMode priv, uint64_t satp_override, uint64_t vaddr,
-                                    unsigned size, uint64_t value,
-                                    const PmpBank* pmp_override) {
+  const AccessOutcome out =
+      TranslateWith(pmp_override != nullptr ? *pmp_override : csrs_.pmp(),
+                    /*cacheable=*/pmp_override == nullptr, params, vaddr, size, type);
   MemResult result;
-  const PmpBank& pmp = pmp_override != nullptr ? *pmp_override : csrs_.pmp();
-  TranslateParams params;
-  params.satp = satp_override;
-  params.priv = priv;
-  const uint64_t mstatus = csrs_.mstatus();
-  params.sum = Bit(mstatus, MstatusBits::kSum) != 0;
-  params.mxr = Bit(mstatus, MstatusBits::kMxr) != 0;
-  const AccessOutcome out = TranslateWith(pmp, /*cacheable=*/pmp_override == nullptr, params,
-                                          vaddr, size, AccessType::kStore);
   if (!out.ok) {
     result.ok = false;
     result.cause = out.cause;
-    return result;
-  }
-  if (!bus_->Write(out.paddr, size, value)) {
+  } else if (type == AccessType::kStore ? !bus_->Write(out.paddr, size, *value)
+                                        : !bus_->Read(out.paddr, size, value)) {
     result.ok = false;
-    result.cause = ExceptionCause::kStoreAccessFault;
-    return result;
+    result.cause = type == AccessType::kStore ? ExceptionCause::kStoreAccessFault
+                                              : ExceptionCause::kLoadAccessFault;
   }
   return result;
 }

@@ -112,27 +112,20 @@ class Hart {
   // current mode, or nullopt. Pure function of the CSR state.
   std::optional<uint64_t> PendingInterrupt() const;
 
-  // Memory access with full translation + PMP, at an explicitly given effective
-  // privilege. Used by the interpreter and by the monitor's MPRV emulation path.
-  // On failure returns the fault cause; *fault_addr receives the faulting vaddr.
+  // A load into *value, or a store of *value, of `size` bytes at `vaddr`, with full
+  // translation and PMP checks, at an explicitly chosen effective privilege and
+  // address space. The monitor's trapped-access emulation uses it (paper §4.2): M-mode
+  // code accessing memory through the OS page tables. `satp` replaces the live satp;
+  // `pmp_override`, when non-null, replaces the physical PMP bank for the protection
+  // check (the monitor passes the *virtual* bank when emulating firmware MPRV
+  // accesses, since the reference machine would check the firmware's own PMP
+  // configuration). On failure, `cause` is the fault to raise.
   struct MemResult {
     bool ok = true;
     ExceptionCause cause = ExceptionCause::kLoadAccessFault;
   };
-  MemResult ReadMemory(uint64_t vaddr, unsigned size, uint64_t* value);
-  MemResult WriteMemory(uint64_t vaddr, unsigned size, uint64_t value);
-
-  // Same, but at an explicitly chosen effective privilege and address space — used by
-  // the monitor's fast-path misaligned emulation and MPRV emulation (paper §4.2),
-  // where M-mode code accesses memory through the OS page tables. `satp_override`
-  // replaces the live satp; `pmp_override`, when non-null, replaces the physical PMP
-  // bank for the protection check (the monitor passes the *virtual* bank when
-  // emulating firmware MPRV accesses, since the reference machine would check the
-  // firmware's own PMP configuration).
-  MemResult ReadMemoryAs(PrivMode priv, uint64_t satp_override, uint64_t vaddr, unsigned size,
-                         uint64_t* value, const PmpBank* pmp_override = nullptr);
-  MemResult WriteMemoryAs(PrivMode priv, uint64_t satp_override, uint64_t vaddr, unsigned size,
-                          uint64_t value, const PmpBank* pmp_override = nullptr);
+  MemResult AccessMemoryAs(AccessType type, PrivMode priv, uint64_t satp, uint64_t vaddr,
+                           unsigned size, uint64_t* value, const PmpBank* pmp_override = nullptr);
 
   uint64_t instret() const { return csrs_.minstret(); }
   uint64_t cycles() const { return csrs_.mcycle(); }
@@ -350,10 +343,10 @@ class Hart {
   bool DataVirt() const;
 
   // Translation core shared by the interpreter path (Translate) and the monitor's
-  // explicit-context path (ReadMemoryAs/WriteMemoryAs). Consults the software TLB
-  // before walking when `cacheable` (entries are never filled from, nor served to,
-  // non-cacheable lookups — the monitor's MPRV emulation passes a stack-local PMP
-  // bank the stamp machinery cannot watch).
+  // explicit-context path (AccessMemoryAs). Consults the software TLB before walking
+  // when `cacheable` (entries are never filled from, nor served to, non-cacheable
+  // lookups — the monitor's MPRV emulation passes the virtual PMP bank, which the
+  // stamp machinery does not watch).
   AccessOutcome TranslateWith(const PmpBank& pmp, bool cacheable, const TranslateParams& params,
                               uint64_t vaddr, unsigned size, AccessType type);
   AccessOutcome Translate(uint64_t vaddr, unsigned size, AccessType type, PrivMode priv,

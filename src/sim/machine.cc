@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/common/state.h"
 #include "src/isa/csr.h"
@@ -121,21 +122,10 @@ uint64_t SegmentStopCycles(const Hart& hart, uint64_t stop_delta) {
   return stop >= now ? stop : ~uint64_t{0};
 }
 
-// FNV-1a, the rolling hash behind the replay verifier's checkpoints. Not
-// cryptographic — it only needs to make two diverged states hash differently with
-// overwhelming probability, cheaply.
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(const void* data, size_t size, uint64_t h) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t FnvU64(uint64_t value, uint64_t h) { return FnvBytes(&value, sizeof value, h); }
+// Folds one word into an FNV-1a hash, the rolling hash behind the replay
+// verifier's checkpoints. Not cryptographic — it only needs to make two diverged
+// states hash differently with overwhelming probability, cheaply.
+uint64_t FnvU64(uint64_t value, uint64_t h) { return Fnv1a64(&value, sizeof value, h); }
 
 uint64_t LoadLe64(const uint8_t* p) {
   uint64_t v = 0;
@@ -1047,16 +1037,6 @@ void Machine::InjectPlicLine(unsigned source, bool level) {
   }
 }
 
-void Machine::InjectHostTime(uint64_t mtime) {
-  clint_->set_mtime(mtime);
-  if (recorder_ != nullptr) {
-    TraceEvent event;
-    event.kind = TraceEventKind::kHostTime;
-    event.a = mtime;
-    RecordEvent(std::move(event));
-  }
-}
-
 bool Machine::BeginTracedRun(TraceRunKind kind, uint64_t a, uint64_t b) {
   if (recorder_ == nullptr || in_traced_run_) {
     return false;
@@ -1185,7 +1165,7 @@ void Machine::ReplayDiverge(uint32_t hart, const TraceEvent& event,
 }
 
 uint64_t Machine::HashHartState(const Hart& hart) const {
-  uint64_t h = kFnvBasis;
+  uint64_t h = kFnv1aBasis;
   h = FnvU64(hart.pc(), h);
   h = FnvU64(static_cast<uint64_t>(hart.priv()), h);
   h = FnvU64(hart.waiting() ? 1 : 0, h);
@@ -1220,7 +1200,7 @@ uint64_t Machine::HashDeviceState() const {
     }
     window.device->SaveState(writer);
   }
-  uint64_t h = FnvBytes(writer.bytes().data(), writer.bytes().size(), kFnvBasis);
+  uint64_t h = Fnv1a64(writer.bytes().data(), writer.bytes().size());
   if (blockdev_ != nullptr) {
     h = FnvU64(blockdev_->status(), h);
     h = FnvU64(blockdev_->busy() ? blockdev_->deadline() : 0, h);
@@ -1246,7 +1226,7 @@ std::vector<uint8_t> Machine::StateHashPayload() const {
 
 uint64_t Machine::HashRam() const {
   uint8_t buffer[4096];
-  uint64_t h = kFnvBasis;
+  uint64_t h = kFnv1aBasis;
   const uint64_t base = config_.map.ram_base;
   const uint64_t size = config_.map.ram_size;
   for (uint64_t offset = 0; offset < size; offset += sizeof(buffer)) {
@@ -1255,7 +1235,7 @@ uint64_t Machine::HashRam() const {
     if (!bus_.ReadBytes(base + offset, buffer, chunk)) {
       return 0;
     }
-    h = FnvBytes(buffer, chunk, h);
+    h = Fnv1a64(buffer, chunk, h);
   }
   return h;
 }
@@ -1263,7 +1243,7 @@ uint64_t Machine::HashRam() const {
 uint64_t Machine::HashBlockdevFull() const {
   StateWriter writer;
   blockdev_->SaveState(writer);
-  return FnvBytes(writer.bytes().data(), writer.bytes().size(), kFnvBasis);
+  return Fnv1a64(writer.bytes().data(), writer.bytes().size());
 }
 
 void Machine::ExecuteReplayRun(const TraceEvent& run) {
@@ -1451,11 +1431,6 @@ ReplayResult Machine::ReplayFrom(const Snapshot& snapshot,
         } else {
           plic_->ClearSource(static_cast<unsigned>(event.a));
         }
-        ++cursor.next;
-        ++result.events_applied;
-        break;
-      case TraceEventKind::kHostTime:
-        clint_->set_mtime(event.a);
         ++cursor.next;
         ++result.events_applied;
         break;

@@ -286,13 +286,13 @@ class Machine {
   static constexpr uint64_t kDefaultHashPeriodRounds = 2048;
 
   // Starts recording every external input — run calls with their budgets, UART
-  // input, PLIC line injections, host time pokes, LoadImage writes, snapshot
-  // points — plus a verification checkpoint (rolling state hash) every
-  // `hash_period_rounds` rounds and every block-device completion edge. Inputs
-  // must be injected through the Inject* wrappers below while recording. Returns
-  // false if already recording or replaying. The trace is anchored at the
-  // machine's current progress: pair it with a SaveSnapshot taken at the same
-  // point (before StartRecording) to make a self-contained repro artifact.
+  // input, PLIC line injections, LoadImage writes, snapshot points — plus a
+  // verification checkpoint (rolling state hash) every `hash_period_rounds` rounds
+  // and every block-device completion edge. Inputs must be injected through the
+  // Inject* wrappers below while recording. Returns false if already recording or
+  // replaying. The trace is anchored at the machine's current progress: pair it
+  // with a SaveSnapshot taken at the same point (before StartRecording) to make a
+  // self-contained repro artifact.
   bool StartRecording(const std::string& path,
                       uint64_t hash_period_rounds = kDefaultHashPeriodRounds);
   // Finalizes the recording (appends the end-of-trace checkpoint: state hashes
@@ -303,12 +303,11 @@ class Machine {
   bool recording() const { return recorder_ != nullptr; }
 
   // Host input injection, recorded when a recording is active. These are the
-  // record/replay-aware forms of uart().PushInput(), plic().RaiseSource()/
-  // ClearSource(), and clint().set_mtime(); hosts that want their inputs replayed
-  // must use them. Safe (and equivalent to the direct calls) when not recording.
+  // record/replay-aware forms of uart().PushInput() and plic().RaiseSource()/
+  // ClearSource(); hosts that want their inputs replayed must use them. Safe (and
+  // equivalent to the direct calls) when not recording.
   void InjectUartInput(const std::string& bytes);
   void InjectPlicLine(unsigned source, bool level);
-  void InjectHostTime(uint64_t mtime);
 
   // Restores `snapshot`, then re-executes the recorded run calls, re-injecting
   // every input at its recorded (retired, round) coordinate and verifying each

@@ -9,14 +9,15 @@ namespace {
 
 constexpr uint32_t kTraceTag = StateTag("TRAC");
 constexpr uint32_t kEventTag = StateTag("TREV");
-constexpr uint32_t kTraceVersion = 1;
+// Version 2: checkpoint hashes start from the standard FNV-1a offset basis, and the
+// host-time event kind (3) is gone.
+constexpr uint32_t kTraceVersion = 2;
 constexpr uint32_t kEventVersion = 1;
 
 bool IsDroppable(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kUartInput:
     case TraceEventKind::kPlicLine:
-    case TraceEventKind::kHostTime:
     case TraceEventKind::kLoadImage:
       return true;
     default:

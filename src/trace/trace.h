@@ -1,6 +1,6 @@
 // Deterministic record/replay traces (DESIGN.md §2j). A trace is the log of every
-// *external* input a Machine received — UART rx bytes, PLIC line injections, host
-// time pokes, LoadImage writes, snapshot points, and the host's run calls themselves
+// *external* input a Machine received — UART rx bytes, PLIC line injections,
+// LoadImage writes, snapshot points, and the host's run calls themselves
 // (their budgets are part of the schedule) — each stamped with the machine-global
 // (retired, round) coordinate at which it was applied. Simulated execution is a pure
 // function of (snapshot, trace): anchoring the log at a whole-machine snapshot turns
@@ -35,7 +35,6 @@ namespace vfm {
 enum class TraceEventKind : uint8_t {
   kUartInput = 1,     // payload = rx bytes pushed into the UART input queue
   kPlicLine = 2,      // a = source, b = level (1 raise / 0 clear)
-  kHostTime = 3,      // a = mtime value injected by the host
   kLoadImage = 4,     // a = physical address, payload = bytes
   kSnapshotPoint = 5, // host took a snapshot / forked the machine here
   kRun = 6,           // sub = TraceRunKind, a = max_instructions, b = max_rounds
@@ -117,7 +116,7 @@ bool ReadTraceFile(const std::string& path, std::vector<uint8_t>* bytes);
 
 // ddmin-style event-log minimization (the trace-side counterpart of
 // ShrinkProgram): repeatedly drops chunks of the *droppable* events — host input
-// injections (kUartInput / kPlicLine / kHostTime / kLoadImage) — while
+// injections (kUartInput / kPlicLine / kLoadImage) — while
 // `still_fails` holds for the rebuilt trace, calling it at most `max_runs` times.
 // Structural events (runs, snapshot points, verification checkpoints) are never
 // dropped: they are the schedule, not the inputs. Returns the smallest failing

@@ -514,11 +514,7 @@ VerifResult Verifier::VerifyPmpFaithfulExecution(uint64_t configs, uint64_t prob
     }
 
     // The virtual reference bank.
-    PmpBank vbank(vconfig_.pmp_entries);
-    for (unsigned i = 0; i < vconfig_.pmp_entries; ++i) {
-      vbank.SetCfg(i, PmpCfg::FromByte(vcsr.pmpcfg_byte(i)));
-      vbank.SetAddr(i, vcsr.pmpaddr(i));
-    }
+    const PmpBank& vbank = vcsr.pmp();
 
     VpmpInputs inputs;
     inputs.monitor = {true, monitor_base, monitor_size, false, false, false};
@@ -539,9 +535,8 @@ VerifResult Verifier::VerifyPmpFaithfulExecution(uint64_t configs, uint64_t prob
     // Probe addresses: decoded boundaries of every virtual entry plus random points.
     std::vector<uint64_t> probes;
     for (unsigned i = 0; i < vconfig_.pmp_entries; ++i) {
-      const uint64_t prev = i == 0 ? 0 : vcsr.pmpaddr(i - 1);
-      const auto range = DecodePmpRange(PmpCfg::FromByte(vcsr.pmpcfg_byte(i)),
-                                        vcsr.pmpaddr(i), prev);
+      const uint64_t prev = i == 0 ? 0 : vbank.GetAddr(i - 1);
+      const auto range = DecodePmpRange(vbank.GetCfg(i), vbank.GetAddr(i), prev);
       if (range.has_value()) {
         // Probes are clamped to the 2^56-byte physical address space pmpaddr spans.
         const uint64_t max_addr = (uint64_t{1} << 56) - 16;

@@ -118,6 +118,89 @@ TEST(BootTest, MisalignedAccessEmulated) {
   }
 }
 
+TEST(BootTest, MisalignedLoadsAndStoresAgreeAcrossModes) {
+  // Three emulators of one misaligned access: the native firmware's MPRV byte loop,
+  // the monitor's fast path (offload), and the firmware's loop with every MPRV byte
+  // emulated by the monitor (no offload). Each access size and extension runs once,
+  // stores included, and one load and one store straddle a 4 KiB page boundary. All
+  // three must leave the same registers and the same bytes.
+  constexpr unsigned kAccesses = 9;
+  constexpr uint64_t kLoaded[] = {
+      0xFFFF'FFFF'FFFF'A5C3,  // lh  page-9
+      0x0000'0000'0000'A5C3,  // lhu page-9
+      0xFFFF'FFFF'FEDC'BA98,  // lw  page-15
+      0x0000'0000'FEDC'BA98,  // lwu page-15
+      0x0123'4567'89AB'CDEF,  // ld  page-3, crosses the page
+      0xFFFF'FFFF'FFFF'89AB,  // lh  page-1, crosses the page
+  };
+  constexpr uint8_t kBytes[32] = {
+      0x00, 0x98, 0xBA, 0xDC, 0xFE, 0x00, 0x00, 0xC3,  // page-16 ..
+      0xA5, 0x00, 0x00, 0x00, 0x00, 0xEF, 0xCD, 0xAB,  // page-8 ..
+      0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00, 0x00,  // page ..
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // page+8 ..
+  };
+  for (DeployMode mode :
+       {DeployMode::kNative, DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {
+    SCOPED_TRACE(DeployModeName(mode));
+    PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+    KernelConfig config;
+    config.base = profile.kernel_base;
+    config.enable_paging = true;  // every emulator translates through the page tables
+    KernelBuilder kb(config);
+    Assembler& a = kb.assembler();
+    // A zeroed buffer of 16 bytes either side of a page boundary, jumped over.
+    a.J("mis_code");
+    a.Zero(16);
+    a.Align(4096);
+    a.Bind("mis_page");
+    a.Zero(16);
+    a.Bind("mis_code");
+    a.La(s1, "mis_page");
+    a.Addi(s1, s1, -16);
+    a.Li(t1, 0x0123'4567'89AB'CDEF);
+    a.Sd(t1, s1, 13);
+    a.Li(t1, 0xFEDC'BA98);
+    a.Sw(t1, s1, 1);
+    a.Li(t1, 0xA5C3);
+    a.Sh(t1, s1, 7);
+    a.Lh(s2, s1, 7);
+    a.Lhu(s3, s1, 7);
+    a.Lw(s4, s1, 1);
+    a.Lwu(s5, s1, 1);
+    a.Ld(s6, s1, 13);
+    a.Lh(s7, s1, 15);
+    a.La(t0, "k_results");
+    const Reg loaded[] = {s2, s3, s4, s5, s6, s7};
+    for (unsigned i = 0; i < 6; ++i) {
+      a.Sd(loaded[i], t0, static_cast<int32_t>(8 * (KernelSlots::kScratch + i)));
+    }
+    kb.EmitFinish(/*pass=*/true);
+    const Image kernel = kb.Finish();
+    System system = BootSystem(profile, mode, kernel);
+    ASSERT_TRUE(system.machine->RunUntilFinished(kRunBudget));
+    EXPECT_EQ(system.machine->finisher().exit_code(), 0u);
+    for (unsigned i = 0; i < 6; ++i) {
+      EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + i), kLoaded[i]) << "load " << i;
+    }
+    uint8_t bytes[32] = {};
+    ASSERT_TRUE(system.machine->bus().ReadBytes(kernel.Symbol("mis_page") - 16, bytes, 32));
+    for (unsigned i = 0; i < 32; ++i) {
+      EXPECT_EQ(bytes[i], kBytes[i]) << "page" << static_cast<int>(i) - 16;
+    }
+    if (mode != DeployMode::kNative) {
+      const MonitorStats& stats = system.monitor->stats();
+      EXPECT_EQ(stats.os_traps_by_cause[static_cast<unsigned>(OsTrapCause::kMisaligned)],
+                kAccesses);
+      // Offload keeps the firmware out; without it, the firmware's MPRV bytes trap.
+      if (mode == DeployMode::kMiralis) {
+        EXPECT_EQ(stats.mprv_emulations, 0u);
+      } else {
+        EXPECT_GT(stats.mprv_emulations, 0u);
+      }
+    }
+  }
+}
+
 TEST(BootTest, Rva23PlatformUsesSstcWithoutTraps) {
   // On the RVA23 profile, time reads and timer programming never trap: the kernel
   // runs its tick entirely in hardware, and the monitor sees (almost) no OS traps.

@@ -136,6 +136,16 @@ TEST(HashTest, Fnv1aDistinct) {
   EXPECT_EQ(Fnv1a64("hello", 5), Fnv1a64("hello", 5));
 }
 
+TEST(HashTest, Fnv1aStandardVectors) {
+  EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+}
+
+TEST(HashTest, Fnv1aSeedContinuesStream) {
+  EXPECT_EQ(Fnv1a64("bar", 3, Fnv1a64("foo", 3)), Fnv1a64("foobar", 6));
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7);
   Rng b(7);

@@ -229,6 +229,45 @@ TYPED_TEST(DomainTest, HostCsrsSurviveRun) {
             system.monitor->vctx(0).csrs().medeleg());
 }
 
+TYPED_TEST(DomainTest, MaskedHostInterruptPreemptsDomain) {
+  // The host leaves a supervisor software interrupt pending while masking it for
+  // itself. No interrupt is delegated while the domain runs, so the interrupt
+  // preempts the domain at its first instruction instead of entering the host's
+  // vector from inside it. The host clears the interrupt, resumes, and gets the
+  // domain's exit value; its delegation and sepc are its own again.
+  constexpr uint64_t kExitValue = 0x600D;
+  const Image payload = this->Payload([&](Assembler& a) { a.Li(a0, kExitValue); });
+  KernelBuilder kb(this->HostConfig());
+  Assembler& a = kb.assembler();
+  this->EmitCreate(a, payload.entry);
+  a.Csrrci(zero, kCsrSstatus, 2);  // mask: sstatus.SIE = 0
+  a.Csrrsi(zero, kCsrSip, 2);      // pend: sip.SSIP = 1
+  a.Li(a0, 0);
+  this->EmitCall(a, this->abi.run);
+  a.Mv(a0, a1);
+  kb.EmitStoreResult(KernelSlots::kScratch);  // the run's reason
+  a.Csrrci(zero, kCsrSip, 2);
+  a.Bind("resume");
+  a.Li(a0, 0);
+  this->EmitCall(a, this->abi.resume);
+  a.Li(t0, DomainExit::kDone);
+  a.Bne(a1, t0, "resume");
+  kb.EmitStoreResult(KernelSlots::kScratch + 1);  // the exit value
+  kb.EmitFinish(/*pass=*/true);
+  System system = this->Boot(kb.Finish(), payload);
+  ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
+  EXPECT_EQ(system.machine->finisher().exit_code(), 0u);
+  EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), DomainExit::kInterrupted);
+  EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + 1), kExitValue);
+  EXPECT_FALSE(this->policy.live());
+  const CsrFile& csrs = system.machine->hart(0).csrs();
+  EXPECT_EQ(csrs.mideleg(), system.monitor->vctx(0).csrs().mideleg() | kSupervisorInterrupts);
+  const uint64_t sepc = csrs.Get(kCsrSepc);
+  EXPECT_FALSE(sepc >= this->profile.enclave_base &&
+               sepc < this->profile.enclave_base + this->profile.enclave_size)
+      << std::hex << sepc;
+}
+
 TYPED_TEST(DomainTest, SecondHartCannotRunARunningDomain) {
   // The domain has one context: while it runs on one hart, a run from another hart
   // is denied instead of entering it a second time. Whichever hart gets there first

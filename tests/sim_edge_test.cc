@@ -369,14 +369,16 @@ TEST(SimEdgeTest, MprvEmulationWithPmpOverrideBypassesTlb) {
   PmpBank deny_all(8);  // entries implemented but all OFF: denies S/U accesses
   uint64_t value = 0;
   const Hart::MemResult denied =
-      h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value, &deny_all);
+      h.hart().AccessMemoryAs(AccessType::kLoad, PrivMode::kSupervisor, h.satp(), 0x3000, 8,
+                              &value, &deny_all);
   EXPECT_FALSE(denied.ok);
   EXPECT_EQ(denied.cause, ExceptionCause::kLoadAccessFault);
   EXPECT_EQ(h.hart().tlb_hits(), hits);      // not served from the OS entry
   EXPECT_EQ(h.hart().tlb_misses(), misses);  // not even counted as a lookup
   // The same access without an override is served by the TLB.
   const Hart::MemResult ok =
-      h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value);
+      h.hart().AccessMemoryAs(AccessType::kLoad, PrivMode::kSupervisor, h.satp(), 0x3000, 8,
+                              &value);
   EXPECT_TRUE(ok.ok);
   EXPECT_EQ(h.hart().tlb_hits(), hits + 1);
 }

@@ -517,6 +517,26 @@ TEST(MonitorSnapshotTest, MonitoredBootRoundTrips) {
   EXPECT_GE(a.ReadResult(KernelSlots::kTimerTicks), 40u);
 }
 
+TEST(MonitorSnapshotTest, RejectsVersionOneState) {
+  // Version 1 carried a per-hart field that version 2 dropped. Loading it must fail
+  // with a reason instead of misreading every field after it.
+  PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  KernelConfig config;
+  config.base = profile.kernel_base;
+  KernelBuilder kb(config);
+  kb.EmitFinish(/*pass=*/true);
+  System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish());
+  StateWriter writer;
+  writer.BeginSection(StateTag("MONS"), 1);
+  writer.U32(1);
+  writer.EndSection();
+  const std::vector<uint8_t> bytes = writer.Take();
+  StateReader reader(bytes);
+  EXPECT_FALSE(system.monitor->LoadState(reader));
+  EXPECT_NE(reader.error().find("monitor state version 1"), std::string::npos)
+      << reader.error();
+}
+
 // ---------------------------------------------------------------------------------
 // Parallel-hart snapshots (DESIGN.md §2i): a machine running the quantum schedule on
 // the worker pool snapshots byte-identically to one running the same schedule
