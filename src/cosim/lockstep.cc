@@ -57,7 +57,8 @@ const std::vector<LockstepConfig>& LockstepConfigs() {
        {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 0}},
       // The full stack: lowered superblocks over the decode cache and TLB.
       {"superblock", {}},
-      // Tiny everything: block aliasing, eviction and invalidation of live blocks.
+      // Tiny everything: block aliasing, eviction and invalidation of live blocks,
+      // and op-arena restarts (a 4-entry cache's arena holds 260 ops, DESIGN.md §2f).
       {"tiny-superblock",
        {.decode_cache_entries = 64, .tlb_entries = 64, .superblock_entries = 4}},
       // The full stack with parallel_harts: quanta long enough to pay for the

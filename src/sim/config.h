@@ -29,7 +29,9 @@ struct HartIsaConfig {
 // the quantum, a guest-visible schedule point (see below).
 struct SimTuning {
   // Entries in the per-hart decoded-instruction cache (direct-mapped, indexed by
-  // pc >> 2). Must be a power of two; 0 disables the cache entirely.
+  // pc >> 2 with pc >> 13 XOR-folded in, so firmware and OS images at 1 MiB-aligned
+  // bases do not share slots; DESIGN.md §2b). Must be a power of two; 0 disables
+  // the cache entirely.
   uint32_t decode_cache_entries = 16384;
   // Upper bound on instructions executed per Hart::RunBatch call from the run loop
   // (Machine::RunUntilFinished, RunSlice; 0 means 1). Batches also end early at
@@ -48,9 +50,11 @@ struct SimTuning {
   // already-decoded instructions, lowered when built into pre-resolved ops that one
   // computed-goto executor dispatches, spilling architectural counters only at block
   // exits. Lowering bakes in the exact cycle charges of the interpreter path, so
-  // blocks are behaviour- and cycle-invisible. Direct-mapped by start pc >> 2;
-  // rounded up to a power of two; 0 disables. Blocks are built from decode-cache
-  // entries, so they are also implicitly disabled when decode_cache_entries == 0.
+  // blocks are behaviour- and cycle-invisible. Direct-mapped by start pc with the
+  // decode cache's index; each entry is a 32-byte header, and the lowered ops of
+  // all blocks share one per-hart arena of superblock_entries * 65 ops. Rounded up
+  // to a power of two; 0 disables. Blocks are built from decode-cache entries, so
+  // they are also implicitly disabled when decode_cache_entries == 0.
   uint32_t superblock_entries = 2048;
   // Lets long quanta run each hart's segment on its own host thread (DESIGN.md
   // §2i): a quantum goes to the worker pool only when its segments may run at least

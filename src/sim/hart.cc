@@ -56,6 +56,10 @@ void Hart::EnsureCaches() {
   }
   if (pending_sb_entries_ != 0) {
     sblocks_ = MappedArray<SuperblockEntry>(pending_sb_entries_);
+    // Capped so that SuperblockEntry::first_op fits 32 bits: only a cache of more
+    // than 66M entries reaches the cap, and a smaller arena just starts over sooner.
+    ops_ = MappedArray<BlockOp>(
+        std::min<uint64_t>(pending_sb_entries_ * (kMaxSuperblockLen + 1), UINT32_MAX));
     sb_mask_ = pending_sb_entries_ - 1;
     pending_sb_entries_ = 0;
   }
@@ -468,7 +472,7 @@ StepResult Hart::Tick() {
   // accesses, and MPRV never applies to fetches.
   if (icache_mask_ != 0) {
     const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-    FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+    FetchEntry& entry = icache_[CacheSlot(pc_) & icache_mask_];
     if (entry.tag == pc_ && entry.stamp == cache_stamp() && entry.satp == effective_satp &&
         entry.priv == static_cast<uint8_t>(priv_) && entry.virt == virt_) {
       ++icache_hits_;
@@ -513,7 +517,7 @@ StepResult Hart::Tick() {
     for (unsigned i = 0; i < fetch.pte_count; ++i) {
       bus_->MarkExecLine(fetch.pte_addrs[i]);
     }
-    FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+    FetchEntry& entry = icache_[CacheSlot(pc_) & icache_mask_];
     entry.tag = pc_;
     entry.stamp = cache_stamp();
     entry.satp = virt_ ? csrs_.vsatp() : csrs_.satp();
@@ -549,17 +553,19 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
     // batches, and an MMIO access ends the batch after its instruction — so one
     // sample per dispatch observes everything per-instruction sampling would.
     if (sb_mask_ != 0 && !waiting_ && IsAligned(pc_, 4) && !PendingInterrupt()) {
-      SuperblockEntry& sb = sblocks_[(pc_ >> 2) & sb_mask_];
+      SuperblockEntry& sb = sblocks_[CacheSlot(pc_) & sb_mask_];
       const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-      bool valid = sb.tag == pc_ && sb.stamp == cache_stamp() && sb.satp == effective_satp &&
+      bool valid = sb.tag == pc_ && sb.epoch == arena_epoch_ &&
+                   arena_stamp_ == cache_stamp() && sb.satp == effective_satp &&
                    sb.priv == static_cast<uint8_t>(priv_) && sb.virt == virt_;
       if (valid && sb.open_end) {
         // The block was cut short by a cold decode-cache slot. If the continuation
-        // has since been decoded, rebuild to extend. A rebuild can only commit a
-        // non-empty block, so the entry stays valid either way.
+        // has since been decoded, rebuild to extend. A rebuild that starts the
+        // arena over rebuilds this block too, and one that fails touches nothing,
+        // so the entry stays valid either way.
         const uint64_t cont_pc = sb.tag + uint64_t{4} * sb.count;
-        const FetchEntry& cont = icache_[(cont_pc >> 2) & icache_mask_];
-        if (cont.tag == cont_pc && cont.stamp == sb.stamp && cont.satp == sb.satp &&
+        const FetchEntry& cont = icache_[CacheSlot(cont_pc) & icache_mask_];
+        if (cont.tag == cont_pc && cont.stamp == arena_stamp_ && cont.satp == sb.satp &&
             cont.priv == sb.priv && cont.virt == sb.virt) {
           FillSuperblock(&sb);
         }
@@ -606,34 +612,48 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   const uint64_t stamp = cache_stamp();
   const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
   const uint8_t priv = static_cast<uint8_t>(priv_);
+  // Every member must pass the full FetchEntry hit condition under one stamp — that
+  // single check at build time, plus the stamp compare at dispatch, is what proves
+  // the whole block is still exactly what per-instruction fetch would execute.
+  const auto member = [&](uint64_t pc) -> const FetchEntry* {
+    const FetchEntry& entry = icache_[CacheSlot(pc) & icache_mask_];
+    const bool hit = entry.tag == pc && entry.stamp == stamp &&
+                     entry.satp == effective_satp && entry.priv == priv && entry.virt == virt_;
+    return hit ? &entry : nullptr;
+  };
+  // Checking the first member before the arena is touched keeps a failed (re)build
+  // from costing the existing blocks their ops; once it passes, the block has at
+  // least that member.
+  const FetchEntry* const head = member(pc_);
+  if (head == nullptr || SuperblockClass(head->instr.op) == SbClass::kBarrier) {
+    return false;
+  }
+  if (stamp != arena_stamp_ || arena_fill_ + kMaxSuperblockLen + 1 > ops_.size()) {
+    arena_fill_ = 0;
+    ++arena_epoch_;
+    arena_stamp_ = stamp;
+  }
+  BlockOp* const ops = &ops_[arena_fill_];
   const void* const* table = nullptr;
   ExecuteBlock(nullptr, 0, 0, &table);  // the handler label addresses live there
   uint64_t pc = pc_;
   unsigned count = 0;  // members captured
   unsigned n = 0;      // ops written
   bool open_end = false;
-  bool has_mem = false;
   bool ends_with_branch = false;
-  // Capture straight-line decode-cache entries until a block-ending condition. Every
-  // member must pass the full FetchEntry hit condition under one stamp — that single
-  // check at build time, plus the stamp compare at dispatch, is what proves the whole
-  // block is still exactly what per-instruction fetch would execute. Nothing is
-  // written before the first member is captured, so a failed (re)build never damages
-  // the existing entry.
+  // Capture straight-line decode-cache entries until a block-ending condition.
   while (count < kMaxSuperblockLen) {
-    const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
-    if (!(entry.tag == pc && entry.stamp == stamp && entry.satp == effective_satp &&
-          entry.priv == priv && entry.virt == virt_)) {
+    const FetchEntry* const entry = member(pc);
+    if (entry == nullptr) {
       open_end = true;  // cold/stale continuation: retry extension once it warms up
       break;
     }
-    const SbClass cls = SuperblockClass(entry.instr.op);
+    const SbClass cls = SuperblockClass(entry->instr.op);
     if (cls == SbClass::kBarrier) {
       break;  // privileged/CSR/fence/AMO ops always run through the Tick path
     }
-    n = LowerInstr(sb->ops, n, entry.instr, pc, entry.extra_cycles, table);
+    n = LowerInstr(ops, n, entry->instr, pc, entry->extra_cycles, table);
     ++count;
-    has_mem |= cls == SbClass::kMem;
     if (cls == SbClass::kBranch) {
       ends_with_branch = true;  // a branch is the block's final op
       break;
@@ -643,23 +663,25 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
       break;  // the next pc starts a new page and may translate differently
     }
   }
-  if (count == 0) {
-    return false;
-  }
   if (!ends_with_branch) {
     // Blocks cut by a barrier, a page boundary, or the length cap end without a
     // branch: a sentinel spills and returns after the last real op.
-    sb->ops[n].handler = table[static_cast<unsigned>(LoweredOp::kEnd)];
-    sb->ops[n].kind = LoweredOp::kEnd;
+    ops[n].handler = table[static_cast<unsigned>(LoweredOp::kEnd)];
+    ops[n].kind = LoweredOp::kEnd;
+    ++n;
   }
   sb->tag = pc_;
-  sb->stamp = stamp;
   sb->satp = effective_satp;
-  sb->count = static_cast<uint16_t>(count);
-  sb->open_end = open_end;
+  sb->epoch = arena_epoch_;
+  sb->first_op = static_cast<uint32_t>(arena_fill_);
+  sb->count = static_cast<uint8_t>(count);
   sb->priv = priv;
   sb->virt = virt_;
-  sb->has_mem = has_mem;
+  sb->open_end = open_end;
+  arena_fill_ += n;
+  // The restart rule above keeps every block inside the arena. A MappedArray is
+  // invisible to ASan, so this is the only guard on that bound.
+  VFM_DCHECK(arena_fill_ <= ops_.size());
   ++sb_builds_;
   return true;
 }
@@ -806,7 +828,8 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
   TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
   TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
   uint64_t* const g = gpr_;
-  const BlockOp* op = sb->ops;
+  const BlockOp* const head = &ops_[sb->first_op];
+  const BlockOp* op = head;
   // Architectural counters and the pc live in locals while inside the block; they are
   // spilled to csrs_/pc_ only at exits and around slow-path memory ops.
   uint64_t pc = pc_;        // written only by branch handlers; fall-through exits
@@ -824,9 +847,11 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
   // pre-check the step budget exactly (VFM_TFIT), so `dispatched` never overshoots.
   uint64_t climit = stop_cycles > cycles_base ? stop_cycles - cycles_base : 0;
   climit = climit < steps_left ? climit : steps_left;
-  // tlb_stamp() is stable across fast-path ops (fast stores never touch marked
-  // pages, so no generation it folds can bump); resampled after every slow-path op.
-  uint64_t tstamp = sb->has_mem ? tlb_stamp() : 0;
+  // tlb_stamp(), sampled at the block's first memory op along with the rest of the
+  // fast-path context, is stable across fast-path ops (fast stores never touch
+  // marked pages, so no generation it folds can bump); resampled after every
+  // slow-path op.
+  uint64_t tstamp = 0;
 
 #define VFM_TGO() goto* op->handler
 // Bookkeeping + budget post-check of a non-terminal op, then dispatch of the next.
@@ -853,7 +878,7 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
       goto exit_spill;       \
     }                        \
     if (pc == sb->tag) {     \
-      op = sb->ops;          \
+      op = head;             \
       VFM_TGO();             \
     }                        \
     goto exit_spill;         \
@@ -879,6 +904,7 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
     constexpr unsigned kSize = AccessSize(Op::k##name);                        \
     if (!fm.built) {                                                           \
       BuildFastMemCtx(&fm);                                                    \
+      tstamp = tlb_stamp();                                                    \
     }                                                                          \
     const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
     if (!fm.engaged || !IsAligned(va, kSize)) {                                \
@@ -908,6 +934,7 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
     constexpr unsigned kSize = AccessSize(Op::k##name);                        \
     if (!fm.built) {                                                           \
       BuildFastMemCtx(&fm);                                                    \
+      tstamp = tlb_stamp();                                                    \
     }                                                                          \
     const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
     if (!fm.engaged || !IsAligned(va, kSize)) {                                \
@@ -1052,7 +1079,7 @@ slow_mem: {
   cycles_base = csrs_.mcycle();
   tstamp = tlb_stamp();  // a slow-path store may have bumped a folded generation
   const bool mmio = bus_->mmio_ops() != mmio_start;
-  const bool stale = cache_stamp() != sb->stamp;
+  const bool stale = cache_stamp() != arena_stamp_;
   if (mmio || stale || dispatched >= steps_left || cycles_base >= stop_cycles) {
     // `stale` abandons the block (the store invalidated code it may contain)
     // without ending the batch: RunBatch re-validates and rebuilds.

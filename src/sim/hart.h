@@ -166,6 +166,9 @@ class Hart {
   uint64_t threaded_instrs() const { return sb_instrs_; }
   uint64_t threaded_promotions() const { return sb_builds_; }
   uint64_t threaded_deopts() const { return sb_deopts_; }
+  // Ops in the superblock op arena (DESIGN.md §2f): the lowered ops of every block
+  // built since the arena last started over. Host-side bookkeeping only.
+  uint64_t superblock_arena_ops() const { return arena_fill_; }
 
   // Host-pointer memory fast path counters: hits are loads/stores completed directly
   // against cached host RAM pointers inside a superblock; misses are in-block memory
@@ -279,28 +282,35 @@ class Hart {
     LoweredOp kind;
   };
 
-  // One slot of the superblock cache: a straight-line run of decode-cache entries
-  // captured under one validity stamp and lowered as it is built. The key/stamp
-  // discipline is exactly FetchEntry's — the block is valid iff every member
-  // FetchEntry would still hit — which holds because all members were verified valid
-  // at build time under the same (stamp, satp, priv, virt) and any event that could
-  // invalidate one bumps a counter folded into cache_stamp(). Ends at the first
-  // kBarrier op (excluded), at a kBranch (included: the final op), at a 4 KiB page
-  // boundary (the next pc may translate differently), or at kMaxSuperblockLen; a
-  // block that does not end in a branch ends in a kEnd op. `open_end` marks a block
-  // cut short by a cold decode-cache slot; a later dispatch retries the build to
-  // extend it once the continuation has been decoded.
+  // One slot of the superblock cache: the header of a straight-line run of
+  // decode-cache entries captured under one validity stamp, whose lowered ops sit
+  // in the op arena from `first_op` on. The key/stamp discipline is exactly
+  // FetchEntry's — the block is valid iff every member FetchEntry would still hit —
+  // which holds because all members were verified valid at build time under the
+  // same (stamp, satp, priv, virt) and any event that could invalidate one bumps a
+  // counter folded into cache_stamp(). The stamp is the arena's: every block of the
+  // current arena epoch was built under arena_stamp_, so a block is valid iff its
+  // key matches, its epoch is arena_epoch_ (its ops have not been overwritten) and
+  // arena_stamp_ still equals cache_stamp(). Ends at the first kBarrier op
+  // (excluded), at a kBranch (included: the final op), at a 4 KiB page boundary
+  // (the next pc may translate differently), or at kMaxSuperblockLen; a block that
+  // does not end in a branch ends in a kEnd op. `open_end` marks a block cut short
+  // by a cold decode-cache slot; a later dispatch retries the build to extend it
+  // once the continuation has been decoded.
   struct SuperblockEntry {
-    uint64_t tag;                 // starting virtual pc
-    uint64_t stamp;               // cache_stamp() at build time
-    uint64_t satp;                // effective satp at build time
-    uint16_t count;               // source instructions
-    bool open_end;
+    uint64_t tag;       // starting virtual pc
+    uint64_t satp;      // effective satp at build time
+    uint64_t epoch;     // arena_epoch_ at build time
+    uint32_t first_op;  // index of the block's first op in ops_
+    uint8_t count;      // source instructions
     uint8_t priv;
     bool virt;
-    bool has_mem;  // skip the tlb_stamp() sample for pure-ALU blocks
-    BlockOp ops[kMaxSuperblockLen + 1];
+    bool open_end;
   };
+  // Kept at 32 bytes, so the header array plus the arena is no larger than an
+  // array of slots that each held a header and a full block's ops inline.
+  static_assert(sizeof(SuperblockEntry) == 32);
+  static_assert(kMaxSuperblockLen <= UINT8_MAX);
 
   // Data-access translation context captured once per block dispatch. Valid for the
   // whole block because priv/virt/mstatus/satp can only change at barriers or traps,
@@ -366,10 +376,19 @@ class Hart {
     return cost_->instr_base + (IsMulDiv(op) ? cost_->instr_muldiv : 0);
   }
 
+  // Slot of `pc` in the decode and superblock caches, before masking: pc >> 2 with
+  // pc >> 13 XOR-folded in. Platform profiles load firmware and OS at 1 MiB-aligned
+  // bases 3 MiB apart, which pc >> 2 alone maps onto the same slots at every cache
+  // size up to 256K entries; the fold separates them. pc >> 13 is constant over a
+  // 4 KiB page, so a page's instructions still map one-to-one onto one aligned run
+  // of slots.
+  static uint64_t CacheSlot(uint64_t pc) { return (pc >> 2) ^ (pc >> 13); }
+
   // Builds (or rebuilds) the superblock starting at pc_ from currently-valid
-  // decode-cache entries, lowering each member into the slot as it is captured.
-  // Returns false, leaving the slot untouched, if not even one instruction could be
-  // captured (cold or stale decode-cache slot at pc_).
+  // decode-cache entries, lowering each member into the op arena as it is captured,
+  // and points `sb` at it. Returns false, touching neither `sb` nor the arena, if the
+  // first instruction cannot start a block (cold or stale decode-cache slot at pc_,
+  // or a barrier op).
   bool FillSuperblock(SuperblockEntry* sb);
   // Lowers block member `d` at `ipc` after ops[0, n): folds li/auipc +
   // ALU-immediate chains, fuses compare+branch pairs, and pre-sums cycle charges.
@@ -434,8 +453,8 @@ class Hart {
   std::optional<uint64_t> reservation_;
   uint64_t traps_taken_ = 0;
 
-  // Decoded-instruction cache (direct-mapped, indexed by pc >> 2). Empty when the
-  // cache is disabled; icache_mask_ == 0 doubles as the "disabled" flag.
+  // Decoded-instruction cache (direct-mapped, indexed by CacheSlot(pc)). Empty when
+  // the cache is disabled; icache_mask_ == 0 doubles as the "disabled" flag.
   MappedArray<FetchEntry> icache_;
   uint64_t icache_mask_ = 0;
   uint64_t fence_gen_ = 1;  // bumped by fence.i; starts at 1 so zeroed slots never hit
@@ -452,11 +471,23 @@ class Hart {
   uint64_t tlb_misses_ = 0;
   uint64_t tlb_flushes_ = 0;
 
-  // Superblock cache (direct-mapped, indexed by start pc >> 2). Empty when disabled;
-  // sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode cache: blocks
-  // are built from, and validated against, its entries.
+  // Superblock cache (direct-mapped, indexed by CacheSlot(start pc)). Empty when
+  // disabled; sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode
+  // cache: blocks are built from, and validated against, its entries.
   MappedArray<SuperblockEntry> sblocks_;
   uint64_t sb_mask_ = 0;
+  // Op arena: the lowered ops of every block, appended at arena_fill_ as blocks are
+  // built, superblock_entries * (kMaxSuperblockLen + 1) ops long. It starts over
+  // (fill point 0, next epoch) when the next block might not fit, or when
+  // cache_stamp() has moved off arena_stamp_, the stamp its blocks were built
+  // under: those blocks are all stale then, so starting over costs nothing and
+  // keeps a guest that invalidates often at the front of the arena. A zeroed
+  // header never matches: before the first build arena_stamp_ is 0, which
+  // cache_stamp() never is, and the first build moves the epoch off 0.
+  MappedArray<BlockOp> ops_;
+  uint64_t arena_fill_ = 0;
+  uint64_t arena_epoch_ = 0;
+  uint64_t arena_stamp_ = 0;
   uint64_t sb_hits_ = 0;
   uint64_t sb_misses_ = 0;
   uint64_t sb_blocks_ = 0;

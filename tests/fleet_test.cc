@@ -200,6 +200,50 @@ TEST(SliceApiTest, SliceScheduleRecordsAndReplays) {
   EXPECT_TRUE(replayer->finisher().finished());
 }
 
+TEST(SliceApiTest, ServerKeepsFirmwareAndKernelCodeCached) {
+  // Every request runs both firmware and kernel code, whose images sit at
+  // 1 MiB-aligned bases 3 MiB apart. One server machine driven the way the fleet
+  // drives it (open-loop arrivals, slices, idle fast-forward) must keep both
+  // decoded and lowered (it misses the decode cache ~0.9 times and builds ~0.2
+  // blocks per 1000 instructions; an index that maps the two images onto the same
+  // slots reads ~28 and ~3.7). Deterministic counters only, no wall clock.
+  constexpr uint64_t kRequests = 64;
+  const FleetConfig config;
+  FleetManager manager(config);
+  const std::unique_ptr<Machine> m = manager.BootedTemplate()->Fork();
+  const Hart& hart = m->hart(0);
+  const uint64_t instret0 = hart.instret();
+  uint64_t next_arrival = m->clint().mtime() + config.mean_interarrival_ticks;
+  uint64_t injected = 0;
+  uint64_t completed = 0;
+  bool shutdown_sent = false;
+  bool finished = false;
+  for (int turn = 0; turn < 1'000'000 && !finished; ++turn) {
+    for (; injected < kRequests && next_arrival <= m->clint().mtime(); ++injected) {
+      m->InjectUartInput(Byte(kFleetRequestByte));
+      next_arrival += config.mean_interarrival_ticks;
+    }
+    if (!shutdown_sent && completed == kRequests) {
+      m->InjectUartInput(Byte(kFleetShutdownByte));
+      shutdown_sent = true;
+    }
+    const Machine::SliceResult r = m->RunSlice(config.slice_instructions);
+    ASSERT_TRUE(m->bus().Read(manager.layout().completed_addr, 8, &completed));
+    finished = r.finished;
+    if (!finished && r.idle) {
+      uint64_t wake = next_arrival;
+      m->NextDeadline(&wake);
+      m->FastForwardIdleTo(wake);
+    }
+  }
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(completed, kRequests);
+  const double kinstr = static_cast<double>(hart.instret() - instret0) / 1000;
+  EXPECT_LT(static_cast<double>(hart.decode_cache_misses()) / kinstr, 5.0);
+  EXPECT_LT(static_cast<double>(hart.threaded_promotions()) / kinstr, 1.0);
+  EXPECT_GT(hart.superblock_instrs(), 0u);
+}
+
 // ---------------------------------------------------------------------------------
 // Fleet-level behavior.
 
@@ -261,9 +305,12 @@ TEST(FleetTest, SkewedLoadRebalancesThroughSteals) {
   // always-runnable machines and worker 1 just one, so worker 1 finishes its
   // own block around the two-thirds mark and must steal from worker 0's deque
   // to keep retiring. Small slices keep the deque populated between turns.
-  // When a steal lands is still host-scheduling dependent (a 1-core host can
-  // serialize the workers arbitrarily), so allow a few fleet runs before
-  // declaring the steal path broken; the aggregates stay bit-equal throughout.
+  // Whether a given run steals is up to the host: when one worker thread starts
+  // late, the other can steal its machine and finish everything first. So every
+  // run checks only what the scheduler guarantees (all machines finish, none
+  // stall, aggregates bit-equal), and the steal path must show up, with both
+  // workers retiring, within a fixed number of runs.
+  constexpr int kMaxRuns = 50;
   FleetConfig config = SmallConfig();
   config.machines = 3;
   config.workers = 2;
@@ -273,19 +320,18 @@ TEST(FleetTest, SkewedLoadRebalancesThroughSteals) {
   config.slice_instructions = 5'000;
 
   FleetManager manager(config);
-  FleetStats stats;
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    stats = manager.Run();
+  const uint64_t signature = manager.Run().DeterministicSignature();
+  bool rebalanced = false;
+  for (int run = 0; run < kMaxRuns && !rebalanced; ++run) {
+    const FleetStats stats = manager.Run();
     EXPECT_EQ(stats.finished, 3u);
     EXPECT_EQ(stats.stalled, 0u);
+    EXPECT_EQ(stats.DeterministicSignature(), signature);
     ASSERT_EQ(stats.worker_retired.size(), 2u);
-    EXPECT_GT(stats.worker_retired[0], 0u);
-    EXPECT_GT(stats.worker_retired[1], 0u);
-    if (stats.steals > 0) {
-      break;
-    }
+    rebalanced = stats.steals > 0 && stats.worker_retired[0] > 0 && stats.worker_retired[1] > 0;
   }
-  EXPECT_GT(stats.steals, 0u);
+  EXPECT_TRUE(rebalanced) << "no run of " << kMaxRuns
+                          << " stole a machine with both workers retiring";
 }
 
 TEST(FleetTest, ClosedBurstFleetCompletes) {

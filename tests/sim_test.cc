@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -977,6 +979,154 @@ TEST(LoweredBlockMachineTest, BudgetEdgesInsideFusedOpsMatchPerInstruction) {
     deopts += check(1000, stop, "cycle stop");
   }
   EXPECT_GT(deopts, 0u);  // some boundaries did fall inside a fused op
+}
+
+// -- The op arena and the hashed cache index (DESIGN.md §2f). ------------------------
+
+TEST(OpArenaTest, MoreBlocksThanTheArenaHoldsMatchPerInstruction) {
+  // A 2-entry cache has two slots and a 130-op arena. Slot parity is pc bit 2 here,
+  // so a hot routine at pc = 4 (mod 8) keeps slot 1 while 48 distinct four-op call
+  // sites at pc = 0 (mod 8) churn through slot 0, each call rebuilding its block.
+  // The arena starts over every ~16 builds, overwriting the hot block's ops under a
+  // header that still matches in everything but its epoch. The run must leave
+  // exactly the snapshot of the machine without blocks, with the hot block hitting.
+  constexpr unsigned kCallSites = 48;
+  constexpr unsigned kCallSiteOps = 4;
+  constexpr uint32_t kSbEntries = 2;
+  constexpr uint64_t kArenaOps = kSbEntries * 65;  // entries * (64-instruction cap + 1)
+  struct Outcome {
+    std::vector<uint8_t> state;
+    uint64_t builds = 0;
+    uint64_t hits = 0;
+  };
+  const auto run = [&](uint32_t sb_entries) {
+    MachineConfig config;
+    config.map.ram_size = 1 << 20;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Assembler a(kRam);
+    a.Li(s3, 20);
+    a.Nop();
+    a.J("loop");
+    a.Bind("hot");  // kRam + 12
+    a.Addi(s7, s7, 1);
+    a.Xor(s8, s8, s7);
+    a.Ret();
+    a.Bind("loop");  // kRam + 24
+    for (unsigned i = 0; i < kCallSites; ++i) {
+      a.Addi(s2, s2, static_cast<int32_t>(i + 1));
+      a.Xor(s4, s4, s2);
+      a.Add(s5, s5, s4);
+      a.Jal(ra, "hot");
+    }
+    a.Addi(s6, s6, 1);
+    a.Blt(s6, s3, "loop");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    machine.hart(0).set_pc(image.entry);
+    EXPECT_TRUE(machine.RunUntilFinished(100'000));
+    Outcome outcome;
+    outcome.builds = machine.hart(0).threaded_promotions();
+    outcome.hits = machine.hart(0).superblock_hits();
+    Snapshot snapshot;
+    machine.SaveSnapshot(snapshot);
+    outcome.state = snapshot.state;
+    return outcome;
+  };
+  const Outcome blocks = run(kSbEntries);
+  const Outcome per_instruction = run(0);
+  EXPECT_EQ(blocks.state, per_instruction.state);
+  EXPECT_EQ(per_instruction.builds, 0u);
+  EXPECT_GT(blocks.hits, 0u);  // the hot block kept running from the arena
+  // More ops were built than the arena holds, so it started over many times.
+  EXPECT_GT(blocks.builds * kCallSiteOps, 10 * kArenaOps);
+}
+
+TEST(OpArenaTest, FenceILoopKeepsOneIterationOfBlocks) {
+  // Every fence.i moves cache_stamp(), which leaves every block in the arena stale.
+  // The next build then starts the arena over, so a guest that invalidates on each
+  // pass keeps one pass's blocks in the arena instead of walking through all of it.
+  // A pass builds blocks only inside its inner loop (addi, addi, bnez), from any of
+  // its three pcs where a batch boundary falls: at most 3 + 2 + 1 ops.
+  constexpr uint64_t kPasses = 200;
+  constexpr uint64_t kPassOps = 6;
+  MachineConfig config;
+  config.map.ram_size = 1 << 20;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  Assembler a(kRam);
+  a.Li(s3, kPasses);
+  a.Bind("outer");
+  a.FenceI();
+  a.Li(t1, 8);
+  a.Bind("inner");
+  a.Addi(s2, s2, 1);
+  a.Addi(t1, t1, -1);
+  a.Bnez(t1, "inner");
+  a.Addi(s4, s4, 1);
+  a.Blt(s4, s3, "outer");
+  a.Wfi();
+  Image image = std::move(a.Finish()).value();
+  machine.LoadImage(image.base, image.bytes);
+  hart.set_pc(image.entry);
+  uint64_t max_ops = 0;
+  for (int i = 0; i < 100'000 && !hart.waiting(); ++i) {
+    hart.RunBatch(16, ~uint64_t{0});
+    max_ops = std::max(max_ops, hart.superblock_arena_ops());
+  }
+  ASSERT_TRUE(hart.waiting());
+  EXPECT_EQ(hart.gpr(s2), 8 * kPasses);
+  EXPECT_GE(hart.threaded_promotions(), kPasses);  // every pass rebuilds
+  EXPECT_GT(hart.superblock_instrs(), 0u);
+  EXPECT_LE(max_ops, kPassOps);
+}
+
+TEST(OpArenaTest, FirmwareAndKernelBasesStayCachedTogether) {
+  // The platform profiles' firmware and kernel bases are 1 MiB-aligned and 3 MiB
+  // apart, so pc >> 2 alone maps code at the same offset in each onto the same
+  // decode-cache and superblock slots. A kernel loop at its base that calls a
+  // firmware routine at its base on every pass must still decode each instruction
+  // once and build each block once.
+  constexpr uint64_t kFirmware = kRam + 0x10'0000;
+  constexpr uint64_t kKernel = kRam + 0x40'0000;
+  constexpr uint64_t kPasses = 100;
+  MachineConfig config;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  Assembler setup(kRam);
+  setup.Li(s3, kPasses);
+  setup.Li(s5, kFirmware);
+  setup.Li(s7, kKernel);
+  setup.Jalr(zero, s7, 0);
+  Assembler fw(kFirmware);
+  fw.Addi(a0, a0, 1);
+  fw.Xor(a1, a1, a0);
+  fw.Ret();
+  Assembler os(kKernel);
+  os.Bind("loop");
+  os.Addi(s2, s2, 1);
+  os.Xor(s4, s4, s2);
+  os.Jalr(ra, s5, 0);
+  os.Addi(s6, s6, 1);
+  os.Blt(s6, s3, "loop");
+  os.Li(t1, 0x10'0000);  // finisher
+  os.Li(t2, 0x5555);     // pass
+  os.Sw(t2, t1, 0);
+  uint64_t instrs = 0;
+  for (Assembler* image : {&setup, &fw, &os}) {
+    Image built = std::move(image->Finish()).value();
+    machine.LoadImage(built.base, built.bytes);
+    instrs += built.bytes.size() / 4;
+  }
+  hart.set_pc(kRam);
+  ASSERT_TRUE(machine.RunUntilFinished(10'000));
+  EXPECT_EQ(hart.gpr(a0), kPasses);
+  EXPECT_EQ(hart.decode_cache_misses(), instrs);
+  // The kernel loop's two blocks and the firmware routine's one, each built once.
+  EXPECT_EQ(hart.threaded_promotions(), 3u);
 }
 
 // -- Integer semantics against the ISA manual. ---------------------------------------
