@@ -149,8 +149,6 @@ void WriteSimSpeedJson() {
   const uint64_t start_sb_misses = hart.superblock_misses();
   const uint64_t start_sb_blocks = hart.superblock_blocks();
   const uint64_t start_sb_instrs = hart.superblock_instrs();
-  const uint64_t start_fp_hits = hart.host_fastpath_hits();
-  const uint64_t start_fp_misses = hart.host_fastpath_misses();
   const uint64_t start_th_blocks = hart.threaded_blocks();
   const uint64_t start_th_instrs = hart.threaded_instrs();
   const uint64_t start_th_promotions = hart.threaded_promotions();
@@ -171,37 +169,8 @@ void WriteSimSpeedJson() {
   const uint64_t sb_lookups = sb_hits + (hart.superblock_misses() - start_sb_misses);
   const uint64_t sb_blocks = hart.superblock_blocks() - start_sb_blocks;
   const uint64_t sb_instrs = hart.superblock_instrs() - start_sb_instrs;
-  const uint64_t fp_hits = hart.host_fastpath_hits() - start_fp_hits;
-  const uint64_t fp_ops = fp_hits + (hart.host_fastpath_misses() - start_fp_misses);
   const uint64_t th_blocks = hart.threaded_blocks() - start_th_blocks;
   const uint64_t th_instrs = hart.threaded_instrs() - start_th_instrs;
-
-  // Memory-traffic phase: the compute loop above is pure ALU and never issues a
-  // load or store, so its host-fastpath counters are 0/0 and the reported rate was
-  // a meaningless 0.0. Measure the fast path on a workload that actually has
-  // memory traffic.
-  PlatformProfile mem_profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
-  KernelConfig mem_config;
-  mem_config.base = mem_profile.kernel_base;
-  mem_config.enable_paging = true;  // the host fast path rides the TLB: Sv39 on
-  KernelBuilder mem_kb(mem_config);
-  mem_kb.EmitMemoryLoop(1'000'000'000);  // effectively endless
-  mem_kb.EmitFinish(true);
-  System mem_system = BootSystem(mem_profile, DeployMode::kNative, mem_kb.Finish());
-  mem_system.machine->RunUntilFinished(20'000);  // skip boot: steady-state only
-  const Hart& mem_hart = mem_system.machine->hart(0);
-  const uint64_t mem_start_instret = mem_system.machine->total_instret();
-  const uint64_t mem_start_fp_hits = mem_hart.host_fastpath_hits();
-  const uint64_t mem_start_fp_misses = mem_hart.host_fastpath_misses();
-  constexpr uint64_t kMemMeasured = 100'000'000;
-  const auto m0 = std::chrono::steady_clock::now();
-  mem_system.machine->RunUntilFinished(kMemMeasured);
-  const auto m1 = std::chrono::steady_clock::now();
-  const double mem_seconds = std::chrono::duration<double>(m1 - m0).count();
-  const uint64_t mem_instructions = mem_system.machine->total_instret() - mem_start_instret;
-  const uint64_t fp_hits_mem = mem_hart.host_fastpath_hits() - mem_start_fp_hits;
-  const uint64_t fp_ops_mem =
-      fp_hits_mem + (mem_hart.host_fastpath_misses() - mem_start_fp_misses);
 
   // Multi-hart throughput matrix: the quantum schedule, serial and parallel, with
   // segments long enough that the barrier is noise (with no timers armed the
@@ -238,14 +207,6 @@ void WriteSimSpeedJson() {
   json.Add("mean_block_length",
            sb_blocks > 0 ? static_cast<double>(sb_instrs) / static_cast<double>(sb_blocks)
                          : 0.0);
-  // From the memory-traffic phase (the compute loop has no memory operations; its
-  // own counters are still emitted as compute_fastpath_ops for reference).
-  json.Add("host_fastpath_hit_rate",
-           fp_ops_mem > 0 ? static_cast<double>(fp_hits_mem) / static_cast<double>(fp_ops_mem)
-                          : 0.0);
-  json.Add("memory_mips",
-           mem_seconds > 0 ? static_cast<double>(mem_instructions) / mem_seconds / 1e6 : 0.0);
-  json.Add("compute_fastpath_ops", static_cast<double>(fp_ops));
   json.Add("threaded_hit_rate",
            instructions > 0 ? static_cast<double>(th_instrs) / static_cast<double>(instructions)
                             : 0.0);

@@ -320,7 +320,8 @@ bool Bus::WriteBytes(uint64_t addr, const void* data, uint64_t size) {
 
 bool Bus::IsRam(uint64_t addr, uint64_t size) const { return FindRam(addr, size) != nullptr; }
 
-bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const {
+bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
+                   const uint64_t** lines) const {
   const uint64_t page_base = paddr & ~((uint64_t{1} << Ram::kPageShift) - 1);
   const Ram* region = FindRam(page_base, uint64_t{1} << Ram::kPageShift);
   if (region == nullptr || (region->base() & ((uint64_t{1} << Ram::kPageShift) - 1)) != 0) {
@@ -331,6 +332,7 @@ bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const 
   const uint64_t offset = page_base - region->base();
   *data = mutable_region->data() + offset;
   *marks = mutable_region->page_marks() + (offset >> Ram::kPageShift);
+  *lines = region->exec_lines() + (offset >> Ram::kPageShift);
   return true;
 }
 

@@ -115,6 +115,23 @@ class Ram {
   // The mark classes a store to [offset, offset + size) invalidates: PT marks of
   // every page it touches, exec marks only where it overlaps a marked line.
   uint8_t StoreHits(uint64_t offset, uint64_t size) const;
+  // The harts' fast-store test (DESIGN.md §2f): for an aligned store of at most 8
+  // bytes at `offset`, true exactly when StoreHits(offset, size) == 0. Such a store
+  // lies in one line of one page, so the page's mark byte decides it, or, on a page
+  // whose only mark is the exec mark, the store's bit of the line mask. `marks` and
+  // `lines` are page_marks() and exec_lines() advanced by the same page count as
+  // `offset` is reduced by, so a caller may cache one page's entries. Always
+  // inlined: GCC left it a call in the block executor's store handlers, which cost
+  // `cpu-sv39` 8% in host cycles per instruction.
+  [[gnu::always_inline]] static bool StoreClean(const uint8_t* marks, const uint64_t* lines,
+                                                uint64_t offset) {
+    const uint64_t page = offset >> kPageShift;
+    if (marks[page] == 0) [[likely]] {
+      return true;
+    }
+    return marks[page] == kExecMark && ((lines[page] >> ((offset >> kLineShift) & 63)) & 1) == 0;
+  }
+  const uint64_t* exec_lines() const { return exec_lines_.data(); }
   // Removes the `classes` bits, and with kExecMark the line masks, from every
   // marked page. Returns whether any mark of any class remains.
   bool ClearMarks(uint8_t classes);
@@ -204,8 +221,8 @@ class Bus {
   // decode depends on (an instruction word or a fetch-walk PTE: aligned, so never
   // split across lines). A store overlapping a marked line bumps code_generation()
   // and clears all exec marks (the harts' caches re-mark on refill); stores to the
-  // page's other lines do not. The page-granular exec bit still routes every store
-  // to the page through Bus::Write (see HostPage), and WriteBytes invalidates on it.
+  // page's other lines do not, and the harts' host-pointer stores to them stay fast
+  // (Ram::StoreClean). WriteBytes invalidates on the page-granular exec bit.
   // Addresses outside RAM are ignored.
   void MarkExecLine(uint64_t paddr);
   // Marks the page containing `paddr` as holding page-table entries a cached
@@ -219,14 +236,19 @@ class Bus {
   // TLB stamps so cached host pointers (HostPage) can never survive a remap.
   uint64_t ram_generation() const { return ram_generation_; }
 
-  // Host-pointer view of one whole 4 KiB RAM frame (the harts' in-block memory fast
-  // path, DESIGN.md §2f). On success, *data points at the frame's bytes and *marks at
-  // its dependency-mark byte (a fast store must take the slow path while the mark
-  // byte is non-zero, so Bus::Write decides exactly which stores bump a generation).
-  // Fails when the frame is not fully contained in one page-aligned RAM region.
-  // Returned pointers stay valid for the life of the Bus — regions never move or
-  // shrink — and ram_generation() guards consumers against future region changes.
-  bool HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const;
+  // Host-pointer view of one whole 4 KiB RAM frame (the harts' paged in-block memory
+  // fast path, DESIGN.md §2f). On success, *data points at the frame's bytes, and
+  // *marks and *lines at its dependency-mark byte and exec line mask (a fast store
+  // must take the slow path unless Ram::StoreClean holds, so Bus::Write decides
+  // exactly which stores bump a generation). Fails when the frame is not fully
+  // contained in one page-aligned RAM region. Returned pointers stay valid for the
+  // life of the Bus — regions never move or shrink — and ram_generation() guards
+  // consumers against future region changes.
+  bool HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
+                const uint64_t** lines) const;
+  // The primary RAM region (the first AddRam), or nullptr before it: the harts'
+  // identity fast path serves accesses inside it from data() (DESIGN.md §2f).
+  Ram* primary_ram() const { return ram0_region_; }
 
   // Counts every access dispatched to an MMIO window (reads and writes, including
   // rejected ones). The batched run loop uses this to detect device interaction,

@@ -1,5 +1,6 @@
 #include "src/pmp/pmp.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/common/bits.h"
@@ -174,6 +175,40 @@ bool PmpBank::Check(uint64_t addr, uint64_t size, AccessType type, PrivMode mode
   }
   // No matching entry: M-mode is allowed, lower privileges are denied.
   return mode == PrivMode::kMachine;
+}
+
+PmpRange PmpBank::PermittedWindow(uint64_t addr, AccessType type, PrivMode mode) const {
+  uint64_t lo = 0;
+  uint64_t hi = ~uint64_t{0};
+  if (entry_count_ == 0) {
+    return PmpRange{lo, hi};
+  }
+  if (!cache_valid_) {
+    RebuildCache();
+  }
+  for (unsigned i = 0; i < entry_count_; ++i) {
+    const CachedEntry& entry = cache_[i];
+    if (!entry.active) {
+      continue;
+    }
+    if (entry.range.Contains(addr, 1)) {
+      if (mode == PrivMode::kMachine ? entry.cfg.locked && !entry.cfg.Permits(type)
+                                     : !entry.cfg.Permits(type)) {
+        return PmpRange{};
+      }
+      return PmpRange{std::max(lo, entry.range.base), std::min(hi, entry.range.limit)};
+    }
+    // A range is an interval, so one that misses addr lies wholly below or above it.
+    if (entry.range.limit <= addr) {
+      lo = std::max(lo, entry.range.limit);
+    } else {
+      hi = std::min(hi, entry.range.base);
+    }
+  }
+  if (mode != PrivMode::kMachine) {
+    return PmpRange{};
+  }
+  return PmpRange{lo, hi};
 }
 
 std::optional<unsigned> PmpBank::FirstMatch(uint64_t addr) const {

@@ -114,6 +114,16 @@ class PmpBank {
   // denies (entries are implemented). This mirrors the Sail pmpCheck the paper uses.
   bool Check(uint64_t addr, uint64_t size, AccessType type, PrivMode mode) const;
 
+  // The widest range around `addr` in which one entry decides every access of `type`
+  // by `mode` (or no entry matches and the no-match rule decides), and permits it:
+  // Check(a, size, type, mode) holds for every [a, a + size) inside the result. The
+  // range stops at every higher-priority entry that does not match `addr`, since an
+  // access overlapping one would match it first. It is empty (base == limit) exactly
+  // when Check(addr, 1, type, mode) is false; otherwise it contains `addr` (the top
+  // byte of the address space excepted: `limit` is exclusive). The block executor
+  // caches one per privilege and access type (DESIGN.md §2f).
+  PmpRange PermittedWindow(uint64_t addr, AccessType type, PrivMode mode) const;
+
   // Returns the index of the first entry whose range contains the first byte of the
   // access, or nullopt. Used by the monitor to attribute MMIO traps to devices.
   std::optional<unsigned> FirstMatch(uint64_t addr) const;

@@ -75,6 +75,10 @@ uint64_t Hart::tlb_stamp() const {
   return bus_->pt_generation() + csrs_.pmp().generation() + tlb_gen_ + bus_->ram_generation();
 }
 
+uint64_t Hart::window_stamp() const {
+  return csrs_.pmp().generation() + bus_->ram_generation();
+}
+
 uint8_t Hart::TlbCtx(PrivMode priv, bool sum, bool mxr, AccessType type) {
   uint8_t ctx = static_cast<uint8_t>(priv);
   if (sum && type != AccessType::kFetch) {
@@ -130,12 +134,11 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
                                         const TranslateParams& params, uint64_t vaddr,
                                         unsigned size, AccessType type) {
   AccessOutcome out;
-  // The TLB engages only where TranslateSv39 would actually walk: Sv39 mode at S/U
-  // effective privilege. Bare-mode and M-mode accesses are identity-mapped already.
-  const bool walked =
-      ExtractBits(params.satp, SatpBits::kModeHi, SatpBits::kModeLo) == SatpBits::kModeSv39 &&
-      params.priv != PrivMode::kMachine;
-  const bool engaged = cacheable && tlb_mask_ != 0 && walked;
+  // The TLB engages only where TranslateSv39 would actually walk. Identity accesses
+  // (bare satp, or M-mode) fill no entry: the block executor serves them through PMP
+  // windows instead (DESIGN.md §2d, §2f).
+  const bool engaged =
+      cacheable && tlb_mask_ != 0 && !IdentityTranslation(params.satp, params.priv);
   const uint64_t vpage = vaddr >> 12;
   TlbEntry* slot = nullptr;
   if (engaged) {
@@ -217,13 +220,10 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
       // Host-pointer fast path: only whole-page-permitted plain-RAM frames qualify,
       // so a superblock access through host_page needs no per-access PMP or routing.
       slot->host_page = nullptr;
-      slot->page_mark = nullptr;
       if (slot->pmp_whole_page) {
         uint8_t* data = nullptr;
-        const uint8_t* marks = nullptr;
-        if (bus_->HostPage(slot->paddr_page, &data, &marks)) {
+        if (bus_->HostPage(slot->paddr_page, &data, &slot->page_mark, &slot->page_lines)) {
           slot->host_page = data;
-          slot->page_mark = marks;
         }
       }
       slot->stamp = tlb_stamp();
@@ -570,13 +570,17 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
           FillSuperblock(&sb);
         }
       }
-      if (valid) {
-        ++sb_hits_;
-      } else {
-        ++sb_misses_;
+      // A barrier head's zero-op entry, found or just recorded, counts as neither
+      // hit nor miss (see superblock_hits()).
+      if (!valid) {
         valid = FillSuperblock(&sb);
+        if (!valid || sb.count != 0) {
+          ++sb_misses_;
+        }
+      } else if (sb.count != 0) {
+        ++sb_hits_;
       }
-      if (valid) {
+      if (valid && sb.count != 0) {
         const SbRun run = ExecuteBlock(&sb, max_steps - batch.executed, stop_cycles);
         batch.executed += run.dispatched;
         batch.retired += run.dispatched - (run.last.trapped ? 1 : 0);
@@ -591,7 +595,8 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
       }
       // One per-instruction tick. After a misfit it runs the fused op's first
       // member and stops at the exact per-instruction boundary; at a cold
-      // decode-cache slot it decodes pc_, so the next lookup can build the block.
+      // decode-cache slot it decodes pc_, so the next lookup can build the block;
+      // at a zero-op entry it runs the barrier.
     }
     batch.last = Tick();
     if (batch.last.aborted) {
@@ -623,15 +628,29 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   };
   // Checking the first member before the arena is touched keeps a failed (re)build
   // from costing the existing blocks their ops; once it passes, the block has at
-  // least that member.
+  // least that member, or is a barrier head's zero-op entry.
   const FetchEntry* const head = member(pc_);
-  if (head == nullptr || SuperblockClass(head->instr.op) == SbClass::kBarrier) {
+  if (head == nullptr) {
     return false;
   }
-  if (stamp != arena_stamp_ || arena_fill_ + kMaxSuperblockLen + 1 > ops_.size()) {
+  const bool barrier_head = SuperblockClass(head->instr.op) == SbClass::kBarrier;
+  // A zero-op entry takes no ops, so only a moved stamp restarts the arena for it.
+  if (stamp != arena_stamp_ ||
+      (!barrier_head && arena_fill_ + kMaxSuperblockLen + 1 > ops_.size())) {
     arena_fill_ = 0;
     ++arena_epoch_;
     arena_stamp_ = stamp;
+  }
+  sb->tag = pc_;
+  sb->satp = effective_satp;
+  sb->epoch = arena_epoch_;
+  sb->priv = priv;
+  sb->virt = virt_;
+  if (barrier_head) {
+    sb->first_op = 0;
+    sb->count = 0;
+    sb->open_end = false;
+    return true;
   }
   BlockOp* const ops = &ops_[arena_fill_];
   const void* const* table = nullptr;
@@ -670,13 +689,8 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
     ops[n].kind = LoweredOp::kEnd;
     ++n;
   }
-  sb->tag = pc_;
-  sb->satp = effective_satp;
-  sb->epoch = arena_epoch_;
   sb->first_op = static_cast<uint32_t>(arena_fill_);
   sb->count = static_cast<uint8_t>(count);
-  sb->priv = priv;
-  sb->virt = virt_;
   sb->open_end = open_end;
   arena_fill_ += n;
   // The restart rule above keeps every block inside the arena. A MappedArray is
@@ -781,7 +795,7 @@ unsigned Hart::LowerInstr(BlockOp* ops, unsigned n, const DecodedInstr& d, uint6
   return n + 1;
 }
 
-void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
+void Hart::BuildFastMemCtx(FastMemCtx* ctx) {
   // Mirrors Translate(): effective privilege/address space (honoring MPRV), the satp
   // the walk would use, and the SUM/MXR context bytes. All of these are fixed for the
   // life of one block dispatch: they only change via CSR ops, traps, or xRETs, which
@@ -790,10 +804,29 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
   const PrivMode priv = DataPriv();
   const bool use_vsatp = DataVirt();
   const uint64_t satp = use_vsatp ? csrs_.vsatp() : csrs_.satp();
-  ctx->engaged =
-      tlb_mask_ != 0 && priv != PrivMode::kMachine &&
-      ExtractBits(satp, SatpBits::kModeHi, SatpBits::kModeLo) == SatpBits::kModeSv39;
-  if (!ctx->engaged) {
+  if (IdentityTranslation(satp, priv)) {
+    // A PMP write or a RAM remap since a window was computed empties it; it refills
+    // at its next access.
+    const uint64_t stamp = window_stamp();
+    PmpWindow* const windows = windows_[static_cast<unsigned>(priv)];
+    for (unsigned i = 0; i < 2; ++i) {
+      if (windows[i].stamp != stamp) {
+        windows[i] = PmpWindow{0, 0, nullptr, stamp};
+      }
+    }
+    ctx->identity = true;
+    ctx->priv = priv;
+    ctx->load = &windows[0];
+    ctx->store = &windows[1];
+    if (Ram* const ram = bus_->primary_ram()) {
+      ctx->ram_base = ram->base();
+      ctx->ram_marks = ram->page_marks();
+      ctx->ram_lines = ram->exec_lines();
+    }
+    return;
+  }
+  ctx->paged = tlb_mask_ != 0;
+  if (!ctx->paged) {
     return;
   }
   ctx->satp = satp;
@@ -804,13 +837,40 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
   ctx->store_ctx = TlbCtx(priv, sum, mxr, AccessType::kStore);
 }
 
+bool Hart::RefillWindow(uint64_t paddr, AccessType type, PrivMode priv) {
+  PmpWindow* const window =
+      &windows_[static_cast<unsigned>(priv)][type == AccessType::kStore ? 1 : 0];
+  Ram* const ram = bus_->primary_ram();
+  if (ram == nullptr || !ram->Contains(paddr, 1)) {
+    return false;  // MMIO or a secondary region: the slow path routes it
+  }
+  const PmpRange range = csrs_.pmp().PermittedWindow(paddr, type, priv);
+  // Clipped to the region and rounded inward to 8 bytes; an empty result (a denied
+  // access) keeps the old window, which may still serve other addresses.
+  const uint64_t lo = AlignUp(std::max(range.base, ram->base()), 8);
+  const uint64_t hi = AlignDown(std::min(range.limit, ram->base() + ram->size()), 8);
+  if (lo >= hi) {
+    return false;
+  }
+  window->lo = lo;
+  window->span = hi - lo;
+  window->host = ram->data() + (lo - ram->base());
+  window->stamp = window_stamp();
+  return paddr - lo < hi - lo;
+}
+
 // The block executor (DESIGN.md §2f). Dispatch is a computed goto: each lowered op
 // carries its handler's label address. Budget checks land batch boundaries on the
 // same instruction as per-instruction stepping: every op post-checks the budget, and
 // fused ops (which retire several instructions atomically) pre-check that they fit
 // entirely, else spill before their first member for RunBatch to run it as one tick.
-Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
-                               uint64_t stop_cycles, const void* const** table_out) {
+// Aligned to 64 bytes so that its speed depends on its own code only: two builds
+// whose ExecuteBlock machine code was byte-identical but started 16 bytes apart
+// differed by 4-5% in host cycles per instruction.
+__attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb,
+                                                            uint64_t steps_left,
+                                                            uint64_t stop_cycles,
+                                                            const void* const** table_out) {
   if (table_out != nullptr) {
     static const void* const kTable[] = {
 #define VFM_X(name) &&t_##name,
@@ -849,8 +909,9 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
   climit = climit < steps_left ? climit : steps_left;
   // tlb_stamp(), sampled at the block's first memory op along with the rest of the
   // fast-path context, is stable across fast-path ops (fast stores never touch
-  // marked pages, so no generation it folds can bump); resampled after every
-  // slow-path op.
+  // marked lines or PT pages, so no generation it folds can bump); resampled after
+  // every slow-path op. The PMP windows need no resampling: no memory op, fast or
+  // slow, can write the PMP or remap RAM.
   uint64_t tstamp = 0;
 
 #define VFM_TGO() goto* op->handler
@@ -892,73 +953,94 @@ Hart::SbRun Hart::ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left,
     }                                                                     \
   } while (0)
 // Load/store with the host-pointer fast path baked in: one handler does the address
-// add, the TLB probe (full hit condition, re-checked per access), and the host
-// memcpy. host_page != nullptr implies pmp_whole_page, and an aligned power-of-two
-// access never leaves the frame, so no per-access PMP scan is needed. Any miss —
-// unaligned, not engaged, cold/foreign/stale slot, non-RAM frame — takes the slow
-// path. A store must also see a clean mark byte (writes to exec-/PT-marked pages go
-// through Bus::Write so the dependency generations bump), and segment mode keeps
-// fast loads (with a store-buffer overlay) but buffers every store (DESIGN.md §2i).
-#define VFM_TLOAD(name)                                                        \
-  do {                                                                         \
-    constexpr unsigned kSize = AccessSize(Op::k##name);                        \
-    if (!fm.built) {                                                           \
-      BuildFastMemCtx(&fm);                                                    \
-      tstamp = tlb_stamp();                                                    \
-    }                                                                          \
-    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
-    if (!fm.engaged || !IsAligned(va, kSize)) {                                \
-      goto slow_mem;                                                           \
-    }                                                                          \
-    TlbEntry& slot = tlb_ld[(va >> 12) & tlb_mask_];                           \
-    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                      \
-        slot.ctx != fm.load_ctx || slot.stamp != tstamp ||                     \
-        slot.host_page == nullptr) {                                           \
-      goto slow_mem;                                                           \
-    }                                                                          \
-    ++tlb_hits_;  /* parity: the slow path's Translate would count this hit */ \
-    ++fastmem_hits_;                                                           \
-    uint64_t value = 0;                                                        \
-    std::memcpy(&value, slot.host_page + (va & MaskLow(12)), kSize);           \
-    if (segment_active_ && !sbuf_.empty()) {                                   \
-      OverlayLoad(slot.paddr_page | (va & MaskLow(12)), kSize, &value);        \
-    }                                                                          \
-    if (op->a != 0) {                                                          \
-      g[op->a] = LoadExtend(Op::k##name, value);                               \
-    }                                                                          \
-    cycles += slot.extra_cycles;                                               \
-    VFM_TNEXT();                                                               \
+// add, the proof and the host memcpy. Under paged translation the proof is the TLB
+// probe (full hit condition, re-checked per access); host_page != nullptr implies
+// pmp_whole_page, and an aligned power-of-two access never leaves the frame, so no
+// per-access PMP scan is needed. Under identity translation it is the PMP window
+// for the effective privilege and access type, refilled when the address falls
+// outside it. Any miss — unaligned, cold/foreign/stale slot, non-RAM frame, outside
+// the primary region or denied by the PMP — takes the slow path. A store must also
+// pass Ram::StoreClean (a store to a marked line or PT page goes through Bus::Write
+// so the dependency generations bump), and segment mode keeps fast loads (with a
+// store-buffer overlay) but buffers every store (DESIGN.md §2i).
+#define VFM_TLOAD(name)                                                         \
+  do {                                                                          \
+    constexpr unsigned kSize = AccessSize(Op::k##name);                         \
+    if (!fm.built) {                                                            \
+      BuildFastMemCtx(&fm);                                                     \
+      tstamp = tlb_stamp();                                                     \
+    }                                                                           \
+    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);              \
+    if (!IsAligned(va, kSize)) {                                                \
+      goto slow_mem;                                                            \
+    }                                                                           \
+    const uint8_t* src;                                                         \
+    uint64_t pa = va;                                                           \
+    if (fm.paged) {                                                             \
+      TlbEntry& slot = tlb_ld[(va >> 12) & tlb_mask_];                          \
+      if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
+          slot.ctx != fm.load_ctx || slot.stamp != tstamp ||                    \
+          slot.host_page == nullptr) {                                          \
+        goto slow_mem;                                                          \
+      }                                                                         \
+      ++tlb_hits_; /* parity: the slow path's Translate would count this hit */ \
+      src = slot.host_page + (va & MaskLow(12));                                \
+      pa = slot.paddr_page | (va & MaskLow(12));                                \
+      cycles += slot.extra_cycles;                                              \
+    } else if (va - fm.load->lo < fm.load->span) {                              \
+      src = fm.load->host + (va - fm.load->lo);                                 \
+    } else {                                                                    \
+      goto window_miss;                                                         \
+    }                                                                           \
+    ++fastmem_hits_;                                                            \
+    uint64_t value = 0;                                                         \
+    std::memcpy(&value, src, kSize);                                            \
+    if (segment_active_ && !sbuf_.empty()) {                                    \
+      OverlayLoad(pa, kSize, &value);                                           \
+    }                                                                           \
+    if (op->a != 0) {                                                           \
+      g[op->a] = LoadExtend(Op::k##name, value);                                \
+    }                                                                           \
+    VFM_TNEXT();                                                                \
   } while (0)
-#define VFM_TSTORE(name)                                                       \
-  do {                                                                         \
-    constexpr unsigned kSize = AccessSize(Op::k##name);                        \
-    if (!fm.built) {                                                           \
-      BuildFastMemCtx(&fm);                                                    \
-      tstamp = tlb_stamp();                                                    \
-    }                                                                          \
-    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);             \
-    if (!fm.engaged || !IsAligned(va, kSize)) {                                \
-      goto slow_mem;                                                           \
-    }                                                                          \
-    TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                           \
-    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                      \
-        slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                    \
-        slot.host_page == nullptr || *slot.page_mark != 0 ||                   \
-        segment_active_) {                                                     \
-      goto slow_mem;                                                           \
-    }                                                                          \
-    ++tlb_hits_;                                                               \
-    ++fastmem_hits_;                                                           \
-    const uint64_t offset = va & MaskLow(12);                                  \
-    std::memcpy(slot.host_page + offset, &g[op->c], kSize);                    \
-    if (reservation_) {                                                        \
-      const uint64_t paddr = slot.paddr_page | offset;                         \
-      if (AlignDown(*reservation_, 8) == AlignDown(paddr, 8)) {                \
-        reservation_.reset();                                                  \
-      }                                                                        \
-    }                                                                          \
-    cycles += slot.extra_cycles;                                               \
-    VFM_TNEXT();                                                               \
+#define VFM_TSTORE(name)                                                        \
+  do {                                                                          \
+    constexpr unsigned kSize = AccessSize(Op::k##name);                         \
+    if (!fm.built) {                                                            \
+      BuildFastMemCtx(&fm);                                                     \
+      tstamp = tlb_stamp();                                                     \
+    }                                                                           \
+    const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);              \
+    if (!IsAligned(va, kSize) || segment_active_) {                             \
+      goto slow_mem;                                                            \
+    }                                                                           \
+    uint8_t* dst;                                                               \
+    uint64_t pa = va;                                                           \
+    if (fm.paged) {                                                             \
+      TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                          \
+      if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
+          slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                   \
+          slot.host_page == nullptr ||                                          \
+          !Ram::StoreClean(slot.page_mark, slot.page_lines, va & MaskLow(12))) { \
+        goto slow_mem;                                                          \
+      }                                                                         \
+      ++tlb_hits_;                                                              \
+      dst = slot.host_page + (va & MaskLow(12));                                \
+      pa = slot.paddr_page | (va & MaskLow(12));                                \
+      cycles += slot.extra_cycles;                                              \
+    } else if (va - fm.store->lo >= fm.store->span) {                           \
+      goto window_miss;                                                         \
+    } else if (Ram::StoreClean(fm.ram_marks, fm.ram_lines, va - fm.ram_base)) { \
+      dst = fm.store->host + (va - fm.store->lo);                               \
+    } else {                                                                    \
+      goto slow_mem;                                                            \
+    }                                                                           \
+    ++fastmem_hits_;                                                            \
+    std::memcpy(dst, &g[op->c], kSize);                                         \
+    if (reservation_ && AlignDown(*reservation_, 8) == AlignDown(pa, 8)) {      \
+      reservation_.reset();                                                     \
+    }                                                                           \
+    VFM_TNEXT();                                                                \
   } while (0)
 
   VFM_TGO();
@@ -1039,6 +1121,15 @@ t_Jalr:
   VFM_STORE_OPS(VFM_X)
 #undef VFM_X
 
+window_miss: {
+  // An identity access outside its PMP window: refill the window around it and, if
+  // it now holds the address, run the op's handler again, which then hits.
+  if (fm.identity &&
+      RefillWindow(g[op->b] + static_cast<uint64_t>(op->imm),
+                   IsStore(op->op) ? AccessType::kStore : AccessType::kLoad, fm.priv)) {
+    VFM_TGO();
+  }
+}
 slow_mem: {
   // Spill the exact architectural state (TakeTrap records pc_ into xepc; the bus
   // path may recurse into translation), run the op through the interpreter's

@@ -148,10 +148,13 @@ class Hart {
   uint64_t tlb_flushes() const { return tlb_flushes_; }
 
   // Block engine counters (DESIGN.md §2f). A superblock "hit" is a dispatch into a
-  // valid cached block; a "miss" is a lookup that had to (re)build one. Mean block
-  // length is superblock_instrs()/superblock_blocks(). None of these affect the
-  // decode-cache counters: every instruction dispatched from a block still counts one
-  // decode-cache hit, keeping hit-rate parity with the per-instruction loop.
+  // valid cached block; a "miss" is a lookup that had to (re)build one. A lookup at a
+  // pc whose first instruction is a barrier (CSR op, ecall, xRET, wfi, fence) is
+  // neither: its zero-op entry only says "Tick this one", so it counts nowhere. Mean
+  // block length is superblock_instrs()/superblock_blocks(). None of these affect
+  // the decode-cache counters: every instruction dispatched from a block still
+  // counts one decode-cache hit, keeping hit-rate parity with the per-instruction
+  // loop.
   uint64_t superblock_hits() const { return sb_hits_; }
   uint64_t superblock_misses() const { return sb_misses_; }
   uint64_t superblock_blocks() const { return sb_blocks_; }
@@ -171,8 +174,9 @@ class Hart {
   uint64_t superblock_arena_ops() const { return arena_fill_; }
 
   // Host-pointer memory fast path counters: hits are loads/stores completed directly
-  // against cached host RAM pointers inside a superblock; misses are in-block memory
-  // ops that fell back to the full Translate+Bus path.
+  // against host RAM pointers inside a superblock, through a TLB entry (paged) or a
+  // PMP window (identity); misses are in-block memory ops that fell back to the full
+  // Translate+Bus path.
   uint64_t host_fastpath_hits() const { return fastmem_hits_; }
   uint64_t host_fastpath_misses() const { return fastmem_misses_; }
 
@@ -251,12 +255,14 @@ class Hart {
     // generation, so any PMP write invalidates the entry before it can lie.
     bool pmp_whole_page;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
-    // and superblock memory ops may access `host_page` directly, provided
-    // pmp_whole_page holds and `*page_mark` is zero (a marked page must go through
-    // Bus::Write so dependency generations bump). Only set when pmp_whole_page; the
-    // stamp folds in Bus::ram_generation() so pointers never outlive a RAM remap.
+    // and superblock memory ops may access `host_page` directly; a store only while
+    // Ram::StoreClean holds for it over the frame's `page_mark` and `page_lines` (a
+    // store to a marked line or PT page must go through Bus::Write so dependency
+    // generations bump). Only set when pmp_whole_page; the stamp folds in
+    // Bus::ram_generation() so pointers never outlive a RAM remap.
     uint8_t* host_page;
     const uint8_t* page_mark;
+    const uint64_t* page_lines;
   };
 
   static constexpr unsigned kMaxSuperblockLen = 64;
@@ -296,7 +302,9 @@ class Hart {
   // (the next pc may translate differently), or at kMaxSuperblockLen; a block that
   // does not end in a branch ends in a kEnd op. `open_end` marks a block cut short
   // by a cold decode-cache slot; a later dispatch retries the build to extend it
-  // once the continuation has been decoded.
+  // once the continuation has been decoded. A zero-op entry (count 0) records that
+  // the instruction at `tag` is a barrier, so the lookup there Ticks it without a
+  // build attempt.
   struct SuperblockEntry {
     uint64_t tag;       // starting virtual pc
     uint64_t satp;      // effective satp at build time
@@ -312,15 +320,39 @@ class Hart {
   static_assert(sizeof(SuperblockEntry) == 32);
   static_assert(kMaxSuperblockLen <= UINT8_MAX);
 
+  // A range of the primary RAM region in which the PMP permits every access of one
+  // type at one effective privilege (PmpBank::PermittedWindow clipped to the
+  // region): the identity fast path's proof (DESIGN.md §2f). [lo, lo + span) is
+  // 8-byte aligned at both ends, so an aligned access that starts inside ends
+  // inside; span 0 is empty. `host` is lo's host address, and `stamp` the
+  // window_stamp() the window was computed under.
+  struct PmpWindow {
+    uint64_t lo;
+    uint64_t span;
+    uint8_t* host;
+    uint64_t stamp;
+  };
+  static constexpr PmpWindow kNoWindow = {0, 0, nullptr, 0};
+
   // Data-access translation context captured once per block dispatch. Valid for the
   // whole block because priv/virt/mstatus/satp can only change at barriers or traps,
-  // both of which end the block.
+  // both of which end the block, and the PMP and the RAM map only by a CSR write or
+  // a trap into the monitor.
   struct FastMemCtx {
     bool built = false;
-    bool engaged = false;  // paged translation active for data accesses
+    bool paged = false;     // Sv39 data translation, served through the TLB
+    bool identity = false;  // identity data translation, served through PMP windows
+    PrivMode priv = PrivMode::kMachine;  // effective data privilege
     uint64_t satp = 0;
     uint8_t load_ctx = 0;
     uint8_t store_ctx = 0;
+    // This hart's PMP windows for `priv` under identity translation, else empty ones.
+    const PmpWindow* load = &kNoWindow;
+    const PmpWindow* store = &kNoWindow;
+    // Identity only: the primary RAM region's base and its marks for StoreClean.
+    uint64_t ram_base = 0;
+    const uint8_t* ram_marks = nullptr;
+    const uint64_t* ram_lines = nullptr;
   };
 
   // Outcome of one block dispatch, consumed by RunBatch.
@@ -342,6 +374,10 @@ class Hart {
   // satp writes and privilege/SUM/MXR changes need no counter — they are part of
   // each entry's key.
   uint64_t tlb_stamp() const;
+
+  // Validity stamp of the PMP windows: the physical bank's generation plus the RAM
+  // map's (a window holds a host pointer into the primary region).
+  uint64_t window_stamp() const;
 
   // Packs the walk-relevant translation context into an entry key byte. SUM only
   // affects data accesses and MXR only loads, mirroring TranslateSv39's permission
@@ -386,9 +422,10 @@ class Hart {
 
   // Builds (or rebuilds) the superblock starting at pc_ from currently-valid
   // decode-cache entries, lowering each member into the op arena as it is captured,
-  // and points `sb` at it. Returns false, touching neither `sb` nor the arena, if the
-  // first instruction cannot start a block (cold or stale decode-cache slot at pc_,
-  // or a barrier op).
+  // and points `sb` at it. A barrier op at pc_ gets a zero-op entry (count 0, no
+  // ops), keyed and stamped like any block, which RunBatch Ticks directly. Returns
+  // false, touching neither `sb` nor the arena, if pc_'s decode-cache slot is cold
+  // or stale.
   bool FillSuperblock(SuperblockEntry* sb);
   // Lowers block member `d` at `ipc` after ops[0, n): folds li/auipc +
   // ALU-immediate chains, fuses compare+branch pairs, and pre-sums cycle charges.
@@ -402,7 +439,11 @@ class Hart {
   // function); sb may be null then.
   SbRun ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
                      const void* const** table_out = nullptr);
-  void BuildFastMemCtx(FastMemCtx* ctx) const;
+  void BuildFastMemCtx(FastMemCtx* ctx);
+  // Replaces this hart's PMP window for `type` at `priv` with the one around `paddr`,
+  // if `paddr` lies in the primary RAM region and the PMP permits it there. Returns
+  // whether the window now holds `paddr`; a failed refill leaves it as it was.
+  bool RefillWindow(uint64_t paddr, AccessType type, PrivMode priv);
 
   // Allocates the configured translation-cache arrays on first execution. Harts are
   // constructed cheaply (a forked machine may never run some harts, and eager
@@ -496,6 +537,10 @@ class Hart {
   uint64_t sb_deopts_ = 0;
   uint64_t fastmem_hits_ = 0;
   uint64_t fastmem_misses_ = 0;
+  // PMP windows of the identity fast path, one per effective privilege and access
+  // type ([priv][0] loads, [priv][1] stores). They take no TLB entry and no mapped
+  // memory: an identity access needs no translation, only the PMP's verdict.
+  PmpWindow windows_[4][2] = {};
 
   // Deferred cache sizing (see EnsureCaches): entry counts computed at construction,
   // applied on first execution. All zero once applied (or when disabled).

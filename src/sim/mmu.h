@@ -63,6 +63,13 @@ class PtAccessor {
   virtual bool WritePte(uint64_t pte_addr, uint64_t pte) = 0;
 };
 
+// True when TranslateSv39 returns `vaddr` unchanged for every address: bare satp
+// (or vsatp) or effective M-mode. The block executor's identity fast path (DESIGN.md
+// §2f) engages on exactly this predicate, so the two can never disagree.
+inline bool IdentityTranslation(uint64_t satp, PrivMode priv) {
+  return (satp >> SatpBits::kModeLo) == SatpBits::kModeBare || priv == PrivMode::kMachine;
+}
+
 // Translates `vaddr` for an access of type `type`. Returns a page fault (of the
 // matching flavor) on any walk failure, non-canonical address, or permission
 // violation. Updates A/D bits in memory (hardware-update behavior). PMP failures

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/bits.h"
+#include "src/common/rng.h"
 #include "src/common/state.h"
 #include "src/mem/bus.h"
 
@@ -146,8 +147,8 @@ TEST(BusTest, MultipleRamRegions) {
 
 // -- Dependency marks (DESIGN.md §2b). ------------------------------------------------
 // Exec marks are line-granular for stores: only a store overlapping a 64-byte line a
-// cached decode read bumps code_generation(). PT marks, bulk writes and the mark byte
-// the harts' host-pointer path tests stay page-granular.
+// cached decode read bumps code_generation(). PT marks and bulk writes stay
+// page-granular.
 
 constexpr uint64_t kBase = 0x8000'0000;
 
@@ -155,7 +156,8 @@ constexpr uint64_t kBase = 0x8000'0000;
 uint8_t MarkByte(const Bus& bus, uint64_t paddr) {
   uint8_t* data = nullptr;
   const uint8_t* marks = nullptr;
-  EXPECT_TRUE(bus.HostPage(paddr, &data, &marks));
+  const uint64_t* lines = nullptr;
+  EXPECT_TRUE(bus.HostPage(paddr, &data, &marks, &lines));
   return marks == nullptr ? 0 : *marks;
 }
 
@@ -277,6 +279,28 @@ TEST(BusMarkTest, AdoptRamAndLoadStateClearMarks) {
   EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
   EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));
   EXPECT_EQ(bus.code_generation(), 0u);
+}
+
+// Property: for every aligned 1-, 2-, 4- and 8-byte store, the harts' fast-store
+// test Ram::StoreClean agrees with StoreHits == 0, over random exec-line marks (so
+// random line masks) and PT marks, dense and sparse, on a four-page region.
+TEST(BusMarkTest, StoreCleanMatchesStoreHitsForAlignedStores) {
+  constexpr uint64_t kSize = 0x4000;
+  Rng rng(0x57C1);
+  for (int round = 0; round < 40; ++round) {
+    Ram ram(kBase, kSize);
+    const uint64_t marks = rng.NextBelow(round % 2 == 0 ? 8 : 160);
+    for (uint64_t i = 0; i < marks; ++i) {
+      ram.Mark(rng.NextBelow(kSize), rng.Chance(1, 6) ? Ram::kPtMark : Ram::kExecMark);
+    }
+    for (uint64_t size = 1; size <= 8; size *= 2) {
+      for (uint64_t offset = 0; offset < kSize; offset += size) {
+        ASSERT_EQ(Ram::StoreClean(ram.page_marks(), ram.exec_lines(), offset),
+                  ram.StoreHits(offset, size) == 0)
+            << "round " << round << ": " << size << " bytes at offset " << offset;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/bits.h"
 #include "src/common/rng.h"
 #include "src/pmp/pmp.h"
 
@@ -214,6 +217,62 @@ TEST(PmpPropertyTest, CacheCoherenceUnderMutation) {
         }
         EXPECT_EQ(bank.Check(addr, size, type, mode), fresh.Check(addr, size, type, mode));
         break;
+      }
+    }
+  }
+}
+
+// Property (DESIGN.md §2f): the window PermittedWindow returns around an address is
+// uniformly permitted — Check holds for every aligned 1-, 2-, 4- and 8-byte access
+// inside it — and is empty exactly when Check(addr, 1) fails. Random banks of 0 or
+// 16 entries mix OFF, TOR (empty ones included), NA4 and NAPOT entries, locked and
+// unlocked, over a 1 KiB span so that they overlap; every mode and data access type
+// probes them. Check changes its verdict only at entry boundaries, all of which lie
+// in or next to the span, so accesses are enumerated there.
+TEST(PmpPropertyTest, PermittedWindowIsUniformlyPermitted) {
+  constexpr uint64_t kBase = 0x8000'0000;
+  constexpr uint64_t kSpan = 0x400;
+  constexpr uint64_t kMargin = 0x40;
+  Rng rng(0x3D0F);
+  for (int iter = 0; iter < 300; ++iter) {
+    const unsigned count = rng.Chance(1, 10) ? 0 : 16;
+    PmpBank bank(count);
+    for (unsigned i = 0; i < count; ++i) {
+      const auto mode = static_cast<PmpAddrMode>(rng.NextBelow(4));
+      PmpCfg cfg = MakeCfg(rng.Chance(1, 2), rng.Chance(1, 2), rng.Chance(1, 2), mode,
+                           rng.Chance(1, 3));
+      bank.SetCfg(i, cfg);
+      uint64_t addr = (kBase + 4 * rng.NextBelow(kSpan / 4 + 1)) >> 2;  // OFF, NA4, TOR
+      if (mode == PmpAddrMode::kNapot) {
+        const uint64_t size = uint64_t{8} << rng.NextBelow(7);  // 8 B .. 512 B
+        const uint64_t base = kBase + size * rng.NextBelow(kSpan / size);
+        addr = (base >> 2) | ((size >> 3) - 1);
+      }
+      bank.SetAddr(i, addr);
+    }
+    for (const PrivMode mode : {PrivMode::kMachine, PrivMode::kSupervisor, PrivMode::kUser}) {
+      for (const AccessType type : {AccessType::kLoad, AccessType::kStore}) {
+        for (int probe = 0; probe < 4; ++probe) {
+          const uint64_t addr = kBase - kMargin + rng.NextBelow(kSpan + 2 * kMargin);
+          const PmpRange window = bank.PermittedWindow(addr, type, mode);
+          const bool permitted = bank.Check(addr, 1, type, mode);
+          ASSERT_EQ(window.base >= window.limit, !permitted)
+              << "addr " << std::hex << addr << "\n" << bank.Describe();
+          if (!permitted) {
+            continue;
+          }
+          ASSERT_TRUE(window.base <= addr && addr < window.limit);
+          const uint64_t lo = std::max(window.base, kBase - kMargin);
+          const uint64_t hi = std::min(window.limit, kBase + kSpan + kMargin);
+          for (uint64_t size = 1; size <= 8; size *= 2) {
+            for (uint64_t a = AlignUp(lo, size); a + size <= hi; a += size) {
+              ASSERT_TRUE(bank.Check(a, size, type, mode))
+                  << "window [" << std::hex << window.base << ", " << window.limit
+                  << ") around " << addr << " denies " << size << " bytes at " << a << "\n"
+                  << bank.Describe();
+            }
+          }
+        }
       }
     }
   }

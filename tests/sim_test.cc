@@ -554,11 +554,20 @@ TEST_F(TlbTest, DisabledTlbCountsNothing) {
   EXPECT_EQ(hart.tlb_misses(), 0u);
 }
 
+// The in-block host-pointer fast path (DESIGN.md §2f) on each data-translation
+// input: Sv39 S-mode, served through the TLB, and three identity inputs, served
+// through PMP windows — bare S-mode, M-mode, and M-mode with MPRV down to bare
+// S-mode — whose data shares a page with the loop's code. On every input the fast
+// path must carry at least 90% of the loop's memory ops, and the run must charge
+// identical cycles and count identical decode-cache and TLB events with the block
+// engine on and off.
+enum class DataInput { kSv39, kBareS, kMachine, kMprvBareS };
+
 TEST_F(TlbTest, SuperblockHostFastPathCycleParity) {
-  // Paged S-mode loads/stores inside superblocks take the host-pointer fast path;
-  // the same program must charge identical cycles and count identical decode-cache
-  // and TLB hits with the block engine on and off.
-  const auto run = [](uint32_t sb_entries) {
+  constexpr uint64_t kIterations = 200;
+  constexpr uint64_t kLoopMemOps = 3 * kIterations;
+  const auto run = [](DataInput input, uint32_t sb_entries, uint64_t* fast_hits,
+                      uint64_t* fast_misses) {
     MachineConfig config;
     config.tuning.superblock_entries = sb_entries;
     Machine machine(config);
@@ -566,13 +575,35 @@ TEST_F(TlbTest, SuperblockHostFastPathCycleParity) {
     SetupPaging(machine);
     hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
     hart.csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
-    hart.csrs().Set(kCsrSatp, (uint64_t{8} << 60) | (kRoot >> 12));
-    hart.set_priv(PrivMode::kSupervisor);
+    const uint64_t sv39 = (uint64_t{8} << 60) | (kRoot >> 12);
+    uint64_t load_addr = kRam + 0x8800;  // identity inputs: the code's page
+    uint64_t store_addr = kRam + 0x8808;
+    switch (input) {
+      case DataInput::kSv39:
+        hart.csrs().Set(kCsrSatp, sv39);
+        hart.set_priv(PrivMode::kSupervisor);
+        load_addr = 0x3000;
+        store_addr = 0x4000;
+        break;
+      case DataInput::kBareS:
+        hart.set_priv(PrivMode::kSupervisor);
+        break;
+      case DataInput::kMachine:
+        hart.csrs().Set(kCsrSatp, sv39);  // M-mode ignores it
+        break;
+      case DataInput::kMprvBareS: {
+        uint64_t mstatus = SetBit(hart.csrs().mstatus(), MstatusBits::kMprv, 1);
+        mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
+                             static_cast<uint64_t>(PrivMode::kSupervisor));
+        hart.csrs().set_mstatus(mstatus);
+        break;
+      }
+    }
     Assembler a(kRam + 0x8000);
-    a.Li(t0, 0x3000);
-    a.Li(t1, 0x4000);
+    a.Li(t0, load_addr);
+    a.Li(t1, store_addr);
     a.Li(s2, 0);
-    a.Li(s3, 200);
+    a.Li(s3, kIterations);
     a.Bind("loop");
     a.Ld(t2, t0, 0);
     a.Sd(s2, t1, 0);
@@ -584,23 +615,153 @@ TEST_F(TlbTest, SuperblockHostFastPathCycleParity) {
     machine.LoadImage(image.base, image.bytes);
     hart.set_pc(image.entry);
     machine.RunUntilFinished(20000);  // parks in WFI; ends by budget
+    *fast_hits = hart.host_fastpath_hits();
+    *fast_misses = hart.host_fastpath_misses();
     return std::make_tuple(hart.cycles(), hart.instret(), hart.pc(), hart.gpr(s2),
-                           hart.decode_cache_hits(), hart.decode_cache_misses(),
-                           hart.tlb_hits(), hart.tlb_misses(),
-                           hart.host_fastpath_hits() > 0);
+                           hart.gpr(a4), hart.decode_cache_hits(),
+                           hart.decode_cache_misses(), hart.tlb_hits(), hart.tlb_misses());
   };
-  const auto with_blocks = run(2048);
-  const auto without_blocks = run(0);
-  EXPECT_TRUE(std::get<8>(with_blocks));    // the fast path actually engaged
-  EXPECT_FALSE(std::get<8>(without_blocks));
-  EXPECT_EQ(std::get<0>(with_blocks), std::get<0>(without_blocks));
-  EXPECT_EQ(std::get<1>(with_blocks), std::get<1>(without_blocks));
-  EXPECT_EQ(std::get<2>(with_blocks), std::get<2>(without_blocks));
-  EXPECT_EQ(std::get<3>(with_blocks), std::get<3>(without_blocks));
-  EXPECT_EQ(std::get<4>(with_blocks), std::get<4>(without_blocks));
-  EXPECT_EQ(std::get<5>(with_blocks), std::get<5>(without_blocks));
-  EXPECT_EQ(std::get<6>(with_blocks), std::get<6>(without_blocks));
-  EXPECT_EQ(std::get<7>(with_blocks), std::get<7>(without_blocks));
+  for (const DataInput input :
+       {DataInput::kSv39, DataInput::kBareS, DataInput::kMachine, DataInput::kMprvBareS}) {
+    SCOPED_TRACE(static_cast<int>(input));
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t tick_hits = 0;
+    uint64_t tick_misses = 0;
+    const auto with_blocks = run(input, 2048, &hits, &misses);
+    const auto without_blocks = run(input, 0, &tick_hits, &tick_misses);
+    EXPECT_EQ(std::get<3>(with_blocks), kIterations);
+    EXPECT_GE(hits * 10, kLoopMemOps * 9);  // the fast path carried >= 90%
+    EXPECT_EQ(tick_hits + tick_misses, 0u);
+    EXPECT_EQ(with_blocks, without_blocks);
+  }
+}
+
+// A loop walks a load through two data pages that PMP entry 0 grants (RW, 8 KiB
+// NAPOT) ahead of the all-RAM entry 1. Between two runs of its block, a PMP write
+// revokes the second page while the walk is still in the first. The window cached
+// before the write must not serve the second page: the walk faults on its first
+// word, at exactly that load, with the per-instruction machine's mepc, mtval,
+// cycles and instret.
+TEST(HostFastPathTest, PmpRevocationBetweenBlockRunsFaultsAtTheLoad) {
+  constexpr uint64_t kData = kRam + 0x10000;
+  struct Outcome {
+    std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t> state;
+    uint64_t load_pc = 0;
+    uint64_t fast_hits_before = 0;
+  };
+  const auto run = [](uint32_t sb_entries) {
+    MachineConfig config;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    PmpBank& pmp = hart.csrs().pmp();
+    pmp.SetCfg(0, PmpCfg::FromByte(0x1B));  // NAPOT, R W: both data pages
+    pmp.SetAddr(0, (kData >> 2) | ((0x2000 >> 3) - 1));
+    pmp.SetCfg(1, PmpCfg::FromByte(0x1F));  // NAPOT, R W X: all the rest
+    pmp.SetAddr(1, ~uint64_t{0} >> 10);
+    hart.set_priv(PrivMode::kSupervisor);
+    hart.csrs().Set(kCsrMtvec, kRam + 0xA000);
+    machine.bus().Write(kRam + 0xA000, 4, 0x10500073);  // wfi
+    Assembler a(kRam + 0x8000);
+    a.Li(t0, kData);
+    a.Li(s2, 0);
+    a.Li(s3, 1024);
+    a.Bind("loop");
+    a.Ld(t2, t0, 0);
+    a.Addi(t0, t0, 8);
+    a.Addi(s2, s2, 1);
+    a.Blt(s2, s3, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    machine.RunUntilFinished(401);  // about 100 loads into the first page
+    Outcome outcome;
+    outcome.load_pc = image.Symbol("loop");
+    outcome.fast_hits_before = hart.host_fastpath_hits();
+    pmp.SetAddr(0, ((kData + 0x1000) >> 2) | ((0x1000 >> 3) - 1));
+    pmp.SetCfg(0, PmpCfg::FromByte(0x18));  // NAPOT, no permissions: the second page
+    machine.RunUntilFinished(4000);
+    outcome.state = std::make_tuple(hart.csrs().Get(kCsrMcause), hart.csrs().Get(kCsrMepc),
+                                    hart.csrs().Get(kCsrMtval), hart.gpr(s2), hart.cycles(),
+                                    hart.instret(), hart.pc());
+    return outcome;
+  };
+  const Outcome blocks = run(2048);
+  const Outcome per_instruction = run(0);
+  EXPECT_GT(blocks.fast_hits_before, 90u);  // the window served the loads until then
+  EXPECT_EQ(std::get<0>(blocks.state), CauseValue(ExceptionCause::kLoadAccessFault));
+  EXPECT_EQ(std::get<1>(blocks.state), blocks.load_pc);
+  EXPECT_EQ(std::get<2>(blocks.state), kData + 0x1000);
+  EXPECT_EQ(std::get<3>(blocks.state), 0x1000u / 8);  // every load of the first page
+  EXPECT_EQ(blocks.state, per_instruction.state);
+}
+
+// An identity-mapped loop whose data shares the code's page: its stores to an
+// unmarked line of that page stay on the fast path, and so do those of a second
+// store walking one page per iteration through data RAM, until on iteration 10 that
+// store lands on one of the loop's own instructions (a marked line). That store
+// must still bump the code generation, leave the block and force a re-decode, as on
+// the per-instruction machine.
+TEST(HostFastPathTest, StoreToMarkedCodeLineStillRedecodes) {
+  constexpr uint64_t kIterations = 20;
+  constexpr uint64_t kCode = kRam + 0x20400;
+  struct Outcome {
+    std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>
+        state;
+    uint64_t fast_hits = 0;
+    uint64_t deopts = 0;
+  };
+  const auto run = [](uint32_t sb_entries) {
+    MachineConfig config;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
+    hart.csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
+    hart.set_priv(PrivMode::kSupervisor);
+    Assembler a(kCode);
+    a.Li(s2, 0);
+    a.Li(s3, kIterations);
+    a.Li(s5, 0);
+    a.Li(a4, 0x002A8A93);  // addi s5, s5, 2 — the replacement word
+    a.La(a3, "patch");
+    a.Li(a6, 10 * 0x1000);
+    a.Sub(a3, a3, a6);  // the walking store starts 10 pages below "patch"
+    a.Li(a6, 0x1000);
+    a.Li(t1, kCode + 0x400);  // an unmarked line of the code's page
+    a.Bind("loop");
+    a.Sd(s2, t1, 0);
+    a.Sw(a4, a3, 0);
+    a.Add(a3, a3, a6);
+    a.Bind("patch");
+    a.Addi(s5, s5, 1);  // +2 from iteration 10 on
+    a.Addi(s2, s2, 1);
+    a.Blt(s2, s3, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    machine.RunUntilFinished(5000);
+    uint64_t stored = 0;
+    machine.bus().Read(kCode + 0x400, 8, &stored);
+    Outcome outcome;
+    outcome.fast_hits = hart.host_fastpath_hits();
+    outcome.deopts = hart.threaded_deopts();
+    outcome.state = std::make_tuple(hart.gpr(s5), stored, machine.bus().code_generation(),
+                                    hart.cycles(), hart.instret(), hart.pc(),
+                                    hart.decode_cache_hits(), hart.decode_cache_misses());
+    return outcome;
+  };
+  const Outcome blocks = run(2048);
+  const Outcome per_instruction = run(0);
+  EXPECT_EQ(std::get<0>(blocks.state), 10 + 2 * 10u);
+  EXPECT_EQ(std::get<1>(blocks.state), kIterations - 1);
+  EXPECT_EQ(std::get<2>(blocks.state), 1u);  // the one store to a marked line
+  EXPECT_GE(blocks.fast_hits, 25u);          // every other store
+  EXPECT_GE(blocks.deopts, 1u);              // the marked-line store left the block
+  EXPECT_EQ(blocks.state, per_instruction.state);
 }
 
 // -- Superblock execution engine (DESIGN.md §2f). -----------------------------------
@@ -698,6 +859,52 @@ TEST_F(SuperblockTest, SatpChangeIsPartOfBlockKey) {
   RunPass();
   RunPass();
   EXPECT_EQ(hart_->superblock_hits(), 2u);
+}
+
+// A loop whose first instruction is a CSR read: the lookup at its pc finds a
+// barrier head, whose zero-op entry is Ticked directly. Such lookups count as
+// neither hit nor miss, so the misses stay those of the one-time builds whatever
+// the iteration count, and the run ends in the snapshot of the machine without
+// blocks.
+TEST(SuperblockMachineTest, BarrierHeadLoopNeitherHitsNorMisses) {
+  struct Outcome {
+    std::vector<uint8_t> state;
+    uint64_t misses = 0;
+    uint64_t hits = 0;
+  };
+  const auto run = [](uint32_t sb_entries, uint64_t iterations) {
+    MachineConfig config;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Assembler a(kRam);
+    a.Li(s2, 0);
+    a.Li(s3, iterations);
+    a.Bind("loop");
+    a.Csrr(t0, kCsrMscratch);  // the barrier head
+    a.Addi(s2, s2, 1);
+    a.Add(s4, s4, t0);
+    a.Blt(s2, s3, "loop");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    machine.hart(0).csrs().Set(kCsrMscratch, 3);
+    machine.hart(0).set_pc(image.entry);
+    EXPECT_TRUE(machine.RunUntilFinished(100'000));
+    Outcome outcome;
+    outcome.misses = machine.hart(0).superblock_misses();
+    outcome.hits = machine.hart(0).superblock_hits();
+    Snapshot snapshot;
+    machine.SaveSnapshot(snapshot);
+    outcome.state = snapshot.state;
+    return outcome;
+  };
+  const Outcome short_run = run(2048, 10);
+  const Outcome long_run = run(2048, 1000);
+  EXPECT_EQ(long_run.state, run(0, 1000).state);
+  EXPECT_EQ(long_run.misses, short_run.misses);
+  EXPECT_GE(long_run.hits, 990u);  // the addi/add/blt block after every csrr
 }
 
 TEST(SuperblockMachineTest, SelfModifyingLoopMatchesPerInstruction) {
