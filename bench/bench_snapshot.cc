@@ -2,8 +2,8 @@
 // then measures: whole-machine snapshot save and restore latency, Machine::Fork()
 // latency and per-fork resident-memory cost over a fleet of forks, and the headline
 // ratio — how much cheaper forking a booted machine is than booting a fresh one.
-// Machine-readable results go to BENCH_snapshot.json (CI uploads it next to
-// BENCH_sim_speed.json).
+// That a fork copies no RAM is a ctest (ForkTest.ForkCopiesNoRamPages counts its
+// page faults); this bench reports the wall-clock costs.
 
 #include <chrono>
 #include <cstdio>
@@ -123,23 +123,6 @@ void Run() {
   std::printf("fleet sanity: %u children retired %llu instructions total\n", kForks,
               static_cast<unsigned long long>(fleet_instructions));
   PrintFooter("motivation of DESIGN.md §2h: fleet-scale boots amortized via CoW fork");
-
-  JsonResultWriter json("snapshot");
-  json.Add("boot_us", boot_us);
-  json.Add("save_us", save_seconds * 1e6);
-  json.Add("resave_us", resave_seconds * 1e6);
-  json.Add("restore_us", restore_seconds * 1e6);
-  json.Add("fork_us", fork_us);
-  json.Add("per_fork_rss_kib", per_fork_rss_kib);
-  json.Add("fork_vs_boot_speedup", speedup);
-  json.Add("forks", kForks);
-  const char* path = "BENCH_snapshot.json";
-  if (json.WriteTo(path)) {
-    std::printf("wrote %s (fork %.1f us, %.0fx cheaper than boot)\n", path, fork_us,
-                speedup);
-  } else {
-    std::fprintf(stderr, "failed to write %s\n", path);
-  }
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ bool MmioDevice::LoadState(StateReader& reader) {
 
 namespace {
 
-uint64_t HostPageSize() {
+uint64_t SystemPageSize() {
 #ifdef __linux__
   static const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
   return page;
@@ -32,10 +32,12 @@ uint64_t HostPageSize() {
 
 }  // namespace
 
-uint64_t Ram::map_size() const {
-  const uint64_t page = HostPageSize();
-  return (size_ + page - 1) & ~(page - 1);
+uint64_t Ram::ImageSize(uint64_t size) {
+  const uint64_t page = SystemPageSize();
+  return (size + page - 1) & ~(page - 1);
 }
+
+uint64_t Ram::map_size() const { return ImageSize(size_); }
 
 Ram::Ram(uint64_t base, uint64_t size)
     : base_(base),
@@ -45,6 +47,7 @@ Ram::Ram(uint64_t base, uint64_t size)
       mark_groups_((page_marks_.size() + (uint64_t{64} << kGroupShift) - 1) >>
                        (kGroupShift + 6),
                    0) {
+  VFM_CHECK_MSG(size > 0, "RAM region must be non-empty");
 #ifdef __linux__
   // Preferred backing: an owned memfd mapped shared. Freezing then costs nothing —
   // the fd transfers into the RamImage and this mapping flips to a private view.
@@ -64,7 +67,7 @@ Ram::Ram(uint64_t base, uint64_t size)
 #endif
   // Fallback: heap backing, manually aligned to the host page size so CoW page
   // references stay well-formed even without mmap.
-  const uint64_t page = HostPageSize();
+  const uint64_t page = SystemPageSize();
   heap_.resize(map_size() + page, 0);
   const uintptr_t raw = reinterpret_cast<uintptr_t>(heap_.data());
   data_ = reinterpret_cast<uint8_t*>((raw + page - 1) & ~(uintptr_t{page} - 1));
@@ -88,8 +91,7 @@ std::shared_ptr<RamImage> Ram::Freeze() {
 #ifdef __linux__
   if (mapped_ && owned_fd_ >= 0) {
     // Transfer the backing into the image and keep a private view of it mapped at
-    // the same address (data() must not move: harts hold host pointers into it,
-    // guarded by ram_generation, and the bus fast path caches it).
+    // the same address (data() must not move: harts hold host pointers into it).
     auto image = std::make_shared<RamImage>(owned_fd_, map_size(), std::vector<uint8_t>{});
     owned_fd_ = -1;
     void* map = ::mmap(data_, map_size(), PROT_READ | PROT_WRITE,
@@ -206,36 +208,11 @@ void Ram::AdoptImage(std::shared_ptr<RamImage> image) {
   maybe_dirty_ = false;
 }
 
-Ram* Bus::AddRam(uint64_t base, uint64_t size) {
-  VFM_CHECK_MSG(size > 0, "RAM region must be non-empty");
-  for (const auto& existing : ram_) {
-    const bool overlaps = base < existing->base() + existing->size() && existing->base() < base + size;
-    VFM_CHECK_MSG(!overlaps, "RAM regions overlap");
-  }
-  ram_.push_back(std::make_unique<Ram>(base, size));
-  ++ram_generation_;  // invalidates any cached host page pointers via the TLB stamps
-  if (ram_.size() == 1) {
-    ram0_base_ = base;
-    ram0_limit_ = size;
-    ram0_data_ = ram_.front()->data();
-    ram0_marks_ = ram_.front()->page_marks();
-    ram0_region_ = ram_.front().get();
-  }
-  return ram_.back().get();
-}
+Bus::Bus(uint64_t ram_base, uint64_t ram_size) : ram_(ram_base, ram_size) {}
 
 void Bus::AddMmio(uint64_t base, uint64_t size, MmioDevice* device) {
   VFM_CHECK(device != nullptr);
   mmio_.push_back(MmioWindow{base, size, device});
-}
-
-const Ram* Bus::FindRam(uint64_t addr, uint64_t size) const {
-  for (const auto& region : ram_) {
-    if (addr >= region->base() && addr + size <= region->base() + region->size()) {
-      return region.get();
-    }
-  }
-  return nullptr;
 }
 
 const Bus::MmioWindow* Bus::FindMmio(uint64_t addr) const {
@@ -247,92 +224,60 @@ const Bus::MmioWindow* Bus::FindMmio(uint64_t addr) const {
   return nullptr;
 }
 
-bool Bus::ReadSlow(uint64_t addr, unsigned size, uint64_t* value) {
-  if (const Ram* region = FindRam(addr, size)) {
-    uint64_t v = 0;
-    std::memcpy(&v, region->data() + (addr - region->base()), size);
-    *value = v;
-    return true;
+bool Bus::ReadMmio(uint64_t addr, unsigned size, uint64_t* value) {
+  const MmioWindow* window = FindMmio(addr);
+  if (window == nullptr) {
+    return false;
   }
-  if (const MmioWindow* window = FindMmio(addr)) {
-    VFM_CHECK_MSG(mmio_gate_ == nullptr || !*mmio_gate_,
-                  "MMIO read dispatched mid-segment (must happen at a quantum barrier)");
-    ++mmio_ops_;
-    if (addr + size > window->base + window->size) {
-      return false;
-    }
-    return window->device->MmioRead(addr - window->base, size, value);
+  VFM_CHECK_MSG(mmio_gate_ == nullptr || !*mmio_gate_,
+                "MMIO read dispatched mid-segment (must happen at a quantum barrier)");
+  ++mmio_ops_;
+  if (addr + size > window->base + window->size) {
+    return false;
   }
-  return false;
+  return window->device->MmioRead(addr - window->base, size, value);
 }
 
-bool Bus::WriteSlow(uint64_t addr, unsigned size, uint64_t value) {
-  if (const Ram* region = FindRam(addr, size)) {
-    Ram* mutable_region = const_cast<Ram*>(region);
-    InvalidateMarkedPages(region->StoreHits(addr - region->base(), size));
-    mutable_region->SetMaybeDirty();
-    std::memcpy(mutable_region->data() + (addr - region->base()), &value, size);
-    return true;
+bool Bus::WriteMmio(uint64_t addr, unsigned size, uint64_t value) {
+  const MmioWindow* window = FindMmio(addr);
+  if (window == nullptr) {
+    return false;
   }
-  if (const MmioWindow* window = FindMmio(addr)) {
-    VFM_CHECK_MSG(mmio_gate_ == nullptr || !*mmio_gate_,
-                  "MMIO write dispatched mid-segment (must happen at a quantum barrier)");
-    ++mmio_ops_;
-    if (addr + size > window->base + window->size) {
-      return false;
-    }
-    return window->device->MmioWrite(addr - window->base, size, value);
+  VFM_CHECK_MSG(mmio_gate_ == nullptr || !*mmio_gate_,
+                "MMIO write dispatched mid-segment (must happen at a quantum barrier)");
+  ++mmio_ops_;
+  if (addr + size > window->base + window->size) {
+    return false;
   }
-  return false;
+  return window->device->MmioWrite(addr - window->base, size, value);
 }
 
 bool Bus::ReadBytes(uint64_t addr, void* out, uint64_t size) const {
-  const Ram* region = FindRam(addr, size);
-  if (region == nullptr) {
+  if (!ram_.Contains(addr, size)) {
     return false;
   }
-  std::memcpy(out, region->data() + (addr - region->base()), size);
+  std::memcpy(out, ram_.data() + (addr - ram_.base()), size);
   return true;
 }
 
 bool Bus::WriteBytes(uint64_t addr, const void* data, uint64_t size) {
-  const Ram* region = FindRam(addr, size);
-  if (region == nullptr) {
+  if (!ram_.Contains(addr, size)) {
     return false;
   }
-  Ram* mutable_region = const_cast<Ram*>(region);
+  const uint64_t offset = addr - ram_.base();
   // Bulk writes (image loads, DMA) invalidate on every marked page they touch, not
   // only on marked lines: they are rare and may span many pages, so the conservative
   // check costs nothing that matters.
-  if (any_marks_) {
-    const uint64_t first = (addr - region->base()) >> Ram::kPageShift;
-    const uint64_t last = (addr - region->base() + size - 1) >> Ram::kPageShift;
+  if (any_marks_ && size != 0) {
     uint8_t marks = 0;
-    for (uint64_t page = first; page <= last; ++page) {
-      marks |= mutable_region->page_marks()[page];
+    for (uint64_t page = offset >> Ram::kPageShift;
+         page <= (offset + size - 1) >> Ram::kPageShift; ++page) {
+      marks |= ram_.page_marks()[page];
     }
     InvalidateMarkedPages(marks);
   }
-  mutable_region->SetMaybeDirty();
-  std::memcpy(mutable_region->data() + (addr - region->base()), data, size);
-  return true;
-}
-
-bool Bus::IsRam(uint64_t addr, uint64_t size) const { return FindRam(addr, size) != nullptr; }
-
-bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
-                   const uint64_t** lines) const {
-  const uint64_t page_base = paddr & ~((uint64_t{1} << Ram::kPageShift) - 1);
-  const Ram* region = FindRam(page_base, uint64_t{1} << Ram::kPageShift);
-  if (region == nullptr || (region->base() & ((uint64_t{1} << Ram::kPageShift) - 1)) != 0) {
-    // A non-page-aligned region would split the frame across two mark slots.
-    return false;
-  }
-  Ram* mutable_region = const_cast<Ram*>(region);
-  const uint64_t offset = page_base - region->base();
-  *data = mutable_region->data() + offset;
-  *marks = mutable_region->page_marks() + (offset >> Ram::kPageShift);
-  *lines = region->exec_lines() + (offset >> Ram::kPageShift);
+  ram_.SetMaybeDirty();
+  std::memcpy(ram_.data() + offset, data, size);
   return true;
 }
 
@@ -341,71 +286,53 @@ bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
 // monotonic within a segment — only ever set, never read or cleared until the next
 // barrier — so relaxed ordering is sufficient (DESIGN.md §2i).
 void Bus::MarkExecLine(uint64_t paddr) {
-  const Ram* region = FindRam(paddr, 1);
-  if (region == nullptr) {
+  if (!ram_.Contains(paddr, 1)) {
     return;
   }
-  const_cast<Ram*>(region)->Mark(paddr - region->base(), kExecMark);
+  ram_.Mark(paddr - ram_.base(), kExecMark);
   any_marks_.store(true, std::memory_order_relaxed);
 }
 
 bool Bus::MarkPtPage(uint64_t paddr) {
-  const Ram* region = FindRam(paddr, 1);
-  if (region == nullptr) {
+  if (!ram_.Contains(paddr, 1)) {
     return false;
   }
-  const_cast<Ram*>(region)->Mark(paddr - region->base(), kPtMark);
+  ram_.Mark(paddr - ram_.base(), kPtMark);
   any_marks_.store(true, std::memory_order_relaxed);
   return true;
 }
 
-void Bus::FreezeRam(std::vector<std::shared_ptr<RamImage>>* images) {
-  for (auto& region : ram_) {
-    images->push_back(region->Freeze());
-  }
-}
-
-void Bus::AdoptRam(const std::vector<std::shared_ptr<RamImage>>& images) {
-  VFM_CHECK_MSG(images.size() == ram_.size(), "snapshot RAM region count mismatch");
-  for (size_t i = 0; i < ram_.size(); ++i) {
-    ram_[i]->AdoptImage(images[i]);
-    ram_[i]->ClearMarks(kExecMark | kPtMark);
-  }
+void Bus::AdoptRam(std::shared_ptr<RamImage> image) {
+  ram_.AdoptImage(std::move(image));
+  ram_.ClearMarks(kExecMark | kPtMark);
   any_marks_ = false;
 }
 
-void Bus::SetRamMaybeDirty() {
-  for (auto& region : ram_) {
-    region->SetMaybeDirty();
-  }
-}
+// Version 2: one RAM region. Version 1 listed a region count first.
+constexpr uint32_t kBusStateVersion = 2;
 
 void Bus::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("BUSS"), 1);
-  writer.U32(static_cast<uint32_t>(ram_.size()));
-  for (const auto& region : ram_) {
-    writer.U64(region->base());
-    writer.U64(region->size());
-  }
+  writer.BeginSection(StateTag("BUSS"), kBusStateVersion);
+  writer.U64(ram_.base());
+  writer.U64(ram_.size());
   // Informational: generations let a debugger relate a snapshot to live counters.
   writer.U64(code_generation_);
   writer.U64(pt_generation_);
-  writer.U64(ram_generation_);
   writer.EndSection();
 }
 
 bool Bus::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("BUSS"));
-  const uint32_t count = reader.U32();
-  if (reader.ok() && count != ram_.size()) {
-    reader.Fail("snapshot RAM region count mismatch");
+  const uint32_t version = reader.BeginSection(StateTag("BUSS"));
+  if (reader.ok() && version != kBusStateVersion) {
+    reader.Fail("bus state version " + std::to_string(version) +
+                " is not supported (this build reads version " +
+                std::to_string(kBusStateVersion) + "); re-record the snapshot");
+    return false;
   }
-  for (const auto& region : ram_) {
-    const uint64_t base = reader.U64();
-    const uint64_t size = reader.U64();
-    if (reader.ok() && (base != region->base() || size != region->size())) {
-      reader.Fail("snapshot RAM region geometry mismatch");
-    }
+  const uint64_t base = reader.U64();
+  const uint64_t size = reader.U64();
+  if (reader.ok() && (base != ram_.base() || size != ram_.size())) {
+    reader.Fail("snapshot RAM geometry mismatch");
   }
   reader.EndSection();  // generations: read-only debug info, skipped
   if (!reader.ok()) {
@@ -413,9 +340,7 @@ bool Bus::LoadState(StateReader& reader) {
   }
   // All translation caches are being reset by the restore, so dependency marks
   // restart empty and rebuild on refill.
-  for (auto& region : ram_) {
-    region->ClearMarks(kExecMark | kPtMark);
-  }
+  ram_.ClearMarks(kExecMark | kPtMark);
   any_marks_ = false;
   return true;
 }
@@ -431,11 +356,7 @@ void Bus::InvalidateMarkedPages(uint8_t marks) {
     ++pt_generation_;
   }
   // Clear only the invalidated classes; other classes' marks stay live.
-  bool any = false;
-  for (auto& region : ram_) {
-    any |= region->ClearMarks(marks);
-  }
-  any_marks_ = any;
+  any_marks_ = ram_.ClearMarks(marks);
 }
 
 }  // namespace vfm

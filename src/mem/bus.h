@@ -1,11 +1,10 @@
-// Physical memory bus: RAM regions plus MMIO device windows. The bus performs no
+// Physical memory bus: one RAM region plus MMIO device windows. The bus performs no
 // protection checks — PMP and paging live in the hart (src/sim) and the monitor; the
 // bus only routes physical accesses.
 //
 // Two interpreter-hot-path services live here (DESIGN.md §2b/§2c):
-//  - a RAM fast path: Read/Write are inlined bounds checks against the primary RAM
-//    region, falling back to the ordered region/window scan only for secondary
-//    regions and MMIO;
+//  - a RAM fast path: Read/Write are inlined bounds checks against the RAM region,
+//    falling back to the MMIO window scan only outside it;
 //  - dependency tracking for the harts' translation-layer caches: each 4 KiB RAM
 //    page carries a mark bitmask recording which cache classes depend on its bytes —
 //    exec marks (decoded-instruction cache: instruction bytes and the PTEs a cached
@@ -15,6 +14,10 @@
 //    exec-marked page, bumps the matching generation counter (`pt_generation()` /
 //    `code_generation()`), invalidating every dependent cache entry at once; caches
 //    re-mark as they refill.
+//
+// The harts' in-block fast path (DESIGN.md §2f) reads and writes ram().data()
+// directly, through host pointers it caches; they stay valid for the life of the
+// Bus, because the region never moves (snapshot freeze and adopt remap in place).
 
 #ifndef SRC_MEM_BUS_H_
 #define SRC_MEM_BUS_H_
@@ -92,9 +95,13 @@ class Ram {
 
   uint64_t base() const { return base_; }
   uint64_t size() const { return size_; }
-  bool Contains(uint64_t addr, unsigned access_size) const {
-    return addr >= base_ && addr + access_size <= base_ + size_;
+  // True if [addr, addr + length) lies inside the region.
+  bool Contains(uint64_t addr, uint64_t length) const {
+    return addr >= base_ && length <= size_ && addr - base_ <= size_ - length;
   }
+  // The size of the RamImage that backs a region of `size` bytes: `size` rounded up
+  // to the host page size. Freeze() produces, and AdoptImage() accepts, only that.
+  static uint64_t ImageSize(uint64_t size);
 
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
@@ -107,6 +114,7 @@ class Ram {
   // zero-filled mappings: only the parts that were ever marked cost resident
   // memory, and constructing a region (every Machine::Fork) touches neither.
   uint8_t* page_marks() { return page_marks_.data(); }
+  const uint8_t* page_marks() const { return page_marks_.data(); }
   uint64_t page_count() const { return page_marks_.size(); }
   // Adds `mark` to the page holding byte `offset`; an exec mark also marks the
   // byte's line. Relaxed atomic ORs: hart segments mark concurrently, and marks are
@@ -143,7 +151,8 @@ class Ram {
   // transfers, no bytes copied); O(size) only when a CoW view has been written to
   // since. The region remains fully writable and data() is unchanged.
   std::shared_ptr<RamImage> Freeze();
-  // Replaces the contents with `image` (whose size must match). When both sides are
+  // Replaces the contents with `image`, whose size must be ImageSize(size()) (callers
+  // validate images from outside the process first). When both sides are
   // mmap-backed no bytes are copied — the region becomes a private view and pages
   // materialize on first write. Page marks are untouched (the caller owns mark
   // policy on restore).
@@ -168,53 +177,60 @@ class Ram {
   std::vector<uint64_t> mark_groups_;  // bit g set while page group g holds a mark
 };
 
-// The physical bus: an ordered set of RAM regions and MMIO windows.
+// The physical bus: one RAM region and an ordered set of MMIO windows.
 class Bus {
  public:
   static constexpr uint8_t kExecMark = Ram::kExecMark;
   static constexpr uint8_t kPtMark = Ram::kPtMark;
 
-  // Adds a RAM region. Regions must not overlap.
-  Ram* AddRam(uint64_t base, uint64_t size);
+  // Builds the bus around its RAM region [ram_base, ram_base + ram_size).
+  Bus(uint64_t ram_base, uint64_t ram_size);
 
   // Maps `device` at [base, base+size). The bus does not own the device.
   void AddMmio(uint64_t base, uint64_t size, MmioDevice* device);
 
   // Physical read/write. Returns false for unmapped addresses or device-rejected
-  // accesses. Values are little-endian, zero-extended into *value. The common case
-  // (the primary RAM region) is a single bounds check and memcpy.
+  // accesses. Values are little-endian, zero-extended into *value. A RAM access is
+  // a single bounds check and memcpy.
   bool Read(uint64_t addr, unsigned size, uint64_t* value) {
-    const uint64_t offset = addr - ram0_base_;
-    if (offset < ram0_limit_ && offset + size <= ram0_limit_) {
+    const uint64_t offset = addr - ram_.base();
+    if (offset < ram_.size() && offset + size <= ram_.size()) {
       uint64_t v = 0;
-      std::memcpy(&v, ram0_data_ + offset, size);
+      std::memcpy(&v, ram_.data() + offset, size);
       *value = v;
       return true;
     }
-    return ReadSlow(addr, size, value);
+    return ReadMmio(addr, size, value);
   }
   bool Write(uint64_t addr, unsigned size, uint64_t value) {
-    const uint64_t offset = addr - ram0_base_;
-    if (offset < ram0_limit_ && offset + size <= ram0_limit_) {
+    const uint64_t offset = addr - ram_.base();
+    if (offset < ram_.size() && offset + size <= ram_.size()) {
       // Both end bytes checked: a misaligned store may cross into a marked page.
-      if ((ram0_marks_[offset >> Ram::kPageShift] |
-           ram0_marks_[(offset + size - 1) >> Ram::kPageShift]) != 0) {
-        InvalidateMarkedPages(ram0_region_->StoreHits(offset, size));
+      const uint8_t* const marks = ram_.page_marks();
+      if ((marks[offset >> Ram::kPageShift] |
+           marks[(offset + size - 1) >> Ram::kPageShift]) != 0) {
+        InvalidateMarkedPages(ram_.StoreHits(offset, size));
       }
-      ram0_region_->SetMaybeDirty();
-      std::memcpy(ram0_data_ + offset, &value, size);
+      ram_.SetMaybeDirty();
+      std::memcpy(ram_.data() + offset, &value, size);
       return true;
     }
-    return WriteSlow(addr, size, value);
+    return WriteMmio(addr, size, value);
   }
 
   // Bulk access to RAM (image loading, hashing, DMA). Fails if the range is not
-  // entirely inside one RAM region.
+  // entirely inside RAM.
   bool ReadBytes(uint64_t addr, void* out, uint64_t size) const;
   bool WriteBytes(uint64_t addr, const void* data, uint64_t size);
 
-  // True if [addr, addr+size) lies fully inside a single RAM region.
-  bool IsRam(uint64_t addr, uint64_t size) const;
+  // True if [addr, addr+size) lies fully inside RAM.
+  bool IsRam(uint64_t addr, uint64_t size) const { return ram_.Contains(addr, size); }
+
+  // The RAM region: the harts' in-block fast path serves accesses from its data()
+  // and tests fast stores against its marks (DESIGN.md §2f); snapshots freeze it
+  // (DESIGN.md §2h).
+  Ram& ram() { return ram_; }
+  const Ram& ram() const { return ram_; }
 
   // -- Dependency tracking (cache invalidation). ------------------------------------
   // Marks the 64-byte line containing `paddr`, and its page, as bytes a cached
@@ -232,23 +248,6 @@ class Bus {
   bool MarkPtPage(uint64_t paddr);
   uint64_t code_generation() const { return code_generation_; }
   uint64_t pt_generation() const { return pt_generation_; }
-  // Bumped whenever the set of RAM regions changes (AddRam). Folded into the harts'
-  // TLB stamps so cached host pointers (HostPage) can never survive a remap.
-  uint64_t ram_generation() const { return ram_generation_; }
-
-  // Host-pointer view of one whole 4 KiB RAM frame (the harts' paged in-block memory
-  // fast path, DESIGN.md §2f). On success, *data points at the frame's bytes, and
-  // *marks and *lines at its dependency-mark byte and exec line mask (a fast store
-  // must take the slow path unless Ram::StoreClean holds, so Bus::Write decides
-  // exactly which stores bump a generation). Fails when the frame is not fully
-  // contained in one page-aligned RAM region. Returned pointers stay valid for the
-  // life of the Bus — regions never move or shrink — and ram_generation() guards
-  // consumers against future region changes.
-  bool HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
-                const uint64_t** lines) const;
-  // The primary RAM region (the first AddRam), or nullptr before it: the harts'
-  // identity fast path serves accesses inside it from data() (DESIGN.md §2f).
-  Ram* primary_ram() const { return ram0_region_; }
 
   // Counts every access dispatched to an MMIO window (reads and writes, including
   // rejected ones). The batched run loop uses this to detect device interaction,
@@ -275,18 +274,13 @@ class Bus {
   const std::vector<MmioWindow>& mmio_windows() const { return mmio_; }
 
   // -- Snapshot support (DESIGN.md §2h). --------------------------------------------
-  // Freezes every RAM region into CoW images, appended to *images in region order.
-  void FreezeRam(std::vector<std::shared_ptr<RamImage>>* images);
-  // Rebinds every RAM region to the matching image (region order; count and sizes
-  // must match the bus's regions). Clears all dependency marks: the caller is
+  // Rebinds RAM to `image` (ram().Freeze() takes one), whose size must be
+  // Ram::ImageSize(ram().size()). Clears all dependency marks: the caller is
   // restoring into a machine whose translation caches are being reset wholesale, so
   // marks rebuild from scratch as caches refill.
-  void AdoptRam(const std::vector<std::shared_ptr<RamImage>>& images);
-  // Marks all RAM regions possibly-modified (host-pointer stores bypass Bus::Write,
-  // so run loops call this conservatively on entry).
-  void SetRamMaybeDirty();
-  // Saves/loads the bus's own snapshot section: region geometry (verified on load)
-  // and the dependency-mark state. Generation counters are deliberately NOT
+  void AdoptRam(std::shared_ptr<RamImage> image);
+  // Saves/loads the bus's own snapshot section: the RAM geometry (verified on load)
+  // and, for debugging, the generation counters. Those are deliberately NOT
   // restored — they are host-side monotonic clocks, and restoring one backward
   // could make a stale cached stamp compare equal again. Loading clears all marks
   // instead (see AdoptRam).
@@ -294,28 +288,18 @@ class Bus {
   bool LoadState(StateReader& reader);
 
  private:
-  const Ram* FindRam(uint64_t addr, uint64_t size) const;
-  bool ReadSlow(uint64_t addr, unsigned size, uint64_t* value);
-  bool WriteSlow(uint64_t addr, unsigned size, uint64_t value);
+  bool ReadMmio(uint64_t addr, unsigned size, uint64_t* value);
+  bool WriteMmio(uint64_t addr, unsigned size, uint64_t value);
   // Bumps the generation counter of every mark class present in `marks` and clears
   // that class's marks from every page (other classes' marks are preserved). No-op
   // when `marks` is 0, as for a store to an exec-marked page's unmarked lines.
   void InvalidateMarkedPages(uint8_t marks);
 
-  std::vector<std::unique_ptr<Ram>> ram_;
+  Ram ram_;
   std::vector<MmioWindow> mmio_;
-
-  // Primary-region fast path: initialized to an empty range so the inline checks
-  // fail closed before any AddRam.
-  uint64_t ram0_base_ = ~uint64_t{0};
-  uint64_t ram0_limit_ = 0;  // == ram0 size; 0 until the first AddRam
-  uint8_t* ram0_data_ = nullptr;
-  uint8_t* ram0_marks_ = nullptr;
-  Ram* ram0_region_ = nullptr;
 
   uint64_t code_generation_ = 0;
   uint64_t pt_generation_ = 0;
-  uint64_t ram_generation_ = 0;
   // Set by MarkExecLine/MarkPtPage, which hart segments call concurrently while
   // filling their caches (the mark bytes themselves are set with relaxed atomic OR);
   // consumed only at serial points.

@@ -70,14 +70,10 @@ uint64_t Hart::cache_stamp() const {
 }
 
 uint64_t Hart::tlb_stamp() const {
-  // ram_generation() is folded in for the host-pointer fast path: a RAM remap must
-  // invalidate every cached host_page pointer before it can dangle or go stale.
-  return bus_->pt_generation() + csrs_.pmp().generation() + tlb_gen_ + bus_->ram_generation();
+  return bus_->pt_generation() + csrs_.pmp().generation() + tlb_gen_;
 }
 
-uint64_t Hart::window_stamp() const {
-  return csrs_.pmp().generation() + bus_->ram_generation();
-}
+uint64_t Hart::window_stamp() const { return csrs_.pmp().generation(); }
 
 uint8_t Hart::TlbCtx(PrivMode priv, bool sum, bool mxr, AccessType type) {
   uint8_t ctx = static_cast<uint8_t>(priv);
@@ -217,14 +213,18 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
       }
       slot->ctx = TlbCtx(params.priv, params.sum, params.mxr, type);
       slot->pmp_whole_page = pmp.Check(slot->paddr_page, 4096, type, params.priv);
-      // Host-pointer fast path: only whole-page-permitted plain-RAM frames qualify,
+      // Host-pointer fast path: only whole-page-permitted frames of RAM qualify,
       // so a superblock access through host_page needs no per-access PMP or routing.
+      // The frame must also be one mark slot: with a RAM base that is not 4 KiB
+      // aligned, it would straddle two.
+      Ram& ram = bus_->ram();
+      const uint64_t offset = slot->paddr_page - ram.base();
       slot->host_page = nullptr;
-      if (slot->pmp_whole_page) {
-        uint8_t* data = nullptr;
-        if (bus_->HostPage(slot->paddr_page, &data, &slot->page_mark, &slot->page_lines)) {
-          slot->host_page = data;
-        }
+      if (slot->pmp_whole_page && ram.Contains(slot->paddr_page, uint64_t{1} << 12) &&
+          (offset & MaskLow(12)) == 0) {
+        slot->host_page = ram.data() + offset;
+        slot->page_mark = ram.page_marks() + (offset >> 12);
+        slot->page_lines = ram.exec_lines() + (offset >> 12);
       }
       slot->stamp = tlb_stamp();
     }
@@ -805,8 +805,8 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) {
   const bool use_vsatp = DataVirt();
   const uint64_t satp = use_vsatp ? csrs_.vsatp() : csrs_.satp();
   if (IdentityTranslation(satp, priv)) {
-    // A PMP write or a RAM remap since a window was computed empties it; it refills
-    // at its next access.
+    // A PMP write since a window was computed empties it; it refills at its next
+    // access.
     const uint64_t stamp = window_stamp();
     PmpWindow* const windows = windows_[static_cast<unsigned>(priv)];
     for (unsigned i = 0; i < 2; ++i) {
@@ -818,11 +818,10 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) {
     ctx->priv = priv;
     ctx->load = &windows[0];
     ctx->store = &windows[1];
-    if (Ram* const ram = bus_->primary_ram()) {
-      ctx->ram_base = ram->base();
-      ctx->ram_marks = ram->page_marks();
-      ctx->ram_lines = ram->exec_lines();
-    }
+    const Ram& ram = bus_->ram();
+    ctx->ram_base = ram.base();
+    ctx->ram_marks = ram.page_marks();
+    ctx->ram_lines = ram.exec_lines();
     return;
   }
   ctx->paged = tlb_mask_ != 0;
@@ -840,21 +839,21 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) {
 bool Hart::RefillWindow(uint64_t paddr, AccessType type, PrivMode priv) {
   PmpWindow* const window =
       &windows_[static_cast<unsigned>(priv)][type == AccessType::kStore ? 1 : 0];
-  Ram* const ram = bus_->primary_ram();
-  if (ram == nullptr || !ram->Contains(paddr, 1)) {
-    return false;  // MMIO or a secondary region: the slow path routes it
+  Ram& ram = bus_->ram();
+  if (!ram.Contains(paddr, 1)) {
+    return false;  // MMIO or unmapped: the slow path routes it
   }
   const PmpRange range = csrs_.pmp().PermittedWindow(paddr, type, priv);
-  // Clipped to the region and rounded inward to 8 bytes; an empty result (a denied
-  // access) keeps the old window, which may still serve other addresses.
-  const uint64_t lo = AlignUp(std::max(range.base, ram->base()), 8);
-  const uint64_t hi = AlignDown(std::min(range.limit, ram->base() + ram->size()), 8);
+  // Clipped to RAM and rounded inward to 8 bytes; an empty result (a denied access)
+  // keeps the old window, which may still serve other addresses.
+  const uint64_t lo = AlignUp(std::max(range.base, ram.base()), 8);
+  const uint64_t hi = AlignDown(std::min(range.limit, ram.base() + ram.size()), 8);
   if (lo >= hi) {
     return false;
   }
   window->lo = lo;
   window->span = hi - lo;
-  window->host = ram->data() + (lo - ram->base());
+  window->host = ram.data() + (lo - ram.base());
   window->stamp = window_stamp();
   return paddr - lo < hi - lo;
 }
@@ -911,7 +910,7 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
   // fast-path context, is stable across fast-path ops (fast stores never touch
   // marked lines or PT pages, so no generation it folds can bump); resampled after
   // every slow-path op. The PMP windows need no resampling: no memory op, fast or
-  // slow, can write the PMP or remap RAM.
+  // slow, can write the PMP.
   uint64_t tstamp = 0;
 
 #define VFM_TGO() goto* op->handler
@@ -959,7 +958,7 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
 // per-access PMP scan is needed. Under identity translation it is the PMP window
 // for the effective privilege and access type, refilled when the address falls
 // outside it. Any miss — unaligned, cold/foreign/stale slot, non-RAM frame, outside
-// the primary region or denied by the PMP — takes the slow path. A store must also
+// RAM or denied by the PMP — takes the slow path. A store must also
 // pass Ram::StoreClean (a store to a marked line or PT page goes through Bus::Write
 // so the dependency generations bump), and segment mode keeps fast loads (with a
 // store-buffer overlay) but buffers every store (DESIGN.md §2i).
@@ -1621,8 +1620,9 @@ StepResult Hart::AbortSegment() {
 
 void Hart::SegmentBufferStore(uint64_t paddr, unsigned size, uint64_t value) {
   // Split the store over its (at most two) 8-byte granules. A granule lies entirely
-  // inside RAM whenever any of its bytes does: RAM regions are page-aligned and
-  // page-sized, so an 8-byte-aligned granule never straddles a region edge.
+  // inside RAM whenever any of its bytes does while RAM's base and size are
+  // multiples of 8, as every platform profile's are: an 8-byte-aligned granule
+  // then never straddles its edge.
   unsigned done = 0;
   while (done < size) {
     const uint64_t byte_addr = paddr + done;

@@ -258,8 +258,8 @@ class Hart {
     // and superblock memory ops may access `host_page` directly; a store only while
     // Ram::StoreClean holds for it over the frame's `page_mark` and `page_lines` (a
     // store to a marked line or PT page must go through Bus::Write so dependency
-    // generations bump). Only set when pmp_whole_page; the stamp folds in
-    // Bus::ram_generation() so pointers never outlive a RAM remap.
+    // generations bump). Only set when pmp_whole_page. The pointers point into
+    // Bus::ram(), which never moves, so they need no stamp term of their own.
     uint8_t* host_page;
     const uint8_t* page_mark;
     const uint64_t* page_lines;
@@ -320,9 +320,9 @@ class Hart {
   static_assert(sizeof(SuperblockEntry) == 32);
   static_assert(kMaxSuperblockLen <= UINT8_MAX);
 
-  // A range of the primary RAM region in which the PMP permits every access of one
-  // type at one effective privilege (PmpBank::PermittedWindow clipped to the
-  // region): the identity fast path's proof (DESIGN.md §2f). [lo, lo + span) is
+  // A range of RAM in which the PMP permits every access of one type at one
+  // effective privilege (PmpBank::PermittedWindow clipped to RAM): the identity
+  // fast path's proof (DESIGN.md §2f). [lo, lo + span) is
   // 8-byte aligned at both ends, so an aligned access that starts inside ends
   // inside; span 0 is empty. `host` is lo's host address, and `stamp` the
   // window_stamp() the window was computed under.
@@ -336,8 +336,8 @@ class Hart {
 
   // Data-access translation context captured once per block dispatch. Valid for the
   // whole block because priv/virt/mstatus/satp can only change at barriers or traps,
-  // both of which end the block, and the PMP and the RAM map only by a CSR write or
-  // a trap into the monitor.
+  // both of which end the block, and the PMP only by a CSR write or a trap into the
+  // monitor.
   struct FastMemCtx {
     bool built = false;
     bool paged = false;     // Sv39 data translation, served through the TLB
@@ -349,7 +349,7 @@ class Hart {
     // This hart's PMP windows for `priv` under identity translation, else empty ones.
     const PmpWindow* load = &kNoWindow;
     const PmpWindow* store = &kNoWindow;
-    // Identity only: the primary RAM region's base and its marks for StoreClean.
+    // Identity only: the RAM region's base and its marks for StoreClean.
     uint64_t ram_base = 0;
     const uint8_t* ram_marks = nullptr;
     const uint64_t* ram_lines = nullptr;
@@ -369,14 +369,13 @@ class Hart {
   uint64_t cache_stamp() const;
 
   // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), physical PMP
-  // reconfiguration (a walk's per-PTE PMP checks depend on the bank), explicit full
-  // flushes, and RAM-region changes (which would dangle cached host_page pointers).
-  // satp writes and privilege/SUM/MXR changes need no counter — they are part of
+  // reconfiguration (a walk's per-PTE PMP checks depend on the bank) and explicit
+  // full flushes. satp writes and privilege/SUM/MXR changes need no counter — they are part of
   // each entry's key.
   uint64_t tlb_stamp() const;
 
-  // Validity stamp of the PMP windows: the physical bank's generation plus the RAM
-  // map's (a window holds a host pointer into the primary region).
+  // Validity stamp of the PMP windows: the physical bank's generation (a window's
+  // host pointer into RAM never moves).
   uint64_t window_stamp() const;
 
   // Packs the walk-relevant translation context into an entry key byte. SUM only
@@ -441,7 +440,7 @@ class Hart {
                      const void* const** table_out = nullptr);
   void BuildFastMemCtx(FastMemCtx* ctx);
   // Replaces this hart's PMP window for `type` at `priv` with the one around `paddr`,
-  // if `paddr` lies in the primary RAM region and the PMP permits it there. Returns
+  // if `paddr` lies in RAM and the PMP permits it there. Returns
   // whether the window now holds `paddr`; a failed refill leaves it as it was.
   bool RefillWindow(uint64_t paddr, AccessType type, PrivMode priv);
 

@@ -109,6 +109,25 @@ std::string ConfigError(const MachineConfig& config) {
   return "";
 }
 
+// The constructor's config check, run before the bus builds the RAM region.
+const MachineConfig& CheckedConfig(const MachineConfig& config) {
+  const std::string error = ConfigError(config);
+  VFM_CHECK_MSG(error.empty(), "invalid MachineConfig: %s", error.c_str());
+  return config;
+}
+
+// Why a snapshot RAM image of `image_size` bytes cannot back the RAM of a machine
+// built from `map`, or "" when it can. Images arrive from files and from callers,
+// so both load paths check before anything adopts one.
+std::string RamImageSizeError(uint64_t image_size, const MemoryMap& map) {
+  const uint64_t expected = Ram::ImageSize(map.ram_size);
+  if (image_size == expected) {
+    return "";
+  }
+  return "snapshot RAM image is " + std::to_string(image_size) +
+         " bytes, but this machine's RAM maps " + std::to_string(expected);
+}
+
 // Converts the quantum-boundary cycle delta (measured on hart 0's clock) into an
 // absolute stop bound on `hart`'s own clock, saturating on overflow. The delta form
 // matters: hart clocks drift apart (traps charge different costs), so an absolute
@@ -290,11 +309,8 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   return true;
 }
 
-Machine::Machine(const MachineConfig& config) : config_(config) {
-  const std::string config_error = ConfigError(config_);
-  VFM_CHECK_MSG(config_error.empty(), "invalid MachineConfig: %s", config_error.c_str());
-  bus_.AddRam(config_.map.ram_base, config_.map.ram_size);
-
+Machine::Machine(const MachineConfig& config)
+    : config_(CheckedConfig(config)), bus_(config_.map.ram_base, config_.map.ram_size) {
   clint_ = std::make_unique<Clint>(config_.hart_count);
   bus_.AddMmio(config_.map.clint_base, Clint::kSize, clint_.get());
 
@@ -601,7 +617,7 @@ Machine::RunStop Machine::RunLoop(TraceRunKind kind, uint64_t max_instructions,
   const bool traced = BeginTracedRun(kind, max_instructions, max_rounds);
   // Superblock host-pointer stores bypass Bus::Write, so any run may dirty RAM
   // behind the bus's back; mark conservatively for the CoW freeze reuse.
-  bus_.SetRamMaybeDirty();
+  bus_.ram().SetMaybeDirty();
   const RunStop stop =
       hart_count() > 1
           ? RunBarriers<true>(max_instructions, max_rounds, batch_cap, predicate, slice,
@@ -859,15 +875,14 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
 
 void Machine::SaveSnapshot(Snapshot& snapshot) {
   // A snapshot point is a replayable host action: the CoW freeze is behaviour-
-  // invisible, but replay must mirror it so the RAM images' remap bookkeeping
-  // (generation bumps) happens at the identical coordinate.
+  // invisible, but replay must mirror it so the RAM's freeze (a remap) happens at
+  // the identical coordinate.
   if (recorder_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kSnapshotPoint;
     RecordEvent(std::move(event));
   }
   snapshot.state.clear();
-  snapshot.ram.clear();
   StateWriter writer;
   writer.BeginSection(StateTag("MACH"), 2);
   // Configuration fingerprint: a snapshot only restores onto a machine whose
@@ -889,10 +904,17 @@ void Machine::SaveSnapshot(Snapshot& snapshot) {
   }
   writer.EndSection();
   snapshot.state = writer.Take();
-  bus_.FreezeRam(&snapshot.ram);
+  snapshot.ram = bus_.ram().Freeze();
 }
 
 bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
+  const std::string ram_error = snapshot.ram == nullptr
+                                    ? "snapshot has no RAM image"
+                                    : RamImageSizeError(snapshot.ram->size(), config_.map);
+  if (!ram_error.empty()) {
+    VFM_LOG_WARN("sim", "snapshot restore failed: %s", ram_error.c_str());
+    return false;
+  }
   // Restoring to an arbitrary point invalidates the open trace's coordinate
   // system; a recording cannot continue across it.
   if (recorder_ != nullptr) {
@@ -1225,19 +1247,7 @@ std::vector<uint8_t> Machine::StateHashPayload() const {
 }
 
 uint64_t Machine::HashRam() const {
-  uint8_t buffer[4096];
-  uint64_t h = kFnv1aBasis;
-  const uint64_t base = config_.map.ram_base;
-  const uint64_t size = config_.map.ram_size;
-  for (uint64_t offset = 0; offset < size; offset += sizeof(buffer)) {
-    const uint64_t chunk =
-        size - offset < sizeof(buffer) ? size - offset : sizeof(buffer);
-    if (!bus_.ReadBytes(base + offset, buffer, chunk)) {
-      return 0;
-    }
-    h = Fnv1a64(buffer, chunk, h);
-  }
-  return h;
+  return Fnv1a64(bus_.ram().data(), bus_.ram().size());
 }
 
 uint64_t Machine::HashBlockdevFull() const {
@@ -1493,18 +1503,22 @@ ReplayResult Machine::ReplayFrom(const Snapshot& snapshot,
 
 // -- Snapshot files (self-describing: full MachineConfig + state + RAM + aux). ------
 
+// SNPF section version. Version 2 holds one RAM image; version 1 held a count of
+// them first, and is rejected rather than misread.
+constexpr uint32_t kSnapshotFileVersion = 2;
+
 bool WriteSnapshotFile(const std::string& path, const MachineConfig& config,
                        const Snapshot& snapshot, const std::vector<uint8_t>& aux) {
+  if (snapshot.ram == nullptr) {
+    return false;
+  }
   StateWriter writer;
-  writer.BeginSection(StateTag("SNPF"), 1);
+  writer.BeginSection(StateTag("SNPF"), kSnapshotFileVersion);
   WriteMachineConfig(writer, config);
   writer.Bytes(snapshot.state.data(), snapshot.state.size());
-  writer.U32(static_cast<uint32_t>(snapshot.ram.size()));
-  for (const std::shared_ptr<RamImage>& image : snapshot.ram) {
-    std::vector<uint8_t> contents(image->size());
-    image->CopyTo(contents.data());
-    writer.Bytes(contents.data(), contents.size());
-  }
+  std::vector<uint8_t> contents(snapshot.ram->size());
+  snapshot.ram->CopyTo(contents.data());
+  writer.Bytes(contents.data(), contents.size());
   writer.Bytes(aux.data(), aux.size());
   writer.EndSection();
   return WriteTraceFile(path, writer.bytes());
@@ -1517,24 +1531,37 @@ bool ReadSnapshotFile(const std::string& path, MachineConfig* config,
     return false;
   }
   StateReader reader(bytes);
-  reader.BeginSection(StateTag("SNPF"));
-  if (!ReadMachineConfig(reader, config)) {
-    VFM_LOG_ERROR("sim", "snapshot file %s: %s", path.c_str(), reader.error().c_str());
-    return false;
+  const uint32_t version = reader.BeginSection(StateTag("SNPF"));
+  if (reader.ok() && version != kSnapshotFileVersion) {
+    reader.Fail("snapshot file version " + std::to_string(version) +
+                " is not supported (this build reads version " +
+                std::to_string(kSnapshotFileVersion) + "); re-record the snapshot");
   }
-  reader.Bytes(&snapshot->state);
-  const uint32_t ram_count = reader.U32();
-  snapshot->ram.clear();
+  MachineConfig file_config;
+  if (reader.ok()) {
+    ReadMachineConfig(reader, &file_config);
+  }
+  std::vector<uint8_t> state;
+  reader.Bytes(&state);
   std::vector<uint8_t> contents;
-  for (uint32_t i = 0; reader.ok() && i < ram_count; ++i) {
-    reader.Bytes(&contents);
-    snapshot->ram.push_back(RamImage::FromBytes(contents.data(), contents.size()));
+  reader.Bytes(&contents);
+  if (reader.ok()) {
+    const std::string error = RamImageSizeError(contents.size(), file_config.map);
+    if (!error.empty()) {
+      reader.Fail(error);
+    }
   }
   std::vector<uint8_t> aux_bytes;
   reader.Bytes(&aux_bytes);
   reader.EndSection();
   if (!reader.ok()) {
+    VFM_LOG_ERROR("sim", "snapshot file %s: %s", path.c_str(), reader.error().c_str());
     return false;
+  }
+  snapshot->state = std::move(state);
+  snapshot->ram = RamImage::FromBytes(contents.data(), contents.size());
+  if (config != nullptr) {
+    *config = file_config;
   }
   if (aux != nullptr) {
     *aux = std::move(aux_bytes);

@@ -90,13 +90,13 @@ class Finisher : public MmioDevice {
 
 // A whole-machine snapshot (DESIGN.md §2h): one tagged-section state stream holding
 // every hart, the bus section, and every device (in bus registration order), plus
-// the RAM contents as refcounted copy-on-write images — many machines restored from
-// the same snapshot share RAM pages until they diverge. Snapshots are
+// the RAM contents as one refcounted copy-on-write image — many machines restored
+// from the same snapshot share RAM pages until they diverge. Snapshots are
 // machine-independent values: save on one Machine, restore on any other constructed
 // from the same MachineConfig.
 struct Snapshot {
   std::vector<uint8_t> state;
-  std::vector<std::shared_ptr<RamImage>> ram;  // one per bus RAM region, in order
+  std::shared_ptr<RamImage> ram;  // Ram::ImageSize(map.ram_size) bytes
 };
 
 // The simulated-behaviour-relevant configuration fingerprint (hart count, memory
@@ -115,10 +115,12 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config);
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config);
 
-// Snapshot file I/O: the in-memory Snapshot (state stream + RAM images), prefixed
+// Snapshot file I/O: the in-memory Snapshot (state stream + RAM image), prefixed
 // with the full MachineConfig and followed by an opaque caller blob (`aux` — e.g.
 // serialized monitor state for monitored machines). Returns false on I/O or
-// format errors; `config`/`aux` may be nullptr when the caller does not need them.
+// format errors; ReadSnapshotFile logs the reason, and rejects a file whose RAM
+// image does not fit its config's RAM mapping. `config`/`aux` may be nullptr when
+// the caller does not need them.
 bool WriteSnapshotFile(const std::string& path, const MachineConfig& config,
                        const Snapshot& snapshot,
                        const std::vector<uint8_t>& aux = {});
@@ -259,17 +261,18 @@ class Machine {
   SliceResult RunSlice(uint64_t max_instructions, uint64_t max_rounds = 0);
 
   // -- Whole-machine snapshot and copy-on-write fork (DESIGN.md §2h). ---------------
-  // Captures the complete simulated-machine state. Non-const: RAM regions freeze
-  // into CoW images (contents are unchanged; repeated saves of an unmodified
-  // machine reuse the same images). Host-side wiring — the M-mode owner, trap
+  // Captures the complete simulated-machine state. Non-const: RAM freezes into a
+  // CoW image (contents are unchanged; repeated saves of an unmodified machine
+  // reuse the same image). Host-side wiring — the M-mode owner, trap
   // observer, tuning, and every translation cache — is not part of a snapshot.
   void SaveSnapshot(Snapshot& snapshot);
   // Restores a snapshot taken from a machine with an identical MachineConfig
   // fingerprint (hart count, memory map, ISA, block device). Returns false — with
   // a warning logged — on a mismatched or corrupt snapshot; the machine must then
-  // be discarded (device state may have partially loaded). On success every
-  // translation cache is invalidated via the generation stamps and RAM rebinds to
-  // the snapshot's images without copying.
+  // be discarded (device state may have partially loaded). A missing RAM image, or
+  // one whose size does not fit this machine's RAM, is rejected before anything
+  // loads. On success every translation cache is invalidated via the generation
+  // stamps and RAM rebinds to the snapshot's image without copying.
   bool RestoreSnapshot(const Snapshot& snapshot);
   // SaveSnapshot + a fresh Machine + RestoreSnapshot: a copy-on-write clone of this
   // machine. The child shares RAM pages with the parent (and its snapshot) until

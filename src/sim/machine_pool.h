@@ -39,7 +39,7 @@ class MachinePool {
   Machine* TemplateFor(const std::string& key, const Factory& make);
 
   // Drops every template (forks already handed out are unaffected — they own
-  // their snapshot's RAM images).
+  // their snapshot's RAM image).
   void Clear();
 
   size_t size() const { return templates_.size(); }

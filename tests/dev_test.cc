@@ -154,8 +154,7 @@ TEST(PlicTest, EmptyClaimReadsZero) {
 
 class BlockDevTest : public ::testing::Test {
  protected:
-  BlockDevTest() : plic_(1), device_(&bus_, &plic_, 2, 1024, 10, 2) {
-    bus_.AddRam(0x8000'0000, 1 << 20);
+  BlockDevTest() : bus_(0x8000'0000, 1 << 20), plic_(1), device_(&bus_, &plic_, 2, 1024, 10, 2) {
     plic_.MmioWrite(0x2000, 4, 0xE);
   }
 

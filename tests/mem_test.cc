@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/bits.h"
@@ -37,8 +38,7 @@ class RecordingDevice : public MmioDevice {
 };
 
 TEST(BusTest, RamReadWriteAllSizes) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   for (unsigned size : {1u, 2u, 4u, 8u}) {
     const uint64_t pattern = 0xA1B2C3D4E5F60718ull & MaskLow(8 * size);
     EXPECT_TRUE(bus.Write(0x8000'0100, size, pattern));
@@ -49,8 +49,7 @@ TEST(BusTest, RamReadWriteAllSizes) {
 }
 
 TEST(BusTest, LittleEndianLayout) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   ASSERT_TRUE(bus.Write(0x8000'0000, 8, 0x0102030405060708ull));
   uint64_t byte = 0;
   ASSERT_TRUE(bus.Read(0x8000'0000, 1, &byte));
@@ -60,23 +59,21 @@ TEST(BusTest, LittleEndianLayout) {
 }
 
 TEST(BusTest, UnmappedFails) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   uint64_t value = 0;
   EXPECT_FALSE(bus.Read(0x1000, 4, &value));
   EXPECT_FALSE(bus.Write(0x9000'0000, 4, 1));
 }
 
 TEST(BusTest, CrossBoundaryFails) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   uint64_t value = 0;
   EXPECT_FALSE(bus.Read(0x8000'0FFC, 8, &value));  // straddles the end of RAM
   EXPECT_TRUE(bus.Read(0x8000'0FF8, 8, &value));
 }
 
 TEST(BusTest, MmioDispatchUsesOffsets) {
-  Bus bus;
+  Bus bus(0x8000'0000, 0x1000);
   RecordingDevice device;
   bus.AddMmio(0x200'0000, 0x1000, &device);
   uint64_t value = 0;
@@ -90,7 +87,7 @@ TEST(BusTest, MmioDispatchUsesOffsets) {
 }
 
 TEST(BusTest, MmioRejectionPropagates) {
-  Bus bus;
+  Bus bus(0x8000'0000, 0x1000);
   RecordingDevice device;
   device.reject = true;
   bus.AddMmio(0x200'0000, 0x1000, &device);
@@ -100,7 +97,7 @@ TEST(BusTest, MmioRejectionPropagates) {
 }
 
 TEST(BusTest, MmioBeyondWindowFails) {
-  Bus bus;
+  Bus bus(0x8000'0000, 0x1000);
   RecordingDevice device;
   bus.AddMmio(0x200'0000, 0x100, &device);
   uint64_t value = 0;
@@ -108,8 +105,7 @@ TEST(BusTest, MmioBeyondWindowFails) {
 }
 
 TEST(BusTest, BulkAccess) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   const uint8_t data[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
   EXPECT_TRUE(bus.WriteBytes(0x8000'0800, data, sizeof(data)));
   uint8_t readback[16] = {};
@@ -122,8 +118,7 @@ TEST(BusTest, BulkAccess) {
 }
 
 TEST(BusTest, IsRamAndFindMmio) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   RecordingDevice device;
   bus.AddMmio(0x200'0000, 0x1000, &device);
   EXPECT_TRUE(bus.IsRam(0x8000'0000, 8));
@@ -132,17 +127,6 @@ TEST(BusTest, IsRamAndFindMmio) {
   ASSERT_NE(bus.FindMmio(0x200'0800), nullptr);
   EXPECT_EQ(bus.FindMmio(0x200'0800)->device, &device);
   EXPECT_EQ(bus.FindMmio(0x300'0000), nullptr);
-}
-
-TEST(BusTest, MultipleRamRegions) {
-  Bus bus;
-  bus.AddRam(0x8000'0000, 0x1000);
-  bus.AddRam(0x9000'0000, 0x1000);
-  EXPECT_TRUE(bus.Write(0x9000'0010, 8, 42));
-  uint64_t value = 0;
-  EXPECT_TRUE(bus.Read(0x9000'0010, 8, &value));
-  EXPECT_EQ(value, 42u);
-  EXPECT_FALSE(bus.IsRam(0x8800'0000, 4));
 }
 
 // -- Dependency marks (DESIGN.md §2b). ------------------------------------------------
@@ -154,16 +138,11 @@ constexpr uint64_t kBase = 0x8000'0000;
 
 // The page's dependency-mark byte, as the harts' host-pointer fast path sees it.
 uint8_t MarkByte(const Bus& bus, uint64_t paddr) {
-  uint8_t* data = nullptr;
-  const uint8_t* marks = nullptr;
-  const uint64_t* lines = nullptr;
-  EXPECT_TRUE(bus.HostPage(paddr, &data, &marks, &lines));
-  return marks == nullptr ? 0 : *marks;
+  return bus.ram().page_marks()[(paddr - bus.ram().base()) >> Ram::kPageShift];
 }
 
 TEST(BusMarkTest, StoreToAnotherLineOfExecPageDoesNotInvalidate) {
-  Bus bus;
-  bus.AddRam(kBase, 0x4000);
+  Bus bus(kBase, 0x4000);
   bus.MarkExecLine(kBase + 0x1040);  // line 1 of page 1
   EXPECT_EQ(MarkByte(bus, kBase + 0x1000), Bus::kExecMark);
   EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));  // line 0
@@ -179,8 +158,7 @@ TEST(BusMarkTest, StoreToAnotherLineOfExecPageDoesNotInvalidate) {
 }
 
 TEST(BusMarkTest, StoresOverlappingMarkedLineInvalidate) {
-  Bus bus;
-  bus.AddRam(kBase, 0x4000);
+  Bus bus(kBase, 0x4000);
   // Aligned, inside the line.
   bus.MarkExecLine(kBase + 0x1104);
   EXPECT_TRUE(bus.Write(kBase + 0x1110, 8, 1));
@@ -209,8 +187,7 @@ TEST(BusMarkTest, StoresOverlappingMarkedLineInvalidate) {
 }
 
 TEST(BusMarkTest, PtMarksAndBulkWritesStayPageGranular) {
-  Bus bus;
-  bus.AddRam(kBase, 0x4000);
+  Bus bus(kBase, 0x4000);
   ASSERT_TRUE(bus.MarkPtPage(kBase + 0x2008));
   bus.MarkExecLine(kBase + 0x2000);
   // A PT-marked page invalidates the TLBs on a store anywhere in it; the store
@@ -225,13 +202,17 @@ TEST(BusMarkTest, PtMarksAndBulkWritesStayPageGranular) {
   EXPECT_TRUE(bus.WriteBytes(kBase + 0x2800, bytes, sizeof bytes));
   EXPECT_EQ(bus.code_generation(), 1u);
   EXPECT_EQ(MarkByte(bus, kBase + 0x2000), 0u);
+  // An empty bulk write touches no page, even at the region's first byte.
+  bus.MarkExecLine(kBase);
+  EXPECT_TRUE(bus.WriteBytes(kBase, bytes, 0));
+  EXPECT_EQ(bus.code_generation(), 1u);
+  EXPECT_EQ(MarkByte(bus, kBase), Bus::kExecMark);
 }
 
 TEST(BusMarkTest, MarksAtBothEndsOfLargeRegionAreFoundAndCleared) {
   constexpr uint64_t kSize = 128ull << 20;
   constexpr uint64_t kLast = kBase + kSize - 0x1000;
-  Bus bus;
-  bus.AddRam(kBase, kSize);
+  Bus bus(kBase, kSize);
   bus.MarkExecLine(kBase);
   bus.MarkExecLine(kLast + 0xFC0);
   ASSERT_TRUE(bus.MarkPtPage(kLast));
@@ -256,16 +237,14 @@ TEST(BusMarkTest, MarksAtBothEndsOfLargeRegionAreFoundAndCleared) {
 }
 
 TEST(BusMarkTest, AdoptRamAndLoadStateClearMarks) {
-  Bus bus;
-  bus.AddRam(kBase, 0x4000);
+  Bus bus(kBase, 0x4000);
   StateWriter writer;
   bus.SaveState(writer);
-  std::vector<std::shared_ptr<RamImage>> images;
-  bus.FreezeRam(&images);
+  const std::shared_ptr<RamImage> image = bus.ram().Freeze();
 
   bus.MarkExecLine(kBase + 0x1000);
   ASSERT_TRUE(bus.MarkPtPage(kBase + 0x3000));
-  bus.AdoptRam(images);
+  bus.AdoptRam(image);
   EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
   EXPECT_EQ(MarkByte(bus, kBase + 0x3000), 0u);
   EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));
@@ -279,6 +258,37 @@ TEST(BusMarkTest, AdoptRamAndLoadStateClearMarks) {
   EXPECT_EQ(MarkByte(bus, kBase + 0x1000), 0u);
   EXPECT_TRUE(bus.Write(kBase + 0x1000, 8, 1));
   EXPECT_EQ(bus.code_generation(), 0u);
+}
+
+// The bus section of a snapshot: the RAM geometry must match, and a version-1
+// section (a region count, then one geometry per region) is rejected with a reason
+// instead of misread.
+TEST(BusStateTest, RejectsOtherGeometryAndVersionOne) {
+  Bus bus(kBase, 0x4000);
+  StateWriter writer;
+  bus.SaveState(writer);
+  Bus same(kBase, 0x4000);
+  StateReader good(writer.bytes());
+  EXPECT_TRUE(same.LoadState(good));
+
+  Bus larger(kBase, 0x8000);
+  StateReader mismatch(writer.bytes());
+  EXPECT_FALSE(larger.LoadState(mismatch));
+  EXPECT_NE(mismatch.error().find("geometry mismatch"), std::string::npos)
+      << mismatch.error();
+
+  StateWriter old;
+  old.BeginSection(StateTag("BUSS"), 1);
+  old.U32(1);
+  old.U64(kBase);
+  old.U64(0x4000);
+  old.EndSection();
+  StateReader version_one(old.bytes());
+  EXPECT_FALSE(same.LoadState(version_one));
+  EXPECT_NE(version_one.error().find("bus state version 1"), std::string::npos)
+      << version_one.error();
+  EXPECT_NE(version_one.error().find("re-record the snapshot"), std::string::npos)
+      << version_one.error();
 }
 
 // Property: for every aligned 1-, 2-, 4- and 8-byte store, the harts' fast-store

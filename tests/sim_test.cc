@@ -269,8 +269,7 @@ TEST_F(SimTest, MprvUsesMppForDataAccess) {
 
 class MmuTest : public ::testing::Test {
  protected:
-  MmuTest() : pmp_(0) {
-    bus_.AddRam(kRam, 16 << 20);
+  MmuTest() : bus_(kRam, 16 << 20), pmp_(0) {
     // Root table at kRam; map VA 0x4000_0000 (1 GiB region 1) to PA kRam via a 1 GiB
     // superpage, and a 4 KiB fine mapping under region 0.
     root_ = kRam;
@@ -762,6 +761,116 @@ TEST(HostFastPathTest, StoreToMarkedCodeLineStillRedecodes) {
   EXPECT_GE(blocks.fast_hits, 25u);          // every other store
   EXPECT_GE(blocks.deopts, 1u);              // the marked-line store left the block
   EXPECT_EQ(blocks.state, per_instruction.state);
+}
+
+// Code and data in the RAM's last 4 KiB page. A loop's in-block loads and stores
+// reach the page's final doubleword through both fast-path branches: a Sv39
+// mapping (the TLB entry's host_page) at S-mode and a PMP window at M-mode. Each
+// iteration also stores to the UART, which must reach the device by the slow path,
+// and loads the next doubleword of a walk that ends just past the RAM: that load
+// faults at exactly its pc. The run matches the per-instruction machine in cycles,
+// instret and registers. (The first iteration decodes the loop; the other
+// iterations run as blocks.)
+TEST(HostFastPathTest, LastRamPageOnBothBranches) {
+  constexpr uint64_t kIterations = 100;
+  constexpr uint64_t kRamSize = 1 << 20;
+  constexpr uint64_t kLast = kRam + kRamSize - 0x1000;
+  constexpr uint64_t kEnd = kRam + kRamSize;
+  constexpr uint64_t kRoot = kRam + 0x1000;
+  struct Outcome {
+    std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
+               uint64_t, uint64_t, uint64_t>
+        state;
+    std::string uart;
+    uint64_t fault_pc = 0;
+    uint64_t fast_hits = 0;
+    uint64_t fast_misses = 0;
+  };
+  const auto run = [](bool paged, uint32_t sb_entries) {
+    MachineConfig config;
+    config.map.ram_size = kRamSize;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    Bus& bus = machine.bus();
+    hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
+    hart.csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
+    hart.csrs().Set(kCsrMtvec, kRam + 0x8000);
+    bus.Write(kRam + 0x8000, 4, 0x10500073);  // wfi
+    // An identity gigapage over RAM for the code, and 4 KiB S-mode RW pages at VA
+    // 0x3000 (the last RAM page), 0x4000 (the frame just past RAM) and 0x6000 (the
+    // UART).
+    bus.Write(kRoot + 8 * 2, 8, ((kRam >> 12) << 10) | 0xCF);
+    bus.Write(kRoot, 8, (((kRam + 0x2000) >> 12) << 10) | 0x01);
+    bus.Write(kRam + 0x2000, 8, (((kRam + 0x3000) >> 12) << 10) | 0x01);
+    bus.Write(kRam + 0x3000 + 8 * 3, 8, ((kLast >> 12) << 10) | 0xC7);
+    bus.Write(kRam + 0x3000 + 8 * 4, 8, ((kEnd >> 12) << 10) | 0xC7);
+    bus.Write(kRam + 0x3000 + 8 * 6, 8, ((config.map.uart_base >> 12) << 10) | 0xC7);
+    uint64_t data = kLast + 0xFF8;
+    uint64_t past = kEnd;
+    uint64_t uart = config.map.uart_base;
+    if (paged) {
+      hart.csrs().Set(kCsrSatp, (uint64_t{8} << 60) | (kRoot >> 12));
+      hart.set_priv(PrivMode::kSupervisor);
+      data = 0x3FF8;
+      past = 0x4000;
+      uart = 0x6000;
+    }
+    Assembler a(kLast);
+    a.Li(t0, data);
+    a.Li(t1, uart);
+    a.Li(t3, past - 8 * (kIterations - 1));  // the walk reaches `past` last
+    a.Li(a5, 'Z');
+    a.Li(s2, 0);
+    a.Li(s3, kIterations);
+    a.Bind("loop");
+    a.Ld(t2, t0, 0);
+    a.Add(t2, t2, s2);
+    a.Sd(t2, t0, 0);
+    a.Lw(a4, t0, 4);  // the RAM's last word
+    a.Sb(a5, t1, 0);
+    a.Bind("fault");
+    a.Ld(a6, t3, 0);
+    a.Addi(t3, t3, 8);
+    a.Addi(s2, s2, 1);
+    a.Blt(s2, s3, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    machine.RunUntilFinished(5000);  // parks in the trap handler's WFI
+    uint64_t last = 0;
+    bus.Read(kLast + 0xFF8, 8, &last);
+    Outcome outcome;
+    outcome.state = std::make_tuple(
+        hart.csrs().Get(kCsrMcause), hart.csrs().Get(kCsrMepc), hart.csrs().Get(kCsrMtval),
+        last, hart.gpr(t2), hart.gpr(a4), hart.gpr(a6), hart.gpr(s2), hart.cycles(),
+        hart.instret(), hart.pc());
+    outcome.uart = machine.uart().output();
+    outcome.fault_pc = image.Symbol("fault");
+    outcome.fast_hits = hart.host_fastpath_hits();
+    outcome.fast_misses = hart.host_fastpath_misses();
+    return outcome;
+  };
+  for (const bool paged : {true, false}) {
+    SCOPED_TRACE(paged ? "Sv39 S-mode" : "M-mode");
+    const Outcome blocks = run(paged, 2048);
+    const Outcome per_instruction = run(paged, 0);
+    EXPECT_EQ(std::get<0>(blocks.state), CauseValue(ExceptionCause::kLoadAccessFault));
+    EXPECT_EQ(std::get<1>(blocks.state), blocks.fault_pc);
+    EXPECT_EQ(std::get<2>(blocks.state), paged ? 0x4000u : kEnd);
+    EXPECT_EQ(std::get<3>(blocks.state), kIterations * (kIterations - 1) / 2);
+    EXPECT_EQ(std::get<7>(blocks.state), kIterations - 1);  // faulted before its addi
+    EXPECT_EQ(blocks.uart, std::string(kIterations, 'Z'));
+    EXPECT_EQ(blocks.state, per_instruction.state);
+    EXPECT_EQ(blocks.uart, per_instruction.uart);
+    // In the block iterations every RAM access (the loop's three and the walk's
+    // load, but for the faulting one) ran on the fast path; the UART stores and the
+    // faulting load took the slow path.
+    EXPECT_GE(blocks.fast_hits, 4 * (kIterations - 1) - 1);
+    EXPECT_GE(blocks.fast_misses, kIterations);
+    EXPECT_EQ(per_instruction.fast_hits + per_instruction.fast_misses, 0u);
+  }
 }
 
 // -- Superblock execution engine (DESIGN.md §2f). -----------------------------------
@@ -1605,13 +1714,9 @@ TEST(QuantumScheduleTest, HandlerThatSilencesMtipTrapsOnce) {
 // serial hart order.
 
 std::vector<uint8_t> RamBytes(const Snapshot& snapshot) {
-  std::vector<uint8_t> all;
-  for (const auto& image : snapshot.ram) {
-    std::vector<uint8_t> bytes(image->size());
-    image->CopyTo(bytes.data());
-    all.insert(all.end(), bytes.begin(), bytes.end());
-  }
-  return all;
+  std::vector<uint8_t> bytes(snapshot.ram->size());
+  snapshot.ram->CopyTo(bytes.data());
+  return bytes;
 }
 
 void ExpectSameSnapshot(Machine& serial, Machine& parallel) {
