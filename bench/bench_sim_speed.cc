@@ -40,13 +40,13 @@ BENCHMARK(BM_InterpreterThroughput)->Unit(benchmark::kMillisecond);
 
 void BM_PmpCheck(benchmark::State& state) {
   PmpBank bank(8);
-  VCsrFile vcsr(VhartConfig{});
-  vcsr.Set(CsrPmpaddr(0), 0x2000'0000);
-  vcsr.Set(CsrPmpcfg(0), 0x1F);
+  PmpBank vpmp(VpmpLayout::VirtualEntries(8));
+  vpmp.WriteAddrReg(0, 0x2000'0000);
+  vpmp.WriteCfgReg(0, 0x1F);
   VpmpInputs inputs;
   inputs.monitor = {true, 0x8000'0000, 1 << 20, false, false, false};
   inputs.vdev = {true, 0x200'0000, 0x10000, false, false, false};
-  ComputePhysicalPmp(vcsr, inputs, &bank);
+  ComputePhysicalPmp(vpmp, inputs, &bank);
   uint64_t addr = 0x8000'0000;
   bool sink = false;
   for (auto _ : state) {
@@ -58,8 +58,7 @@ void BM_PmpCheck(benchmark::State& state) {
 BENCHMARK(BM_PmpCheck);
 
 void BM_PrivilegedEmulation(benchmark::State& state) {
-  VhartConfig config;
-  VirtContext vctx(config);
+  VirtContext vctx(VirtualHartIsa(HartIsaConfig{}), 0);
   uint64_t gprs[32] = {};
   const DecodedInstr instr = Decode(0x34011073);  // csrw mscratch, sp
   for (auto _ : state) {

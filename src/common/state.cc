@@ -27,6 +27,13 @@ void StateWriter::Bytes(const void* data, uint64_t size) {
   Raw(data, size);
 }
 
+uint8_t* StateWriter::ReserveBytes(uint64_t size) {
+  U64(size);
+  const size_t at = bytes_.size();
+  bytes_.resize(at + size);
+  return bytes_.data() + at;
+}
+
 bool StateReader::Take(void* out, size_t size) {
   if (!ok()) {
     return false;
@@ -129,17 +136,28 @@ void StateReader::SkipSection() {
 }
 
 void StateReader::Bytes(std::vector<uint8_t>* out) {
-  const uint64_t size = U64();
+  uint64_t size = 0;
+  const uint8_t* view = BytesView(&size);
+  if (view != nullptr) {
+    out->assign(view, view + size);
+  }
+}
+
+const uint8_t* StateReader::BytesView(uint64_t* size) {
+  *size = 0;
+  const uint64_t length = U64();
   if (!ok()) {
-    return;
+    return nullptr;
   }
   const size_t limit = limits_.empty() ? size_ : limits_.back();
-  if (size > limit - pos_) {
+  if (length > limit - pos_) {
     Fail("blob exceeds stream");
-    return;
+    return nullptr;
   }
-  out->resize(size);
-  Take(out->data(), size);
+  const uint8_t* view = data_ + pos_;
+  pos_ += length;
+  *size = length;
+  return view;
 }
 
 std::string StateReader::Str() {

@@ -51,6 +51,9 @@ class StateWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   // u64 length prefix + raw bytes.
   void Bytes(const void* data, uint64_t size);
+  // u64 length prefix + `size` bytes the caller fills in place, so a large blob is
+  // not staged in a buffer of its own. The pointer is valid until the next write.
+  uint8_t* ReserveBytes(uint64_t size);
   void Str(const std::string& s) { Bytes(s.data(), s.size()); }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
@@ -89,6 +92,10 @@ class StateReader {
   bool Bool() { return U8() != 0; }
   // Reads a length-prefixed blob into out (resized). Fails (sticky) on overrun.
   void Bytes(std::vector<uint8_t>* out);
+  // Reads a length-prefixed blob without copying it: returns a pointer into the
+  // stream (valid while the stream's buffer lives) and sets *size, or returns null
+  // with *size = 0 on failure.
+  const uint8_t* BytesView(uint64_t* size);
   std::string Str();
   // Reads a length-prefixed blob of exactly `size` bytes into `out`.
   void FixedBytes(void* out, uint64_t size);

@@ -19,7 +19,8 @@ constexpr uint64_t kSsipMask = InterruptMask(InterruptCause::kSupervisorSoftware
 
 // Version 2 dropped a per-hart field that was written but never read, and nests the
 // virtual PMP and virtual CLINT as the PmpBank and Clint sections they now are.
-constexpr uint32_t kStateVersion = 2;
+// Version 3 nests each virtual CSR file as the CsrFile section it now is.
+constexpr uint32_t kStateVersion = 3;
 
 // ABI GPR indices used by the SBI calling convention.
 constexpr unsigned kA0 = 10;
@@ -134,16 +135,9 @@ Monitor::Monitor(Machine* machine, const MonitorConfig& config)
     : machine_(machine),
       config_(config),
       vclint_(&machine->clint(), machine->hart_count()) {
-  const HartIsaConfig& isa = machine_->config().isa;
-  vhart_template_.pmp_entries = VpmpLayout::VirtualEntries(isa.pmp_entries);
-  vhart_template_.has_time_csr = isa.has_time_csr;
-  vhart_template_.has_sstc = isa.has_sstc;
-  vhart_template_.has_custom_csrs = isa.has_custom_csrs;
-  vhart_template_.has_h_ext = isa.has_h_ext;
+  const HartIsaConfig isa = VirtualHartIsa(machine_->config().isa);
   for (unsigned i = 0; i < machine_->hart_count(); ++i) {
-    VhartConfig vhart = vhart_template_;
-    vhart.hart_index = i;
-    harts_.push_back(std::make_unique<HartState>(vhart));
+    harts_.push_back(std::make_unique<HartState>(isa, i));
     Clint* clint = &machine_->clint();
     harts_.back()->vctx.csrs().set_time_source([clint] { return clint->mtime(); });
   }
@@ -191,7 +185,7 @@ void Monitor::RebuildPmp(Hart& hart) {
     inputs.firmware_default_override = policy_->FirmwareDefaultOverride(hart.index());
     inputs.suppress_vpmp = policy_->SuppressVpmp(hart.index());
   }
-  ComputePhysicalPmp(hs.vctx.csrs(), inputs, &hart.csrs().pmp());
+  ComputePhysicalPmp(hs.vctx.csrs().pmp(), inputs, &hart.csrs().pmp());
   ChargeCsrAccesses(hart, hart.csrs().pmp().entry_count() + 2);
 }
 
@@ -419,7 +413,7 @@ bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
 bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const VCsrFile& vcsr = hs.vctx.csrs();
+  const CsrFile& vcsr = hs.vctx.csrs();
   const PrivMode eff_priv = static_cast<PrivMode>(
       ExtractBits(vcsr.mstatus(), MstatusBits::kMppHi, MstatusBits::kMppLo));
   const uint64_t satp = vcsr.Get(kCsrSatp);
@@ -692,9 +686,9 @@ void Monitor::ReprogramPhysTimer(Hart& hart) {
 
 void Monitor::RefreshVirtualClintLines() {
   for (unsigned i = 0; i < machine_->hart_count(); ++i) {
-    VCsrFile& vcsr = harts_[i]->vctx.csrs();
-    vcsr.SetVirtualInterruptLine(InterruptCause::kMachineTimer, vclint_.VirtualMtip(i));
-    vcsr.SetVirtualInterruptLine(InterruptCause::kMachineSoftware, vclint_.VirtualMsip(i));
+    CsrFile& vcsr = harts_[i]->vctx.csrs();
+    vcsr.SetInterruptLine(InterruptCause::kMachineTimer, vclint_.VirtualMtip(i));
+    vcsr.SetInterruptLine(InterruptCause::kMachineSoftware, vclint_.VirtualMsip(i));
   }
 }
 
@@ -707,7 +701,7 @@ void Monitor::SendPhysIpi(unsigned target) { machine_->clint().set_msip(target, 
 void Monitor::SaveOsContext(Hart& hart) {
   HartState& hs = state(hart);
   CsrFile& pcsr = hart.csrs();
-  VCsrFile& vcsr = hs.vctx.csrs();
+  CsrFile& vcsr = hs.vctx.csrs();
 
   for (const uint16_t csr : kOsSupervisorCsrs) {
     if (csr != kCsrStimecmp || vcsr.config().has_sstc) {
@@ -719,15 +713,15 @@ void Monitor::SaveOsContext(Hart& hart) {
                         (pcsr.mie() & kSupervisorInterrupts));
   // Software-pending supervisor interrupts.
   const uint64_t sw_bits = pcsr.mip_sw() & (kSsipMask | kStipMask);
-  vcsr.set_mip((vcsr.mip() & ~(kSsipMask | kStipMask)) | sw_bits);
-  hs.mip_snapshot = vcsr.mip() & (kSsipMask | kStipMask);
+  vcsr.set_mip_sw((vcsr.mip_sw() & ~(kSsipMask | kStipMask)) | sw_bits);
+  hs.mip_snapshot = vcsr.mip_sw() & (kSsipMask | kStipMask);
   ChargeCsrAccesses(hart, 24);
 }
 
 void Monitor::InstallVirtualContext(Hart& hart) {
   HartState& hs = state(hart);
   CsrFile& pcsr = hart.csrs();
-  VCsrFile& vcsr = hs.vctx.csrs();
+  const CsrFile& vcsr = hs.vctx.csrs();
 
   for (const uint16_t csr : kOsSupervisorCsrs) {
     if (csr != kCsrStimecmp || vcsr.config().has_sstc) {
@@ -749,7 +743,7 @@ void Monitor::InstallVirtualContext(Hart& hart) {
 
   // Delta-install the software-pending supervisor interrupt bits: apply exactly the
   // changes the firmware made, without clobbering bits the fast path manages.
-  const uint64_t now_v = vcsr.mip() & (kSsipMask | kStipMask);
+  const uint64_t now_v = vcsr.mip_sw() & (kSsipMask | kStipMask);
   const uint64_t changed = now_v ^ hs.mip_snapshot;
   const uint64_t phys_sw = pcsr.mip_sw();
   pcsr.set_mip_sw((phys_sw & ~changed) | (now_v & changed));

@@ -151,7 +151,7 @@ class Monitor : public MmodeOwner {
 
  private:
   struct HartState {
-    explicit HartState(const VhartConfig& config) : vctx(config) {}
+    HartState(const HartIsaConfig& isa, unsigned index) : vctx(isa, index) {}
     VirtContext vctx;
     bool in_firmware = true;
     uint64_t os_timer_deadline = ~uint64_t{0};
@@ -190,7 +190,6 @@ class Monitor : public MmodeOwner {
 
   Machine* machine_;
   MonitorConfig config_;
-  VhartConfig vhart_template_;
   VirtClint vclint_;
   PolicyModule* policy_ = nullptr;
   std::vector<std::unique_ptr<HartState>> harts_;

@@ -92,7 +92,7 @@ std::optional<PmpRegionRequest> SandboxPolicy::FirmwareDefaultOverride(unsigned 
 void SandboxPolicy::SnapshotAndScrub(Monitor& monitor, unsigned hart) {
   HartScrubState& scrub = scrub_[hart];
   Hart& phys = monitor.machine().hart(hart);
-  VCsrFile& vcsr = monitor.vctx(hart).csrs();
+  CsrFile& vcsr = monitor.vctx(hart).csrs();
 
   for (unsigned i = 0; i < 32; ++i) {
     scrub.gpr_snapshot[i] = phys.gpr(i);
@@ -130,7 +130,7 @@ void SandboxPolicy::RestoreAfterFirmware(Monitor& monitor, unsigned hart) {
   }
   scrub.active = false;
   Hart& phys = monitor.machine().hart(hart);
-  VCsrFile& vcsr = monitor.vctx(hart).csrs();
+  CsrFile& vcsr = monitor.vctx(hart).csrs();
 
   for (unsigned i = 1; i < 32; ++i) {
     // SBI return values flow back through a0/a1; everything else is restored.

@@ -1,10 +1,20 @@
 #include "src/core/vcpu.h"
 
 #include "src/common/bits.h"
-
 #include "src/common/state.h"
+#include "src/core/vpmp.h"
 
 namespace vfm {
+
+HartIsaConfig VirtualHartIsa(const HartIsaConfig& physical) {
+  HartIsaConfig isa;
+  isa.pmp_entries = VpmpLayout::VirtualEntries(physical.pmp_entries);
+  isa.has_time_csr = physical.has_time_csr;
+  isa.has_sstc = physical.has_sstc;
+  isa.has_custom_csrs = physical.has_custom_csrs;
+  isa.has_h_ext = physical.has_h_ext;
+  return isa;
+}
 
 void VirtContext::TakeVirtualTrap(uint64_t cause, uint64_t tval) {
   const bool is_interrupt = (cause & kInterruptBit) != 0;
@@ -102,7 +112,7 @@ EmulationResult VirtContext::EmulateCsrOp(const DecodedInstr& d, uint64_t* gprs)
 
   uint64_t old_value = 0;
   if (read_needed) {
-    if (!csrs_.Read(d.csr, priv_, &old_value)) {
+    if (!csrs_.ReadCsr(d.csr, priv_, /*virt=*/false, &old_value)) {
       return IllegalInstr(d);
     }
   }
@@ -113,7 +123,7 @@ EmulationResult VirtContext::EmulateCsrOp(const DecodedInstr& d, uint64_t* gprs)
     } else if (d.op == Op::kCsrrc || d.op == Op::kCsrrci) {
       new_value = old_value & ~operand;
     }
-    if (!csrs_.Write(d.csr, priv_, new_value)) {
+    if (!csrs_.WriteCsr(d.csr, priv_, /*virt=*/false, new_value)) {
       return IllegalInstr(d);
     }
   }

@@ -1,9 +1,14 @@
 // The virtual hart context: virtual privilege mode, virtual pc, the virtual CSR file,
 // and the privileged-instruction emulator that together implement the vM-mode of the
-// paper (§3.2, §4.1). The emulator here is a pure function of the virtual state and
-// the shared GPRs — no machine access — which is what makes it checkable against the
-// reference model (faithful emulation, Definition 1). The monitor (src/core/monitor)
-// wraps it with world-switch and device logic.
+// paper (§3.2, §4.1). The virtual CSR file is the shadow copy of the CSRs the
+// firmware believes it owns ("MIRALIS maintains a shadow copy of the CSRs on which the
+// instruction emulator operates"). It is a CsrFile (src/sim), the model the physical
+// harts run, built for the virtual hart that VirtualHartIsa describes, so its WARL,
+// existence and privilege rules are the harts' own. The emulator here is a pure
+// function of the virtual state and the shared GPRs — no machine access — which is
+// what makes it checkable against the reference model (faithful emulation,
+// Definition 1). The monitor (src/core/monitor) wraps it with world-switch and device
+// logic.
 
 #ifndef SRC_CORE_VCPU_H_
 #define SRC_CORE_VCPU_H_
@@ -11,14 +16,20 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/core/vcsr.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
+#include "src/sim/csr_file.h"
 
 namespace vfm {
 
 class StateReader;
 class StateWriter;
+
+// The ISA of the virtual hart the firmware sees on harts with the `physical` ISA. It
+// mirrors the physical platform (the time CSR, Sstc, the custom CSRs and the H
+// extension), minus the PMP entries the monitor reserves for itself (Figure 5), and
+// reports the platform identity (mvendorid, marchid, mimpid) as 0.
+HartIsaConfig VirtualHartIsa(const HartIsaConfig& physical);
 
 enum class EmulationOutcome {
   kAdvance,        // instruction emulated; virtual pc advances by 4
@@ -37,10 +48,11 @@ struct EmulationResult {
 
 class VirtContext {
  public:
-  explicit VirtContext(const VhartConfig& config) : csrs_(config) {}
+  // `hart_index` is the virtual mhartid.
+  VirtContext(const HartIsaConfig& isa, unsigned hart_index) : csrs_(isa, hart_index) {}
 
-  VCsrFile& csrs() { return csrs_; }
-  const VCsrFile& csrs() const { return csrs_; }
+  CsrFile& csrs() { return csrs_; }
+  const CsrFile& csrs() const { return csrs_; }
 
   uint64_t pc() const { return pc_; }
   void set_pc(uint64_t pc) { pc_ = pc; }
@@ -69,7 +81,7 @@ class VirtContext {
   std::optional<uint64_t> PendingVirtualMachineInterrupt() const;
 
   // Uniform state API (DESIGN.md §2h): virtual pc, virtual privilege, and the
-  // nested shadow CSR file.
+  // nested shadow CSR file (a CsrFile section).
   void SaveState(StateWriter& writer) const;
   bool LoadState(StateReader& reader);
 
@@ -79,7 +91,7 @@ class VirtContext {
   EmulationResult EmulateSret();
   EmulationResult IllegalInstr(const DecodedInstr& instr);
 
-  VCsrFile csrs_;
+  CsrFile csrs_;
   uint64_t pc_ = 0;
   PrivMode priv_ = PrivMode::kMachine;
 };

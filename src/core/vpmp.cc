@@ -30,11 +30,11 @@ void InstallRegion(PmpBank* phys, unsigned entry, const PmpRegionRequest& reques
 
 }  // namespace
 
-void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank* phys) {
+void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* phys) {
   const unsigned phys_entries = phys->entry_count();
   VFM_CHECK_MSG(phys_entries >= 6, "at least 6 physical PMP entries are required");
   const unsigned virt_entries = VpmpLayout::VirtualEntries(phys_entries);
-  VFM_CHECK(virt_entries == vcsr.config().pmp_entries);
+  VFM_CHECK(virt_entries == vpmp.entry_count());
   const unsigned all_mem_entry = phys_entries - 1;
 
   // Monitor self-protection and the virtual-device window. These are installed with
@@ -61,7 +61,6 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
   // mimic vM semantics, which would let a malicious firmware grant itself access above
   // the lockdown region through its own PMP configuration.
   const bool lockdown = inputs.firmware_world && inputs.firmware_default_override.has_value();
-  const PmpBank& vbank = vcsr.pmp();
   for (unsigned i = 0; i < virt_entries; ++i) {
     const unsigned entry = VpmpLayout::kVpmpFirst + i;
     if (inputs.suppress_vpmp || inputs.mprv_emulation || lockdown) {
@@ -69,7 +68,7 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
       phys->SetAddr(entry, 0);
       continue;
     }
-    PmpCfg cfg = vbank.GetCfg(i);
+    PmpCfg cfg = vpmp.GetCfg(i);
     if (inputs.firmware_world && !cfg.locked) {
       // PMP entries do not constrain M-mode unless locked; while the firmware executes
       // in vM-mode the unlocked entries must not restrict it, so they are installed
@@ -82,7 +81,7 @@ void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank*
     // the monitor itself and could not be reclaimed until reset.
     cfg.locked = false;
     phys->SetCfg(entry, cfg);
-    phys->SetAddr(entry, vbank.GetAddr(i));
+    phys->SetAddr(entry, vpmp.GetAddr(i));
   }
 
   // The all-memory default.

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/core/vcsr.h"
 #include "src/pmp/pmp.h"
 
 namespace vfm {
@@ -61,9 +60,9 @@ struct VpmpInputs {
   std::optional<PmpRegionRequest> firmware_default_override;
 };
 
-// Fills `phys` (which has phys_entries entries) from the virtual PMP state and the
-// monitor/policy regions.
-void ComputePhysicalPmp(const VCsrFile& vcsr, const VpmpInputs& inputs, PmpBank* phys);
+// Fills `phys` (which has phys_entries entries) from the virtual PMP bank `vpmp`
+// (VirtualEntries(phys_entries) entries) and the monitor/policy regions.
+void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* phys);
 
 }  // namespace vfm
 

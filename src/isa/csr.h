@@ -1,6 +1,7 @@
-// CSR address map and per-CSR metadata. This table is shared between the hart
-// simulator, the monitor's virtual CSR file, and the reference model, so there is a
-// single source of truth for which CSRs exist and how addresses classify.
+// CSR address map and per-CSR metadata: addresses, names, and the privilege and
+// read-only classification encoded in an address. Which CSRs exist on a given hart is
+// CsrFile::CsrExists's rule (src/sim), which the reference model states again on its
+// own (RefCsrExists).
 
 #ifndef SRC_ISA_CSR_H_
 #define SRC_ISA_CSR_H_

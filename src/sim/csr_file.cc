@@ -113,6 +113,42 @@ void CsrFile::SetInterruptLine(InterruptCause cause, bool level) {
 
 bool CsrFile::CsrExists(uint16_t addr) const {
   switch (addr) {
+    case kCsrMvendorid:
+    case kCsrMarchid:
+    case kCsrMimpid:
+    case kCsrMhartid:
+    case kCsrMconfigptr:
+    case kCsrMstatus:
+    case kCsrMisa:
+    case kCsrMedeleg:
+    case kCsrMideleg:
+    case kCsrMie:
+    case kCsrMtvec:
+    case kCsrMcounteren:
+    case kCsrMenvcfg:
+    case kCsrMcountinhibit:
+    case kCsrMscratch:
+    case kCsrMepc:
+    case kCsrMcause:
+    case kCsrMtval:
+    case kCsrMip:
+    case kCsrMseccfg:
+    case kCsrMcycle:
+    case kCsrMinstret:
+    case kCsrCycle:
+    case kCsrInstret:
+    case kCsrSstatus:
+    case kCsrSie:
+    case kCsrStvec:
+    case kCsrScounteren:
+    case kCsrSenvcfg:
+    case kCsrSscratch:
+    case kCsrSepc:
+    case kCsrScause:
+    case kCsrStval:
+    case kCsrSip:
+    case kCsrSatp:
+      return true;
     case kCsrTime:
       return config_.has_time_csr;
     case kCsrStimecmp:
@@ -122,19 +158,39 @@ bool CsrFile::CsrExists(uint16_t addr) const {
     case kCsrCustom2:
     case kCsrCustom3:
       return config_.has_custom_csrs;
+    // The H extension adds mtval2/mtinst and the h* and vs* banks.
+    case kCsrMtval2:
+    case kCsrMtinst:
+    case kCsrHstatus:
+    case kCsrHedeleg:
+    case kCsrHideleg:
+    case kCsrHie:
+    case kCsrHtimedelta:
+    case kCsrHcounteren:
+    case kCsrHenvcfg:
+    case kCsrHtval:
+    case kCsrHip:
+    case kCsrHvip:
+    case kCsrHtinst:
+    case kCsrHgatp:
+    case kCsrVsstatus:
+    case kCsrVsie:
+    case kCsrVstvec:
+    case kCsrVsscratch:
+    case kCsrVsepc:
+    case kCsrVscause:
+    case kCsrVstval:
+    case kCsrVsip:
+    case kCsrVsatp:
+      return config_.has_h_ext;
     default:
       break;
-  }
-  if (addr >= 0x200 && addr < 0x300) {  // vs* range
-    return config_.has_h_ext && LookupCsr(addr) != nullptr;
-  }
-  if (addr >= 0x600 && addr < 0x700) {  // h* range
-    return config_.has_h_ext && LookupCsr(addr) != nullptr;
   }
   if (IsPmpCfgAddr(addr)) {
     return (addr % 2) == 0;  // RV64: only even pmpcfg registers exist
   }
-  return LookupCsr(addr) != nullptr;
+  // PMP address registers and the hardwired-zero performance counters.
+  return IsPmpAddrAddr(addr) || IsMhpmCounter(addr) || IsMhpmEvent(addr) || IsHpmCounter(addr);
 }
 
 bool CsrFile::CounterReadable(uint16_t addr, PrivMode priv) const {

@@ -1,7 +1,8 @@
 // Architectural CSR state of a simulated hart, with WARL legalization and
 // privilege-checked instruction-level access. This is the "hardware" side of the
-// paper's Figure 6: the monitor re-exposes the same interface virtually (src/core) and
-// the reference model re-specifies it independently (src/refmodel).
+// paper's Figure 6. The monitor's shadow CSRs (src/core/vcpu) are a CsrFile too,
+// built for the virtual hart, so the harts and the monitor's emulator run one CSR
+// model; the reference model re-specifies it independently (src/refmodel).
 
 #ifndef SRC_SIM_CSR_FILE_H_
 #define SRC_SIM_CSR_FILE_H_
@@ -24,6 +25,10 @@ class CsrFile {
   explicit CsrFile(const HartIsaConfig& config, unsigned hart_index);
 
   const HartIsaConfig& config() const { return config_; }
+
+  // Whether the CSR exists on this hart's configuration. Accesses to an absent CSR
+  // raise illegal instruction.
+  bool CsrExists(uint16_t addr) const;
 
   // -- Instruction-level access (privilege + existence + WARL checks). -------------
   // Returns false for accesses that must raise an illegal-instruction exception.
@@ -109,7 +114,6 @@ class CsrFile {
       InterruptMask(InterruptCause::kVirtualSupervisorExternal);
 
  private:
-  bool CsrExists(uint16_t addr) const;
   bool CounterReadable(uint16_t addr, PrivMode priv) const;
 
   HartIsaConfig config_;

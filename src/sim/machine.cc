@@ -1516,9 +1516,7 @@ bool WriteSnapshotFile(const std::string& path, const MachineConfig& config,
   writer.BeginSection(StateTag("SNPF"), kSnapshotFileVersion);
   WriteMachineConfig(writer, config);
   writer.Bytes(snapshot.state.data(), snapshot.state.size());
-  std::vector<uint8_t> contents(snapshot.ram->size());
-  snapshot.ram->CopyTo(contents.data());
-  writer.Bytes(contents.data(), contents.size());
+  snapshot.ram->CopyTo(writer.ReserveBytes(snapshot.ram->size()));
   writer.Bytes(aux.data(), aux.size());
   writer.EndSection();
   return WriteTraceFile(path, writer.bytes());
@@ -1543,10 +1541,12 @@ bool ReadSnapshotFile(const std::string& path, MachineConfig* config,
   }
   std::vector<uint8_t> state;
   reader.Bytes(&state);
-  std::vector<uint8_t> contents;
-  reader.Bytes(&contents);
+  // The image is read in place from the file buffer, which lives until FromBytes
+  // below has copied it into the snapshot's RAM image.
+  uint64_t image_size = 0;
+  const uint8_t* image = reader.BytesView(&image_size);
   if (reader.ok()) {
-    const std::string error = RamImageSizeError(contents.size(), file_config.map);
+    const std::string error = RamImageSizeError(image_size, file_config.map);
     if (!error.empty()) {
       reader.Fail(error);
     }
@@ -1559,7 +1559,7 @@ bool ReadSnapshotFile(const std::string& path, MachineConfig* config,
     return false;
   }
   snapshot->state = std::move(state);
-  snapshot->ram = RamImage::FromBytes(contents.data(), contents.size());
+  snapshot->ram = RamImage::FromBytes(image, image_size);
   if (config != nullptr) {
     *config = file_config;
   }

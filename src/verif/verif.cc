@@ -50,14 +50,13 @@ const PrivMode kPrivs[3] = {PrivMode::kUser, PrivMode::kSupervisor, PrivMode::kM
 
 }  // namespace
 
-Verifier::Verifier(uint64_t seed) : seed_(seed) {
-  vconfig_.pmp_entries = 3;
-  vconfig_.hart_index = 0;
-  rconfig_.pmp_entries = 3;
+Verifier::Verifier(uint64_t seed) : vconfig_(VirtualHartIsa(HartIsaConfig{})), seed_(seed) {
+  rconfig_.pmp_entries = vconfig_.pmp_entries;
 
   // The CSR list swept by the harness: the full virtual platform, including absent
-  // CSRs (time) whose illegality must agree, WARL-zero PMP registers past the
-  // implemented count, and hardwired-zero performance counters.
+  // CSRs (time, and mtval2, mtinst and hstatus without the H extension) whose
+  // illegality must agree, WARL-zero PMP registers past the implemented count, and
+  // hardwired-zero performance counters.
   csr_list_ = {
       kCsrMstatus,   kCsrMisa,      kCsrMedeleg,   kCsrMideleg,    kCsrMie,
       kCsrMtvec,     kCsrMcounteren, kCsrMenvcfg,  kCsrMcountinhibit, kCsrMscratch,
@@ -66,7 +65,7 @@ Verifier::Verifier(uint64_t seed) : seed_(seed) {
       kCsrMhartid,   kCsrMconfigptr, kCsrSstatus,  kCsrSie,        kCsrStvec,
       kCsrScounteren, kCsrSenvcfg,  kCsrSscratch,  kCsrSepc,       kCsrScause,
       kCsrStval,     kCsrSip,       kCsrSatp,      kCsrCycle,      kCsrInstret,
-      kCsrTime,      kCsrStimecmp,
+      kCsrTime,      kCsrStimecmp,  kCsrMtval2,    kCsrMtinst,     kCsrHstatus,
   };
   csr_list_.push_back(CsrPmpcfg(0));
   csr_list_.push_back(CsrPmpcfg(1));  // pmpcfg2: entries beyond the implemented count
@@ -82,20 +81,20 @@ Verifier::Verifier(uint64_t seed) : seed_(seed) {
 Verifier::SyncedState Verifier::MakeRandomState() {
   static Rng rng(seed_);
   SyncedState state(vconfig_);
-  VCsrFile& v = state.vctx.csrs();
+  CsrFile& v = state.vctx.csrs();
 
   // Drive every writable CSR with an adversarial value through the monitor's own
   // WARL legalization...
   for (uint16_t addr : csr_list_) {
-    if (CsrIsReadOnly(addr) || !v.Exists(addr)) {
+    if (CsrIsReadOnly(addr) || !v.CsrExists(addr)) {
       continue;
     }
     v.Set(addr, rng.NextAdversarial());
   }
   // ...including the virtual interrupt lines the virtual CLINT drives.
-  v.SetVirtualInterruptLine(InterruptCause::kMachineTimer, rng.Chance(1, 2));
-  v.SetVirtualInterruptLine(InterruptCause::kMachineSoftware, rng.Chance(1, 2));
-  v.SetVirtualInterruptLine(InterruptCause::kMachineExternal, rng.Chance(1, 2));
+  v.SetInterruptLine(InterruptCause::kMachineTimer, rng.Chance(1, 2));
+  v.SetInterruptLine(InterruptCause::kMachineSoftware, rng.Chance(1, 2));
+  v.SetInterruptLine(InterruptCause::kMachineExternal, rng.Chance(1, 2));
 
   const uint64_t pc = rng.Next() & ~uint64_t{3} & MaskLow(48);
   state.vctx.set_pc(pc);
@@ -131,8 +130,8 @@ Verifier::SyncedState Verifier::MakeRandomState() {
   r.stval = v.Get(kCsrStval);
   r.satp = v.Get(kCsrSatp);
   for (unsigned i = 0; i < vconfig_.pmp_entries; ++i) {
-    r.pmpcfg[i] = v.pmpcfg_byte(i);
-    r.pmpaddr[i] = v.pmpaddr(i);
+    r.pmpcfg[i] = v.pmp().GetCfg(i).ToByte();
+    r.pmpaddr[i] = v.pmp().GetAddr(i);
   }
   return state;
 }
@@ -142,7 +141,7 @@ uint64_t Verifier::CompareStates(const VirtContext& vctx, const RefState& ref,
                                  VerifResult* result) {
   uint64_t mismatches = 0;
   for (uint16_t addr : csr_list_) {
-    if (!vctx.csrs().Exists(addr)) {
+    if (!vctx.csrs().CsrExists(addr)) {
       continue;
     }
     const uint64_t lhs = vctx.csrs().Get(addr);
@@ -238,7 +237,7 @@ VerifResult Verifier::VerifyCsrRead(uint64_t states_per_csr) {
         ++result.cases;
         uint64_t lhs = 0;
         uint64_t rhs = 0;
-        const bool ok_lhs = state.vctx.csrs().Read(addr, priv, &lhs);
+        const bool ok_lhs = state.vctx.csrs().ReadCsr(addr, priv, /*virt=*/false, &lhs);
         const bool ok_rhs = RefCsrRead(rconfig_, state.ref, addr, priv, &rhs);
         if (ok_lhs != ok_rhs) {
           Note(&result, Describe("csr-read legality", CsrName(addr), ok_lhs, ok_rhs));
@@ -263,7 +262,7 @@ VerifResult Verifier::VerifyCsrWrite(uint64_t values_per_csr) {
       const uint64_t value = rng.NextAdversarial();
       for (PrivMode priv : {PrivMode::kSupervisor, PrivMode::kMachine}) {
         ++result.cases;
-        const bool ok_lhs = state.vctx.csrs().Write(addr, priv, value);
+        const bool ok_lhs = state.vctx.csrs().WriteCsr(addr, priv, /*virt=*/false, value);
         const bool ok_rhs = RefCsrWrite(rconfig_, &state.ref, addr, priv, value);
         if (ok_lhs != ok_rhs) {
           Note(&result, Describe("csr-write legality", CsrName(addr), ok_lhs, ok_rhs));
@@ -385,7 +384,7 @@ VerifResult Verifier::VerifyVirtualInterrupt() {
         for (unsigned enables = 0; enables < 4; ++enables) {
           for (PrivMode priv : kPrivs) {
             SyncedState state = MakeRandomState();
-            VCsrFile& v = state.vctx.csrs();
+            CsrFile& v = state.vctx.csrs();
             uint64_t mip = 0;
             uint64_t mie = 0;
             for (unsigned i = 0; i < 6; ++i) {
@@ -397,10 +396,10 @@ VerifResult Verifier::VerifyVirtualInterrupt() {
             mideleg |= (deleg_bits & 2) ? (uint64_t{1} << 5) : 0;
             mideleg |= (deleg_bits & 4) ? (uint64_t{1} << 9) : 0;
 
-            v.set_mip(mip);  // software-writable supervisor bits
-            v.SetVirtualInterruptLine(InterruptCause::kMachineSoftware, (mip >> 3) & 1);
-            v.SetVirtualInterruptLine(InterruptCause::kMachineTimer, (mip >> 7) & 1);
-            v.SetVirtualInterruptLine(InterruptCause::kMachineExternal, (mip >> 11) & 1);
+            v.set_mip_sw(mip);  // keeps the software-writable supervisor bits
+            v.SetInterruptLine(InterruptCause::kMachineSoftware, (mip >> 3) & 1);
+            v.SetInterruptLine(InterruptCause::kMachineTimer, (mip >> 7) & 1);
+            v.SetInterruptLine(InterruptCause::kMachineExternal, (mip >> 11) & 1);
             v.Set(kCsrMie, mie);
             v.Set(kCsrMideleg, mideleg);
             uint64_t mstatus = v.Get(kCsrMstatus);
@@ -502,7 +501,7 @@ VerifResult Verifier::VerifyPmpFaithfulExecution(uint64_t configs, uint64_t prob
   };
 
   for (uint64_t config_iter = 0; config_iter < configs; ++config_iter) {
-    VCsrFile vcsr(vconfig_);
+    CsrFile vcsr(vconfig_, 0);
     // Random virtual PMP configuration through the WARL surface.
     vcsr.Set(CsrPmpcfg(0), rng.Next());
     for (unsigned i = 0; i < vconfig_.pmp_entries; ++i) {
@@ -522,15 +521,15 @@ VerifResult Verifier::VerifyPmpFaithfulExecution(uint64_t configs, uint64_t prob
 
     PmpBank os_bank(8);
     inputs.firmware_world = false;
-    ComputePhysicalPmp(vcsr, inputs, &os_bank);
+    ComputePhysicalPmp(vbank, inputs, &os_bank);
 
     PmpBank fw_bank(8);
     inputs.firmware_world = true;
-    ComputePhysicalPmp(vcsr, inputs, &fw_bank);
+    ComputePhysicalPmp(vbank, inputs, &fw_bank);
 
     PmpBank mprv_bank(8);
     inputs.mprv_emulation = true;
-    ComputePhysicalPmp(vcsr, inputs, &mprv_bank);
+    ComputePhysicalPmp(vbank, inputs, &mprv_bank);
 
     // Probe addresses: decoded boundaries of every virtual entry plus random points.
     std::vector<uint64_t> probes;

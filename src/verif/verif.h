@@ -2,7 +2,8 @@
 // subsystems against the independent reference model (src/refmodel) under the
 // faithful-emulation criterion (Definition 1), and the physical-PMP configuration
 // function against the shared pmpCheck under the faithful-execution criterion
-// (Definition 2).
+// (Definition 2). The virtual hart it checks is the monitor's own: a VirtContext
+// whose CSR file is the CsrFile the simulated harts run, built from VirtualHartIsa.
 //
 // Where the paper runs the Kani model checker over symbolic inputs, this harness runs
 // exhaustive enumeration over the relevant finite bit domains (mstatus stacks,
@@ -34,8 +35,8 @@ struct VerifResult {
 class Verifier {
  public:
   // The virtual platform and the reference configuration must describe the same
-  // machine; both default to the evaluation platforms' virtual hart (3 vPMP entries,
-  // no time CSR, no Sstc).
+  // machine: the virtual hart of the evaluation platforms' default harts
+  // (VirtualHartIsa of HartIsaConfig{}: 3 vPMP entries, no time CSR, no Sstc, no H).
   explicit Verifier(uint64_t seed = 0x5EED);
 
   // -- Faithful emulation (Definition 1). --------------------------------------------
@@ -67,7 +68,7 @@ class Verifier {
   struct SyncedState {
     VirtContext vctx;
     RefState ref;
-    explicit SyncedState(const VhartConfig& config) : vctx(config) {}
+    explicit SyncedState(const HartIsaConfig& isa) : vctx(isa, 0) {}
   };
 
   // Produces a randomized virtual state and the identical reference state.
@@ -76,7 +77,7 @@ class Verifier {
   uint64_t CompareStates(const VirtContext& vctx, const RefState& ref, const uint64_t* gprs,
                          const char* context, VerifResult* result);
 
-  VhartConfig vconfig_;
+  HartIsaConfig vconfig_;
   RefConfig rconfig_;
   uint64_t seed_;
   std::vector<uint16_t> csr_list_;

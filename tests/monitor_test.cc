@@ -226,10 +226,66 @@ TEST(MonitorTest, CustomCsrsVirtualizedOnP550) {
   System system = BootSystem(profile, DeployMode::kMiralis,
                              KernelWith(profile, [](KernelBuilder&) {}));
   ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
-  VCsrFile& vcsr = system.monitor->vctx(0).csrs();
-  EXPECT_TRUE(vcsr.Exists(kCsrCustom0));
-  EXPECT_TRUE(vcsr.Write(kCsrCustom0, PrivMode::kMachine, 0x5EC));
+  CsrFile& vcsr = system.monitor->vctx(0).csrs();
+  EXPECT_TRUE(vcsr.CsrExists(kCsrCustom0));
+  EXPECT_TRUE(vcsr.WriteCsr(kCsrCustom0, PrivMode::kMachine, /*virt=*/false, 0x5EC));
   EXPECT_EQ(vcsr.Get(kCsrCustom0), 0x5ECu);
+}
+
+// What M-mode code sees after reading mtval2, which vf2-sim's H-less harts lack:
+// a0..a2 = mcause, mtval and mepc as read by the firmware's own trap handler.
+struct AbsentCsrProbe {
+  uint64_t mcause;
+  uint64_t mtval;
+  uint64_t mepc;
+};
+
+AbsentCsrProbe ProbeMtval2(DeployMode mode) {
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  Assembler a(profile.firmware_base);
+  a.La(t1, "handler");
+  a.Csrw(kCsrMtvec, t1);
+  a.Csrr(t0, kCsrMtval2);
+  a.Bind("handler");
+  a.Csrr(a0, kCsrMcause);
+  a.Csrr(a1, kCsrMtval);
+  a.Csrr(a2, kCsrMepc);
+  a.Bind("done");
+  a.J("done");
+  const Image firmware = a.Finish().value();
+
+  Machine machine(profile.machine);
+  EXPECT_TRUE(machine.LoadImage(firmware.base, firmware.bytes));
+  std::unique_ptr<Monitor> monitor;
+  if (mode == DeployMode::kNative) {
+    machine.hart(0).set_pc(firmware.entry);
+    machine.hart(0).set_priv(PrivMode::kMachine);
+  } else {
+    MonitorConfig config;
+    config.monitor_base = profile.monitor_base;
+    config.monitor_size = profile.monitor_size;
+    config.firmware_entry = firmware.entry;
+    monitor = std::make_unique<Monitor>(&machine, config);
+    monitor->Boot();
+  }
+  const uint64_t done = firmware.Symbol("done");
+  EXPECT_TRUE(machine.RunUntil([&] { return machine.hart(0).pc() == done; }, 10'000));
+  const Hart& hart = machine.hart(0);
+  return {hart.gpr(a0), hart.gpr(a1), hart.gpr(a2)};
+}
+
+TEST(MonitorTest, AbsentCsrTrapsNativelyAndVirtualized) {
+  // mtval2 belongs to the H extension. Natively, reading it in M-mode on an H-less
+  // hart raises illegal instruction; the same firmware under the monitor takes the
+  // same virtual trap (EXPERIMENTS.md bug 19: the hart used to read 0 while the
+  // monitor trapped).
+  const AbsentCsrProbe native = ProbeMtval2(DeployMode::kNative);
+  EXPECT_EQ(native.mcause, CauseValue(ExceptionCause::kIllegalInstr));
+  EXPECT_EQ(native.mtval, 0x34B022F3u);  // csrr t0, mtval2
+  const AbsentCsrProbe virtualized = ProbeMtval2(DeployMode::kMiralis);
+  EXPECT_EQ(virtualized.mcause, native.mcause);
+  EXPECT_EQ(virtualized.mtval, native.mtval);
+  EXPECT_EQ(virtualized.mepc, native.mepc);
 }
 
 }  // namespace

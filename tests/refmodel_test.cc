@@ -1,7 +1,8 @@
 // Unit tests for the reference model (src/refmodel), plus a differential property
-// suite cross-checking the reference model against the *hart simulator's* CSR file —
-// a third pairwise check alongside monitor-vs-refmodel (src/verif), so any two of the
-// three implementations vouch for the third.
+// suite cross-checking the reference model against the hart simulator's CSR file.
+// The monitor's virtual CSR file is a CsrFile too, so this suite and the CSR tasks of
+// src/verif check the one CSR model both run against the independent reference, once
+// as the physical hart (8 PMP entries) and once as the virtual hart (3).
 
 #include <gtest/gtest.h>
 

@@ -552,24 +552,28 @@ TEST(MonitorSnapshotTest, MonitoredBootRoundTrips) {
   EXPECT_GE(a.ReadResult(KernelSlots::kTimerTicks), 40u);
 }
 
-TEST(MonitorSnapshotTest, RejectsVersionOneState) {
-  // Version 1 carried a per-hart field that version 2 dropped. Loading it must fail
-  // with a reason instead of misreading every field after it.
+TEST(MonitorSnapshotTest, RejectsOlderStateVersions) {
+  // Version 1 carried a per-hart field that version 2 dropped, and version 2 nested a
+  // shadow-CSR section that version 3 replaced with a CsrFile section. Loading either
+  // must fail with a reason instead of misreading every field after it.
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
   KernelConfig config;
   config.base = profile.kernel_base;
   KernelBuilder kb(config);
   kb.EmitFinish(/*pass=*/true);
   System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish());
-  StateWriter writer;
-  writer.BeginSection(StateTag("MONS"), 1);
-  writer.U32(1);
-  writer.EndSection();
-  const std::vector<uint8_t> bytes = writer.Take();
-  StateReader reader(bytes);
-  EXPECT_FALSE(system.monitor->LoadState(reader));
-  EXPECT_NE(reader.error().find("monitor state version 1"), std::string::npos)
-      << reader.error();
+  for (const uint32_t version : {1u, 2u}) {
+    StateWriter writer;
+    writer.BeginSection(StateTag("MONS"), version);
+    writer.U32(1);
+    writer.EndSection();
+    const std::vector<uint8_t> bytes = writer.Take();
+    StateReader reader(bytes);
+    EXPECT_FALSE(system.monitor->LoadState(reader));
+    EXPECT_NE(reader.error().find("monitor state version " + std::to_string(version)),
+              std::string::npos)
+        << reader.error();
+  }
 }
 
 // ---------------------------------------------------------------------------------

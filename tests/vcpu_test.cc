@@ -16,7 +16,7 @@ constexpr uint32_t kEcall = 0x00000073;
 
 class VcpuTest : public ::testing::Test {
  protected:
-  VcpuTest() : vctx_(VhartConfig{}) {
+  VcpuTest() : vctx_(VirtualHartIsa(HartIsaConfig{}), 0) {
     vctx_.set_pc(0x8010'0000);
     vctx_.set_priv(PrivMode::kMachine);
   }
@@ -148,10 +148,10 @@ TEST_F(VcpuTest, NonPrivilegedInstructionIsVirtualIllegal) {
 }
 
 TEST_F(VcpuTest, PendingVirtualInterruptSelection) {
-  VCsrFile& csrs = vctx_.csrs();
+  CsrFile& csrs = vctx_.csrs();
   csrs.Set(kCsrMie, (uint64_t{1} << 7) | (uint64_t{1} << 3));
-  csrs.SetVirtualInterruptLine(InterruptCause::kMachineTimer, true);
-  csrs.SetVirtualInterruptLine(InterruptCause::kMachineSoftware, true);
+  csrs.SetInterruptLine(InterruptCause::kMachineTimer, true);
+  csrs.SetInterruptLine(InterruptCause::kMachineSoftware, true);
   // In vM-mode with MIE clear: nothing deliverable.
   EXPECT_FALSE(vctx_.PendingVirtualInterrupt().has_value());
   uint64_t mstatus = csrs.Get(kCsrMstatus);
@@ -160,7 +160,7 @@ TEST_F(VcpuTest, PendingVirtualInterruptSelection) {
   // MSI outranks MTI.
   EXPECT_EQ(vctx_.PendingVirtualInterrupt().value_or(0),
             CauseValue(InterruptCause::kMachineSoftware));
-  csrs.SetVirtualInterruptLine(InterruptCause::kMachineSoftware, false);
+  csrs.SetInterruptLine(InterruptCause::kMachineSoftware, false);
   EXPECT_EQ(vctx_.PendingVirtualInterrupt().value_or(0),
             CauseValue(InterruptCause::kMachineTimer));
   // Below vM-mode, machine interrupts are unmaskable.

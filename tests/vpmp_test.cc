@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/vcpu.h"
 #include "src/core/vpmp.h"
 
 namespace vfm {
@@ -15,20 +16,14 @@ constexpr uint64_t kVdevSize = 0x10000;
 
 class VpmpTest : public ::testing::Test {
  protected:
-  VpmpTest() : vcsr_(MakeConfig()), phys_(8) {
+  VpmpTest() : vcsr_(VirtualHartIsa(HartIsaConfig{}), 0), phys_(8) {
     inputs_.monitor = {true, kMonitorBase, kMonitorSize, false, false, false};
     inputs_.vdev = {true, kVdevBase, kVdevSize, false, false, false};
   }
 
-  static VhartConfig MakeConfig() {
-    VhartConfig config;
-    config.pmp_entries = 3;
-    return config;
-  }
+  void Compute() { ComputePhysicalPmp(vcsr_.pmp(), inputs_, &phys_); }
 
-  void Compute() { ComputePhysicalPmp(vcsr_, inputs_, &phys_); }
-
-  VCsrFile vcsr_;
+  CsrFile vcsr_;
   VpmpInputs inputs_;
   PmpBank phys_;
 };
