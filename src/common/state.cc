@@ -14,24 +14,18 @@ void StateWriter::BeginSection(uint32_t tag, uint32_t version) {
   U64(0);  // payload length, patched by EndSection()
 }
 
-void StateWriter::EndSection() {
+void StateWriter::EndSection(uint64_t trailing) {
   VFM_CHECK_MSG(!open_.empty(), "EndSection without BeginSection");
   const size_t len_at = open_.back();
   open_.pop_back();
-  const uint64_t payload = bytes_.size() - (len_at + sizeof(uint64_t));
+  VFM_CHECK_MSG(trailing == 0 || open_.empty(), "only an outermost section has trailing bytes");
+  const uint64_t payload = bytes_.size() - (len_at + sizeof(uint64_t)) + trailing;
   std::memcpy(bytes_.data() + len_at, &payload, sizeof payload);
 }
 
 void StateWriter::Bytes(const void* data, uint64_t size) {
   U64(size);
   Raw(data, size);
-}
-
-uint8_t* StateWriter::ReserveBytes(uint64_t size) {
-  U64(size);
-  const size_t at = bytes_.size();
-  bytes_.resize(at + size);
-  return bytes_.data() + at;
 }
 
 bool StateReader::Take(void* out, size_t size) {

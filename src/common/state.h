@@ -40,9 +40,11 @@ constexpr uint32_t StateTag(const char (&s)[5]) {
 class StateWriter {
  public:
   // Opens a section; payload length is patched in by the matching EndSection().
-  // Sections may nest.
+  // Sections may nest. An outermost section whose payload ends in bytes too large
+  // to stage here (a RAM image bound for a file) is closed with the count of those
+  // bytes as `trailing`: the caller writes them right after bytes().
   void BeginSection(uint32_t tag, uint32_t version);
-  void EndSection();
+  void EndSection(uint64_t trailing = 0);
 
   void U8(uint8_t v) { bytes_.push_back(v); }
   void U16(uint16_t v) { Raw(&v, sizeof v); }
@@ -51,9 +53,6 @@ class StateWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   // u64 length prefix + raw bytes.
   void Bytes(const void* data, uint64_t size);
-  // u64 length prefix + `size` bytes the caller fills in place, so a large blob is
-  // not staged in a buffer of its own. The pointer is valid until the next write.
-  uint8_t* ReserveBytes(uint64_t size);
   void Str(const std::string& s) { Bytes(s.data(), s.size()); }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }

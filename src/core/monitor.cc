@@ -156,10 +156,11 @@ void Monitor::ChargeCsrAccesses(Hart& hart, unsigned count) {
 
 void Monitor::ChargeTlbFlush(Hart& hart) {
   // Everywhere the modeled hardware would flush its TLB (world switches, remote-fence
-  // delivery, policy context switches), the simulator's software TLB is flushed too.
-  // This is belt-and-braces for most call sites — world switches also rebuild the
-  // physical PMP bank, whose generation already invalidates the TLB's stamps — but it
-  // keeps the "charged a flush" and "actually flushed" states in lockstep.
+  // delivery, policy context switches), the simulator's software TLB is flushed too,
+  // keeping the "charged a flush" and "actually flushed" states in lockstep. On a
+  // world switch this flush is what drops the other world's translations: the
+  // rebuilt physical PMP bank's epoch is keyed on its contents, so returning to a
+  // world's PMP contents would otherwise find that world's TLB entries valid again.
   hart.FlushTlb();
   machine_->ChargeCycles(hart.index(), machine_->config().cost.tlb_flush);
 }

@@ -13,19 +13,19 @@ uint64_t NapotAddr(uint64_t base, uint64_t size) {
 
 namespace {
 
-void InstallRegion(PmpBank* phys, unsigned entry, const PmpRegionRequest& request) {
+void InstallRegion(PmpBank::Contents* next, unsigned entry, const PmpRegionRequest& request) {
   PmpCfg cfg;
   if (!request.active) {
     cfg.a = PmpAddrMode::kOff;
-    phys->SetCfg(entry, cfg);
+    next->cfg[entry] = cfg.ToByte();
     return;
   }
   cfg.a = PmpAddrMode::kNapot;
   cfg.r = request.r;
   cfg.w = request.w;
   cfg.x = request.x;
-  phys->SetCfg(entry, cfg);
-  phys->SetAddr(entry, NapotAddr(request.base, request.size));
+  next->cfg[entry] = cfg.ToByte();
+  next->addr[entry] = NapotAddr(request.base, request.size);
 }
 
 }  // namespace
@@ -36,21 +36,23 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
   const unsigned virt_entries = VpmpLayout::VirtualEntries(phys_entries);
   VFM_CHECK(virt_entries == vpmp.entry_count());
   const unsigned all_mem_entry = phys_entries - 1;
+  // Staged and installed at once: an entry left OFF keeps its previous address.
+  PmpBank::Contents next = phys->contents();
 
   // Monitor self-protection and the virtual-device window. These are installed with
   // no permissions: any S/U access (the OS or the deprivileged firmware) traps to the
   // monitor, which emulates virtual devices and reports violations.
-  InstallRegion(phys, VpmpLayout::kMonitorEntry, inputs.monitor);
-  InstallRegion(phys, VpmpLayout::kVdevEntry, inputs.vdev);
-  InstallRegion(phys, VpmpLayout::kPolicyEntry, inputs.policy);
+  InstallRegion(&next, VpmpLayout::kMonitorEntry, inputs.monitor);
+  InstallRegion(&next, VpmpLayout::kVdevEntry, inputs.vdev);
+  InstallRegion(&next, VpmpLayout::kPolicyEntry, inputs.policy);
 
   // ToR-base helper: pmpaddr = 0, OFF. A virtual PMP 0 in TOR mode must treat its
   // base as address 0; hosting it at a physical index > 0 would otherwise pick up the
   // preceding entry's address (§4.2).
   PmpCfg off;
   off.a = PmpAddrMode::kOff;
-  phys->SetCfg(VpmpLayout::kTorBaseEntry, off);
-  phys->SetAddr(VpmpLayout::kTorBaseEntry, 0);
+  next.cfg[VpmpLayout::kTorBaseEntry] = off.ToByte();
+  next.addr[VpmpLayout::kTorBaseEntry] = 0;
 
   // Virtual PMP entries, at lower priority than everything the monitor reserves.
   // During MPRV emulation they are withheld: a permissive virtual entry would
@@ -64,8 +66,8 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
   for (unsigned i = 0; i < virt_entries; ++i) {
     const unsigned entry = VpmpLayout::kVpmpFirst + i;
     if (inputs.suppress_vpmp || inputs.mprv_emulation || lockdown) {
-      phys->SetCfg(entry, off);
-      phys->SetAddr(entry, 0);
+      next.cfg[entry] = off.ToByte();
+      next.addr[entry] = 0;
       continue;
     }
     PmpCfg cfg = vpmp.GetCfg(i);
@@ -80,18 +82,18 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
     // The physical entries must never appear locked: a locked entry would constrain
     // the monitor itself and could not be reclaimed until reset.
     cfg.locked = false;
-    phys->SetCfg(entry, cfg);
-    phys->SetAddr(entry, vpmp.GetAddr(i));
+    next.cfg[entry] = cfg.ToByte();
+    next.addr[entry] = vpmp.GetAddr(i);
   }
 
   // The all-memory default.
   PmpCfg last;
   if (inputs.suppress_vpmp) {
     last.a = PmpAddrMode::kOff;
-    phys->SetCfg(all_mem_entry, last);
+    next.cfg[all_mem_entry] = last.ToByte();
   } else if (inputs.firmware_world) {
     if (inputs.firmware_default_override.has_value()) {
-      InstallRegion(phys, all_mem_entry, *inputs.firmware_default_override);
+      InstallRegion(&next, all_mem_entry, *inputs.firmware_default_override);
     } else {
       last.a = PmpAddrMode::kNapot;
       last.r = true;
@@ -103,15 +105,16 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
         last.r = false;
         last.w = false;
       }
-      phys->SetCfg(all_mem_entry, last);
-      phys->SetAddr(all_mem_entry, NapotAddr(0, uint64_t{1} << 56));  // full PA space
+      next.cfg[all_mem_entry] = last.ToByte();
+      next.addr[all_mem_entry] = NapotAddr(0, uint64_t{1} << 56);  // full PA space
     }
   } else {
     // Direct execution (the OS): only the virtual PMP entries the firmware configured
     // apply, matching S/U-mode semantics on the reference machine.
     last.a = PmpAddrMode::kOff;
-    phys->SetCfg(all_mem_entry, last);
+    next.cfg[all_mem_entry] = last.ToByte();
   }
+  phys->Install(next);
 }
 
 }  // namespace vfm

@@ -61,7 +61,8 @@ struct VpmpInputs {
 };
 
 // Fills `phys` (which has phys_entries entries) from the virtual PMP bank `vpmp`
-// (VirtualEntries(phys_entries) entries) and the monitor/policy regions.
+// (VirtualEntries(phys_entries) entries) and the monitor/policy regions, as one
+// PmpBank::Install: contents equal to a recent configuration get its epoch back.
 void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* phys);
 
 }  // namespace vfm

@@ -52,21 +52,24 @@ std::shared_ptr<RamImage> RamImage::FromBytes(const void* data, uint64_t size) {
   return std::make_shared<RamImage>(-1, size, std::vector<uint8_t>(src, src + size));
 }
 
-void RamImage::CopyTo(void* out) const {
+void RamImage::CopyRange(uint64_t offset, uint64_t size, void* out) const {
+  VFM_CHECK_MSG(offset <= size_ && size <= size_ - offset, "RamImage range out of bounds");
 #ifdef __linux__
   if (fd_ >= 0) {
     uint8_t* dst = static_cast<uint8_t*>(out);
     uint64_t done = 0;
-    while (done < size_) {
+    while (done < size) {
       const ssize_t n =
-          ::pread(fd_, dst + done, size_ - done, static_cast<off_t>(done));
+          ::pread(fd_, dst + done, size - done, static_cast<off_t>(offset + done));
       VFM_CHECK_MSG(n > 0, "RamImage read failed");
       done += static_cast<uint64_t>(n);
     }
     return;
   }
 #endif
-  std::memcpy(out, heap_.data(), size_);
+  if (size != 0) {
+    std::memcpy(out, heap_.data() + offset, size);
+  }
 }
 
 }  // namespace vfm

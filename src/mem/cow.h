@@ -35,8 +35,10 @@ class RamImage {
   // Heap-fallback view (only when !mappable()).
   const uint8_t* heap_data() const { return heap_.data(); }
 
-  // Reads the image's bytes (for hashing / serialization), regardless of backing.
-  void CopyTo(void* out) const;
+  // Reads the image's bytes (for hashing / serialization), regardless of backing:
+  // all of them, or `size` bytes from `offset` on.
+  void CopyTo(void* out) const { CopyRange(0, size_, out); }
+  void CopyRange(uint64_t offset, uint64_t size, void* out) const;
 
  private:
   int fd_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "src/common/bits.h"
 #include "src/common/check.h"
@@ -66,6 +67,7 @@ std::optional<PmpRange> DecodePmpRange(PmpCfg cfg, uint64_t addr, uint64_t prev_
 
 PmpBank::PmpBank(unsigned entry_count) : entry_count_(entry_count) {
   VFM_CHECK_MSG(entry_count <= kMaxEntries, "too many PMP entries");
+  Intern();
 }
 
 uint64_t PmpBank::ReadCfgReg(unsigned reg_index) const {
@@ -75,7 +77,7 @@ uint64_t PmpBank::ReadCfgReg(unsigned reg_index) const {
   for (unsigned i = 0; i < 8; ++i) {
     const unsigned entry = first + i;
     if (entry < entry_count_) {
-      value |= static_cast<uint64_t>(cfg_[entry]) << (8 * i);
+      value |= static_cast<uint64_t>(contents_.cfg[entry]) << (8 * i);
     }
   }
   return value;
@@ -89,21 +91,21 @@ void PmpBank::WriteCfgReg(unsigned reg_index, uint64_t value) {
     if (entry >= entry_count_) {
       continue;
     }
-    const uint8_t old_byte = cfg_[entry];
+    const uint8_t old_byte = contents_.cfg[entry];
     if ((old_byte & 0x80) != 0) {
       continue;  // locked entries ignore cfg writes
     }
-    cfg_[entry] = LegalizePmpCfgByte(old_byte, static_cast<uint8_t>(value >> (8 * i)));
+    contents_.cfg[entry] =
+        LegalizePmpCfgByte(old_byte, static_cast<uint8_t>(value >> (8 * i)));
   }
-  cache_valid_ = false;
-  ++generation_;
+  Intern();
 }
 
 uint64_t PmpBank::ReadAddrReg(unsigned index) const {
   if (index >= entry_count_) {
     return 0;
   }
-  return addr_[index];
+  return contents_.addr[index];
 }
 
 void PmpBank::WriteAddrReg(unsigned index, uint64_t value) {
@@ -122,28 +124,84 @@ void PmpBank::WriteAddrReg(unsigned index, uint64_t value) {
       return;
     }
   }
-  addr_[index] = value & kAddrMask;
-  cache_valid_ = false;
-  ++generation_;
+  contents_.addr[index] = value & kAddrMask;
+  Intern();
 }
 
 PmpCfg PmpBank::GetCfg(unsigned index) const {
   VFM_DCHECK(index < entry_count_);
-  return PmpCfg::FromByte(cfg_[index]);
+  return PmpCfg::FromByte(contents_.cfg[index]);
 }
 
 void PmpBank::SetCfg(unsigned index, PmpCfg cfg) {
   VFM_DCHECK(index < entry_count_);
-  cfg_[index] = cfg.ToByte();
-  cache_valid_ = false;
-  ++generation_;
+  contents_.cfg[index] = cfg.ToByte();
+  Intern();
+}
+
+void PmpBank::SetAddr(unsigned index, uint64_t value) {
+  VFM_DCHECK(index < entry_count_);
+  contents_.addr[index] = value & kAddrMask;
+  Intern();
+}
+
+void PmpBank::Install(const Contents& contents) {
+  for (unsigned i = 0; i < entry_count_; ++i) {
+    contents_.cfg[i] = contents.cfg[i];
+    contents_.addr[i] = contents.addr[i] & kAddrMask;
+  }
+  Intern();
+}
+
+void PmpBank::Intern() {
+  const uint64_t previous = epoch_;
+  epoch_ = 0;
+  InternSlot* victim = &interned_[0];
+  if (entry_count_ <= kInternEntries) {
+    for (InternSlot& slot : interned_) {
+      if (slot.epoch != 0 &&
+          std::memcmp(slot.cfg, contents_.cfg, entry_count_) == 0 &&
+          std::memcmp(slot.addr, contents_.addr, entry_count_ * sizeof(uint64_t)) == 0) {
+        epoch_ = slot.epoch;
+        slot.last_use = ++use_clock_;
+        break;
+      }
+      if (slot.last_use < victim->last_use) {
+        victim = &slot;
+      }
+    }
+  }
+  if (epoch_ == 0) {
+    if ((next_epoch_ >> kEpochIdShift) == 0) {
+      ResetIds();
+    }
+    epoch_ = next_epoch_;
+    next_epoch_ += uint64_t{1} << kEpochIdShift;
+    if (entry_count_ <= kInternEntries) {
+      victim->epoch = epoch_;
+      victim->last_use = ++use_clock_;
+      std::memcpy(victim->cfg, contents_.cfg, entry_count_);
+      std::memcpy(victim->addr, contents_.addr, entry_count_ * sizeof(uint64_t));
+    }
+  }
+  // Equal words mean equal contents, so the decoded ranges stay valid.
+  if (epoch_ != previous) {
+    cache_valid_ = false;
+  }
+}
+
+void PmpBank::ResetIds() {
+  for (InternSlot& slot : interned_) {
+    slot = InternSlot{};
+  }
+  next_epoch_ = ((next_epoch_ & kEpochCountMask) + 1) | (uint64_t{1} << kEpochIdShift);
 }
 
 void PmpBank::RebuildCache() const {
   for (unsigned i = 0; i < entry_count_; ++i) {
-    const PmpCfg cfg = PmpCfg::FromByte(cfg_[i]);
-    const uint64_t prev = i == 0 ? 0 : addr_[i - 1];
-    const std::optional<PmpRange> range = DecodePmpRange(cfg, addr_[i], prev);
+    const PmpCfg cfg = PmpCfg::FromByte(contents_.cfg[i]);
+    const uint64_t prev = i == 0 ? 0 : contents_.addr[i - 1];
+    const std::optional<PmpRange> range = DecodePmpRange(cfg, contents_.addr[i], prev);
     cache_[i].active = range.has_value();
     cache_[i].cfg = cfg;
     if (range.has_value()) {
@@ -214,8 +272,8 @@ PmpRange PmpBank::PermittedWindow(uint64_t addr, AccessType type, PrivMode mode)
 std::optional<unsigned> PmpBank::FirstMatch(uint64_t addr) const {
   for (unsigned i = 0; i < entry_count_; ++i) {
     const PmpCfg cfg = GetCfg(i);
-    const uint64_t prev = i == 0 ? 0 : addr_[i - 1];
-    const std::optional<PmpRange> range = DecodePmpRange(cfg, addr_[i], prev);
+    const uint64_t prev = i == 0 ? 0 : contents_.addr[i - 1];
+    const std::optional<PmpRange> range = DecodePmpRange(cfg, contents_.addr[i], prev);
     if (range.has_value() && range->Contains(addr, 1)) {
       return i;
     }
@@ -228,8 +286,8 @@ std::string PmpBank::Describe() const {
   char line[128];
   for (unsigned i = 0; i < entry_count_; ++i) {
     const PmpCfg cfg = GetCfg(i);
-    const uint64_t prev = i == 0 ? 0 : addr_[i - 1];
-    const std::optional<PmpRange> range = DecodePmpRange(cfg, addr_[i], prev);
+    const uint64_t prev = i == 0 ? 0 : contents_.addr[i - 1];
+    const std::optional<PmpRange> range = DecodePmpRange(cfg, contents_.addr[i], prev);
     const char* mode = "OFF";
     switch (cfg.a) {
       case PmpAddrMode::kOff:
@@ -259,8 +317,8 @@ void PmpBank::SaveState(StateWriter& writer) const {
   writer.BeginSection(StateTag("PMPB"), 1);
   writer.U32(entry_count_);
   for (unsigned i = 0; i < entry_count_; ++i) {
-    writer.U8(cfg_[i]);
-    writer.U64(addr_[i]);
+    writer.U8(contents_.cfg[i]);
+    writer.U64(contents_.addr[i]);
   }
   writer.EndSection();
 }
@@ -271,20 +329,17 @@ bool PmpBank::LoadState(StateReader& reader) {
   if (reader.ok() && count != entry_count_) {
     reader.Fail("pmp entry count mismatch");
   }
-  uint8_t cfg[kMaxEntries] = {};
-  uint64_t addr[kMaxEntries] = {};
+  Contents contents;
   for (unsigned i = 0; reader.ok() && i < entry_count_; ++i) {
-    cfg[i] = reader.U8();
-    addr[i] = reader.U64();
+    contents.cfg[i] = reader.U8();
+    contents.addr[i] = reader.U64();
   }
   reader.EndSection();
   if (!reader.ok()) {
     return false;
   }
-  for (unsigned i = 0; i < entry_count_; ++i) {
-    SetAddr(i, addr[i]);
-    SetCfg(i, PmpCfg::FromByte(cfg[i]));
-  }
+  ResetIds();
+  Install(contents);
   return true;
 }
 

@@ -78,6 +78,18 @@ std::optional<PmpRange> DecodePmpRange(PmpCfg cfg, uint64_t addr, uint64_t prev_
 class PmpBank {
  public:
   static constexpr unsigned kMaxEntries = 64;
+  // Layout of epoch(): the top 16 bits hold the id of the bank's current contents,
+  // and the bits below (kEpochCountMask) count how often the id space has started
+  // over.
+  static constexpr unsigned kEpochIdShift = 48;
+  static constexpr uint64_t kEpochCountMask = (uint64_t{1} << kEpochIdShift) - 1;
+
+  // A whole bank's raw contents (cfg bytes and pmpaddr values), staged by the monitor
+  // and installed at once, so that a reconfiguration interns one set of contents.
+  struct Contents {
+    uint8_t cfg[kMaxEntries] = {};
+    uint64_t addr[kMaxEntries] = {};
+  };
 
   explicit PmpBank(unsigned entry_count);
 
@@ -90,22 +102,28 @@ class PmpBank {
   uint64_t ReadAddrReg(unsigned index) const;
   void WriteAddrReg(unsigned index, uint64_t value);
 
-  // Direct (non-WARL) access used by the monitor when installing computed physical
-  // configurations and by tests constructing states.
+  // Direct (non-WARL) access used by tests constructing states.
   PmpCfg GetCfg(unsigned index) const;
   void SetCfg(unsigned index, PmpCfg cfg);
-  uint64_t GetAddr(unsigned index) const { return addr_[index]; }
-  void SetAddr(unsigned index, uint64_t value) {
-    addr_[index] = value & kAddrMask;
-    cache_valid_ = false;
-    ++generation_;
-  }
+  uint64_t GetAddr(unsigned index) const { return contents_.addr[index]; }
+  void SetAddr(unsigned index, uint64_t value);
 
-  // Monotonic counter bumped on every configuration change. The hart's decoded-
-  // instruction cache keys fetch-permission validity on it, and the software TLB
-  // folds it into its entry stamps — a walk PMP-checks every PTE read, so a cached
-  // translation is only as valid as the bank it was walked under (src/sim/hart.h).
-  uint64_t generation() const { return generation_; }
+  // Whole-bank access, used by the monitor to install a computed physical
+  // configuration (entries [0, entry_count()); no WARL, no locks).
+  const Contents& contents() const { return contents_; }
+  void Install(const Contents& contents);
+
+  // Names the bank's current contents. Every write above interns the contents it
+  // leaves in a small table: contents equal to ones the table holds get their word
+  // back, and contents it does not hold get a word never handed out before. When the
+  // ids run out (or the bank is loaded), the table empties and the count below the
+  // id moves up, so the count never decreases and no earlier word comes back. Id 0
+  // is never handed out, so a word is never 0. The hart's caches key on the word
+  // (src/sim/hart.h): a decoded fetch, a block, a TLB entry (a walk PMP-checks
+  // every PTE read) or a PMP window is valid only while the bank holds the contents
+  // it was filled under, so a monitor that alternates between a few configurations
+  // keeps each one's entries cached. Words name contents of this bank only.
+  uint64_t epoch() const { return epoch_; }
 
   // The access check from the privileged spec: returns true if an access of `size`
   // bytes at `addr` by privilege `mode` is permitted. All bytes must lie within the
@@ -130,14 +148,18 @@ class PmpBank {
 
   std::string Describe() const;
 
-  // Uniform state API (DESIGN.md §2h). Loading goes through SetCfg/SetAddr, so
-  // generation() keeps moving forward — it is a host-side monotonic clock the harts'
-  // cache stamps fold in, never restored backward.
+  // Uniform state API (DESIGN.md §2h). A load empties the intern table and moves
+  // epoch() past every word the bank handed out before, so nothing cached under the
+  // bank's earlier contents survives a restore.
   void SaveState(StateWriter& writer) const;
   bool LoadState(StateReader& reader);
 
  private:
   static constexpr uint64_t kAddrMask = (uint64_t{1} << 54) - 1;  // addr[55:2]
+  // The intern table: a few recently held contents of a bank of at most
+  // kInternEntries entries (a larger bank gets a new word on every write).
+  static constexpr unsigned kInternSlots = 4;
+  static constexpr unsigned kInternEntries = 16;
 
   // Decoded-range cache: rebuilding on modification keeps the per-access check a
   // simple array scan (the check runs on every simulated memory access).
@@ -148,12 +170,27 @@ class PmpBank {
   };
   void RebuildCache() const;
 
+  struct InternSlot {
+    uint64_t epoch = 0;  // 0: empty
+    uint64_t last_use = 0;
+    uint8_t cfg[kInternEntries] = {};
+    uint64_t addr[kInternEntries] = {};
+  };
+  // Sets epoch() for the contents just written.
+  void Intern();
+  // Starts the id space over: empties the table and moves next_epoch_ to id 1 of
+  // the next count.
+  void ResetIds();
+
   unsigned entry_count_;
-  uint64_t generation_ = 0;
-  uint8_t cfg_[kMaxEntries] = {};
-  uint64_t addr_[kMaxEntries] = {};
+  uint64_t epoch_ = 0;
+  Contents contents_;
   mutable CachedEntry cache_[kMaxEntries];
   mutable bool cache_valid_ = false;
+  // The next word to hand out. Its id wrapping to 0 means the ids ran out.
+  uint64_t next_epoch_ = uint64_t{1} << kEpochIdShift;
+  uint64_t use_clock_ = 0;
+  InternSlot interned_[kInternSlots];
 };
 
 }  // namespace vfm

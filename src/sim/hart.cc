@@ -66,14 +66,14 @@ void Hart::EnsureCaches() {
 }
 
 uint64_t Hart::cache_stamp() const {
-  return bus_->code_generation() + csrs_.pmp().generation() + fence_gen_;
+  return bus_->code_generation() + csrs_.pmp().epoch() + fence_gen_;
 }
 
 uint64_t Hart::tlb_stamp() const {
-  return bus_->pt_generation() + csrs_.pmp().generation() + tlb_gen_;
+  return bus_->pt_generation() + csrs_.pmp().epoch() + tlb_gen_;
 }
 
-uint64_t Hart::window_stamp() const { return csrs_.pmp().generation(); }
+uint64_t Hart::window_stamp() const { return csrs_.pmp().epoch(); }
 
 uint8_t Hart::TlbCtx(PrivMode priv, bool sum, bool mxr, AccessType type) {
   uint8_t ctx = static_cast<uint8_t>(priv);
@@ -141,7 +141,8 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
     slot = &tlb_[static_cast<unsigned>(type)][vpage & tlb_mask_];
     // A hit replays a previous successful walk for this access type: the satp value
     // and context byte prove the walk inputs match, and the stamp proves no store
-    // touched the page tables it read (and no PMP write or explicit flush happened).
+    // touched the page tables it read (no explicit flush happened, and the PMP holds
+    // the contents the walk was checked under).
     // Entries are filled only post-A/D-update, so a hit never writes memory.
     if (slot->vpage == vpage && slot->satp == params.satp &&
         slot->ctx == TlbCtx(params.priv, params.sum, params.mxr, type) &&
@@ -153,7 +154,7 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
       // proved the whole frame uniformly permitted it is skipped — any contained
       // access matches the same PMP entry with the same verdict (a spanning
       // misaligned access reaches past the frame, so it still scans). The per-PTE
-      // walk checks are covered by the PMP generation folded into the stamp.
+      // walk checks are covered by the PMP epoch folded into the stamp.
       if ((!slot->pmp_whole_page || (vaddr & MaskLow(12)) + size > 4096) &&
           !pmp.Check(paddr, size, type, params.priv)) {
         out.cause = AccessFaultFor(type);
@@ -254,7 +255,7 @@ Hart::MemResult Hart::AccessMemoryAs(AccessType type, PrivMode priv, uint64_t sa
   params.mxr = Bit(mstatus, MstatusBits::kMxr) != 0;
   // With a PMP override (the monitor's MPRV emulation passes the firmware's virtual
   // bank), the TLB is bypassed entirely: its stamp tracks only the physical bank's
-  // generation, so entries can neither validate against nor be filled under a foreign
+  // epoch, so entries can neither validate against nor be filled under a foreign
   // bank. Overrideless calls share entries with the interpreter path.
   const AccessOutcome out =
       TranslateWith(pmp_override != nullptr ? *pmp_override : csrs_.pmp(),
@@ -466,8 +467,9 @@ StepResult Hart::Tick() {
 
   // Decoded-instruction cache lookup. A hit replays a previous fetch of this pc: the
   // stamp proves no store touched the instruction bytes or the page tables that
-  // translated them (and no PMP write or fence.i happened), and the satp/priv/virt
-  // compare proves the translation context is the one the entry was filled under.
+  // translated them (no fence.i happened, and the PMP holds the contents the fetch
+  // was checked under), and the satp/priv/virt compare proves the translation
+  // context is the one the entry was filled under.
   // Fetch translation depends on nothing else: mstatus.SUM/MXR only affect data
   // accesses, and MPRV never applies to fetches.
   if (icache_mask_ != 0) {
@@ -555,8 +557,9 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
     if (sb_mask_ != 0 && !waiting_ && IsAligned(pc_, 4) && !PendingInterrupt()) {
       SuperblockEntry& sb = sblocks_[CacheSlot(pc_) & sb_mask_];
       const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-      bool valid = sb.tag == pc_ && sb.epoch == arena_epoch_ &&
-                   arena_stamp_ == cache_stamp() && sb.satp == effective_satp &&
+      const uint64_t stamp = cache_stamp();
+      bool valid = sb.tag == pc_ && sb.epoch == BlockEpoch(stamp) &&
+                   arena_stamp_ == MonotonicPart(stamp) && sb.satp == effective_satp &&
                    sb.priv == static_cast<uint8_t>(priv_) && sb.virt == virt_;
       if (valid && sb.open_end) {
         // The block was cut short by a cold decode-cache slot. If the continuation
@@ -565,7 +568,7 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
         // so the entry stays valid either way.
         const uint64_t cont_pc = sb.tag + uint64_t{4} * sb.count;
         const FetchEntry& cont = icache_[CacheSlot(cont_pc) & icache_mask_];
-        if (cont.tag == cont_pc && cont.stamp == arena_stamp_ && cont.satp == sb.satp &&
+        if (cont.tag == cont_pc && cont.stamp == stamp && cont.satp == sb.satp &&
             cont.priv == sb.priv && cont.virt == sb.virt) {
           FillSuperblock(&sb);
         }
@@ -634,16 +637,17 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
     return false;
   }
   const bool barrier_head = SuperblockClass(head->instr.op) == SbClass::kBarrier;
-  // A zero-op entry takes no ops, so only a moved stamp restarts the arena for it.
-  if (stamp != arena_stamp_ ||
+  // A zero-op entry takes no ops, so only a moved monotonic part restarts the arena
+  // for it.
+  if (MonotonicPart(stamp) != arena_stamp_ ||
       (!barrier_head && arena_fill_ + kMaxSuperblockLen + 1 > ops_.size())) {
     arena_fill_ = 0;
     ++arena_epoch_;
-    arena_stamp_ = stamp;
+    arena_stamp_ = MonotonicPart(stamp);
   }
   sb->tag = pc_;
   sb->satp = effective_satp;
-  sb->epoch = arena_epoch_;
+  sb->epoch = BlockEpoch(stamp);
   sb->priv = priv;
   sb->virt = virt_;
   if (barrier_head) {
@@ -805,7 +809,7 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) {
   const bool use_vsatp = DataVirt();
   const uint64_t satp = use_vsatp ? csrs_.vsatp() : csrs_.satp();
   if (IdentityTranslation(satp, priv)) {
-    // A PMP write since a window was computed empties it; it refills at its next
+    // A window computed under other PMP contents is emptied; it refills at its next
     // access.
     const uint64_t stamp = window_stamp();
     PmpWindow* const windows = windows_[static_cast<unsigned>(priv)];
@@ -1169,7 +1173,8 @@ slow_mem: {
   cycles_base = csrs_.mcycle();
   tstamp = tlb_stamp();  // a slow-path store may have bumped a folded generation
   const bool mmio = bus_->mmio_ops() != mmio_start;
-  const bool stale = cache_stamp() != arena_stamp_;
+  // The PMP cannot change inside a block, so only the monotonic part can move.
+  const bool stale = MonotonicPart(cache_stamp()) != arena_stamp_;
   if (mmio || stale || dispatched >= steps_left || cycles_base >= stop_cycles) {
     // `stale` abandons the block (the store invalidated code it may contain)
     // without ending the batch: RunBatch re-validates and rebuilds.
@@ -1758,10 +1763,12 @@ bool Hart::LoadState(StateReader& reader) {
     return false;
   }
   // Translation caches are derived state: rather than serialize them, advance the
-  // generation counters so every cached entry's stamp mismatches. All stamp
-  // components are monotonic, so a +1 on each local counter strictly exceeds any
-  // previously recorded stamp — no stale decode/TLB/superblock entry can
-  // validate again, and they rebuild (and re-mark dependency pages) on demand.
+  // generation counters so every cached entry's stamp mismatches. The monotonic part
+  // of each stamp only grows, so a +1 on each local counter moves it past that of
+  // every previously recorded stamp — no stale decode/TLB/superblock entry can
+  // validate again, and they rebuild (and re-mark dependency pages) on demand. The
+  // PMP bank's LoadState has moved its epoch past every earlier word, which empties
+  // the PMP windows as well.
   ++fence_gen_;
   ++tlb_gen_;
   return true;

@@ -215,12 +215,12 @@ class Hart {
 
   // One slot of the decoded-instruction cache: a pre-decoded instruction plus
   // everything needed to prove the original fetch is still valid. An entry hits only
-  // when the tag (virtual pc), translation context (satp/priv/virt), and generation
+  // when the tag (virtual pc), translation context (satp/priv/virt), and validity
   // stamp all match; `extra_cycles` replays the page-walk cost of the original fetch
   // so cached execution charges exactly the cycles the slow path would.
   // The cache arrays below are MappedArrays: slots start all-zero, never
   // constructed, and a zero stamp never matches (cache_stamp() and tlb_stamp() are
-  // at least 1, because fence_gen_ and tlb_gen_ start at 1).
+  // never 0: a PMP epoch never is).
   struct FetchEntry {
     uint64_t tag;                 // virtual pc
     uint64_t stamp;               // cache_stamp() at fill time
@@ -233,7 +233,7 @@ class Hart {
 
   // One slot of the software TLB: a cached page translation plus everything needed to
   // prove the original walk is still valid. An entry hits only when the tag (virtual
-  // page), satp value, translation-context byte, and generation stamp all match.
+  // page), satp value, translation-context byte, and validity stamp all match.
   // Entries are filled only after a successful walk for this slot's access type, so
   // the walk has already set the PTE's A bit (and D for stores) — a hit never needs
   // to write memory, and a store through a page cached only in the load array
@@ -251,8 +251,9 @@ class Hart {
     // True when the fill-time PMP check proved the whole 4 KiB frame is permitted
     // for this access type and privilege (one entry contains the frame). Hits may
     // then skip the per-access PMP scan: any access inside the frame matches the
-    // same entry with the same verdict, and the stamp folds in the bank's
-    // generation, so any PMP write invalidates the entry before it can lie.
+    // same entry with the same verdict, and the stamp folds in the bank's epoch,
+    // so the entry validates only while the bank holds the contents it was filled
+    // under.
     bool pmp_whole_page;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
     // and superblock memory ops may access `host_page` directly; a store only while
@@ -293,11 +294,14 @@ class Hart {
   // in the op arena from `first_op` on. The key/stamp discipline is exactly
   // FetchEntry's — the block is valid iff every member FetchEntry would still hit —
   // which holds because all members were verified valid at build time under the
-  // same (stamp, satp, priv, virt) and any event that could invalidate one bumps a
-  // counter folded into cache_stamp(). The stamp is the arena's: every block of the
-  // current arena epoch was built under arena_stamp_, so a block is valid iff its
-  // key matches, its epoch is arena_epoch_ (its ops have not been overwritten) and
-  // arena_stamp_ still equals cache_stamp(). Ends at the first kBarrier op
+  // same (stamp, satp, priv, virt) and any event that could invalidate one changes
+  // cache_stamp(). The stamp is kept in two halves. Its monotonic part is the
+  // arena's: every block of the current arena epoch was built under arena_stamp_.
+  // Its PMP content id is the block's own, in the top bits of `epoch` above the
+  // arena epoch it was built in. So a block is valid iff its key matches, `epoch`
+  // is BlockEpoch(cache_stamp()) (its ops have not been overwritten, and the bank
+  // holds the contents it was built under) and arena_stamp_ still equals the
+  // monotonic part of cache_stamp(). Ends at the first kBarrier op
   // (excluded), at a kBranch (included: the final op), at a 4 KiB page boundary
   // (the next pc may translate differently), or at kMaxSuperblockLen; a block that
   // does not end in a branch ends in a kEnd op. `open_end` marks a block cut short
@@ -308,7 +312,7 @@ class Hart {
   struct SuperblockEntry {
     uint64_t tag;       // starting virtual pc
     uint64_t satp;      // effective satp at build time
-    uint64_t epoch;     // arena_epoch_ at build time
+    uint64_t epoch;     // BlockEpoch(cache_stamp()) at build time
     uint32_t first_op;  // index of the block's first op in ops_
     uint8_t count;      // source instructions
     uint8_t priv;
@@ -363,20 +367,33 @@ class Hart {
     StepResult last;          // result of the final tick, RunBatch-compatible
   };
 
-  // Sum of the three monotonic invalidation counters: stores into exec-marked pages
-  // (bus), physical PMP reconfiguration, and local fence.i. Each counter only grows,
-  // so the sum only grows and a single equality compare validates all three.
+  // The decode cache's validity stamp: the sum of the monotonic invalidation
+  // counters, stores into exec-marked lines (bus) and local fence.i, and the
+  // physical bank's epoch(). The epoch's top 16 bits name the bank's contents and
+  // its low bits count the resets of its id space, so the stamp's low bits
+  // (PmpBank::kEpochCountMask) are a sum of counters that only grow (2^48 events
+  // short of the id), and its top bits are the content id. One equality compare
+  // thus proves that no counter moved and that the bank holds the contents the
+  // entry was filled under: a monitor world switch back to earlier contents finds
+  // that world's entries still valid.
   uint64_t cache_stamp() const;
 
-  // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), physical PMP
-  // reconfiguration (a walk's per-PTE PMP checks depend on the bank) and explicit
-  // full flushes. satp writes and privilege/SUM/MXR changes need no counter — they are part of
+  // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), explicit full
+  // flushes, and the bank's epoch (a walk's per-PTE PMP checks depend on the bank).
+  // satp writes and privilege/SUM/MXR changes need no counter — they are part of
   // each entry's key.
   uint64_t tlb_stamp() const;
 
-  // Validity stamp of the PMP windows: the physical bank's generation (a window's
-  // host pointer into RAM never moves).
+  // Validity stamp of the PMP windows: the physical bank's epoch (a window's host
+  // pointer into RAM never moves).
   uint64_t window_stamp() const;
+
+  // The monotonic part of a cache_stamp() (its PMP content id cleared), which the
+  // op arena records, and the `epoch` a block built now under `stamp` carries.
+  static uint64_t MonotonicPart(uint64_t stamp) { return stamp & PmpBank::kEpochCountMask; }
+  uint64_t BlockEpoch(uint64_t stamp) const {
+    return (stamp & ~PmpBank::kEpochCountMask) | arena_epoch_;
+  }
 
   // Packs the walk-relevant translation context into an entry key byte. SUM only
   // affects data accesses and MXR only loads, mirroring TranslateSv39's permission
@@ -518,12 +535,14 @@ class Hart {
   uint64_t sb_mask_ = 0;
   // Op arena: the lowered ops of every block, appended at arena_fill_ as blocks are
   // built, superblock_entries * (kMaxSuperblockLen + 1) ops long. It starts over
-  // (fill point 0, next epoch) when the next block might not fit, or when
-  // cache_stamp() has moved off arena_stamp_, the stamp its blocks were built
-  // under: those blocks are all stale then, so starting over costs nothing and
-  // keeps a guest that invalidates often at the front of the arena. A zeroed
-  // header never matches: before the first build arena_stamp_ is 0, which
-  // cache_stamp() never is, and the first build moves the epoch off 0.
+  // (fill point 0, next epoch) when the next block might not fit, or when the
+  // monotonic part of cache_stamp() has moved off arena_stamp_, the one its blocks
+  // were built under: those blocks are all stale then, so starting over costs
+  // nothing and keeps a guest that invalidates often at the front of the arena. A
+  // change of PMP contents alone does not start it over: blocks built under other
+  // contents keep their ops, and are valid again when the bank returns to those
+  // contents. A zeroed header never matches: its `epoch` carries content id 0, which
+  // no PMP epoch has.
   MappedArray<BlockOp> ops_;
   uint64_t arena_fill_ = 0;
   uint64_t arena_epoch_ = 0;

@@ -1,9 +1,11 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/hash.h"
@@ -1512,14 +1514,36 @@ bool WriteSnapshotFile(const std::string& path, const MachineConfig& config,
   if (snapshot.ram == nullptr) {
     return false;
   }
-  StateWriter writer;
-  writer.BeginSection(StateTag("SNPF"), kSnapshotFileVersion);
-  WriteMachineConfig(writer, config);
-  writer.Bytes(snapshot.state.data(), snapshot.state.size());
-  snapshot.ram->CopyTo(writer.ReserveBytes(snapshot.ram->size()));
-  writer.Bytes(aux.data(), aux.size());
-  writer.EndSection();
-  return WriteTraceFile(path, writer.bytes());
+  // Only what precedes the RAM image's bytes is staged (`head`), and the aux blob
+  // after them (`tail`). The image goes from the snapshot to the file in chunks, so
+  // writing a file never holds a second copy of the RAM.
+  const uint64_t image_size = snapshot.ram->size();
+  StateWriter tail;
+  tail.Bytes(aux.data(), aux.size());
+  StateWriter head;
+  head.BeginSection(StateTag("SNPF"), kSnapshotFileVersion);
+  WriteMachineConfig(head, config);
+  head.Bytes(snapshot.state.data(), snapshot.state.size());
+  head.U64(image_size);  // the image blob's length prefix
+  head.EndSection(image_size + tail.bytes().size());
+
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return false;
+  }
+  const auto write = [file](const void* data, size_t size) {
+    return std::fwrite(data, 1, size, file) == size;
+  };
+  bool ok = write(head.bytes().data(), head.bytes().size());
+  constexpr uint64_t kChunk = uint64_t{1} << 20;
+  std::vector<uint8_t> chunk(std::min(image_size, kChunk));
+  for (uint64_t done = 0; ok && done < image_size; done += chunk.size()) {
+    const size_t size = std::min<uint64_t>(chunk.size(), image_size - done);
+    snapshot.ram->CopyRange(done, size, chunk.data());
+    ok = write(chunk.data(), size);
+  }
+  ok = ok && write(tail.bytes().data(), tail.bytes().size());
+  return std::fclose(file) == 0 && ok;
 }
 
 bool ReadSnapshotFile(const std::string& path, MachineConfig* config,

@@ -50,7 +50,8 @@ const PrivMode kPrivs[3] = {PrivMode::kUser, PrivMode::kSupervisor, PrivMode::kM
 
 }  // namespace
 
-Verifier::Verifier(uint64_t seed) : vconfig_(VirtualHartIsa(HartIsaConfig{})), seed_(seed) {
+Verifier::Verifier(uint64_t seed)
+    : vconfig_(VirtualHartIsa(HartIsaConfig{})), seed_(seed), state_rng_(seed) {
   rconfig_.pmp_entries = vconfig_.pmp_entries;
 
   // The CSR list swept by the harness: the full virtual platform, including absent
@@ -79,7 +80,7 @@ Verifier::Verifier(uint64_t seed) : vconfig_(VirtualHartIsa(HartIsaConfig{})), s
 }
 
 Verifier::SyncedState Verifier::MakeRandomState() {
-  static Rng rng(seed_);
+  Rng& rng = state_rng_;
   SyncedState state(vconfig_);
   CsrFile& v = state.vctx.csrs();
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/vcpu.h"
 #include "src/refmodel/refmodel.h"
 
@@ -64,15 +65,18 @@ class Verifier {
   // Runs every task with the default budgets, in Table-2 order.
   std::vector<VerifResult> RunAll();
 
- private:
+  // A virtual state and the identical reference state.
   struct SyncedState {
     VirtContext vctx;
     RefState ref;
     explicit SyncedState(const HartIsaConfig& isa) : vctx(isa, 0) {}
   };
-
-  // Produces a randomized virtual state and the identical reference state.
+  // Produces the next randomized state from this verifier's own stream, seeded by
+  // its constructor's seed: verifiers built with one seed produce the same states in
+  // the same order, whatever else runs in the process.
   SyncedState MakeRandomState();
+
+ private:
   // Compares all architectural state; appends mismatch descriptions.
   uint64_t CompareStates(const VirtContext& vctx, const RefState& ref, const uint64_t* gprs,
                          const char* context, VerifResult* result);
@@ -80,6 +84,7 @@ class Verifier {
   HartIsaConfig vconfig_;
   RefConfig rconfig_;
   uint64_t seed_;
+  Rng state_rng_;  // MakeRandomState's stream
   std::vector<uint16_t> csr_list_;
 };
 

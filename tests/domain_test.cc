@@ -304,5 +304,66 @@ TYPED_TEST(DomainTest, SecondHartCannotRunARunningDomain) {
   EXPECT_FALSE(this->policy.live());
 }
 
+TYPED_TEST(DomainTest, CachedHostCodeIsDeniedTheRegion) {
+  // The host runs a loop that reads 32 doublewords of its own memory and then the
+  // region's first 32, four times while the region is still its own, so the loop is
+  // decoded, built into blocks and served by a PMP window (or, paged, by the TLB).
+  // After a create, and after a run that the domain leaves while still live, the
+  // same loop is built again from its host-memory iterations and must fault on its
+  // first load in the region: the host dies in its trap handler having reached the
+  // loop (slot kScratch + 1) but not passed it (slot kScratch + 2).
+  for (const bool paging : {false, true}) {
+    for (const bool leave : {false, true}) {
+      SCOPED_TRACE(std::string(paging ? "paged" : "bare") + (leave ? ", after a run" : ""));
+      const Image payload = this->Payload([](Assembler&) {});
+      KernelConfig config = this->HostConfig();
+      config.enable_paging = paging;
+      KernelBuilder kb(config);
+      Assembler& a = kb.assembler();
+      a.J("main");
+      a.Bind("touch");
+      a.Li(t0, this->profile.enclave_base - 32 * 8);
+      a.Li(t1, 64);
+      a.Bind("touch_loop");
+      a.Ld(t2, t0, 0);
+      a.Addi(t0, t0, 8);
+      a.Addi(t1, t1, -1);
+      a.Bnez(t1, "touch_loop");
+      a.Ret();
+      a.Bind("main");
+      for (int i = 0; i < 4; ++i) {
+        a.Call("touch");
+      }
+      this->EmitCreate(a, payload.entry);
+      kb.EmitStoreResult(KernelSlots::kScratch);  // create status
+      if (leave) {
+        // A masked, pending supervisor software interrupt preempts the domain at its
+        // first instruction, so the run returns with the domain still live.
+        a.Csrrci(zero, kCsrSstatus, 2);
+        a.Csrrsi(zero, kCsrSip, 2);
+        a.Li(a0, 0);
+        this->EmitCall(a, this->abi.run);
+        a.Csrrci(zero, kCsrSip, 2);
+      }
+      a.Li(a0, 1);
+      kb.EmitStoreResult(KernelSlots::kScratch + 1);
+      a.Call("touch");
+      a.Li(a0, 1);
+      kb.EmitStoreResult(KernelSlots::kScratch + 2);
+      kb.EmitFinish(/*pass=*/true);
+      TypeParam domain_policy;
+      System system = BootSystem(this->profile, DeployMode::kMiralis, kb.Finish(),
+                                 FirmwareKind::kOpenSbiSim, &domain_policy);
+      ASSERT_TRUE(system.machine->LoadImage(payload.base, payload.bytes));
+      ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
+      EXPECT_NE(system.machine->finisher().exit_code(), 0u);
+      EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), 0u);
+      EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + 1), 1u);
+      EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + 2), 0u);
+      EXPECT_TRUE(domain_policy.live());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vfm

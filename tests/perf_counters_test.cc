@@ -1,6 +1,9 @@
-// Counter tests for two mechanisms the speed of a run rests on, asserted from
+// Counter tests for three mechanisms the speed of a run rests on, asserted from
 // deterministic counters rather than host time, so they hold on any host:
 //   * the block engine (DESIGN.md §2f) runs a compute loop's instructions in blocks;
+//   * a monitor world switch keeps the hart's decoded instructions and blocks
+//     (DESIGN.md §2b, §2f): their validity keys on the PMP's contents, which
+//     alternate between the two worlds' configurations;
 //   * a fleet run (DESIGN.md §2k) skips its machines' idle time instead of stepping
 //     through it.
 // Each fails when its mechanism is turned off. ctest gives this binary a timeout, so
@@ -13,6 +16,7 @@
 #include "src/fleet/fleet.h"
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
+#include "src/workloads/workloads.h"
 
 namespace vfm {
 namespace {
@@ -40,6 +44,37 @@ TEST(BlockCounterTest, ComputeLoopRunsInBlocks) {
   ASSERT_GT(retired, 500'000u);
   EXPECT_GE(static_cast<double>(in_blocks), 0.99 * static_cast<double>(retired))
       << in_blocks << " of " << retired << " instructions ran in blocks";
+}
+
+TEST(MonitorCounterTest, WorldSwitchesKeepDecodedCodeAndBlocks) {
+  // Without offload every OS trap world-switches into the firmware, and each switch
+  // reinstalls the physical PMP. The installs alternate between the two worlds'
+  // contents, so after a warm-up both worlds' code stays decoded and built.
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  WorkloadProfile redis = RedisProfile();
+  redis.requests = 96;
+  System system = BootSystem(profile, DeployMode::kMiralisNoOffload,
+                             BuildWorkloadKernel(profile, redis));
+  Machine& machine = *system.machine;
+  const Hart& hart = machine.hart(0);
+  ASSERT_FALSE(machine.RunUntilFinished(500'000));  // warm-up: about 25 requests
+  const uint64_t instret = hart.instret();
+  const uint64_t switches = system.monitor->stats().world_switches;
+  const uint64_t misses = hart.decode_cache_misses();
+  const uint64_t builds = hart.threaded_promotions();
+
+  ASSERT_TRUE(machine.RunUntilFinished(50'000'000));
+  ASSERT_EQ(machine.finisher().exit_code(), 0u);
+  ASSERT_EQ(system.ReadResult(KernelSlots::kScratch), redis.requests);
+  const double kinstr = static_cast<double>(hart.instret() - instret) / 1000;
+  ASSERT_GT(kinstr, 1000);
+  const auto per_kinstr = [kinstr](uint64_t count) { return static_cast<double>(count) / kinstr; };
+  const double switches_per_kinstr = per_kinstr(system.monitor->stats().world_switches - switches);
+  const double misses_per_kinstr = per_kinstr(hart.decode_cache_misses() - misses);
+  const double builds_per_kinstr = per_kinstr(hart.threaded_promotions() - builds);
+  EXPECT_GE(switches_per_kinstr, 0.2);
+  EXPECT_LT(misses_per_kinstr, 2.0) << switches_per_kinstr << " world switches per kinstr";
+  EXPECT_LT(builds_per_kinstr, 0.1) << switches_per_kinstr << " world switches per kinstr";
 }
 
 TEST(FleetCounterTest, IdleTimeIsSkippedNotStepped) {

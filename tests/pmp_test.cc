@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/bits.h"
 #include "src/common/rng.h"
+#include "src/common/state.h"
 #include "src/pmp/pmp.h"
 
 namespace vfm {
@@ -276,6 +278,153 @@ TEST(PmpPropertyTest, PermittedWindowIsUniformlyPermitted) {
       }
     }
   }
+}
+
+// -- Content-keyed epochs (PmpBank::epoch()). -----------------------------------------
+
+// Contents of an 8-entry bank: NAPOT regions with per-entry permissions, varied by
+// `seed`.
+PmpBank::Contents EpochContents(uint64_t seed) {
+  PmpBank::Contents contents;
+  for (unsigned i = 0; i < 8; ++i) {
+    contents.cfg[i] = MakeCfg(true, (seed >> i) & 1, i % 2 == 0, PmpAddrMode::kNapot).ToByte();
+    contents.addr[i] = ((0x8000'0000 + 0x10'0000 * i + 0x1000 * seed) >> 2) | 0x1FF;
+  }
+  return contents;
+}
+
+TEST(PmpEpochTest, EqualContentsGiveEqualWords) {
+  PmpBank bank(8);
+  const uint64_t empty = bank.epoch();
+  EXPECT_NE(empty, 0u);
+  const PmpBank::Contents a = EpochContents(1);
+  bank.Install(a);
+  const uint64_t word = bank.epoch();
+  EXPECT_NE(word, empty);
+  // Installing, or writing entry by entry, what the bank already holds keeps its word.
+  bank.Install(a);
+  EXPECT_EQ(bank.epoch(), word);
+  bank.SetCfg(3, bank.GetCfg(3));
+  bank.SetAddr(5, bank.GetAddr(5));
+  bank.WriteCfgReg(0, bank.ReadCfgReg(0));
+  bank.WriteAddrReg(2, bank.ReadAddrReg(2));
+  EXPECT_EQ(bank.epoch(), word);
+  // So does a WARL write the bank ignores (R=0, W=1 keeps the old byte).
+  bank.WriteCfgReg(0, (bank.ReadCfgReg(0) & ~uint64_t{0xFF}) | 0x1A);
+  EXPECT_EQ(bank.epoch(), word);
+}
+
+TEST(PmpEpochTest, OneBitDifferenceGivesDifferentWord) {
+  PmpBank bank(8);
+  const PmpBank::Contents a = EpochContents(2);
+  bank.Install(a);
+  const uint64_t word = bank.epoch();
+  std::set<uint64_t> seen = {word};
+  for (unsigned i = 0; i < 8; ++i) {
+    for (unsigned bit = 0; bit < 8 + 54; ++bit) {
+      if (bit == 5 || bit == 6) {
+        continue;  // reserved cfg bits, never stored
+      }
+      PmpBank::Contents b = a;
+      if (bit < 8) {
+        b.cfg[i] ^= static_cast<uint8_t>(1u << bit);
+      } else {
+        b.addr[i] ^= uint64_t{1} << (bit - 8);
+      }
+      bank.Install(b);
+      EXPECT_TRUE(seen.insert(bank.epoch()).second) << "entry " << i << " bit " << bit;
+      bank.Install(a);  // A -> B -> A: A's word comes back
+      EXPECT_EQ(bank.epoch(), word) << "entry " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(PmpEpochTest, RecentContentsKeepTheirWords) {
+  PmpBank bank(8);
+  uint64_t words[4];
+  for (uint64_t i = 0; i < 4; ++i) {
+    bank.Install(EpochContents(10 + i));
+    words[i] = bank.epoch();
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      bank.Install(EpochContents(10 + i));
+      EXPECT_EQ(bank.epoch(), words[i]) << "contents " << i;
+    }
+  }
+}
+
+TEST(PmpEpochTest, EvictedContentsComeBackWithANeverSeenWord) {
+  PmpBank bank(8);
+  std::set<uint64_t> seen = {bank.epoch()};
+  bank.Install(EpochContents(20));
+  const uint64_t a = bank.epoch();
+  seen.insert(a);
+  // More distinct contents than the table holds, none of them A: A is evicted.
+  for (uint64_t i = 0; i < 8; ++i) {
+    bank.Install(EpochContents(21 + i));
+    EXPECT_TRUE(seen.insert(bank.epoch()).second);
+  }
+  bank.Install(EpochContents(20));
+  EXPECT_TRUE(seen.insert(bank.epoch()).second) << "an evicted word came back";
+}
+
+TEST(PmpEpochTest, RunningOutOfIdsMovesTheCount) {
+  PmpBank bank(8);
+  PmpBank::Contents contents = EpochContents(30);
+  bank.Install(contents);
+  const uint64_t a = bank.epoch();
+  const uint64_t count = a & PmpBank::kEpochCountMask;
+  std::set<uint64_t> seen = {a};
+  // Distinct contents until the id space starts over: every word is new, with a
+  // nonzero id.
+  for (uint64_t i = 1; (bank.epoch() & PmpBank::kEpochCountMask) == count; ++i) {
+    contents.addr[7] = i;
+    bank.Install(contents);
+    ASSERT_TRUE(seen.insert(bank.epoch()).second);
+    ASSERT_NE(bank.epoch() >> PmpBank::kEpochIdShift, 0u);
+  }
+  EXPECT_EQ(bank.epoch() & PmpBank::kEpochCountMask, count + 1);
+  EXPECT_GT(seen.size(), 60'000u);
+  // The table emptied: A's contents get a new word, of the new count.
+  bank.Install(EpochContents(30));
+  EXPECT_TRUE(seen.insert(bank.epoch()).second);
+  EXPECT_EQ(bank.epoch() & PmpBank::kEpochCountMask, count + 1);
+}
+
+TEST(PmpEpochTest, BanksOverTheTableSizeGetAWordPerWrite) {
+  PmpBank bank(32);
+  const uint64_t a = bank.epoch();
+  bank.SetAddr(20, 0x1234);
+  const uint64_t b = bank.epoch();
+  bank.SetAddr(20, 0);  // back to the contents of `a`, which are not interned
+  EXPECT_NE(bank.epoch(), a);
+  EXPECT_NE(bank.epoch(), b);
+}
+
+TEST(PmpEpochTest, LoadedBankGetsAValidNeverSeenWord) {
+  PmpBank source(8);
+  source.Install(EpochContents(40));
+  StateWriter writer;
+  source.SaveState(writer);
+
+  PmpBank bank(8);
+  std::set<uint64_t> seen = {bank.epoch()};
+  for (uint64_t i = 0; i < 3; ++i) {
+    bank.Install(EpochContents(40 + i));  // the loaded contents among them
+    seen.insert(bank.epoch());
+  }
+  StateReader reader(writer.bytes());
+  ASSERT_TRUE(bank.LoadState(reader));
+  const uint64_t loaded = bank.epoch();
+  EXPECT_NE(loaded, 0u);
+  EXPECT_TRUE(seen.insert(loaded).second) << "a word from before the load came back";
+  EXPECT_EQ(bank.Describe(), source.Describe());
+  // The loaded contents are interned: leaving and returning gives the word back.
+  bank.Install(EpochContents(41));
+  EXPECT_TRUE(seen.insert(bank.epoch()).second);
+  bank.Install(EpochContents(40));
+  EXPECT_EQ(bank.epoch(), loaded);
 }
 
 }  // namespace

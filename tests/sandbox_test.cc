@@ -26,6 +26,26 @@ SandboxConfig ConfigFor(const PlatformProfile& profile) {
   return config;
 }
 
+// Boots `kernel` under the monitor and `policy` with a hand-written firmware image
+// in place of the platform's.
+System BootWithFirmware(const PlatformProfile& profile, const Image& fw_image,
+                        const Image& kernel, SandboxPolicy* policy) {
+  System system;
+  system.machine = std::make_unique<Machine>(profile.machine);
+  system.kernel = kernel;
+  system.firmware = fw_image;
+  EXPECT_TRUE(system.machine->LoadImage(fw_image.base, fw_image.bytes));
+  EXPECT_TRUE(system.machine->LoadImage(kernel.base, kernel.bytes));
+  MonitorConfig mconfig;
+  mconfig.monitor_base = profile.monitor_base;
+  mconfig.monitor_size = profile.monitor_size;
+  mconfig.firmware_entry = fw_image.entry;
+  system.monitor = std::make_unique<Monitor>(system.machine.get(), mconfig);
+  system.monitor->SetPolicy(policy);
+  system.monitor->Boot();
+  return system;
+}
+
 TEST(SandboxTest, SbiArgCountTable) {
   EXPECT_EQ(SbiArgCount(SbiExt::kTime, SbiFunc::kSetTimer), 1u);
   EXPECT_EQ(SbiArgCount(SbiExt::kIpi, SbiFunc::kSendIpi), 2u);
@@ -151,23 +171,83 @@ TEST(SandboxTest, FirmwareCannotCorruptSupervisorCsrs) {
   Image kernel = kb.Finish();
 
   SandboxPolicy policy(ConfigFor(profile));
-  System system;
-  system.machine = std::make_unique<Machine>(profile.machine);
-  system.kernel = kernel;
-  system.firmware = fw_image;
-  ASSERT_TRUE(system.machine->LoadImage(fw_image.base, fw_image.bytes));
-  ASSERT_TRUE(system.machine->LoadImage(kernel.base, kernel.bytes));
-  MonitorConfig mconfig;
-  mconfig.monitor_base = profile.monitor_base;
-  mconfig.monitor_size = profile.monitor_size;
-  mconfig.firmware_entry = fw_image.entry;
-  system.monitor = std::make_unique<Monitor>(system.machine.get(), mconfig);
-  system.monitor->SetPolicy(&policy);
-  system.monitor->Boot();
+  System system = BootWithFirmware(profile, fw_image, kernel, &policy);
   ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
   EXPECT_EQ(system.machine->finisher().exit_code(), 0u);
   // The corruption was rolled back: the OS still sees its own sscratch.
   EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), 0x1111u);
+}
+
+TEST(SandboxTest, CachedFirmwareCodeIsDeniedOsMemoryAfterLockdown) {
+  // Before lockdown the firmware may read all memory: at boot it runs a loop that
+  // reads the last 32 doublewords of its own range and the 32 after it four times,
+  // so the loop is decoded, built into blocks and served by a PMP window. Lockdown
+  // engages at the first switch to the OS. When the OS then calls into the firmware,
+  // the same loop is built again from its in-range iterations and must fault on its
+  // first load past the range, which the sandbox denies: the OS reaches the call
+  // (slot kScratch) but never returns from it.
+  PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  Assembler fw(profile.firmware_base);
+  fw.Bind("_start");
+  fw.La(t0, "trap");
+  fw.Csrw(kCsrMtvec, t0);
+  fw.Li(t0, ((uint64_t{1} << 55) >> 3) - 1);
+  fw.Csrw(CsrPmpaddr(0), t0);
+  fw.Li(t0, 0x1F);
+  fw.Csrw(CsrPmpcfg(0), t0);
+  fw.Li(s2, 4);
+  fw.Bind("warm");
+  fw.Call("peek");
+  fw.Addi(s2, s2, -1);
+  fw.Bnez(s2, "warm");
+  fw.Li(t0, profile.kernel_base);
+  fw.Csrw(kCsrMepc, t0);
+  fw.Li(t0, uint64_t{1} << 11);
+  fw.Csrs(kCsrMstatus, t0);
+  fw.Csrr(a0, kCsrMhartid);
+  fw.Li(a1, 0);
+  fw.Mret();
+  fw.Bind("peek");
+  fw.Li(t0, profile.firmware_base + profile.firmware_size - 32 * 8);
+  fw.Li(t1, 64);
+  fw.Bind("peek_loop");
+  fw.Ld(t2, t0, 0);
+  fw.Addi(t0, t0, 8);
+  fw.Addi(t1, t1, -1);
+  fw.Bnez(t1, "peek_loop");
+  fw.Ret();
+  fw.Align(4);
+  fw.Bind("trap");
+  fw.Call("peek");
+  fw.Csrr(t0, kCsrMepc);
+  fw.Addi(t0, t0, 4);
+  fw.Csrw(kCsrMepc, t0);
+  fw.Li(a0, 0);
+  fw.Li(a1, 0);
+  fw.Mret();
+  Image fw_image = std::move(fw.Finish()).value();
+
+  KernelConfig config;
+  config.base = profile.kernel_base;
+  KernelBuilder kb(config);
+  Assembler& a = kb.assembler();
+  a.Li(a0, 1);
+  kb.EmitStoreResult(KernelSlots::kScratch);
+  a.Li(a7, SbiExt::kBase);
+  a.Li(a6, 0);
+  a.Ecall();  // the firmware runs its loop out of its range
+  a.Li(a0, 2);
+  kb.EmitStoreResult(KernelSlots::kScratch);
+  kb.EmitFinish(/*pass=*/true);
+  Image kernel = kb.Finish();
+
+  SandboxPolicy policy(ConfigFor(profile));
+  System system = BootWithFirmware(profile, fw_image, kernel, &policy);
+  ASSERT_TRUE(system.machine->RunUntilFinished(kBudget));
+  EXPECT_TRUE(policy.locked());
+  EXPECT_NE(system.machine->finisher().exit_code(), 0u);  // stopped by the policy
+  EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), 1u);
+  EXPECT_GE(system.monitor->stats().policy_denials, 1u);
 }
 
 TEST(SandboxTest, UartPassthroughAllowsConsole) {

@@ -697,6 +697,108 @@ TEST(HostFastPathTest, PmpRevocationBetweenBlockRunsFaultsAtTheLoad) {
   EXPECT_EQ(blocks.state, per_instruction.state);
 }
 
+// Content-keyed PMP epochs (DESIGN.md §2b, §2f). An S-mode loop is decoded and
+// built into blocks under PMP contents A (all memory RWX), in two runs. Contents B take execute
+// away from the loop's page: entering it faults at its first instruction, with that
+// pc in mepc and mtval. Back under A, the loop runs again without a re-decode or a
+// block build. Then code on another page, running under B, stores into the loop's
+// bound; back under A, the stored instruction is the one that runs. Both the block
+// engine and the per-instruction machine end in the same state.
+TEST(PmpEpochTest, ReturningToEarlierContentsKeepsCodeAndSeesStores) {
+  constexpr uint64_t kCode = kRam + 0x8000;
+  constexpr uint64_t kPatcher = kRam + 0x9000;
+  constexpr uint64_t kHandler = kRam + 0xA000;
+  struct Outcome {
+    std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>
+        state;
+    uint64_t entry = 0;
+    uint64_t redecodes = 0;  // decode misses of the return to A
+    uint64_t rebuilds = 0;   // block builds of the return to A
+    uint64_t block_hits = 0;  // block dispatches of the return to A
+  };
+  const auto run = [](uint32_t sb_entries) {
+    MachineConfig config;
+    config.tuning.superblock_entries = sb_entries;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    PmpBank& pmp = hart.csrs().pmp();
+    PmpBank::Contents open = pmp.contents();
+    open.cfg[1] = 0x1F;  // NAPOT, R W X: all memory
+    open.addr[1] = ~uint64_t{0} >> 10;
+    PmpBank::Contents no_exec = open;
+    no_exec.cfg[0] = 0x1B;  // NAPOT, R W: the loop's page
+    no_exec.addr[0] = (kCode >> 2) | ((0x1000 >> 3) - 1);
+    hart.csrs().Set(kCsrMtvec, kHandler);
+    machine.bus().Write(kHandler, 4, 0x10500073);  // wfi
+
+    Assembler a(kCode);
+    a.Li(s2, 0);
+    a.Bind("bound");
+    a.Addi(s3, zero, 100);
+    a.Bind("loop");
+    a.Addi(s2, s2, 1);
+    a.Blt(s2, s3, "loop");
+    a.Wfi();
+    Image loop = std::move(a.Finish()).value();
+    Assembler patched_bound(0);
+    patched_bound.Addi(s3, zero, 50);
+    uint32_t word = 0;
+    std::memcpy(&word, std::move(patched_bound.Finish()).value().bytes.data(), 4);
+    Assembler p(kPatcher);
+    p.Li(t0, loop.Symbol("bound"));
+    p.Li(t1, word);
+    p.Sw(t1, t0, 0);
+    p.Wfi();
+    Image patcher = std::move(p.Finish()).value();
+    machine.LoadImage(loop.base, loop.bytes);
+    machine.LoadImage(patcher.base, patcher.bytes);
+
+    const auto enter = [&](uint64_t pc, const PmpBank::Contents& contents) {
+      pmp.Install(contents);
+      hart.set_priv(PrivMode::kSupervisor);
+      hart.set_waiting(false);
+      hart.set_pc(pc);
+      hart.set_gpr(s2, 0);
+      machine.RunUntilFinished(2000);
+    };
+    Outcome outcome;
+    outcome.entry = loop.entry;
+    enter(loop.entry, open);
+    enter(loop.entry, open);  // the first run decodes; this one builds every block
+    const uint64_t first = hart.gpr(s2);
+    enter(loop.entry, no_exec);
+    const uint64_t cause = hart.csrs().Get(kCsrMcause);
+    const uint64_t epc = hart.csrs().Get(kCsrMepc);
+    const uint64_t tval = hart.csrs().Get(kCsrMtval);
+    const uint64_t misses = hart.decode_cache_misses();
+    const uint64_t builds = hart.threaded_promotions();
+    const uint64_t hits = hart.superblock_hits();
+    enter(loop.entry, open);
+    const uint64_t again = hart.gpr(s2);
+    outcome.redecodes = hart.decode_cache_misses() - misses;
+    outcome.rebuilds = hart.threaded_promotions() - builds;
+    outcome.block_hits = hart.superblock_hits() - hits;
+    enter(patcher.entry, no_exec);
+    enter(loop.entry, open);
+    outcome.state = std::make_tuple(first, cause, epc, tval, again, hart.gpr(s2), hart.cycles(),
+                                    hart.instret());
+    return outcome;
+  };
+  const Outcome blocks = run(2048);
+  const Outcome per_instruction = run(0);
+  EXPECT_EQ(std::get<0>(blocks.state), 100u);
+  EXPECT_EQ(std::get<1>(blocks.state), CauseValue(ExceptionCause::kInstrAccessFault));
+  EXPECT_EQ(std::get<2>(blocks.state), blocks.entry);
+  EXPECT_EQ(std::get<3>(blocks.state), blocks.entry);
+  EXPECT_EQ(std::get<4>(blocks.state), 100u);
+  EXPECT_EQ(std::get<5>(blocks.state), 50u);  // the store made under B
+  EXPECT_EQ(blocks.redecodes, 0u);
+  EXPECT_EQ(blocks.rebuilds, 0u);
+  EXPECT_GE(blocks.block_hits, 1u);
+  EXPECT_EQ(per_instruction.redecodes, 0u);
+  EXPECT_EQ(blocks.state, per_instruction.state);
+}
+
 // An identity-mapped loop whose data shares the code's page: its stores to an
 // unmarked line of that page stay on the fast path, and so do those of a second
 // store walking one page per iteration through data RAM, until on iteration 10 that

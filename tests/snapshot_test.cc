@@ -742,6 +742,51 @@ TEST(SnapshotFileTest, RejectsConfigsTheMachineCannotRun) {
   }
 }
 
+// WriteSnapshotFile streams the RAM image to the file instead of staging the whole
+// file in memory. The bytes it writes are those of the whole file built in one
+// StateWriter: SNPF{MCFG{...}, state, RAM image, aux}. The image is larger than
+// one streamed chunk, and the aux blob is not empty.
+TEST(SnapshotFileTest, StreamedFileMatchesTheStagedLayout) {
+  MachineConfig mc;
+  mc.map.ram_size = 4 << 20;
+  Machine machine(mc);
+  ASSERT_TRUE(machine.bus().Write(mc.map.ram_base + 0x100, 8, 0x1234'5678));
+  ASSERT_TRUE(machine.bus().Write(mc.map.ram_base + mc.map.ram_size - 8, 8, 0xFEED));
+  machine.hart(0).set_gpr(10, 0xCAFE);
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+  const std::vector<uint8_t> aux = {1, 2, 3, 4, 5};
+  const std::string path = ::testing::TempDir() + "/snapshot_streamed.snap";
+  ASSERT_TRUE(WriteSnapshotFile(path, mc, snapshot, aux));
+  std::vector<uint8_t> file;
+  ASSERT_TRUE(ReadTraceFile(path, &file));
+
+  std::vector<uint8_t> image(snapshot.ram->size());
+  ASSERT_GT(image.size(), 1u << 20);
+  snapshot.ram->CopyTo(image.data());
+  StateWriter staged;
+  staged.BeginSection(StateTag("SNPF"), 2);
+  WriteMachineConfig(staged, mc);
+  staged.Bytes(snapshot.state.data(), snapshot.state.size());
+  staged.Bytes(image.data(), image.size());
+  staged.Bytes(aux.data(), aux.size());
+  staged.EndSection();
+  EXPECT_TRUE(file == staged.bytes()) << "file " << file.size() << " bytes, staged "
+                                      << staged.bytes().size();
+
+  MachineConfig config;
+  Snapshot read_back;
+  std::vector<uint8_t> aux_back;
+  ASSERT_TRUE(ReadSnapshotFile(path, &config, &read_back, &aux_back));
+  EXPECT_EQ(aux_back, aux);
+  Machine target(config);
+  ASSERT_TRUE(target.RestoreSnapshot(read_back));
+  uint64_t value = 0;
+  ASSERT_TRUE(target.bus().Read(mc.map.ram_base + mc.map.ram_size - 8, 8, &value));
+  EXPECT_EQ(value, 0xFEEDu);
+  EXPECT_EQ(target.hart(0).gpr(10), 0xCAFEu);
+}
+
 // A snapshot file's RAM image must fit the RAM its own config maps, and its SNPF
 // section must be the current version (version 1 held a count of images). Each
 // damaged file is rejected with a logged reason, and so is an in-memory snapshot

@@ -157,6 +157,39 @@ TEST_F(VpmpTest, LockdownOverrideConfinesFirmware) {
   EXPECT_FALSE(phys_.Check(0x1000'0000, 1, AccessType::kStore, PrivMode::kUser));
 }
 
+TEST_F(VpmpTest, ReinstallingAWorldGivesItsEpochBack) {
+  // A world switch installs the other world's configuration as one whole-bank
+  // install. Reinstalling contents already in place keeps the bank's epoch, and
+  // returning to a world gives that world's epoch back; a policy region makes a
+  // configuration of its own. The firmware world comes first, as at the monitor's
+  // boot: an entry the OS world turns OFF keeps the address it had.
+  vcsr_.pmp().WriteAddrReg(0, 0x2000'0000);
+  vcsr_.pmp().WriteCfgReg(0, 0x0F);  // TOR, R W X
+  inputs_.firmware_world = true;
+  Compute();
+  const uint64_t firmware = phys_.epoch();
+  Compute();
+  EXPECT_EQ(phys_.epoch(), firmware);
+  inputs_.firmware_world = false;
+  Compute();
+  const uint64_t os = phys_.epoch();
+  EXPECT_NE(os, firmware);
+  for (int i = 0; i < 3; ++i) {
+    inputs_.firmware_world = false;
+    Compute();
+    EXPECT_EQ(phys_.epoch(), os);
+    inputs_.firmware_world = true;
+    Compute();
+    EXPECT_EQ(phys_.epoch(), firmware);
+  }
+  inputs_.firmware_world = false;
+  inputs_.policy = {true, 0x8400'0000, 1 << 20, false, false, false};
+  Compute();
+  EXPECT_NE(phys_.epoch(), os);
+  EXPECT_NE(phys_.epoch(), firmware);
+  EXPECT_FALSE(phys_.Check(0x8400'0000, 8, AccessType::kLoad, PrivMode::kSupervisor));
+}
+
 TEST_F(VpmpTest, VirtualEntriesLandAtFixedSlots) {
   vcsr_.Set(CsrPmpaddr(1), 0x1234);
   vcsr_.Set(CsrPmpcfg(0), uint64_t{0x1F} << 8);
