@@ -825,19 +825,11 @@ void Monitor::ResumeFirmware(Hart& hart) {
 }
 
 void Monitor::ReturnToOs(Hart& hart, uint64_t pc) {
-  CsrFile& pcsr = hart.csrs();
-  uint64_t mstatus = pcsr.mstatus();
-  const PrivMode target = static_cast<PrivMode>(
-      ExtractBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo));
-  mstatus = SetBit(mstatus, MstatusBits::kMie, Bit(mstatus, MstatusBits::kMpie));
-  mstatus = SetBit(mstatus, MstatusBits::kMpie, 1);
-  mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
-                       static_cast<uint64_t>(PrivMode::kUser));
-  if (target != PrivMode::kMachine) {
-    mstatus = SetBit(mstatus, MstatusBits::kMprv, 0);
-  }
-  pcsr.set_mstatus(mstatus);
-  hart.set_priv(target);
+  // The monitor's own mret: it executes in M-mode, and returns to `pc`, not to mepc.
+  PrivState state;
+  Mret(hart.csrs(), &state);
+  hart.set_priv(state.priv);
+  hart.set_virt(state.virt);
   hart.set_pc(pc);
 }
 

@@ -121,7 +121,8 @@ class Monitor : public MmodeOwner {
   void ChargeCsrAccesses(Hart& hart, unsigned count);
   void ChargeTlbFlush(Hart& hart);
   // Returns from the current trap directly to the OS at `pc` with the trapped
-  // privilege (an mret-equivalent). Policies use this after consuming an event.
+  // privilege: the shared mret (src/sim/csr_file.h) with the caller's return pc.
+  // Policies use this after consuming an event.
   void ReturnToOs(Hart& hart, uint64_t pc);
   // Applies the configured deny action (stop machine or log-and-continue).
   void DenyAction(Hart& hart, const char* what, uint64_t detail);

@@ -3,12 +3,15 @@
 // paper (§3.2, §4.1). The virtual CSR file is the shadow copy of the CSRs the
 // firmware believes it owns ("MIRALIS maintains a shadow copy of the CSRs on which the
 // instruction emulator operates"). It is a CsrFile (src/sim), the model the physical
-// harts run, built for the virtual hart that VirtualHartIsa describes, so its WARL,
-// existence and privilege rules are the harts' own. The emulator here is a pure
-// function of the virtual state and the shared GPRs — no machine access — which is
-// what makes it checkable against the reference model (faithful emulation,
-// Definition 1). The monitor (src/core/monitor) wraps it with world-switch and device
-// logic.
+// harts run, built for the virtual hart that VirtualHartIsa describes, and the
+// emulator runs the harts' own privileged transitions on it (trap entry, interrupt
+// selection, the CSR instruction, mret, sret and the wfi/sfence.vma/ecall gates, in
+// src/sim/csr_file.h) with V fixed at 0: the vCPU has no V bit, and drops the V that
+// an xRET would return to. What is the vCPU's own is the mapping onto an
+// EmulationOutcome and a HAL work count. The emulator is a pure function of the
+// virtual state and the shared GPRs — no machine access — which is what makes it
+// checkable against the reference model (faithful emulation, Definition 1). The
+// monitor (src/core/monitor) wraps it with world-switch and device logic.
 
 #ifndef SRC_CORE_VCPU_H_
 #define SRC_CORE_VCPU_H_
@@ -54,10 +57,10 @@ class VirtContext {
   CsrFile& csrs() { return csrs_; }
   const CsrFile& csrs() const { return csrs_; }
 
-  uint64_t pc() const { return pc_; }
-  void set_pc(uint64_t pc) { pc_ = pc; }
-  PrivMode priv() const { return priv_; }
-  void set_priv(PrivMode priv) { priv_ = priv; }
+  uint64_t pc() const { return state_.pc; }
+  void set_pc(uint64_t pc) { state_.pc = pc; }
+  PrivMode priv() const { return state_.priv; }
+  void set_priv(PrivMode priv) { state_.priv = priv; }
 
   // Emulates one privileged instruction at the current virtual (pc, priv). `gprs` is
   // the 32-entry shared register file (x0 writes are discarded). Illegal outcomes are
@@ -66,34 +69,33 @@ class VirtContext {
 
   // Architectural virtual trap entry (used for emulated faults and re-injection of OS
   // traps and interrupts into the virtual firmware, §4.1).
-  void TakeVirtualTrap(uint64_t cause, uint64_t tval);
+  void TakeVirtualTrap(uint64_t cause, uint64_t tval) { EnterTrap(csrs_, &state_, cause, tval); }
 
   // The virtual interrupt that must be injected, if any: pending and enabled under
   // the virtual mstatus/mie/mideleg (checked after each emulation per §4.1). Its
-  // M-level choice is PendingVirtualMachineInterrupt's, so checking this selector
+  // first stage is PendingVirtualMachineInterrupt's selector, so checking this one
   // against the reference model checks the one the monitor injects with.
-  std::optional<uint64_t> PendingVirtualInterrupt() const;
+  std::optional<uint64_t> PendingVirtualInterrupt() const {
+    return SelectInterrupt(csrs_, state_.priv, /*virt=*/false);
+  }
 
   // The subset the *monitor* may inject into vM-mode: virtual M-level interrupts
   // (not delegated by the virtual mideleg). Delegated supervisor-level interrupts
   // are delivered natively in direct execution through the physical mideleg — they
   // must never be emulated in the firmware world.
-  std::optional<uint64_t> PendingVirtualMachineInterrupt() const;
+  std::optional<uint64_t> PendingVirtualMachineInterrupt() const {
+    return SelectMachineInterrupt(csrs_, state_.priv);
+  }
 
   // Uniform state API (DESIGN.md §2h): virtual pc, virtual privilege, and the
-  // nested shadow CSR file (a CsrFile section).
+  // nested shadow CSR file (a CsrFile section). A privilege other than U, S or M
+  // fails the load.
   void SaveState(StateWriter& writer) const;
   bool LoadState(StateReader& reader);
 
  private:
-  EmulationResult EmulateCsrOp(const DecodedInstr& instr, uint64_t* gprs);
-  EmulationResult EmulateMret();
-  EmulationResult EmulateSret();
-  EmulationResult IllegalInstr(const DecodedInstr& instr);
-
   CsrFile csrs_;
-  uint64_t pc_ = 0;
-  PrivMode priv_ = PrivMode::kMachine;
+  PrivState state_;  // `virt` stays 0: the vCPU has no V bit
 };
 
 }  // namespace vfm

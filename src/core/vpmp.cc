@@ -13,13 +13,12 @@ uint64_t NapotAddr(uint64_t base, uint64_t size) {
 
 namespace {
 
+// Writes an active region; an inactive one leaves the entry OFF at address 0.
 void InstallRegion(PmpBank::Contents* next, unsigned entry, const PmpRegionRequest& request) {
-  PmpCfg cfg;
   if (!request.active) {
-    cfg.a = PmpAddrMode::kOff;
-    next->cfg[entry] = cfg.ToByte();
     return;
   }
+  PmpCfg cfg;
   cfg.a = PmpAddrMode::kNapot;
   cfg.r = request.r;
   cfg.w = request.w;
@@ -36,8 +35,9 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
   const unsigned virt_entries = VpmpLayout::VirtualEntries(phys_entries);
   VFM_CHECK(virt_entries == vpmp.entry_count());
   const unsigned all_mem_entry = phys_entries - 1;
-  // Staged and installed at once: an entry left OFF keeps its previous address.
-  PmpBank::Contents next = phys->contents();
+  // Staged from empty and installed at once, so the bank's contents are a function of
+  // the inputs alone: an entry written nowhere below is OFF at address 0.
+  PmpBank::Contents next;
 
   // Monitor self-protection and the virtual-device window. These are installed with
   // no permissions: any S/U access (the OS or the deprivileged firmware) traps to the
@@ -46,13 +46,9 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
   InstallRegion(&next, VpmpLayout::kVdevEntry, inputs.vdev);
   InstallRegion(&next, VpmpLayout::kPolicyEntry, inputs.policy);
 
-  // ToR-base helper: pmpaddr = 0, OFF. A virtual PMP 0 in TOR mode must treat its
-  // base as address 0; hosting it at a physical index > 0 would otherwise pick up the
-  // preceding entry's address (§4.2).
-  PmpCfg off;
-  off.a = PmpAddrMode::kOff;
-  next.cfg[VpmpLayout::kTorBaseEntry] = off.ToByte();
-  next.addr[VpmpLayout::kTorBaseEntry] = 0;
+  // The ToR-base helper stays OFF at address 0. A virtual PMP 0 in TOR mode must treat
+  // its base as address 0; hosting it at a physical index > 0 would otherwise pick up
+  // the preceding entry's address (§4.2).
 
   // Virtual PMP entries, at lower priority than everything the monitor reserves.
   // During MPRV emulation they are withheld: a permissive virtual entry would
@@ -66,8 +62,6 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
   for (unsigned i = 0; i < virt_entries; ++i) {
     const unsigned entry = VpmpLayout::kVpmpFirst + i;
     if (inputs.suppress_vpmp || inputs.mprv_emulation || lockdown) {
-      next.cfg[entry] = off.ToByte();
-      next.addr[entry] = 0;
       continue;
     }
     PmpCfg cfg = vpmp.GetCfg(i);
@@ -86,15 +80,15 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
     next.addr[entry] = vpmp.GetAddr(i);
   }
 
-  // The all-memory default.
-  PmpCfg last;
-  if (inputs.suppress_vpmp) {
-    last.a = PmpAddrMode::kOff;
-    next.cfg[all_mem_entry] = last.ToByte();
-  } else if (inputs.firmware_world) {
+  // The all-memory default, while the firmware runs. It stays OFF in direct execution
+  // (the OS), where only the virtual PMP entries the firmware configured apply,
+  // matching S/U-mode semantics on the reference machine, and while the virtual PMP is
+  // suppressed.
+  if (inputs.firmware_world && !inputs.suppress_vpmp) {
     if (inputs.firmware_default_override.has_value()) {
       InstallRegion(&next, all_mem_entry, *inputs.firmware_default_override);
     } else {
+      PmpCfg last;
       last.a = PmpAddrMode::kNapot;
       last.r = true;
       last.w = !inputs.mprv_emulation;
@@ -108,11 +102,6 @@ void ComputePhysicalPmp(const PmpBank& vpmp, const VpmpInputs& inputs, PmpBank* 
       next.cfg[all_mem_entry] = last.ToByte();
       next.addr[all_mem_entry] = NapotAddr(0, uint64_t{1} << 56);  // full PA space
     }
-  } else {
-    // Direct execution (the OS): only the virtual PMP entries the firmware configured
-    // apply, matching S/U-mode semantics on the reference machine.
-    last.a = PmpAddrMode::kOff;
-    next.cfg[all_mem_entry] = last.ToByte();
   }
   phys->Install(next);
 }

@@ -127,7 +127,7 @@ constexpr bool IsAluImm(Op op) {
   }
 }
 
-// -- The one definition of the RV64IM integer semantics. -----------------------------
+// -- The one definition of the RV64IMA integer semantics. ----------------------------
 // The interpreter, the block executor's handlers and the lowering's constant folder
 // all compute through these helpers.
 
@@ -235,6 +235,57 @@ constexpr bool IsAluImm(Op op) {
       const uint32_t y = static_cast<uint32_t>(b);
       return w(y == 0 ? x : x % y);
     }
+    default:
+      return 0;
+  }
+}
+
+// The value an RV64A read-modify-write stores, from the memory value it loaded
+// (`old`) and rs2 (`rhs`). The W forms work on the low 32 bits of both, compare them
+// signed or unsigned as the op says, and return the result sign-extended from bit
+// 31; the caller stores its low 4 bytes. LR and SC are not read-modify-writes.
+constexpr uint64_t AmoResult(Op op, uint64_t old, uint64_t rhs) {
+  const auto s = [](uint64_t v) { return static_cast<int64_t>(v); };
+  const auto w = [](uint64_t v) {  // sign-extend bit 31
+    return static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)));
+  };
+  switch (op) {
+    case Op::kAmoswapW:
+      return w(rhs);
+    case Op::kAmoaddW:
+      return w(old + rhs);
+    case Op::kAmoxorW:
+      return w(old ^ rhs);
+    case Op::kAmoandW:
+      return w(old & rhs);
+    case Op::kAmoorW:
+      return w(old | rhs);
+    case Op::kAmominW:
+      return s(w(old)) < s(w(rhs)) ? w(old) : w(rhs);
+    case Op::kAmomaxW:
+      return s(w(old)) > s(w(rhs)) ? w(old) : w(rhs);
+    case Op::kAmominuW:
+      return static_cast<uint32_t>(old) < static_cast<uint32_t>(rhs) ? w(old) : w(rhs);
+    case Op::kAmomaxuW:
+      return static_cast<uint32_t>(old) > static_cast<uint32_t>(rhs) ? w(old) : w(rhs);
+    case Op::kAmoswapD:
+      return rhs;
+    case Op::kAmoaddD:
+      return old + rhs;
+    case Op::kAmoxorD:
+      return old ^ rhs;
+    case Op::kAmoandD:
+      return old & rhs;
+    case Op::kAmoorD:
+      return old | rhs;
+    case Op::kAmominD:
+      return s(old) < s(rhs) ? old : rhs;
+    case Op::kAmomaxD:
+      return s(old) > s(rhs) ? old : rhs;
+    case Op::kAmominuD:
+      return old < rhs ? old : rhs;
+    case Op::kAmomaxuD:
+      return old > rhs ? old : rhs;
     default:
       return 0;
   }

@@ -19,6 +19,11 @@ enum class PrivMode : uint8_t {
   kMachine = 3,
 };
 
+// Whether `encoding` names a privilege mode: U, S or M (2 is reserved).
+constexpr bool IsPrivModeEncoding(uint64_t encoding) {
+  return encoding == 0 || encoding == 1 || encoding == 3;
+}
+
 inline const char* PrivModeName(PrivMode mode) {
   switch (mode) {
     case PrivMode::kUser:

@@ -65,8 +65,7 @@ uint64_t CsrFile::LegalizeMstatus(uint64_t old_value, uint64_t new_value) const 
   uint64_t value = (old_value & ~writable) | (new_value & writable);
   // MPP is WARL over the supported modes {U, S, M}; an illegal write keeps the old
   // value (matching the reference model).
-  const uint64_t mpp = ExtractBits(value, MstatusBits::kMppHi, MstatusBits::kMppLo);
-  if (mpp == 2) {
+  if (!IsPrivModeEncoding(ExtractBits(value, MstatusBits::kMppHi, MstatusBits::kMppLo))) {
     value = InsertBits(value, MstatusBits::kMppHi, MstatusBits::kMppLo,
                        ExtractBits(old_value, MstatusBits::kMppHi, MstatusBits::kMppLo));
   }
@@ -777,6 +776,9 @@ bool CsrFile::LoadState(StateReader& reader) {
   reader.BeginSection(StateTag("CSRF"));
   misa_ = reader.U64();
   mstatus_ = reader.U64();
+  if (!IsPrivModeEncoding(ExtractBits(mstatus_, MstatusBits::kMppHi, MstatusBits::kMppLo))) {
+    reader.Fail("mstatus.MPP holds the reserved privilege 2");
+  }
   medeleg_ = reader.U64();
   mideleg_ = reader.U64();
   mie_ = reader.U64();
@@ -830,6 +832,264 @@ bool CsrFile::LoadState(StateReader& reader) {
   }
   reader.EndSection();
   return reader.ok();
+}
+
+// -- Privileged transitions. -----------------------------------------------------------
+
+PrivMode EnterTrap(CsrFile& csrs, PrivState* state, uint64_t cause, uint64_t tval) {
+  const bool has_h = csrs.config().has_h_ext;
+  const bool is_interrupt = (cause & kInterruptBit) != 0;
+  const uint64_t code = cause & ~kInterruptBit;
+  const uint64_t code_bit = code < 64 ? uint64_t{1} << code : 0;
+  const uint64_t deleg = is_interrupt ? csrs.Get(kCsrMideleg) : csrs.medeleg();
+  const bool to_s = state->priv != PrivMode::kMachine && (deleg & code_bit) != 0;
+  const uint64_t from_user = state->priv == PrivMode::kUser ? 0 : 1;
+
+  if (to_s && has_h && state->virt) {
+    const uint64_t hdeleg = is_interrupt ? csrs.hideleg() : csrs.hedeleg();
+    if ((hdeleg & code_bit) != 0) {
+      // Trap to VS-mode. VS interrupts use the supervisor encoding inside the guest.
+      uint64_t vs_cause = cause;
+      if (is_interrupt && (code_bit & kVsInterrupts) != 0) {
+        vs_cause = cause - 1;
+      }
+      csrs.Set(kCsrVscause, vs_cause);
+      csrs.Set(kCsrVsepc, state->pc);
+      csrs.Set(kCsrVstval, tval);
+      uint64_t vsstatus = csrs.Get(kCsrVsstatus);
+      vsstatus = SetBit(vsstatus, MstatusBits::kSpie, Bit(vsstatus, MstatusBits::kSie));
+      vsstatus = SetBit(vsstatus, MstatusBits::kSie, 0);
+      vsstatus = SetBit(vsstatus, MstatusBits::kSpp, from_user);
+      csrs.Set(kCsrVsstatus, vsstatus);
+      state->priv = PrivMode::kSupervisor;
+      state->pc = TrapTargetPc(csrs.vstvec(), vs_cause);
+      return PrivMode::kSupervisor;
+    }
+  }
+  if (to_s) {
+    if (has_h) {
+      // Trap to HS-mode: hstatus records the V (and, from V = 1, the privilege) left.
+      uint64_t hstatus = SetBit(csrs.hstatus(), HstatusBits::kSpv, state->virt ? 1 : 0);
+      if (state->virt) {
+        hstatus = SetBit(hstatus, HstatusBits::kSpvp, from_user);
+      }
+      csrs.Set(kCsrHstatus, hstatus);
+    }
+    csrs.Set(kCsrScause, cause);
+    csrs.Set(kCsrSepc, state->pc);
+    csrs.Set(kCsrStval, tval);
+    uint64_t mstatus = csrs.mstatus();
+    mstatus = SetBit(mstatus, MstatusBits::kSpie, Bit(mstatus, MstatusBits::kSie));
+    mstatus = SetBit(mstatus, MstatusBits::kSie, 0);
+    mstatus = SetBit(mstatus, MstatusBits::kSpp, from_user);
+    csrs.set_mstatus(mstatus);
+    state->priv = PrivMode::kSupervisor;
+    state->virt = false;
+    state->pc = TrapTargetPc(csrs.stvec(), cause);
+    return PrivMode::kSupervisor;
+  }
+
+  csrs.Set(kCsrMcause, cause);
+  csrs.Set(kCsrMepc, state->pc);
+  csrs.Set(kCsrMtval, tval);
+  uint64_t mstatus = csrs.mstatus();
+  mstatus = SetBit(mstatus, MstatusBits::kMpie, Bit(mstatus, MstatusBits::kMie));
+  mstatus = SetBit(mstatus, MstatusBits::kMie, 0);
+  mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
+                       static_cast<uint64_t>(state->priv));
+  if (has_h) {
+    mstatus = SetBit(mstatus, MstatusBits::kMpv, state->virt ? 1 : 0);
+  }
+  csrs.set_mstatus(mstatus);
+  state->priv = PrivMode::kMachine;
+  state->virt = false;
+  state->pc = TrapTargetPc(csrs.mtvec(), cause);
+  return PrivMode::kMachine;
+}
+
+namespace {
+
+// The highest-priority interrupt of `order` that is set in `pending`, or nullopt.
+template <size_t N>
+std::optional<uint64_t> Highest(uint64_t pending, const InterruptCause (&order)[N]) {
+  for (const InterruptCause cause : order) {
+    if ((pending & InterruptMask(cause)) != 0) {
+      return CauseValue(cause);
+    }
+  }
+  return std::nullopt;
+}
+
+// The M-level stage over `pending` (mip & mie).
+std::optional<uint64_t> MachineStage(const CsrFile& csrs, uint64_t pending, PrivMode priv) {
+  static constexpr InterruptCause kOrder[] = {
+      InterruptCause::kMachineExternal,    InterruptCause::kMachineSoftware,
+      InterruptCause::kMachineTimer,       InterruptCause::kSupervisorExternal,
+      InterruptCause::kSupervisorSoftware, InterruptCause::kSupervisorTimer,
+  };
+  const uint64_t m_pending = pending & ~csrs.Get(kCsrMideleg);
+  const bool m_enabled = priv != PrivMode::kMachine || Bit(csrs.mstatus(), MstatusBits::kMie) != 0;
+  return m_pending != 0 && m_enabled ? Highest(m_pending, kOrder) : std::nullopt;
+}
+
+}  // namespace
+
+std::optional<uint64_t> SelectMachineInterrupt(const CsrFile& csrs, PrivMode priv) {
+  return MachineStage(csrs, csrs.EffectiveMip() & csrs.mie(), priv);
+}
+
+std::optional<uint64_t> SelectInterrupt(const CsrFile& csrs, PrivMode priv, bool virt) {
+  const uint64_t pending = csrs.EffectiveMip() & csrs.mie();
+  if (const std::optional<uint64_t> m = MachineStage(csrs, pending, priv)) {
+    return m;
+  }
+  if (priv == PrivMode::kMachine) {
+    return std::nullopt;
+  }
+  // S-level: delegated to HS/S, not to VS; always enabled below S or from V = 1.
+  static constexpr InterruptCause kSOrder[] = {
+      InterruptCause::kSupervisorExternal,
+      InterruptCause::kSupervisorSoftware,
+      InterruptCause::kSupervisorTimer,
+  };
+  const uint64_t hideleg = csrs.config().has_h_ext ? csrs.hideleg() : 0;
+  const uint64_t s_pending = pending & csrs.Get(kCsrMideleg) & ~hideleg & ~kVsInterrupts;
+  const bool s_enabled = priv == PrivMode::kUser || virt ||
+                         Bit(csrs.mstatus(), MstatusBits::kSie) != 0;
+  if (s_pending != 0 && s_enabled) {
+    return Highest(s_pending, kSOrder);
+  }
+  // VS-level: taken only while virtualized.
+  static constexpr InterruptCause kVsOrder[] = {
+      InterruptCause::kVirtualSupervisorExternal,
+      InterruptCause::kVirtualSupervisorSoftware,
+      InterruptCause::kVirtualSupervisorTimer,
+  };
+  const uint64_t vs_pending = pending & hideleg & kVsInterrupts;
+  const bool vs_enabled = virt && (priv == PrivMode::kUser ||
+                                   Bit(csrs.Get(kCsrVsstatus), MstatusBits::kSie) != 0);
+  return vs_pending != 0 && vs_enabled ? Highest(vs_pending, kVsOrder) : std::nullopt;
+}
+
+bool ExecuteCsrInstr(CsrFile& csrs, const DecodedInstr& d, uint64_t rs1_value,
+                     PrivMode priv, bool virt, uint64_t* rd_value) {
+  const bool is_imm = d.op == Op::kCsrrwi || d.op == Op::kCsrrsi || d.op == Op::kCsrrci;
+  const uint64_t operand = is_imm ? d.zimm : rs1_value;
+  const bool is_write_op = d.op == Op::kCsrrw || d.op == Op::kCsrrwi;
+  const bool write_needed = is_write_op || d.rs1 != 0 || (is_imm && d.zimm != 0);
+  const bool read_needed = !is_write_op || d.rd != 0;
+
+  // The `time` CSR (and cycle/instret in some configs) requires the time source;
+  // reads of an absent time CSR raise illegal instruction so firmware can emulate
+  // them — one of the paper's five dominant trap causes (§3.4).
+  uint64_t old_value = 0;
+  if (read_needed && !csrs.ReadCsr(d.csr, priv, virt, &old_value)) {
+    return false;
+  }
+  if (write_needed) {
+    uint64_t new_value = operand;
+    if (d.op == Op::kCsrrs || d.op == Op::kCsrrsi) {
+      new_value = old_value | operand;
+    } else if (d.op == Op::kCsrrc || d.op == Op::kCsrrci) {
+      new_value = old_value & ~operand;
+    }
+    if (!csrs.WriteCsr(d.csr, priv, virt, new_value)) {
+      return false;
+    }
+  }
+  *rd_value = old_value;
+  return true;
+}
+
+bool Mret(CsrFile& csrs, PrivState* state) {
+  if (state->priv != PrivMode::kMachine) {
+    return false;
+  }
+  uint64_t mstatus = csrs.mstatus();
+  const PrivMode target =
+      static_cast<PrivMode>(ExtractBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo));
+  state->virt = csrs.config().has_h_ext && target != PrivMode::kMachine &&
+                Bit(mstatus, MstatusBits::kMpv) != 0;
+  mstatus = SetBit(mstatus, MstatusBits::kMie, Bit(mstatus, MstatusBits::kMpie));
+  mstatus = SetBit(mstatus, MstatusBits::kMpie, 1);
+  mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
+                       static_cast<uint64_t>(PrivMode::kUser));
+  mstatus = SetBit(mstatus, MstatusBits::kMpv, 0);
+  if (target != PrivMode::kMachine) {
+    mstatus = SetBit(mstatus, MstatusBits::kMprv, 0);
+  }
+  csrs.set_mstatus(mstatus);
+  state->priv = target;
+  state->pc = csrs.mepc();
+  return true;
+}
+
+bool Sret(CsrFile& csrs, PrivState* state) {
+  if (state->priv == PrivMode::kUser) {
+    return false;
+  }
+  if (state->virt) {
+    if (Bit(csrs.hstatus(), HstatusBits::kVtsr) != 0) {
+      return false;
+    }
+    // sret inside a virtualized supervisor uses the vs* bank and stays at V = 1.
+    uint64_t vsstatus = csrs.Get(kCsrVsstatus);
+    const bool spp = Bit(vsstatus, MstatusBits::kSpp) != 0;
+    vsstatus = SetBit(vsstatus, MstatusBits::kSie, Bit(vsstatus, MstatusBits::kSpie));
+    vsstatus = SetBit(vsstatus, MstatusBits::kSpie, 1);
+    vsstatus = SetBit(vsstatus, MstatusBits::kSpp, 0);
+    csrs.Set(kCsrVsstatus, vsstatus);
+    state->priv = spp ? PrivMode::kSupervisor : PrivMode::kUser;
+    state->pc = csrs.Get(kCsrVsepc);
+    return true;
+  }
+  if (state->priv == PrivMode::kSupervisor && Bit(csrs.mstatus(), MstatusBits::kTsr) != 0) {
+    return false;
+  }
+  uint64_t mstatus = csrs.mstatus();
+  const bool spp = Bit(mstatus, MstatusBits::kSpp) != 0;
+  mstatus = SetBit(mstatus, MstatusBits::kSie, Bit(mstatus, MstatusBits::kSpie));
+  mstatus = SetBit(mstatus, MstatusBits::kSpie, 1);
+  mstatus = SetBit(mstatus, MstatusBits::kSpp, 0);
+  mstatus = SetBit(mstatus, MstatusBits::kMprv, 0);
+  csrs.set_mstatus(mstatus);
+  if (csrs.config().has_h_ext) {
+    state->virt = Bit(csrs.hstatus(), HstatusBits::kSpv) != 0;
+    csrs.Set(kCsrHstatus, SetBit(csrs.hstatus(), HstatusBits::kSpv, 0));
+  }
+  state->priv = spp ? PrivMode::kSupervisor : PrivMode::kUser;
+  state->pc = csrs.sepc();
+  return true;
+}
+
+bool WfiPermitted(const CsrFile& csrs, PrivMode priv, bool virt) {
+  // With S-mode implemented, wfi is not available in U-mode.
+  if (priv == PrivMode::kUser) {
+    return false;
+  }
+  if (virt) {
+    return Bit(csrs.hstatus(), HstatusBits::kVtw) == 0;
+  }
+  return priv != PrivMode::kSupervisor || Bit(csrs.mstatus(), MstatusBits::kTw) == 0;
+}
+
+bool SfenceVmaPermitted(const CsrFile& csrs, PrivMode priv, bool virt) {
+  if (priv == PrivMode::kUser) {
+    return false;
+  }
+  return virt || priv != PrivMode::kSupervisor || Bit(csrs.mstatus(), MstatusBits::kTvm) == 0;
+}
+
+uint64_t EcallCause(PrivMode priv, bool virt) {
+  switch (priv) {
+    case PrivMode::kMachine:
+      return CauseValue(ExceptionCause::kEcallFromM);
+    case PrivMode::kSupervisor:
+      return CauseValue(virt ? ExceptionCause::kEcallFromVs : ExceptionCause::kEcallFromS);
+    case PrivMode::kUser:
+      break;
+  }
+  return CauseValue(ExceptionCause::kEcallFromU);
 }
 
 }  // namespace vfm

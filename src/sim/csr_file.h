@@ -1,16 +1,21 @@
 // Architectural CSR state of a simulated hart, with WARL legalization and
-// privilege-checked instruction-level access. This is the "hardware" side of the
-// paper's Figure 6. The monitor's shadow CSRs (src/core/vcpu) are a CsrFile too,
-// built for the virtual hart, so the harts and the monitor's emulator run one CSR
-// model; the reference model re-specifies it independently (src/refmodel).
+// privilege-checked instruction-level access, and the privileged transitions that
+// move it: trap entry, interrupt selection, the CSR instruction, mret, sret and the
+// wfi/sfence.vma/ecall gates. This is the "hardware" side of the paper's Figure 6.
+// The monitor's shadow CSRs (src/core/vcpu) are a CsrFile too, built for the virtual
+// hart, and its emulator runs the same transitions with V fixed at 0, so the harts
+// and the monitor's emulator run one CSR model and one set of transitions; the
+// reference model re-specifies both independently (src/refmodel).
 
 #ifndef SRC_SIM_CSR_FILE_H_
 #define SRC_SIM_CSR_FILE_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "src/isa/csr.h"
+#include "src/isa/instr.h"
 #include "src/isa/priv.h"
 #include "src/pmp/pmp.h"
 #include "src/sim/config.h"
@@ -176,6 +181,47 @@ class CsrFile {
 
   PmpBank pmp_;
 };
+
+// -- Privileged transitions (DESIGN.md §5). -----------------------------------------
+// Each is written once, over a CsrFile plus the pc, privilege and V bit a trap moves.
+// The harts pass their own V bit; the monitor's vCPU passes V = 0.
+
+// The pc, privilege and virtualization mode that a trap or an xRET moves.
+struct PrivState {
+  uint64_t pc = 0;
+  PrivMode priv = PrivMode::kMachine;
+  bool virt = false;
+};
+
+// Trap entry: routes `cause` to M, HS/S or VS (medeleg/mideleg, then
+// hedeleg/hideleg from V = 1), writes that level's cause/epc/tval, pushes its status
+// stack (MPV, or hstatus.SPV/SPVP, with the H extension) and vectors state->pc.
+// Returns the privilege the trap landed in; state->virt tells VS from HS.
+PrivMode EnterTrap(CsrFile& csrs, PrivState* state, uint64_t cause, uint64_t tval);
+
+// Interrupt selection: the highest-priority pending and enabled interrupt that may be
+// taken at (priv, virt), or nullopt. Its stages run in order: M-level (not
+// delegated), S-level (delegated to HS/S, not to VS), VS-level (only while V = 1).
+std::optional<uint64_t> SelectInterrupt(const CsrFile& csrs, PrivMode priv, bool virt);
+// The M-level stage alone.
+std::optional<uint64_t> SelectMachineInterrupt(const CsrFile& csrs, PrivMode priv);
+
+// The Zicsr instruction `instr`, with `rs1_value` in rs1: its legality check and its
+// read-modify-write. Returns false, having written nothing, when it raises illegal
+// instruction; otherwise *rd_value is the old value, for rd.
+bool ExecuteCsrInstr(CsrFile& csrs, const DecodedInstr& instr, uint64_t rs1_value,
+                     PrivMode priv, bool virt, uint64_t* rd_value);
+
+// mret and sret at *state. Each returns false, having changed nothing, when it is
+// illegal there; otherwise it pops the status stack and moves *state to the return
+// pc, privilege and V bit.
+bool Mret(CsrFile& csrs, PrivState* state);
+bool Sret(CsrFile& csrs, PrivState* state);
+
+// Whether wfi and sfence.vma may execute at (priv, virt); ecall's cause there.
+bool WfiPermitted(const CsrFile& csrs, PrivMode priv, bool virt);
+bool SfenceVmaPermitted(const CsrFile& csrs, PrivMode priv, bool virt);
+uint64_t EcallCause(PrivMode priv, bool virt);
 
 }  // namespace vfm
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "src/common/bits.h"
 #include "src/common/check.h"
@@ -273,75 +274,6 @@ Hart::MemResult Hart::AccessMemoryAs(AccessType type, PrivMode priv, uint64_t sa
   return result;
 }
 
-std::optional<uint64_t> Hart::PendingInterrupt() const {
-  const uint64_t mip = csrs_.EffectiveMip();
-  const uint64_t mie = csrs_.mie();
-  const uint64_t pending = mip & mie;
-  if (pending == 0) {
-    return std::nullopt;  // fast path: nothing pending and enabled
-  }
-  const uint64_t mideleg = csrs_.Get(kCsrMideleg);
-  const uint64_t mstatus = csrs_.mstatus();
-
-  // Machine-level interrupts (not delegated).
-  const uint64_t m_pending = pending & ~mideleg;
-  const bool m_enabled =
-      priv_ != PrivMode::kMachine || Bit(mstatus, MstatusBits::kMie) != 0;
-  if (m_pending != 0 && m_enabled) {
-    static const InterruptCause kPriority[] = {
-        InterruptCause::kMachineExternal,   InterruptCause::kMachineSoftware,
-        InterruptCause::kMachineTimer,      InterruptCause::kSupervisorExternal,
-        InterruptCause::kSupervisorSoftware, InterruptCause::kSupervisorTimer,
-    };
-    for (InterruptCause cause : kPriority) {
-      if ((m_pending & InterruptMask(cause)) != 0) {
-        return CauseValue(cause);
-      }
-    }
-  }
-
-  // Supervisor-level interrupts (delegated to S, not to VS).
-  const uint64_t hideleg = csrs_.config().has_h_ext ? csrs_.hideleg() : 0;
-  const uint64_t s_pending = pending & mideleg & ~hideleg & ~kVsInterrupts;
-  const bool s_enabled =
-      priv_ == PrivMode::kUser || virt_ ||
-      (priv_ == PrivMode::kSupervisor && Bit(mstatus, MstatusBits::kSie) != 0);
-  if (s_pending != 0 && priv_ != PrivMode::kMachine && s_enabled) {
-    static const InterruptCause kPriority[] = {
-        InterruptCause::kSupervisorExternal,
-        InterruptCause::kSupervisorSoftware,
-        InterruptCause::kSupervisorTimer,
-    };
-    for (InterruptCause cause : kPriority) {
-      if ((s_pending & InterruptMask(cause)) != 0) {
-        return CauseValue(cause);
-      }
-    }
-  }
-
-  // VS-level interrupts: taken only while in a virtualized mode.
-  if (csrs_.config().has_h_ext) {
-    const uint64_t vs_pending = pending & (mideleg | kVsInterrupts) & hideleg & kVsInterrupts;
-    const uint64_t vsstatus = csrs_.Get(kCsrVsstatus);
-    const bool vs_enabled =
-        virt_ && (priv_ == PrivMode::kUser ||
-                  (priv_ == PrivMode::kSupervisor && Bit(vsstatus, MstatusBits::kSie) != 0));
-    if (vs_pending != 0 && vs_enabled) {
-      static const InterruptCause kPriority[] = {
-          InterruptCause::kVirtualSupervisorExternal,
-          InterruptCause::kVirtualSupervisorSoftware,
-          InterruptCause::kVirtualSupervisorTimer,
-      };
-      for (InterruptCause cause : kPriority) {
-        if ((vs_pending & InterruptMask(cause)) != 0) {
-          return CauseValue(cause);
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 StepResult Hart::TakeTrap(uint64_t cause, uint64_t tval) {
   StepResult result;
   result.executed = true;
@@ -350,80 +282,12 @@ StepResult Hart::TakeTrap(uint64_t cause, uint64_t tval) {
   result.cycles = cost_->trap_entry;
   ++traps_taken_;
   waiting_ = false;
-
-  const bool is_interrupt = (cause & kInterruptBit) != 0;
-  const uint64_t code = cause & ~kInterruptBit;
-  const uint64_t deleg = is_interrupt ? csrs_.Get(kCsrMideleg) : csrs_.medeleg();
-  const bool delegated_to_s =
-      priv_ != PrivMode::kMachine && code < 64 && (deleg & (uint64_t{1} << code)) != 0;
-
-  if (delegated_to_s && csrs_.config().has_h_ext && virt_) {
-    const uint64_t hdeleg = is_interrupt ? csrs_.hideleg() : csrs_.hedeleg();
-    if (code < 64 && (hdeleg & (uint64_t{1} << code)) != 0) {
-      // Trap to VS-mode. VS interrupts use the supervisor encoding inside the guest.
-      uint64_t vs_code = code;
-      if (is_interrupt && (InterruptMask(static_cast<InterruptCause>(code)) & kVsInterrupts)) {
-        vs_code = code - 1;
-      }
-      csrs_.Set(kCsrVscause, (is_interrupt ? kInterruptBit : 0) | vs_code);
-      csrs_.Set(kCsrVsepc, pc_);
-      csrs_.Set(kCsrVstval, tval);
-      uint64_t vsstatus = csrs_.Get(kCsrVsstatus);
-      vsstatus = SetBit(vsstatus, MstatusBits::kSpie, Bit(vsstatus, MstatusBits::kSie));
-      vsstatus = SetBit(vsstatus, MstatusBits::kSie, 0);
-      vsstatus = SetBit(vsstatus, MstatusBits::kSpp,
-                        priv_ == PrivMode::kUser ? 0 : 1);
-      csrs_.Set(kCsrVsstatus, vsstatus);
-      priv_ = PrivMode::kSupervisor;
-      pc_ = TrapTargetPc(csrs_.vstvec(), (is_interrupt ? kInterruptBit : 0) | vs_code);
-      result.trap_target = PrivMode::kSupervisor;
-      return result;
-    }
-    // Trap to HS-mode from a virtualized mode.
-    uint64_t hstatus = csrs_.Get(kCsrHstatus);
-    hstatus = SetBit(hstatus, HstatusBits::kSpv, 1);
-    hstatus = SetBit(hstatus, HstatusBits::kSpvp, priv_ == PrivMode::kUser ? 0 : 1);
-    csrs_.Set(kCsrHstatus, hstatus);
-    virt_ = false;
-  } else if (delegated_to_s && csrs_.config().has_h_ext) {
-    uint64_t hstatus = csrs_.Get(kCsrHstatus);
-    hstatus = SetBit(hstatus, HstatusBits::kSpv, 0);
-    csrs_.Set(kCsrHstatus, hstatus);
-  }
-
-  if (delegated_to_s) {
-    csrs_.Set(kCsrScause, cause);
-    csrs_.Set(kCsrSepc, pc_);
-    csrs_.Set(kCsrStval, tval);
-    uint64_t mstatus = csrs_.mstatus();
-    mstatus = SetBit(mstatus, MstatusBits::kSpie, Bit(mstatus, MstatusBits::kSie));
-    mstatus = SetBit(mstatus, MstatusBits::kSie, 0);
-    mstatus = SetBit(mstatus, MstatusBits::kSpp, priv_ == PrivMode::kUser ? 0 : 1);
-    csrs_.set_mstatus(mstatus);
-    priv_ = PrivMode::kSupervisor;
-    pc_ = TrapTargetPc(csrs_.stvec(), cause);
-    result.trap_target = PrivMode::kSupervisor;
-    return result;
-  }
-
-  // Trap to M-mode.
-  csrs_.Set(kCsrMcause, cause);
-  csrs_.Set(kCsrMepc, pc_);
-  csrs_.Set(kCsrMtval, tval);
-  uint64_t mstatus = csrs_.mstatus();
-  mstatus = SetBit(mstatus, MstatusBits::kMpie, Bit(mstatus, MstatusBits::kMie));
-  mstatus = SetBit(mstatus, MstatusBits::kMie, 0);
-  mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
-                       static_cast<uint64_t>(priv_));
-  if (csrs_.config().has_h_ext) {
-    mstatus = SetBit(mstatus, MstatusBits::kMpv, virt_ ? 1 : 0);
-  }
-  csrs_.set_mstatus(mstatus);
-  virt_ = false;
-  priv_ = PrivMode::kMachine;
-  pc_ = TrapTargetPc(csrs_.mtvec(), cause);
-  result.trap_target = PrivMode::kMachine;
-  result.entered_mmode = true;
+  PrivState state{pc_, priv_, virt_};
+  result.trap_target = EnterTrap(csrs_, &state, cause, tval);
+  result.entered_mmode = result.trap_target == PrivMode::kMachine;
+  pc_ = state.pc;
+  priv_ = state.priv;
+  virt_ = state.virt;
   return result;
 }
 
@@ -1272,15 +1136,8 @@ StepResult Hart::Execute(const DecodedInstr& d) {
       ++fence_gen_;  // invalidates this hart's decoded-instruction cache
       return Retire(next, base_cost + cost_->tlb_flush / 4);
 
-    case Op::kEcall: {
-      ExceptionCause cause = ExceptionCause::kEcallFromU;
-      if (priv_ == PrivMode::kMachine) {
-        cause = ExceptionCause::kEcallFromM;
-      } else if (priv_ == PrivMode::kSupervisor) {
-        cause = virt_ ? ExceptionCause::kEcallFromVs : ExceptionCause::kEcallFromS;
-      }
-      return TakeTrap(CauseValue(cause), 0);
-    }
+    case Op::kEcall:
+      return TakeTrap(EcallCause(priv_, virt_), 0);
     case Op::kEbreak:
       return TakeTrap(CauseValue(ExceptionCause::kBreakpoint), pc_);
 
@@ -1289,21 +1146,33 @@ StepResult Hart::Execute(const DecodedInstr& d) {
     case Op::kCsrrc:
     case Op::kCsrrwi:
     case Op::kCsrrsi:
-    case Op::kCsrrci:
-      return ExecuteCsrOp(d);
-
-    case Op::kSret:
-      return ExecuteSret(d);
-    case Op::kMret:
-      return ExecuteMret(d);
-    case Op::kWfi:
-      return ExecuteWfi(d);
-    case Op::kSfenceVma: {
-      if (priv_ == PrivMode::kUser) {
+    case Op::kCsrrci: {
+      uint64_t old_value = 0;
+      if (!ExecuteCsrInstr(csrs_, d, rs1, priv_, virt_, &old_value)) {
         return IllegalInstr(d);
       }
-      if (priv_ == PrivMode::kSupervisor && !virt_ &&
-          Bit(csrs_.mstatus(), MstatusBits::kTvm) != 0) {
+      set_gpr(d.rd, old_value);
+      return Retire(next, base_cost + cost_->hal_csr_access);
+    }
+
+    case Op::kSret:
+    case Op::kMret: {
+      PrivState state{pc_, priv_, virt_};
+      if (!(d.op == Op::kMret ? Mret(csrs_, &state) : Sret(csrs_, &state))) {
+        return IllegalInstr(d);
+      }
+      priv_ = state.priv;
+      virt_ = state.virt;
+      return Retire(state.pc, cost_->trap_entry);
+    }
+    case Op::kWfi:
+      if (!WfiPermitted(csrs_, priv_, virt_)) {
+        return IllegalInstr(d);
+      }
+      waiting_ = true;
+      return Retire(next, base_cost);
+    case Op::kSfenceVma: {
+      if (!SfenceVmaPermitted(csrs_, priv_, virt_)) {
         return IllegalInstr(d);
       }
       // rs1 selects the per-address form: only the named page is dropped, everything
@@ -1441,177 +1310,11 @@ StepResult Hart::ExecuteAmo(const DecodedInstr& d) {
   if (!bus_->Read(out.paddr, size, &old)) {
     return TakeTrap(CauseValue(ExceptionCause::kLoadAccessFault), vaddr);
   }
-  const uint64_t old_val = is64 ? old : LoadExtend(Op::kLw, old);
-  const uint64_t rhs = is64 ? gpr_[d.rs2] : LoadExtend(Op::kLw, gpr_[d.rs2]);
-  uint64_t result = 0;
-  switch (d.op) {
-    case Op::kAmoswapW:
-    case Op::kAmoswapD:
-      result = rhs;
-      break;
-    case Op::kAmoaddW:
-    case Op::kAmoaddD:
-      result = old_val + rhs;
-      break;
-    case Op::kAmoxorW:
-    case Op::kAmoxorD:
-      result = old_val ^ rhs;
-      break;
-    case Op::kAmoandW:
-    case Op::kAmoandD:
-      result = old_val & rhs;
-      break;
-    case Op::kAmoorW:
-    case Op::kAmoorD:
-      result = old_val | rhs;
-      break;
-    case Op::kAmominW:
-    case Op::kAmominD:
-      result = static_cast<int64_t>(old_val) < static_cast<int64_t>(rhs) ? old_val : rhs;
-      break;
-    case Op::kAmomaxW:
-    case Op::kAmomaxD:
-      result = static_cast<int64_t>(old_val) > static_cast<int64_t>(rhs) ? old_val : rhs;
-      break;
-    case Op::kAmominuW:
-    case Op::kAmominuD: {
-      const uint64_t a = is64 ? old_val : old_val & 0xFFFFFFFF;
-      const uint64_t b = is64 ? rhs : rhs & 0xFFFFFFFF;
-      result = a < b ? old_val : rhs;
-      break;
-    }
-    case Op::kAmomaxuW:
-    case Op::kAmomaxuD: {
-      const uint64_t a = is64 ? old_val : old_val & 0xFFFFFFFF;
-      const uint64_t b = is64 ? rhs : rhs & 0xFFFFFFFF;
-      result = a > b ? old_val : rhs;
-      break;
-    }
-    default:
-      return IllegalInstr(d);
-  }
-  if (!bus_->Write(out.paddr, size, result)) {
+  if (!bus_->Write(out.paddr, size, AmoResult(d.op, old, gpr_[d.rs2]))) {
     return TakeTrap(CauseValue(ExceptionCause::kStoreAccessFault), vaddr);
   }
-  set_gpr(d.rd, old_val);
+  set_gpr(d.rd, is64 ? old : LoadExtend(Op::kLw, old));
   return Retire(pc_ + 4, cost + out.extra_cycles);
-}
-
-StepResult Hart::ExecuteCsrOp(const DecodedInstr& d) {
-  const bool is_imm = d.op == Op::kCsrrwi || d.op == Op::kCsrrsi || d.op == Op::kCsrrci;
-  const uint64_t operand = is_imm ? d.zimm : gpr_[d.rs1];
-  const bool is_write_op = d.op == Op::kCsrrw || d.op == Op::kCsrrwi;
-  const bool write_needed = is_write_op || d.rs1 != 0 || (is_imm && d.zimm != 0);
-  const bool read_needed = !is_write_op || d.rd != 0;
-
-  // The `time` CSR (and cycle/instret in some configs) requires the time source; reads
-  // of an absent time CSR raise illegal instruction so firmware can emulate them —
-  // this is one of the paper's five dominant trap causes (§3.4).
-  uint64_t old_value = 0;
-  if (read_needed || !is_write_op) {
-    if (!csrs_.ReadCsr(d.csr, priv_, virt_, &old_value)) {
-      return IllegalInstr(d);
-    }
-  }
-  if (write_needed) {
-    uint64_t new_value = operand;
-    if (d.op == Op::kCsrrs || d.op == Op::kCsrrsi) {
-      new_value = old_value | operand;
-    } else if (d.op == Op::kCsrrc || d.op == Op::kCsrrci) {
-      new_value = old_value & ~operand;
-    }
-    if (!csrs_.WriteCsr(d.csr, priv_, virt_, new_value)) {
-      return IllegalInstr(d);
-    }
-  } else {
-    // Read-only access still requires the CSR to be readable (checked above).
-  }
-  set_gpr(d.rd, old_value);
-  return Retire(pc_ + 4, cost_->instr_base + cost_->hal_csr_access);
-}
-
-StepResult Hart::ExecuteMret(const DecodedInstr& d) {
-  if (priv_ != PrivMode::kMachine) {
-    return IllegalInstr(d);
-  }
-  uint64_t mstatus = csrs_.mstatus();
-  const uint64_t mpp = ExtractBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo);
-  const PrivMode target = static_cast<PrivMode>(mpp);
-  mstatus = SetBit(mstatus, MstatusBits::kMie, Bit(mstatus, MstatusBits::kMpie));
-  mstatus = SetBit(mstatus, MstatusBits::kMpie, 1);
-  mstatus = InsertBits(mstatus, MstatusBits::kMppHi, MstatusBits::kMppLo,
-                       static_cast<uint64_t>(PrivMode::kUser));
-  bool new_virt = false;
-  if (csrs_.config().has_h_ext && target != PrivMode::kMachine) {
-    new_virt = Bit(mstatus, MstatusBits::kMpv) != 0;
-  }
-  mstatus = SetBit(mstatus, MstatusBits::kMpv, 0);
-  if (target != PrivMode::kMachine) {
-    mstatus = SetBit(mstatus, MstatusBits::kMprv, 0);
-  }
-  csrs_.set_mstatus(mstatus);
-  priv_ = target;
-  virt_ = new_virt;
-  return Retire(csrs_.mepc(), cost_->trap_entry);
-}
-
-StepResult Hart::ExecuteSret(const DecodedInstr& d) {
-  if (priv_ == PrivMode::kUser) {
-    return IllegalInstr(d);
-  }
-  if (priv_ == PrivMode::kSupervisor && !virt_ &&
-      Bit(csrs_.mstatus(), MstatusBits::kTsr) != 0) {
-    return IllegalInstr(d);
-  }
-  if (virt_) {
-    if (Bit(csrs_.hstatus(), HstatusBits::kVtsr) != 0) {
-      return IllegalInstr(d);
-    }
-    // sret inside a virtualized supervisor uses the vs* bank.
-    uint64_t vsstatus = csrs_.Get(kCsrVsstatus);
-    const bool spp = Bit(vsstatus, MstatusBits::kSpp) != 0;
-    vsstatus = SetBit(vsstatus, MstatusBits::kSie, Bit(vsstatus, MstatusBits::kSpie));
-    vsstatus = SetBit(vsstatus, MstatusBits::kSpie, 1);
-    vsstatus = SetBit(vsstatus, MstatusBits::kSpp, 0);
-    csrs_.Set(kCsrVsstatus, vsstatus);
-    priv_ = spp ? PrivMode::kSupervisor : PrivMode::kUser;
-    return Retire(csrs_.Get(kCsrVsepc), cost_->trap_entry);
-  }
-  uint64_t mstatus = csrs_.mstatus();
-  const bool spp = Bit(mstatus, MstatusBits::kSpp) != 0;
-  mstatus = SetBit(mstatus, MstatusBits::kSie, Bit(mstatus, MstatusBits::kSpie));
-  mstatus = SetBit(mstatus, MstatusBits::kSpie, 1);
-  mstatus = SetBit(mstatus, MstatusBits::kSpp, 0);
-  const PrivMode target = spp ? PrivMode::kSupervisor : PrivMode::kUser;
-  if (target != PrivMode::kMachine) {
-    mstatus = SetBit(mstatus, MstatusBits::kMprv, 0);
-  }
-  csrs_.set_mstatus(mstatus);
-  bool new_virt = false;
-  if (csrs_.config().has_h_ext) {
-    uint64_t hstatus = csrs_.Get(kCsrHstatus);
-    new_virt = Bit(hstatus, HstatusBits::kSpv) != 0;
-    hstatus = SetBit(hstatus, HstatusBits::kSpv, 0);
-    csrs_.Set(kCsrHstatus, hstatus);
-  }
-  priv_ = target;
-  virt_ = new_virt;
-  return Retire(csrs_.sepc(), cost_->trap_entry);
-}
-
-StepResult Hart::ExecuteWfi(const DecodedInstr& d) {
-  if (priv_ == PrivMode::kUser) {
-    return IllegalInstr(d);  // with S-mode implemented, WFI is not available in U-mode
-  }
-  if (priv_ == PrivMode::kSupervisor && !virt_ &&
-      Bit(csrs_.mstatus(), MstatusBits::kTw) != 0) {
-    return IllegalInstr(d);
-  }
-  if (virt_ && Bit(csrs_.hstatus(), HstatusBits::kVtw) != 0) {
-    return IllegalInstr(d);
-  }
-  waiting_ = true;
-  return Retire(pc_ + 4, cost_->instr_base);
 }
 
 // -- Quantum-mode segment machinery (DESIGN.md §2i). ---------------------------------
@@ -1748,8 +1451,17 @@ bool Hart::LoadState(StateReader& reader) {
     gpr_[i] = reader.U64();
   }
   pc_ = reader.U64();
-  priv_ = static_cast<PrivMode>(reader.U8());
-  virt_ = reader.Bool();
+  const uint8_t priv = reader.U8();
+  const bool virt = reader.Bool();
+  if (!IsPrivModeEncoding(priv)) {
+    reader.Fail("hart privilege " + std::to_string(priv) + " is not U, S or M");
+  } else if (virt && (!csrs_.config().has_h_ext ||
+                      priv == static_cast<uint8_t>(PrivMode::kMachine))) {
+    reader.Fail("hart V bit set in M-mode or without the H extension");
+  } else {
+    priv_ = static_cast<PrivMode>(priv);
+    virt_ = virt;
+  }
   waiting_ = reader.Bool();
   const bool has_reservation = reader.Bool();
   const uint64_t reservation = reader.U64();

@@ -1,6 +1,9 @@
-// One simulated RV64 hart: interpreter, trap logic, and interrupt selection. The
-// Machine (src/sim/machine.h) owns harts and drives them; an optional M-mode owner
-// hook lets native C++ code (the monitor) play the role of M-mode software.
+// One simulated RV64 hart: the interpreter and what is the hardware's own around a
+// trap (its cycle charges, the trap count, WFI parking, TLB flushes). Trap entry,
+// interrupt selection and the other privileged transitions are the shared ones of
+// src/sim/csr_file.h. The Machine (src/sim/machine.h) owns harts and drives them; an
+// optional M-mode owner hook lets native C++ code (the monitor) play the role of
+// M-mode software.
 
 #ifndef SRC_SIM_HART_H_
 #define SRC_SIM_HART_H_
@@ -104,13 +107,20 @@ class Hart {
     return pending;
   }
 
-  // Takes a trap architecturally (updates status stacks, vectors the pc). Exposed for
-  // the machine (interrupt injection) and tests.
+  // Takes a trap architecturally (EnterTrap: status stacks, the vector) and charges
+  // it. Exposed for the machine (interrupt injection) and tests.
   StepResult TakeTrap(uint64_t cause, uint64_t tval);
 
   // Selects the highest-priority pending, enabled interrupt that may be taken in the
-  // current mode, or nullopt. Pure function of the CSR state.
-  std::optional<uint64_t> PendingInterrupt() const;
+  // current mode, or nullopt: SelectInterrupt (src/sim/csr_file.h) at the hart's
+  // privilege and V bit. The nothing-pending test stays inline, since RunBatch runs
+  // it on every block dispatch.
+  std::optional<uint64_t> PendingInterrupt() const {
+    if ((csrs_.EffectiveMip() & csrs_.mie()) == 0) {
+      return std::nullopt;
+    }
+    return SelectInterrupt(csrs_, priv_, virt_);
+  }
 
   // A load into *value, or a store of *value, of `size` bytes at `vaddr`, with full
   // translation and PMP checks, at an explicitly chosen effective privilege and
@@ -414,10 +424,6 @@ class Hart {
   AccessOutcome Translate(uint64_t vaddr, unsigned size, AccessType type, PrivMode priv,
                           bool use_vsatp);
   StepResult Execute(const DecodedInstr& instr);
-  StepResult ExecuteCsrOp(const DecodedInstr& instr);
-  StepResult ExecuteMret(const DecodedInstr& instr);
-  StepResult ExecuteSret(const DecodedInstr& instr);
-  StepResult ExecuteWfi(const DecodedInstr& instr);
   StepResult ExecuteLoadStore(const DecodedInstr& instr);
   StepResult ExecuteAmo(const DecodedInstr& instr);
   StepResult IllegalInstr(const DecodedInstr& instr);

@@ -1438,6 +1438,11 @@ ReplayResult Machine::ReplayFrom(const Snapshot& snapshot,
         ++result.events_applied;
         break;
       case TraceEventKind::kPlicLine:
+        if (event.a == 0 || event.a >= Plic::kMaxSources) {
+          result.error = "malformed trace: PLIC source " + std::to_string(event.a) +
+                         " does not exist";
+          break;
+        }
         if (event.b != 0) {
           plic_->RaiseSource(static_cast<unsigned>(event.a));
         } else {

@@ -183,6 +183,58 @@ TEST(DecodeTest, UTypeAndShift) {
   EXPECT_EQ(srai.imm, 12);
 }
 
+// RV64A read-modify-write results at the sign boundaries: signed against unsigned
+// min/max, and the W forms' 32-bit operands (the upper bits of both ignored, the
+// result sign-extended from bit 31).
+TEST(AmoResultTest, EveryOpAtBothWidths) {
+  constexpr uint64_t kMin64 = 0x8000'0000'0000'0000;
+  constexpr uint64_t kMax64 = 0x7FFF'FFFF'FFFF'FFFF;
+  constexpr uint64_t kOnes = ~uint64_t{0};
+  constexpr uint64_t kMin32 = 0x8000'0000;  // as a 4-byte load returns it
+  constexpr uint64_t kMax32 = 0x7FFF'FFFF;
+  constexpr uint64_t kMin32Sext = 0xFFFF'FFFF'8000'0000;
+  constexpr uint64_t kMinusOneW = 0x1234'5678'FFFF'FFFF;  // -1 in its low 32 bits
+  struct Case {
+    Op op;
+    uint64_t old;
+    uint64_t rhs;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {Op::kAmoswapD, kMin64, kMax64, kMax64},
+      {Op::kAmoaddD, kMax64, 1, kMin64},
+      {Op::kAmoxorD, kMin64, kMax64, kOnes},
+      {Op::kAmoandD, kMin64, kOnes, kMin64},
+      {Op::kAmoorD, kMin64, kMax64, kOnes},
+      {Op::kAmominD, kMin64, kMax64, kMin64},
+      {Op::kAmomaxD, kMin64, kMax64, kMax64},
+      {Op::kAmominuD, kMin64, kMax64, kMax64},
+      {Op::kAmomaxuD, kMin64, kMax64, kMin64},
+      {Op::kAmominD, kOnes, 0, kOnes},
+      {Op::kAmomaxuD, kOnes, 0, kOnes},
+      {Op::kAmoswapW, kMin32, kMax32, kMax32},
+      {Op::kAmoaddW, kMax32, 1, kMin32Sext},
+      {Op::kAmoxorW, kMin32, kMax32, kOnes},
+      {Op::kAmoandW, kMin32, kOnes, kMin32Sext},
+      {Op::kAmoorW, kMin32, kMax32, kOnes},
+      {Op::kAmominW, kMin32, kMax32, kMin32Sext},
+      {Op::kAmomaxW, kMin32, kMax32, kMax32},
+      {Op::kAmominuW, kMin32, kMax32, kMax32},
+      {Op::kAmomaxuW, kMin32, kMax32, kMin32Sext},
+      {Op::kAmoswapW, 0, kMinusOneW, kOnes},
+      {Op::kAmoaddW, 1, kMinusOneW, 0},
+      {Op::kAmominW, 1, kMinusOneW, kOnes},
+      {Op::kAmominuW, 1, kMinusOneW, 1},
+      {Op::kAmomaxuW, 1, kMinusOneW, kOnes},
+      {Op::kAmomaxW, kMin32Sext, 0, 0},
+      {Op::kAmomaxuW, kMin32Sext, 0, kMin32Sext},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(AmoResult(c.op, c.old, c.rhs), c.want)
+        << OpName(c.op) << " old=0x" << std::hex << c.old << " rhs=0x" << c.rhs;
+  }
+}
+
 TEST(OpPropertiesTest, PrivilegedClassification) {
   EXPECT_TRUE(OpIsPrivileged(Op::kCsrrw));
   EXPECT_TRUE(OpIsPrivileged(Op::kMret));

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -342,6 +344,43 @@ TEST(SnapshotRoundTripTest, RestoreRejectsCorruptStream) {
 
   Machine b(mc);
   EXPECT_FALSE(b.RestoreSnapshot(snapshot));
+}
+
+TEST(SnapshotRoundTripTest, RestoreRejectsPrivilegeStateThatCannotOccur) {
+  // A hart's section holds its pc, then its privilege byte, then its V bit. A
+  // privilege other than U, S or M, or V set on a hart without the H extension,
+  // must fail the restore rather than load.
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  Machine a(mc);
+  constexpr uint64_t kPc = 0x0123'4567'89AB'CDE0;
+  a.hart(0).set_pc(kPc);
+  a.hart(0).set_priv(PrivMode::kSupervisor);
+  Snapshot snapshot;
+  a.SaveSnapshot(snapshot);
+  uint8_t pc_bytes[8];
+  std::memcpy(pc_bytes, &kPc, sizeof(pc_bytes));
+  const auto at = std::search(snapshot.state.begin(), snapshot.state.end(),
+                              std::begin(pc_bytes), std::end(pc_bytes));
+  ASSERT_NE(at, snapshot.state.end());
+  const size_t priv_offset = static_cast<size_t>(at - snapshot.state.begin()) + 8;
+  ASSERT_EQ(snapshot.state[priv_offset], static_cast<uint8_t>(PrivMode::kSupervisor));
+
+  Machine b(mc);
+  ASSERT_TRUE(b.RestoreSnapshot(snapshot));
+  EXPECT_EQ(b.hart(0).priv(), PrivMode::kSupervisor);
+  for (const uint8_t priv : {uint8_t{2}, uint8_t{7}}) {
+    Snapshot bad = snapshot;
+    bad.state[priv_offset] = priv;
+    Machine c(mc);
+    EXPECT_FALSE(c.RestoreSnapshot(bad)) << "privilege " << int{priv};
+    EXPECT_EQ(c.hart(0).priv(), PrivMode::kMachine);
+  }
+  Snapshot virt = snapshot;
+  virt.state[priv_offset + 1] = 1;
+  Machine d(mc);
+  EXPECT_FALSE(d.RestoreSnapshot(virt));
+  EXPECT_FALSE(d.hart(0).virt());
 }
 
 TEST(SnapshotRoundTripTest, RepeatedSaveOfQuiescentMachineReusesImages) {

@@ -199,6 +199,36 @@ TEST(ReplayTest, ReplayVerifiesUartInputLandedInDeviceState) {
   EXPECT_NE(result.detail.find("device"), std::string::npos) << result.detail;
 }
 
+TEST(ReplayTest, ReplayRejectsAPlicSourceTheMachineLacks) {
+  // The recording raised PLIC source 7. Rewritten to a source the PLIC does not have
+  // (0 is reserved, 40 is past kMaxSources), the event must fail the replay with an
+  // error naming the source, not abort the process.
+  const MachineConfig mc = LoopConfig();
+  const RecordedLoop rec = RecordLoopRun(mc);
+  TraceReader reader(rec.trace);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  for (const uint64_t source : {uint64_t{0}, uint64_t{40}}) {
+    SCOPED_TRACE(source);
+    TraceWriter writer;
+    writer.Begin(reader.header());
+    bool rewritten = false;
+    for (TraceEvent event : reader.events()) {
+      if (event.kind == TraceEventKind::kPlicLine) {
+        event.a = source;
+        rewritten = true;
+      }
+      writer.Append(event);
+    }
+    ASSERT_TRUE(rewritten);
+    Machine machine(mc);
+    const ReplayResult result = machine.ReplayFrom(rec.anchor, writer.Finish());
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.diverged);
+    EXPECT_NE(result.error.find("PLIC source " + std::to_string(source)), std::string::npos)
+        << result.error;
+  }
+}
+
 TEST(ReplayTest, ReplayAbortsWhileRecording) {
   const MachineConfig mc = LoopConfig();
   const RecordedLoop rec = RecordLoopRun(mc);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "src/common/bits.h"
+#include "src/common/state.h"
 #include "src/core/vcpu.h"
+#include "src/platform/platform.h"
+#include "src/sim/machine.h"
 
 namespace vfm {
 namespace {
@@ -180,6 +183,86 @@ TEST_F(VcpuTest, GprX0NeverWritten) {
   // csrrs x0, mscratch, x0
   Emulate(0x34002073);
   EXPECT_EQ(gprs_[0], 0u);
+}
+
+TEST_F(VcpuTest, LoadStateRejectsAPrivilegeThatCannotOccur) {
+  for (const uint8_t priv : {uint8_t{2}, uint8_t{7}}) {
+    StateWriter writer;
+    writer.BeginSection(StateTag("VCTX"), 1);
+    writer.U64(0x8010'0000);
+    writer.U8(priv);
+    vctx_.csrs().SaveState(writer);
+    writer.EndSection();
+    const std::vector<uint8_t> bytes = writer.Take();
+    StateReader reader(bytes);
+    VirtContext loaded(VirtualHartIsa(HartIsaConfig{}), 0);
+    EXPECT_FALSE(loaded.LoadState(reader));
+    EXPECT_NE(reader.error().find("privilege " + std::to_string(priv)), std::string::npos)
+        << reader.error();
+    EXPECT_EQ(loaded.priv(), PrivMode::kMachine);
+  }
+}
+
+// On qemu-sim, the one platform with H, the vCPU runs the harts' trap entry with
+// V = 0: a trap to M clears mstatus.MPV, and a trap delegated to S clears
+// hstatus.SPV, exactly as on a hart in the same state. xRETs clear them too.
+TEST(VcpuHTest, VirtualTrapEntryMatchesTheHartAtVZero) {
+  const PlatformProfile qemu = MakePlatform(PlatformKind::kQemuSim, 1, false);
+  ASSERT_TRUE(qemu.machine.isa.has_h_ext);
+  Machine machine(qemu.machine);
+  Hart& hart = machine.hart(0);
+  VirtContext vctx(VirtualHartIsa(qemu.machine.isa), 0);
+  const uint64_t mpv = uint64_t{1} << MstatusBits::kMpv;
+  const uint64_t spv = uint64_t{1} << HstatusBits::kSpv;
+  const uint64_t cause = CauseValue(ExceptionCause::kIllegalInstr);
+  for (const bool delegated : {false, true}) {
+    SCOPED_TRACE(delegated ? "delegated to S" : "to M");
+    for (CsrFile* csrs : {&hart.csrs(), &vctx.csrs()}) {
+      csrs->Set(kCsrMtvec, 0x8010'0300);
+      csrs->Set(kCsrStvec, 0x8040'2000);
+      csrs->Set(kCsrMedeleg, delegated ? uint64_t{1} << cause : 0);
+      csrs->Set(kCsrMstatus, csrs->mstatus() | mpv);
+      csrs->Set(kCsrHstatus, csrs->hstatus() | spv);
+    }
+    hart.set_priv(PrivMode::kSupervisor);
+    hart.set_virt(false);
+    hart.set_pc(0x8040'1000);
+    vctx.set_priv(PrivMode::kSupervisor);
+    vctx.set_pc(0x8040'1000);
+    hart.TakeTrap(cause, 0x55);
+    vctx.TakeVirtualTrap(cause, 0x55);
+
+    EXPECT_EQ(vctx.priv(), hart.priv());
+    EXPECT_EQ(vctx.pc(), hart.pc());
+    EXPECT_FALSE(hart.virt());
+    for (const uint16_t csr : {kCsrMstatus, kCsrHstatus, kCsrMepc, kCsrMcause, kCsrMtval,
+                               kCsrSepc, kCsrScause, kCsrStval}) {
+      EXPECT_EQ(vctx.csrs().Get(csr), hart.csrs().Get(csr)) << CsrName(csr);
+    }
+    if (delegated) {
+      EXPECT_EQ(vctx.priv(), PrivMode::kSupervisor);
+      EXPECT_EQ(vctx.csrs().hstatus() & spv, 0u);
+      EXPECT_EQ(vctx.csrs().mstatus() & mpv, mpv);
+    } else {
+      EXPECT_EQ(vctx.priv(), PrivMode::kMachine);
+      EXPECT_EQ(vctx.csrs().mstatus() & mpv, 0u);
+      EXPECT_EQ(vctx.csrs().hstatus() & spv, spv);
+    }
+  }
+
+  // mret clears MPV and sret clears SPV; the V bit they would return to is dropped.
+  uint64_t gprs[32] = {};
+  vctx.set_priv(PrivMode::kMachine);
+  vctx.csrs().Set(kCsrMstatus, InsertBits(vctx.csrs().mstatus() | mpv, MstatusBits::kMppHi,
+                                          MstatusBits::kMppLo, 1));
+  EXPECT_EQ(vctx.EmulatePrivileged(Decode(kMret), gprs).outcome,
+            EmulationOutcome::kReturnToLower);
+  EXPECT_EQ(vctx.csrs().mstatus() & mpv, 0u);
+  vctx.set_priv(PrivMode::kMachine);
+  vctx.csrs().Set(kCsrHstatus, vctx.csrs().hstatus() | spv);
+  EXPECT_EQ(vctx.EmulatePrivileged(Decode(kSret), gprs).outcome,
+            EmulationOutcome::kReturnToLower);
+  EXPECT_EQ(vctx.csrs().hstatus() & spv, 0u);
 }
 
 }  // namespace

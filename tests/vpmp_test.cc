@@ -160,20 +160,21 @@ TEST_F(VpmpTest, LockdownOverrideConfinesFirmware) {
 TEST_F(VpmpTest, ReinstallingAWorldGivesItsEpochBack) {
   // A world switch installs the other world's configuration as one whole-bank
   // install. Reinstalling contents already in place keeps the bank's epoch, and
-  // returning to a world gives that world's epoch back; a policy region makes a
-  // configuration of its own. The firmware world comes first, as at the monitor's
-  // boot: an entry the OS world turns OFF keeps the address it had.
+  // returning to a world gives that world's epoch back, from a fresh bank's first
+  // install on: an entry the monitor turns OFF holds address 0, whatever the other
+  // world's configuration put there. A policy region makes a configuration of its
+  // own, and removing it gives the world's epoch back.
   vcsr_.pmp().WriteAddrReg(0, 0x2000'0000);
   vcsr_.pmp().WriteCfgReg(0, 0x0F);  // TOR, R W X
-  inputs_.firmware_world = true;
-  Compute();
-  const uint64_t firmware = phys_.epoch();
-  Compute();
-  EXPECT_EQ(phys_.epoch(), firmware);
   inputs_.firmware_world = false;
   Compute();
   const uint64_t os = phys_.epoch();
-  EXPECT_NE(os, firmware);
+  Compute();
+  EXPECT_EQ(phys_.epoch(), os);
+  inputs_.firmware_world = true;
+  Compute();
+  const uint64_t firmware = phys_.epoch();
+  EXPECT_NE(firmware, os);
   for (int i = 0; i < 3; ++i) {
     inputs_.firmware_world = false;
     Compute();
@@ -188,6 +189,9 @@ TEST_F(VpmpTest, ReinstallingAWorldGivesItsEpochBack) {
   EXPECT_NE(phys_.epoch(), os);
   EXPECT_NE(phys_.epoch(), firmware);
   EXPECT_FALSE(phys_.Check(0x8400'0000, 8, AccessType::kLoad, PrivMode::kSupervisor));
+  inputs_.policy = {};
+  Compute();
+  EXPECT_EQ(phys_.epoch(), os);
 }
 
 TEST_F(VpmpTest, VirtualEntriesLandAtFixedSlots) {
