@@ -6,39 +6,8 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace vfm {
-
-// Minimal machine-readable results emitter: writes one flat JSON object of numeric
-// metrics (plus a name) so CI and the driver can diff bench results across commits
-// without parsing the human-readable tables.
-class JsonResultWriter {
- public:
-  explicit JsonResultWriter(std::string name) : name_(std::move(name)) {}
-
-  void Add(const std::string& key, double value) { metrics_.emplace_back(key, value); }
-
-  // Writes `{"name": ..., "k1": v1, ...}` to `path`. Returns false on I/O failure.
-  bool WriteTo(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return false;
-    }
-    std::fprintf(f, "{\n  \"name\": \"%s\"", name_.c_str());
-    for (const auto& [key, value] : metrics_) {
-      std::fprintf(f, ",\n  \"%s\": %.6f", key.c_str(), value);
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, double>> metrics_;
-};
 
 inline void PrintHeader(const std::string& id, const std::string& title) {
   std::printf("\n==============================================================\n");

@@ -1,5 +1,7 @@
 #include "src/dev/blockdev.h"
 
+#include <string>
+
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/common/state.h"
@@ -70,13 +72,15 @@ bool BlockDev::MmioWrite(uint64_t offset, unsigned size, uint64_t value) {
   }
 }
 
-void BlockDev::StartCommand(uint64_t cmd, uint64_t now_ticks) {
-  if (busy() || (cmd != kCmdRead && cmd != kCmdWrite)) {
-    status_ |= kStatusError;
-    return;
-  }
+bool BlockDev::CanStart(uint64_t cmd, uint64_t lba, uint64_t count) const {
+  // Written so that no sum wraps: LBA 2^64-1 with COUNT 2 is past the disk.
   const uint64_t capacity = disk_.size() / kSectorSize;
-  if (lba_ + count_ > capacity) {
+  return (cmd == kCmdRead || cmd == kCmdWrite) && count <= capacity &&
+         lba <= capacity - count;
+}
+
+void BlockDev::StartCommand(uint64_t cmd, uint64_t now_ticks) {
+  if (busy() || !CanStart(cmd, lba_, count_)) {
     status_ |= kStatusError;
     return;
   }
@@ -135,6 +139,12 @@ bool BlockDev::LoadState(StateReader& reader) {
   const uint64_t last_tick = reader.U64();
   const uint64_t completed = reader.U64();
   reader.EndSection();
+  if (reader.ok() && (status & kStatusBusy) != 0 && !CanStart(pending_cmd, lba, count)) {
+    reader.Fail("blockdev busy with command " + std::to_string(pending_cmd) + " on " +
+                std::to_string(count) + " sectors at LBA " + std::to_string(lba) +
+                ", which a " + std::to_string(disk_.size() / kSectorSize) +
+                "-sector disk could not have started");
+  }
   if (!reader.ok()) {
     return false;
   }

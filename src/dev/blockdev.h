@@ -65,6 +65,9 @@ class BlockDev : public MmioDevice {
   uint64_t status() const { return status_; }
 
  private:
+  // Whether `cmd` over `count` sectors from `lba` is a read or write within the disk:
+  // the rule a guest's command must pass to start, and a snapshot's busy device to load.
+  bool CanStart(uint64_t cmd, uint64_t lba, uint64_t count) const;
   void StartCommand(uint64_t cmd, uint64_t now_ticks);
   void CompleteCommand();
 

@@ -11,7 +11,6 @@
 #include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/common/state.h"
-#include "src/isa/csr.h"
 
 namespace vfm {
 
@@ -147,6 +146,15 @@ uint64_t SegmentStopCycles(const Hart& hart, uint64_t stop_delta) {
 // verifier's checkpoints. Not cryptographic — it only needs to make two diverged
 // states hash differently with overwhelming probability, cheaply.
 uint64_t FnvU64(uint64_t value, uint64_t h) { return Fnv1a64(&value, sizeof value, h); }
+
+// Hashes everything `part` saves in a snapshot, so a checkpoint sees any state that a
+// restore would carry.
+template <typename Part>
+uint64_t HashSavedState(const Part& part) {
+  StateWriter writer;
+  part.SaveState(writer);
+  return Fnv1a64(writer.bytes().data(), writer.bytes().size());
+}
 
 uint64_t LoadLe64(const uint8_t* p) {
   uint64_t v = 0;
@@ -1019,7 +1027,7 @@ bool Machine::StopRecording(std::vector<uint8_t>* trace_out) {
   end.kind = TraceEventKind::kEnd;
   end.payload = StateHashPayload();
   end.a = HashRam();
-  end.b = blockdev_ != nullptr ? HashBlockdevFull() : 0;
+  end.b = blockdev_ != nullptr ? HashSavedState(*blockdev_) : 0;
   RecordEvent(std::move(end));
   std::vector<uint8_t> bytes = recorder_->writer.Finish();
   bool ok = true;
@@ -1160,7 +1168,7 @@ void Machine::VerifyCheckpoint(const TraceEvent& event) {
   }
   for (unsigned i = 0; i < hart_count(); ++i) {
     const uint64_t recorded = LoadLe64(event.payload.data() + i * sizeof(uint64_t));
-    const uint64_t got = HashHartState(*harts_[i]);
+    const uint64_t got = HashSavedState(*harts_[i]);
     if (got != recorded) {
       ReplayDiverge(i, event, "hart " + std::to_string(i) + " state hash mismatch");
       return;
@@ -1186,29 +1194,6 @@ void Machine::ReplayDiverge(uint32_t hart, const TraceEvent& event,
   result.retired = event.retired;
   result.round = event.round;
   result.detail = detail;
-}
-
-uint64_t Machine::HashHartState(const Hart& hart) const {
-  uint64_t h = kFnv1aBasis;
-  h = FnvU64(hart.pc(), h);
-  h = FnvU64(static_cast<uint64_t>(hart.priv()), h);
-  h = FnvU64(hart.waiting() ? 1 : 0, h);
-  for (unsigned i = 1; i < 32; ++i) {
-    h = FnvU64(hart.gpr(i), h);
-  }
-  h = FnvU64(hart.instret(), h);
-  h = FnvU64(hart.cycles(), h);
-  // The CSRs whose divergence a schedule bug is most likely to surface through;
-  // full state is covered by the end-of-trace RAM hash and device sections.
-  static constexpr uint16_t kHashedCsrs[] = {
-      kCsrMstatus, kCsrMie,  kCsrMip,    kCsrMedeleg,  kCsrMideleg, kCsrMtvec,
-      kCsrMepc,    kCsrMcause, kCsrMtval, kCsrMscratch, kCsrStvec,   kCsrSepc,
-      kCsrScause,  kCsrStval, kCsrSscratch, kCsrSatp,
-  };
-  for (uint16_t csr : kHashedCsrs) {
-    h = FnvU64(hart.csrs().Get(csr), h);
-  }
-  return h;
 }
 
 uint64_t Machine::HashDeviceState() const {
@@ -1242,7 +1227,7 @@ std::vector<uint8_t> Machine::StateHashPayload() const {
     }
   };
   for (unsigned i = 0; i < hart_count(); ++i) {
-    append(HashHartState(*harts_[i]));
+    append(HashSavedState(*harts_[i]));
   }
   append(HashDeviceState());
   return payload;
@@ -1250,12 +1235,6 @@ std::vector<uint8_t> Machine::StateHashPayload() const {
 
 uint64_t Machine::HashRam() const {
   return Fnv1a64(bus_.ram().data(), bus_.ram().size());
-}
-
-uint64_t Machine::HashBlockdevFull() const {
-  StateWriter writer;
-  blockdev_->SaveState(writer);
-  return Fnv1a64(writer.bytes().data(), writer.bytes().size());
 }
 
 void Machine::ExecuteReplayRun(const TraceEvent& run) {
@@ -1486,7 +1465,7 @@ ReplayResult Machine::ReplayFrom(const Snapshot& snapshot,
         if (!result.diverged && result.error.empty()) {
           if (HashRam() != event.a) {
             ReplayDiverge(hart_count(), event, "RAM hash mismatch at end of trace");
-          } else if (blockdev_ != nullptr && HashBlockdevFull() != event.b) {
+          } else if (blockdev_ != nullptr && HashSavedState(*blockdev_) != event.b) {
             ReplayDiverge(hart_count(), event,
                           "blockdev state hash mismatch at end of trace");
           }

@@ -376,11 +376,9 @@ class Machine {
   void VerifyCheckpoint(const TraceEvent& event);
   void ExecuteReplayRun(const TraceEvent& run);
   void ReplayDiverge(uint32_t hart, const TraceEvent& event, const std::string& detail);
-  uint64_t HashHartState(const Hart& hart) const;
   uint64_t HashDeviceState() const;
   std::vector<uint8_t> StateHashPayload() const;  // per-hart hashes + device hash
   uint64_t HashRam() const;
-  uint64_t HashBlockdevFull() const;
 
   // Parallel-hart worker pool, created lazily on the first pooled quantum (one whose
   // segment bound reaches kMinPooledSegment), so a machine whose quanta all stay

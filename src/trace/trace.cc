@@ -10,8 +10,9 @@ namespace {
 constexpr uint32_t kTraceTag = StateTag("TRAC");
 constexpr uint32_t kEventTag = StateTag("TREV");
 // Version 2: checkpoint hashes start from the standard FNV-1a offset basis, and the
-// host-time event kind (3) is gone.
-constexpr uint32_t kTraceVersion = 2;
+// host-time event kind (3) is gone. Version 3: a hart's checkpoint hash covers its
+// whole saved state, so an older trace's hashes cannot match.
+constexpr uint32_t kTraceVersion = 3;
 constexpr uint32_t kEventVersion = 1;
 
 bool IsDroppable(TraceEventKind kind) {
@@ -67,7 +68,9 @@ TraceReader::TraceReader(const std::vector<uint8_t>& bytes) {
     return;
   }
   if (version != kTraceVersion) {
-    error_ = "unsupported trace version " + std::to_string(version);
+    error_ = "unsupported trace version " + std::to_string(version) +
+             " (this build reads version " + std::to_string(kTraceVersion) +
+             "); re-record the trace";
     return;
   }
   reader.Bytes(&header_.fingerprint);

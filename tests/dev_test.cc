@@ -200,9 +200,28 @@ TEST_F(BlockDevTest, WriteThenReadRoundTrip) {
 }
 
 TEST_F(BlockDevTest, OutOfRangeLbaErrors) {
-  Submit(BlockDev::kCmdRead, 1020, 8, 0x8000'0000);  // 1020+8 > 1024
-  EXPECT_NE(Status() & BlockDev::kStatusError, 0u);
-  EXPECT_FALSE(device_.busy());
+  // 1020 + 8 > 1024. In the other two ranges LBA + COUNT wraps to a small number;
+  // they must be refused too, or the DMA would copy from or to the bytes outside
+  // the disk.
+  struct Range {
+    uint64_t lba;
+    uint64_t count;
+  };
+  for (const Range range :
+       {Range{1020, 8}, Range{~uint64_t{0}, 2}, Range{~uint64_t{0} << 55, 1ull << 55}}) {
+    for (const uint64_t cmd : {BlockDev::kCmdRead, BlockDev::kCmdWrite}) {
+      SCOPED_TRACE(testing::Message() << "cmd " << cmd << " lba " << range.lba << " count "
+                                      << range.count);
+      device_.MmioWrite(BlockDev::kRegIrqAck, 8, 1);
+      const uint64_t completed = device_.completed_commands();
+      Submit(cmd, range.lba, range.count, 0x8000'0000);
+      EXPECT_NE(Status() & BlockDev::kStatusError, 0u);
+      ASSERT_FALSE(device_.busy());
+      device_.Tick(1'000);
+      EXPECT_EQ(device_.completed_commands(), completed);
+      EXPECT_FALSE(device_.busy());
+    }
+  }
 }
 
 TEST_F(BlockDevTest, InvalidCommandErrors) {

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/state.h"
@@ -381,6 +382,58 @@ TEST(SnapshotRoundTripTest, RestoreRejectsPrivilegeStateThatCannotOccur) {
   Machine d(mc);
   EXPECT_FALSE(d.RestoreSnapshot(virt));
   EXPECT_FALSE(d.hart(0).virt());
+}
+
+TEST(SnapshotRoundTripTest, RestoreRejectsABusyBlockDeviceThatCouldNotHaveStarted) {
+  // The block device's section holds LBA, COUNT and the DMA address, then status,
+  // pending command and deadline. A busy device must hold a command the guest could
+  // have started: a read or write within the disk. Anything else would run its DMA
+  // outside the disk on the first tick.
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  mc.blockdev.enabled = true;
+  mc.blockdev.sectors = 64;
+  Machine a(mc);
+  const uint64_t registers[3] = {3, 2, mc.map.ram_base + 0x4560};  // LBA, COUNT, DMA
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_TRUE(a.blockdev()->MmioWrite(BlockDev::kRegLba + 8 * i, 8, registers[i]));
+  }
+  ASSERT_TRUE(a.blockdev()->MmioWrite(BlockDev::kRegCmd, 8, BlockDev::kCmdRead));
+  ASSERT_TRUE(a.blockdev()->busy());
+  Snapshot snapshot;
+  a.SaveSnapshot(snapshot);
+  const uint8_t* first = reinterpret_cast<const uint8_t*>(registers);
+  const auto at = std::search(snapshot.state.begin(), snapshot.state.end(), first,
+                              first + sizeof(registers));
+  ASSERT_NE(at, snapshot.state.end());
+  const size_t lba_offset = static_cast<size_t>(at - snapshot.state.begin());
+  const size_t count_offset = lba_offset + 8;
+  const size_t cmd_offset = lba_offset + 32;
+  const auto patched = [&](std::initializer_list<std::pair<size_t, uint64_t>> fields) {
+    Snapshot bad = snapshot;
+    for (const auto& [offset, value] : fields) {
+      std::memcpy(bad.state.data() + offset, &value, sizeof value);
+    }
+    return bad;
+  };
+
+  Machine b(mc);
+  ASSERT_TRUE(b.RestoreSnapshot(patched({})));
+  EXPECT_TRUE(b.blockdev()->busy());
+  const Snapshot bad_snapshots[] = {
+      patched({{cmd_offset, 7}}),
+      patched({{lba_offset, ~uint64_t{0}}, {count_offset, 2}}),
+      patched({{lba_offset, ~uint64_t{0} << 55}, {count_offset, 1ull << 55}}),
+      patched({{lba_offset, 63}, {count_offset, 2}}),
+  };
+  for (const Snapshot& bad : bad_snapshots) {
+    Machine c(mc);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(c.RestoreSnapshot(bad));
+    const std::string error = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(error.find("could not have started"), std::string::npos) << error;
+    EXPECT_FALSE(c.blockdev()->busy());
+  }
 }
 
 TEST(SnapshotRoundTripTest, RepeatedSaveOfQuiescentMachineReusesImages) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/state.h"
@@ -126,6 +128,20 @@ TEST(TraceFormatTest, VersionSkewRejected) {
   EXPECT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("unsupported trace version 99"), std::string::npos)
       << reader.error();
+
+  // Version 2 hashed a hand-picked part of each hart, so its checkpoints cannot
+  // match today's: such a trace is refused with a reason, not replayed into a
+  // false divergence. The version is the word after the TRAC tag.
+  RecordedLoop rec = RecordLoopRun(LoopConfig());
+  const uint32_t two = 2;
+  std::memcpy(rec.trace.data() + 4, &two, sizeof two);
+  Machine machine(LoopConfig());
+  const ReplayResult result = machine.ReplayFrom(rec.anchor, rec.trace);
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.diverged);
+  EXPECT_NE(result.error.find("unsupported trace version 2"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("re-record the trace"), std::string::npos) << result.error;
 }
 
 TEST(TraceFormatTest, CorruptTraceRejected) {
@@ -249,8 +265,9 @@ TEST(ReplayTest, InjectedDivergenceReportsFirstCheckpointCoordinate) {
   const RecordedLoop rec = RecordLoopRun(mc, /*hash_period=*/32);
 
   // Find the first post-anchor state-hash checkpoint in the trace: a tampered
-  // replay must be caught exactly there, on hart 0 (the tampered register feeds
-  // the loop counter, so the hash differs at the first opportunity).
+  // replay must be caught exactly there, on hart 0. The tampered register feeds
+  // the loop counter; the tampered CSRs change nothing the loop computes, so only
+  // a hash of the hart's whole state sees them.
   TraceReader reader(rec.trace);
   ASSERT_TRUE(reader.ok()) << reader.error();
   const TraceEvent* first_hash = nullptr;
@@ -262,17 +279,25 @@ TEST(ReplayTest, InjectedDivergenceReportsFirstCheckpointCoordinate) {
   }
   ASSERT_NE(first_hash, nullptr);
 
-  Machine machine(mc);
-  const ReplayResult result =
-      machine.ReplayFrom(rec.anchor, rec.trace, [&machine] {
-        machine.hart(0).set_gpr(10, machine.hart(0).gpr(10) + 1);
-        return true;
-      });
-  EXPECT_FALSE(result.ok);
-  ASSERT_TRUE(result.diverged) << result.error;
-  EXPECT_EQ(result.hart, 0u);
-  EXPECT_EQ(result.retired, first_hash->retired);
-  EXPECT_EQ(result.round, first_hash->round);
+  const std::pair<const char*, std::function<void(Hart&)>> tampers[] = {
+      {"a0", [](Hart& hart) { hart.set_gpr(10, hart.gpr(10) + 1); }},
+      {"mcounteren", [](Hart& hart) { hart.csrs().Set(kCsrMcounteren, 0x5); }},
+      {"menvcfg", [](Hart& hart) { hart.csrs().Set(kCsrMenvcfg, 0x1); }},
+  };
+  for (const auto& [name, tamper] : tampers) {
+    SCOPED_TRACE(name);
+    Machine machine(mc);
+    const ReplayResult result =
+        machine.ReplayFrom(rec.anchor, rec.trace, [&machine, &tamper = tamper] {
+          tamper(machine.hart(0));
+          return true;
+        });
+    EXPECT_FALSE(result.ok);
+    ASSERT_TRUE(result.diverged) << result.error;
+    EXPECT_EQ(result.hart, 0u);
+    EXPECT_EQ(result.retired, first_hash->retired);
+    EXPECT_EQ(result.round, first_hash->round);
+  }
 }
 
 TEST(ReplayTest, DivergenceCoordinateIdenticalOnQuantumAndParallel) {

@@ -6,7 +6,7 @@
 //
 // --rate is the mean request inter-arrival time in timebase ticks (0 = every
 // request due at start); --profile picks the per-request work (memcached,
-// redis); --json writes the stats as a flat JSON object.
+// redis).
 
 #include <climits>
 #include <cstdio>
@@ -15,7 +15,6 @@
 #include <string>
 #include <thread>
 
-#include "bench/bench_util.h"
 #include "src/fleet/fleet.h"
 
 namespace vfm {
@@ -26,7 +25,7 @@ int Usage() {
                "usage: vfm_fleet [--machines N] [--workers N] [--requests N]\n"
                "                 [--rate TICKS] [--slice INSTR] [--poll TICKS]\n"
                "                 [--seed S] [--profile memcached|redis]\n"
-               "                 [--heavy N] [--json PATH]\n");
+               "                 [--heavy N]\n");
   return 2;
 }
 
@@ -46,7 +45,6 @@ int Main(int argc, char** argv) {
   config.workers = std::thread::hardware_concurrency() > 0
                        ? std::thread::hardware_concurrency()
                        : 1;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -88,8 +86,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "unknown profile '%s'\n", name.c_str());
         return Usage();
       }
-    } else if (arg == "--json") {
-      json_path = next();
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return Usage();
@@ -123,24 +119,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("  deterministic signature: %016llx\n",
               static_cast<unsigned long long>(stats.DeterministicSignature()));
-
-  if (!json_path.empty()) {
-    JsonResultWriter json("fleet");
-    json.Add("machines", static_cast<double>(stats.machines));
-    json.Add("workers", static_cast<double>(config.workers));
-    json.Add("requests_completed", static_cast<double>(stats.requests_completed));
-    json.Add("fleet_mips", stats.fleet_mips);
-    json.Add("requests_per_host_sec", stats.requests_per_host_sec);
-    json.Add("p50_us", stats.p50_us);
-    json.Add("p99_us", stats.p99_us);
-    json.Add("p999_us", stats.p999_us);
-    json.Add("steals", static_cast<double>(stats.steals));
-    json.Add("wall_seconds", stats.wall_seconds);
-    if (!json.WriteTo(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
 
   const bool ok = stats.stalled == 0 && stats.finished == stats.machines &&
                   stats.requests_completed ==
