@@ -178,7 +178,7 @@ int main() {
   std::printf("  total OS traps during native boot: %llu\n",
               static_cast<unsigned long long>(native.total_traps));
 
-  vfm::PrintFooter("Figure 3 + §8.3.2 (five causes ~= 99.98%% of traps; boot 47.5s native vs "
+  vfm::PrintFooter("Figure 3 + §8.3.2 (five causes ~= 99.98% of traps; boot 47.5s native vs "
                    "48.0s Miralis vs 61.3s no-offload; offload cuts world switches to ~1/s)");
   return 0;
 }

@@ -139,7 +139,7 @@ Monitor::Monitor(Machine* machine, const MonitorConfig& config)
   for (unsigned i = 0; i < machine_->hart_count(); ++i) {
     harts_.push_back(std::make_unique<HartState>(isa, i));
     Clint* clint = &machine_->clint();
-    harts_.back()->vctx.csrs().set_time_source([clint] { return clint->mtime(); });
+    harts_.back()->vctx.csrs().set_time_source([clint] { return clint->SyncedTime(); });
   }
 }
 

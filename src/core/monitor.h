@@ -87,6 +87,8 @@ struct MonitorStats {
   uint64_t fastpath_hits = 0;         // OS traps absorbed by the fast path
   uint64_t policy_denials = 0;
   uint64_t os_traps_by_cause[static_cast<unsigned>(OsTrapCause::kCount)] = {};
+
+  bool operator==(const MonitorStats&) const = default;
 };
 
 class Monitor : public MmodeOwner {

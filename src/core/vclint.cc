@@ -4,8 +4,8 @@ namespace vfm {
 
 VirtClint::VirtClint(Clint* phys, unsigned hart_count) : phys_(phys), regs_(hart_count) {}
 
-bool VirtClint::Read(uint64_t offset, unsigned size, uint64_t* value) const {
-  regs_.set_mtime(phys_->mtime());
+bool VirtClint::Read(uint64_t offset, unsigned size, uint64_t* value) {
+  regs_.set_mtime(mtime());
   return regs_.MmioRead(offset, size, value);
 }
 

@@ -41,9 +41,10 @@ class Clint : public MmioDevice {
   // Optional live timebase, installed by single-hart machines: returns the ticks due
   // from hart 0's cycle counter. The batched run loop pushes mtime only at batch
   // boundaries, so guest-visible reads (mtime MMIO here, the time CSR via the hart's
-  // time source) go through SyncedTime(), which pulls mtime forward to the exact
-  // per-instruction value first. The push is monotonic: software that wrote mtime
-  // ahead of the clock keeps its value, matching the run loop's own push.
+  // time source) and every read the monitor makes (src/core/vclint.h) go through
+  // SyncedTime(), which pulls mtime forward to the exact per-instruction value
+  // first. The push is monotonic: software that wrote mtime ahead of the clock keeps
+  // its value, matching the run loop's own push.
   void set_tick_source(std::function<uint64_t()> source) { tick_source_ = std::move(source); }
   uint64_t SyncedTime() {
     if (tick_source_) {

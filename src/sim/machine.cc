@@ -699,22 +699,25 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
       n = 1;
     }
     // Horizon. A timebase tick is only architecturally observable through (a) an
-    // mtime read — single-hart MMIO and time-CSR reads are live-synced from hart 0's
-    // clock (Clint::SyncedTime), and a multi-hart MMIO read is a sync event that
-    // ends the segment — and (b) the MTIP edge at a hart's mtimecmp, where the batch
-    // must stop so the interrupt is sampled on the same instruction boundary as
-    // per-instruction stepping. So the horizon runs to the earliest future
-    // comparator edge, not to the next tick. Cases that reintroduce per-tick
-    // observers keep the one-tick horizon: Sstc (stimecmp comparators fire on ticks
-    // outside the CLINT), a host-side monitor (it reads the stored mtime between
-    // batches), and a busy block device (its completion deadline is an mtime tick;
+    // mtime read — single-hart MMIO and time-CSR reads, and every read the M-mode
+    // owner makes, are live-synced from hart 0's clock (Clint::SyncedTime), and a
+    // multi-hart MMIO read is a sync event that ends the segment — and (b) the MTIP
+    // edge at a hart's mtimecmp, where the batch must stop so the interrupt is
+    // sampled on the same instruction boundary as per-instruction stepping. A
+    // monitor keeps the physical mtimecmp at its earliest deadline, so its timers
+    // are such edges too. So the horizon runs to the earliest future comparator
+    // edge, not to the next tick. Cases that reintroduce per-tick observers keep
+    // the one-tick horizon: Sstc (stimecmp comparators fire on ticks outside the
+    // CLINT), a multi-hart M-mode owner (it reads the stored mtime, which only
+    // barriers push, and its IPIs and remote fences would otherwise wait a whole
+    // quantum), and a busy block device (its completion deadline is an mtime tick;
     // n == 1 above already serializes it). With every comparator in the past there
-    // is no future edge — the next one needs an mtimecmp MMIO write, which ends the
+    // is no future edge — the next one needs an mtimecmp write, which ends the
     // batch — so the horizon is unbounded and the batch cap alone sizes the batch.
     // This keeps barrier costs amortized over thousands of instructions instead of
     // one ~hundred-cycle timer tick.
     uint64_t horizon = (clint_->mtime() + 1) * tick_cycles;
-    if (owner_ == nullptr && !config_.isa.has_sstc && !blockdev_busy) {
+    if ((!kMulti || owner_ == nullptr) && !config_.isa.has_sstc && !blockdev_busy) {
       horizon = ~uint64_t{0};
       for (unsigned i = 0; i < count; ++i) {
         const uint64_t cmp = clint_->mtimecmp(i);
@@ -738,8 +741,9 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
     // bit-identical either way because segments only read frozen shared state. Every
     // instruction charges at least one cycle, so no segment runs past
     // min(n, stop_delta) instructions. Only a bound of kMinPooledSegment or more pays
-    // for the pool's thread handoff; shorter quanta (a monitor's one-tick horizon,
-    // per-instruction RunUntil/StepAll, a busy block device) run in hart order here.
+    // for the pool's thread handoff; shorter quanta (a multi-hart monitor's one-tick
+    // horizon, per-instruction RunUntil/StepAll, a busy block device) run in hart
+    // order here.
     const bool parallel =
         may_pool && (n < stop_delta ? n : stop_delta) >= kMinPooledSegment;
     if constexpr (kMulti) {
@@ -918,11 +922,7 @@ void Machine::SaveSnapshot(Snapshot& snapshot) {
 }
 
 bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
-  const std::string ram_error = snapshot.ram == nullptr
-                                    ? "snapshot has no RAM image"
-                                    : RamImageSizeError(snapshot.ram->size(), config_.map);
-  if (!ram_error.empty()) {
-    VFM_LOG_WARN("sim", "snapshot restore failed: %s", ram_error.c_str());
+  if (!Machine(config_).LoadSnapshot(snapshot)) {
     return false;
   }
   // Restoring to an arbitrary point invalidates the open trace's coordinate
@@ -930,6 +930,19 @@ bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
   if (recorder_ != nullptr) {
     VFM_LOG_WARN("sim", "snapshot restore while recording: recording abandoned");
     recorder_.reset();
+  }
+  const bool loaded = LoadSnapshot(snapshot);
+  VFM_CHECK_MSG(loaded, "Machine::RestoreSnapshot: a load that staged cleanly failed");
+  return true;
+}
+
+bool Machine::LoadSnapshot(const Snapshot& snapshot) {
+  const std::string ram_error = snapshot.ram == nullptr
+                                    ? "snapshot has no RAM image"
+                                    : RamImageSizeError(snapshot.ram->size(), config_.map);
+  if (!ram_error.empty()) {
+    VFM_LOG_WARN("sim", "snapshot restore failed: %s", ram_error.c_str());
+    return false;
   }
   StateReader reader(snapshot.state);
   const uint32_t version = reader.BeginSection(StateTag("MACH"));
@@ -968,7 +981,7 @@ std::unique_ptr<Machine> Machine::Fork() {
   Snapshot snapshot;
   SaveSnapshot(snapshot);
   auto child = std::make_unique<Machine>(config_);
-  const bool restored = child->RestoreSnapshot(snapshot);
+  const bool restored = child->LoadSnapshot(snapshot);
   VFM_CHECK_MSG(restored, "Machine::Fork: restore of own snapshot failed");
   return child;
 }

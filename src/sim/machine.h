@@ -268,13 +268,14 @@ class Machine {
   void SaveSnapshot(Snapshot& snapshot);
   // Restores a snapshot taken from a machine with an identical MachineConfig
   // fingerprint (hart count, memory map, ISA, block device). Returns false — with
-  // a warning logged — on a mismatched or corrupt snapshot; the machine must then
-  // be discarded (device state may have partially loaded). A missing RAM image, or
-  // one whose size does not fit this machine's RAM, is rejected before anything
-  // loads. On success every translation cache is invalidated via the generation
-  // stamps and RAM rebinds to the snapshot's image without copying.
+  // a warning logged — on a mismatched or corrupt snapshot, and leaves the machine
+  // as it was: the load runs first in a fresh staging machine of the same
+  // configuration, and reaches this one only after every section loaded there. On
+  // success every translation cache is invalidated via the generation stamps and
+  // RAM rebinds to the snapshot's image without copying.
   bool RestoreSnapshot(const Snapshot& snapshot);
-  // SaveSnapshot + a fresh Machine + RestoreSnapshot: a copy-on-write clone of this
+  // SaveSnapshot + a fresh Machine + the same load without the staging step (the
+  // child is fresh, and its own snapshot loads): a copy-on-write clone of this
   // machine. The child shares RAM pages with the parent (and its snapshot) until
   // either side writes. The child has no M-mode owner or trap observer installed.
   std::unique_ptr<Machine> Fork();
@@ -340,6 +341,9 @@ class Machine {
 
  private:
   void RefreshInterruptLines();
+  // RestoreSnapshot's load, unstaged: on a rejected snapshot the harts, the bus and
+  // the devices before the rejecting section have already loaded.
+  bool LoadSnapshot(const Snapshot& snapshot);
 
   // The one run loop behind StepAll, RunUntilFinished, RunUntil and RunSlice
   // (DESIGN.md §2i). Per barrier: `predicate`, when given, is checked; every hart

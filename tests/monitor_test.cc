@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/bits.h"
+#include "src/common/hash.h"
 #include "src/isa/sbi.h"
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
+#include "src/workloads/workloads.h"
 
 namespace vfm {
 namespace {
@@ -286,6 +290,256 @@ TEST(MonitorTest, AbsentCsrTrapsNativelyAndVirtualized) {
   EXPECT_EQ(virtualized.mcause, native.mcause);
   EXPECT_EQ(virtualized.mtval, native.mtval);
   EXPECT_EQ(virtualized.mepc, native.mepc);
+}
+
+// ---------------------------------------------------------------------------------
+// Exact time under the monitor. On a single hart the run loop stores mtime only at
+// batch boundaries, and every read the monitor makes is synced to hart 0's clock
+// (Clint::SyncedTime), as a native read is. Each case stops where the monitor is
+// about to read time and pushes the hart's clock ahead of the stored counter; the
+// read must return the synced time, not the stored one.
+
+constexpr uint64_t kAheadTicks = 10;
+
+// The time a synced read returns on `machine` right now, computed without syncing.
+uint64_t SyncedNow(const Machine& machine) {
+  return machine.hart(0).cycles() / machine.config().cost.mtime_tick_cycles;
+}
+
+// Moves hart 0's clock kAheadTicks past the stored mtime; returns the stored value.
+uint64_t PushClockAhead(Machine& machine) {
+  const uint64_t stored = machine.clint().mtime();
+  machine.ChargeCycles(0, kAheadTicks * machine.config().cost.mtime_tick_cycles);
+  EXPECT_GE(SyncedNow(machine), stored + kAheadTicks);
+  return stored;
+}
+
+TEST(MonitorTimeTest, FastPathTimeReadIsSynced) {
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  System system = BootSystem(profile, DeployMode::kMiralis,
+                             KernelWith(profile, [](KernelBuilder& kb) {
+                               kb.assembler().Bind("t_time_read");
+                               kb.EmitTimeRead();
+                             }));
+  Machine& machine = *system.machine;
+  const uint64_t read_pc = system.kernel.Symbol("t_time_read");
+  ASSERT_TRUE(machine.RunUntil([&] { return machine.hart(0).pc() == read_pc; }, kBudget));
+  const uint64_t stored = PushClockAhead(machine);
+  const uint64_t before = SyncedNow(machine);
+  const uint64_t hits = system.monitor->stats().fastpath_hits;
+  machine.StepAll();
+  ASSERT_EQ(system.monitor->stats().fastpath_hits, hits + 1);
+  // Trap entry and the handler charge cycles before and after the read, so the
+  // synced time at the read lies between the clock's time before and after the step.
+  const uint64_t read = machine.hart(0).gpr(a0);
+  EXPECT_GE(read, before) << "the stored mtime was " << stored;
+  EXPECT_LE(read, SyncedNow(machine));
+}
+
+TEST(MonitorTimeTest, FirmwareTimeCsrIsSynced) {
+  // rva23-sim is the board whose firmware has a time CSR; the monitor emulates the
+  // firmware's read of it through the virtual CSR file's time source.
+  const PlatformProfile profile = MakePlatform(PlatformKind::kRva23Sim, 1, false);
+  System system = BootSystem(profile, DeployMode::kMiralis,
+                             KernelWith(profile, [](KernelBuilder&) {}));
+  Machine& machine = *system.machine;
+  ASSERT_TRUE(system.monitor->in_firmware_world(0));
+  PushClockAhead(machine);
+  constexpr uint32_t kRdtimeA0 = 0xC0102573;  // csrrs a0, time, x0
+  uint64_t gprs[32] = {};
+  const EmulationResult result =
+      system.monitor->vctx(0).EmulatePrivileged(Decode(kRdtimeA0), gprs);
+  ASSERT_EQ(result.outcome, EmulationOutcome::kAdvance);
+  EXPECT_EQ(gprs[a0], SyncedNow(machine));
+}
+
+TEST(MonitorTimeTest, FirmwareClintMtimeLoadIsSynced) {
+  // Without offload the OS's time read reaches the firmware, which loads mtime from
+  // the CLINT; the load traps on the protected window and the monitor emulates it.
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  System system = BootSystem(profile, DeployMode::kMiralisNoOffload,
+                             KernelWith(profile, [](KernelBuilder& kb) {
+                               kb.EmitTimeRead();
+                             }));
+  Machine& machine = *system.machine;
+  const Hart& hart = machine.hart(0);
+  // The firmware's time emulation sets t0 to mtime's address, then loads into t3.
+  const uint64_t mtime_addr = profile.machine.map.clint_base + Clint::kMtimeOffset;
+  ASSERT_TRUE(machine.RunUntil(
+      [&] { return system.monitor->in_firmware_world(0) && hart.gpr(t0) == mtime_addr; },
+      kBudget));
+  // The read the emulation makes, on its own: exactly the synced time. (Through the
+  // trap, the monitor's entry has already synced the counter before the load is
+  // emulated, so only the bounds below can be checked there.)
+  PushClockAhead(machine);
+  uint64_t direct = 0;
+  ASSERT_TRUE(system.monitor->vclint().Read(Clint::kMtimeOffset, 8, &direct));
+  EXPECT_EQ(direct, SyncedNow(machine));
+  const uint64_t stored = PushClockAhead(machine);
+  const uint64_t before = SyncedNow(machine);
+  const uint64_t emulations = system.monitor->stats().mmio_emulations;
+  machine.StepAll();
+  ASSERT_EQ(system.monitor->stats().mmio_emulations, emulations + 1);
+  EXPECT_GE(hart.gpr(t3), before) << "the stored mtime was " << stored;
+  EXPECT_LE(hart.gpr(t3), SyncedNow(machine));
+}
+
+TEST(MonitorTimeTest, ReprogramPhysTimerNowIsSynced) {
+  // The OS sets a deadline that the synced time has reached but the stored counter
+  // has not. The fast path's set_timer must latch it as a pending supervisor timer
+  // interrupt at once, not arm the physical comparator for a time already past.
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  System system = BootSystem(profile, DeployMode::kMiralis,
+                             KernelWith(profile, [](KernelBuilder& kb) {
+                               Assembler& a = kb.assembler();
+                               a.Li(a7, SbiExt::kTime);
+                               a.Li(a6, SbiFunc::kSetTimer);
+                               a.Bind("t_set_timer");
+                               a.Ecall();  // a0, the deadline, is set by the test
+                             }));
+  Machine& machine = *system.machine;
+  Hart& hart = machine.hart(0);
+  const uint64_t ecall_pc = system.kernel.Symbol("t_set_timer");
+  ASSERT_TRUE(machine.RunUntil([&] { return hart.pc() == ecall_pc; }, kBudget));
+  const uint64_t stored = PushClockAhead(machine);
+  const uint64_t deadline = stored + kAheadTicks / 2;
+  hart.set_gpr(a0, deadline);
+  const uint64_t hits = system.monitor->stats().fastpath_hits;
+  machine.StepAll();
+  ASSERT_EQ(system.monitor->stats().fastpath_hits, hits + 1);
+  constexpr uint64_t kStip = InterruptMask(InterruptCause::kSupervisorTimer);
+  EXPECT_NE(hart.csrs().mip_sw() & kStip, 0u)
+      << "deadline " << deadline << " not latched; stored mtime " << stored
+      << ", synced " << SyncedNow(machine);
+  EXPECT_NE(machine.clint().mtimecmp(0), deadline);
+}
+
+// ---------------------------------------------------------------------------------
+// Batched equals stepped. A monitored single hart batches to its next comparator
+// edge (Machine::RunBarriers' horizon). Its outputs must match per-instruction
+// stepping, where every instruction is its own batch: the horizon must change
+// nothing the guest, the monitor or the outside world can see.
+
+struct EndState {
+  uint64_t pc = 0;
+  std::vector<uint64_t> gprs;
+  uint64_t mcycle = 0;
+  uint64_t minstret = 0;
+  std::string uart;
+  MonitorStats stats;
+  uint64_t ram_hash = 0;
+  uint64_t timer_ticks = 0;  // the kernel's count of supervisor timer interrupts
+};
+
+// FNV-1a over RAM's 64-bit words: a byte-wise pass over 128 MiB takes ~0.3 s.
+uint64_t RamHash(Machine& machine) {
+  const Ram& ram = machine.bus().ram();
+  uint64_t hash = kFnv1aBasis;
+  for (uint64_t offset = 0; offset + 8 <= ram.size(); offset += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, ram.data() + offset, sizeof word);
+    hash = (hash ^ word) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string Describe(const MonitorStats& s) {
+  std::string text = "os_traps " + std::to_string(s.os_traps) + ", firmware_traps " +
+                     std::to_string(s.firmware_traps) + ", emulated_instrs " +
+                     std::to_string(s.emulated_instrs) + ", world_switches " +
+                     std::to_string(s.world_switches) + ", injected_interrupts " +
+                     std::to_string(s.injected_interrupts) + ", mmio_emulations " +
+                     std::to_string(s.mmio_emulations) + ", mprv_emulations " +
+                     std::to_string(s.mprv_emulations) + ", fastpath_hits " +
+                     std::to_string(s.fastpath_hits) + ", policy_denials " +
+                     std::to_string(s.policy_denials) + ", by cause";
+  for (const uint64_t count : s.os_traps_by_cause) {
+    text += " " + std::to_string(count);
+  }
+  return text;
+}
+
+EndState RunToEnd(const PlatformProfile& base, DeployMode mode, const Image& kernel,
+                  uint64_t batch_cap) {
+  PlatformProfile profile = base;
+  profile.machine.tuning.max_batch_instructions = batch_cap;
+  System system = BootSystem(profile, mode, kernel);
+  Machine& machine = *system.machine;
+  EXPECT_TRUE(machine.RunUntilFinished(kBudget));
+  EXPECT_EQ(machine.finisher().exit_code(), 0u);
+  const Hart& hart = machine.hart(0);
+  EndState end;
+  end.pc = hart.pc();
+  for (unsigned i = 0; i < 32; ++i) {
+    end.gprs.push_back(hart.gpr(i));
+  }
+  end.mcycle = hart.cycles();
+  end.minstret = hart.instret();
+  end.uart = machine.uart().output();
+  end.stats = system.monitor->stats();
+  end.ram_hash = RamHash(machine);
+  end.timer_ticks = system.ReadResult(KernelSlots::kTimerTicks);
+  return end;
+}
+
+// Runs `kernel` under the monitor with and without offload, stepped and batched, and
+// returns the batched runs' end states.
+std::vector<EndState> ExpectBatchedEqualsStepped(const PlatformProfile& profile,
+                                                 const Image& kernel) {
+  std::vector<EndState> ends;
+  for (const DeployMode mode : {DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {
+    SCOPED_TRACE(DeployModeName(mode));
+    const EndState stepped = RunToEnd(profile, mode, kernel, 1);
+    const EndState batched =
+        RunToEnd(profile, mode, kernel, profile.machine.tuning.max_batch_instructions);
+    EXPECT_EQ(batched.pc, stepped.pc);
+    EXPECT_EQ(batched.gprs, stepped.gprs);
+    EXPECT_EQ(batched.mcycle, stepped.mcycle);
+    EXPECT_EQ(batched.minstret, stepped.minstret);
+    EXPECT_EQ(batched.uart, stepped.uart);
+    EXPECT_TRUE(batched.stats == stepped.stats)
+        << "batched: " << Describe(batched.stats) << "\nstepped: " << Describe(stepped.stats);
+    EXPECT_EQ(batched.ram_hash, stepped.ram_hash);
+    ends.push_back(batched);
+  }
+  return ends;
+}
+
+TEST(MonitorBatchTest, BatchedEqualsSteppedOnRedis) {
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  WorkloadProfile redis = RedisProfile();
+  redis.requests = 24;
+  ExpectBatchedEqualsStepped(profile, BuildWorkloadKernel(profile, redis));
+}
+
+TEST(MonitorBatchTest, BatchedEqualsSteppedOnTimeReadsAndTimerSets) {
+  // Each iteration computes, reads time twice into a running sum and sets a timer a
+  // few ticks ahead, so the next iteration's compute runs past the deadline: timer
+  // edges land inside compute, where a batch must stop to take them, and time reads
+  // follow long batches. The kernel's handler re-arms its own periodic tick.
+  const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  const Image kernel = KernelWith(
+      profile,
+      [](KernelBuilder& kb) {
+        Assembler& a = kb.assembler();
+        a.Li(s4, 200);
+        a.Li(s5, 0);
+        a.Bind("t_loop");
+        kb.EmitComputeLoop(40, 16);
+        kb.EmitTimeRead();
+        a.Add(s5, s5, a0);
+        kb.EmitTimeRead();
+        a.Add(s5, s5, a0);
+        kb.EmitSetTimerRelative(3);
+        a.Addi(s4, s4, -1);
+        a.Bnez(s4, "t_loop");
+        a.Mv(a0, s5);
+        kb.EmitStoreResult(KernelSlots::kScratch);
+      },
+      /*timer_interval=*/50);
+  for (const EndState& end : ExpectBatchedEqualsStepped(profile, kernel)) {
+    EXPECT_GE(end.timer_ticks, 100u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// Counter tests for three mechanisms the speed of a run rests on, asserted from
+// Counter tests for four mechanisms the speed of a run rests on, asserted from
 // deterministic counters rather than host time, so they hold on any host:
 //   * the block engine (DESIGN.md §2f) runs a compute loop's instructions in blocks;
+//   * a monitored single hart batches a compute loop as a native one does: its
+//     batches end at timer edges, not at every mtime tick;
 //   * a monitor world switch keeps the hart's decoded instructions and blocks
 //     (DESIGN.md §2b, §2f): their validity keys on the PMP's contents, which
 //     alternate between the two worlds' configurations;
@@ -21,29 +23,67 @@
 namespace vfm {
 namespace {
 
-TEST(BlockCounterTest, ComputeLoopRunsInBlocks) {
+// What a single-hart vf2-sim machine did in a compute loop, counted from kernel entry
+// (the firmware's boot is left out).
+struct ComputeLoopCounts {
+  uint64_t retired = 0;
+  uint64_t in_blocks = 0;   // instructions that ran in blocks
+  uint64_t dispatches = 0;  // block dispatches (superblock_blocks)
+
+  double DispatchesPerKinstr() const {
+    return static_cast<double>(dispatches) / (static_cast<double>(retired) / 1000);
+  }
+};
+
+ComputeLoopCounts RunComputeLoop(DeployMode mode) {
   const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
   KernelConfig config;
   config.base = profile.kernel_base;
   KernelBuilder kb(config);
   kb.EmitComputeLoop(20'000, 16);
   kb.EmitFinish(/*pass=*/true);
-  System system = BootSystem(profile, DeployMode::kNative, kb.Finish());
+  System system = BootSystem(profile, mode, kb.Finish());
   Machine& machine = *system.machine;
   const Hart& hart = machine.hart(0);
 
   // Boot: the firmware runs until it enters the kernel.
   const uint64_t kernel_entry = system.kernel.entry;
-  ASSERT_TRUE(machine.RunUntil([&] { return hart.pc() == kernel_entry; }, 1'000'000));
+  EXPECT_TRUE(machine.RunUntil([&] { return hart.pc() == kernel_entry; }, 1'000'000));
   const uint64_t instret_before = hart.instret();
-  const uint64_t blocks_before = hart.threaded_instrs();
+  const uint64_t in_blocks_before = hart.threaded_instrs();
+  const uint64_t dispatches_before = hart.superblock_blocks();
 
-  ASSERT_TRUE(machine.RunUntilFinished(10'000'000));
-  const uint64_t retired = hart.instret() - instret_before;
-  const uint64_t in_blocks = hart.threaded_instrs() - blocks_before;
-  ASSERT_GT(retired, 500'000u);
-  EXPECT_GE(static_cast<double>(in_blocks), 0.99 * static_cast<double>(retired))
-      << in_blocks << " of " << retired << " instructions ran in blocks";
+  EXPECT_TRUE(machine.RunUntilFinished(10'000'000));
+  ComputeLoopCounts counts;
+  counts.retired = hart.instret() - instret_before;
+  counts.in_blocks = hart.threaded_instrs() - in_blocks_before;
+  counts.dispatches = hart.superblock_blocks() - dispatches_before;
+  return counts;
+}
+
+TEST(BlockCounterTest, ComputeLoopRunsInBlocks) {
+  const ComputeLoopCounts counts = RunComputeLoop(DeployMode::kNative);
+  ASSERT_GT(counts.retired, 500'000u);
+  EXPECT_GE(static_cast<double>(counts.in_blocks), 0.99 * static_cast<double>(counts.retired))
+      << counts.in_blocks << " of " << counts.retired << " instructions ran in blocks";
+}
+
+TEST(MonitorCounterTest, MonitoredComputeLoopBatchesLikeNative) {
+  // A monitored single hart reads exact time, so its batches run to the next timer
+  // edge, as a native hart's do, instead of stopping at every mtime tick. Each stop
+  // ends a block early, so the dispatch rate shows where batches end. Measured: 0.487
+  // dispatches per kinstr natively and in both monitored modes; 13.3 in both
+  // monitored modes when batches end at every tick.
+  const ComputeLoopCounts native = RunComputeLoop(DeployMode::kNative);
+  ASSERT_GT(native.retired, 500'000u);
+  for (const DeployMode mode : {DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {
+    SCOPED_TRACE(DeployModeName(mode));
+    const ComputeLoopCounts monitored = RunComputeLoop(mode);
+    ASSERT_GT(monitored.retired, 500'000u);
+    EXPECT_LE(monitored.DispatchesPerKinstr(), native.DispatchesPerKinstr() + 0.1)
+        << monitored.dispatches << " dispatches in " << monitored.retired
+        << " instructions; natively " << native.dispatches << " in " << native.retired;
+  }
 }
 
 TEST(MonitorCounterTest, WorldSwitchesKeepDecodedCodeAndBlocks) {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/state.h"
 #include "src/cosim/lockstep.h"
 #include "src/cosim/program.h"
@@ -434,6 +435,88 @@ TEST(SnapshotRoundTripTest, RestoreRejectsABusyBlockDeviceThatCouldNotHaveStarte
     EXPECT_NE(error.find("could not have started"), std::string::npos) << error;
     EXPECT_FALSE(c.blockdev()->busy());
   }
+}
+
+TEST(SnapshotRoundTripTest, RejectedRestoreLeavesTheTargetUntouched) {
+  // The block device's section loads after the harts and the bus, so a snapshot the
+  // block device rejects must still leave the target as it was. The target has run
+  // a program first, so its registers, CSRs and RAM hold state of their own.
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  mc.blockdev.enabled = true;
+  mc.blockdev.sectors = 64;
+  const uint64_t base = mc.map.ram_base;
+  Assembler a(base);
+  a.Li(t0, base + 0x8000);
+  a.Li(a0, 0);
+  a.Li(a1, 1000);
+  a.Bind("loop");
+  a.Addi(a0, a0, 1);
+  a.Sd(a0, t0, 0);
+  a.Addi(t0, t0, 8);
+  a.Bne(a0, a1, "loop");
+  a.Csrw(kCsrMscratch, a0);
+  a.Bind("done");
+  a.J("done");
+  const Image program = a.Finish().value();
+  Machine target(mc);
+  ASSERT_TRUE(target.LoadImage(program.base, program.bytes));
+  const uint64_t done = program.Symbol("done");
+  ASSERT_TRUE(target.RunUntil([&] { return target.hart(0).pc() == done; }, 100'000));
+
+  // A busy source whose pending command is patched to 7, which no guest can start.
+  Machine source(mc);
+  source.hart(0).set_pc(0x0123'4567'89AB'CDE0);
+  source.hart(0).set_gpr(a0, 0xCAFE);
+  const uint64_t registers[3] = {3, 2, base + 0x4560};  // LBA, COUNT, DMA
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_TRUE(source.blockdev()->MmioWrite(BlockDev::kRegLba + 8 * i, 8, registers[i]));
+  }
+  ASSERT_TRUE(source.blockdev()->MmioWrite(BlockDev::kRegCmd, 8, BlockDev::kCmdRead));
+  Snapshot snapshot;
+  source.SaveSnapshot(snapshot);
+  const uint8_t* first = reinterpret_cast<const uint8_t*>(registers);
+  const auto at = std::search(snapshot.state.begin(), snapshot.state.end(), first,
+                              first + sizeof(registers));
+  ASSERT_NE(at, snapshot.state.end());
+  Snapshot bad = snapshot;
+  const uint64_t command = 7;
+  std::memcpy(bad.state.data() + (at - snapshot.state.begin()) + 32, &command, sizeof command);
+
+  const auto csr_state = [&target] {
+    StateWriter writer;
+    target.hart(0).csrs().SaveState(writer);
+    return writer.Take();
+  };
+  const auto ram_hash = [&target] {
+    return Fnv1a64(target.bus().ram().data(), target.bus().ram().size());
+  };
+  const uint64_t pc = target.hart(0).pc();
+  std::vector<uint64_t> gprs;
+  for (unsigned i = 0; i < 32; ++i) {
+    gprs.push_back(target.hart(0).gpr(i));
+  }
+  const std::vector<uint8_t> csrs = csr_state();
+  const uint64_t ram = ram_hash();
+  ASSERT_EQ(target.hart(0).csrs().Get(kCsrMscratch), 1000u);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(target.RestoreSnapshot(bad));
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(error.find("could not have started"), std::string::npos) << error;
+  EXPECT_EQ(target.hart(0).pc(), pc);
+  for (unsigned i = 0; i < 32; ++i) {
+    EXPECT_EQ(target.hart(0).gpr(i), gprs[i]) << "x" << i;
+  }
+  EXPECT_TRUE(csr_state() == csrs) << "the CSRs changed";
+  EXPECT_EQ(ram_hash(), ram);
+  EXPECT_FALSE(target.blockdev()->busy());
+
+  // The unpatched snapshot restores onto the same target.
+  ASSERT_TRUE(target.RestoreSnapshot(snapshot));
+  EXPECT_EQ(target.hart(0).pc(), 0x0123'4567'89AB'CDE0u);
+  EXPECT_EQ(target.hart(0).gpr(a0), 0xCAFEu);
+  EXPECT_TRUE(target.blockdev()->busy());
 }
 
 TEST(SnapshotRoundTripTest, RepeatedSaveOfQuiescentMachineReusesImages) {

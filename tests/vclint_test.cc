@@ -70,6 +70,26 @@ TEST_F(VclintTest, VirtualMtipComparator) {
   EXPECT_TRUE(vclint_.VirtualMtip(1));
 }
 
+TEST_F(VclintTest, ReadsSeeTheSyncedTime) {
+  // A single-hart machine stores mtime only at batch boundaries and installs a tick
+  // source that gives the exact time in between. Every read through the virtual
+  // CLINT must see that exact time, not the stored counter.
+  uint64_t due = 100;
+  phys_.set_tick_source([&due] { return due; });
+  phys_.set_mtime(100);
+  due = 150;
+  EXPECT_EQ(vclint_.mtime(), 150u);
+  due = 200;
+  uint64_t value = 0;
+  ASSERT_TRUE(vclint_.Read(Clint::kMtimeOffset, 8, &value));
+  EXPECT_EQ(value, 200u);
+  vclint_.set_virtual_mtimecmp(1, 250);
+  EXPECT_FALSE(vclint_.VirtualMtip(1));
+  due = 250;
+  EXPECT_TRUE(vclint_.VirtualMtip(1));
+  EXPECT_EQ(phys_.mtime(), 250u);  // each read pushed the physical counter forward
+}
+
 TEST_F(VclintTest, PhysicalDeadlineIsMinimum) {
   vclint_.set_virtual_mtimecmp(0, 300);
   EXPECT_EQ(vclint_.PhysicalDeadline(0, 250), 250u);  // OS deadline sooner
