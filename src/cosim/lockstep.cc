@@ -278,6 +278,54 @@ HartSnapshot SnapshotHart(const Hart& hart) {
   return snap;
 }
 
+// The first difference between two runs' hart states, or an empty string.
+std::string CompareHarts(const std::vector<HartSnapshot>& a, const std::vector<HartSnapshot>& b) {
+  if (a.size() != b.size()) {
+    return "hart count";
+  }
+  for (size_t h = 0; h < a.size(); ++h) {
+    const HartSnapshot& x = a[h];
+    const HartSnapshot& y = b[h];
+    const std::string who = "hart" + std::to_string(h) + " ";
+    if (x.pc != y.pc) {
+      return who + "pc: " + Hex(x.pc) + " vs " + Hex(y.pc);
+    }
+    if (x.priv != y.priv) {
+      return who + "priv: " + std::to_string(x.priv) + " vs " + std::to_string(y.priv);
+    }
+    if (x.waiting != y.waiting) {
+      return who + "waiting differs";
+    }
+    if (x.instret != y.instret) {
+      return who + "instret: " + std::to_string(x.instret) + " vs " + std::to_string(y.instret);
+    }
+    if (x.cycles != y.cycles) {
+      return who + "cycles: " + std::to_string(x.cycles) + " vs " + std::to_string(y.cycles);
+    }
+    if (x.traps_taken != y.traps_taken) {
+      return who + "traps_taken: " + std::to_string(x.traps_taken) + " vs " +
+             std::to_string(y.traps_taken);
+    }
+    for (unsigned i = 0; i < 32; ++i) {
+      if (x.gpr[i] != y.gpr[i]) {
+        return who + "x" + std::to_string(i) + ": " + Hex(x.gpr[i]) + " vs " + Hex(y.gpr[i]);
+      }
+    }
+    for (unsigned i = 0; i < kComparedCsrCount; ++i) {
+      if (x.csrs[i] != y.csrs[i]) {
+        return who + CsrName(kComparedCsrs[i]) + ": " + Hex(x.csrs[i]) + " vs " +
+               Hex(y.csrs[i]);
+      }
+    }
+    for (unsigned i = 0; i < 8; ++i) {
+      if (x.pmpcfg[i] != y.pmpcfg[i] || x.pmpaddr[i] != y.pmpaddr[i]) {
+        return who + "pmp entry " + std::to_string(i) + " differs";
+      }
+    }
+  }
+  return {};
+}
+
 bool g_fork_pool_enabled = false;
 
 MachinePool& ForkPool() {
@@ -368,6 +416,9 @@ RunOutcome RunProgramSplit(const CosimProgram& program, const LockstepConfig& co
   Machine::RunProgress progress;
   first->RunUntilFinished(std::min(snapshot_at, budget), round_cap, &progress);
 
+  for (unsigned i = 0; i < first->hart_count(); ++i) {
+    out.phase1_harts.push_back(SnapshotHart(first->hart(i)));
+  }
   Snapshot snapshot;
   first->SaveSnapshot(snapshot);
 
@@ -498,48 +549,9 @@ std::string CompareOutcomes(const RunOutcome& a, const RunOutcome& b) {
              "/cycles " + std::to_string(b.traps[i].cycles);
     }
   }
-  if (a.harts.size() != b.harts.size()) {
-    return "hart count";
-  }
-  for (size_t h = 0; h < a.harts.size(); ++h) {
-    const HartSnapshot& x = a.harts[h];
-    const HartSnapshot& y = b.harts[h];
-    const std::string who = "hart" + std::to_string(h) + " ";
-    if (x.pc != y.pc) {
-      return who + "pc: " + Hex(x.pc) + " vs " + Hex(y.pc);
-    }
-    if (x.priv != y.priv) {
-      return who + "priv: " + std::to_string(x.priv) + " vs " + std::to_string(y.priv);
-    }
-    if (x.waiting != y.waiting) {
-      return who + "waiting differs";
-    }
-    if (x.instret != y.instret) {
-      return who + "instret: " + std::to_string(x.instret) + " vs " + std::to_string(y.instret);
-    }
-    if (x.cycles != y.cycles) {
-      return who + "cycles: " + std::to_string(x.cycles) + " vs " + std::to_string(y.cycles);
-    }
-    if (x.traps_taken != y.traps_taken) {
-      return who + "traps_taken: " + std::to_string(x.traps_taken) + " vs " +
-             std::to_string(y.traps_taken);
-    }
-    for (unsigned i = 0; i < 32; ++i) {
-      if (x.gpr[i] != y.gpr[i]) {
-        return who + "x" + std::to_string(i) + ": " + Hex(x.gpr[i]) + " vs " + Hex(y.gpr[i]);
-      }
-    }
-    for (unsigned i = 0; i < kComparedCsrCount; ++i) {
-      if (x.csrs[i] != y.csrs[i]) {
-        return who + CsrName(kComparedCsrs[i]) + ": " + Hex(x.csrs[i]) + " vs " +
-               Hex(y.csrs[i]);
-      }
-    }
-    for (unsigned i = 0; i < 8; ++i) {
-      if (x.pmpcfg[i] != y.pmpcfg[i] || x.pmpaddr[i] != y.pmpaddr[i]) {
-        return who + "pmp entry " + std::to_string(i) + " differs";
-      }
-    }
+  const std::string harts = CompareHarts(a.harts, b.harts);
+  if (!harts.empty()) {
+    return harts;
   }
   if (a.ram_hash != b.ram_hash) {
     return "ram hash: " + Hex(a.ram_hash) + " vs " + Hex(b.ram_hash);
@@ -572,13 +584,23 @@ CheckResult CheckProgram(const CosimProgram& program) {
   }
   // The snapshot leg: every configuration's split run (save at snapshot_at retired
   // instructions, restore into a fresh machine, finish there) must reproduce the
-  // uninterrupted outcome bit for bit.
+  // uninterrupted outcome bit for bit, and must stop phase 1 where the first
+  // configuration does: a budget is a batch boundary, which the end state cannot
+  // show, so a batch that runs past its budget is visible only there.
   if (program.opts.snapshot_at != 0) {
+    std::vector<HartSnapshot> first_stop;
     for (const LockstepConfig& config : configs) {
       const RunOutcome split =
           RunProgramSplit(program, config, program.opts.snapshot_at);
       if (!split.build_error.empty()) {
         return {false, std::string(config.name) + " snapshot: " + split.build_error};
+      }
+      if (&config == &configs[0]) {
+        first_stop = split.phase1_harts;
+      } else if (const std::string stop = CompareHarts(first_stop, split.phase1_harts);
+                 !stop.empty()) {
+        return {false, std::string(config.name) + " vs " + configs[0].name +
+                           " snapshot stop point: " + stop};
       }
       const RunOutcome whole = RunProgram(program, config, /*with_refmodel=*/false);
       const std::string diff = CompareOutcomes(whole, split);

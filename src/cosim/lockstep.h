@@ -88,6 +88,10 @@ struct RunOutcome {
   std::string uart;
   uint64_t ram_hash = 0;  // FNV-1a over the whole RAM image
   std::vector<HartSnapshot> harts;
+  // RunProgramSplit only: every hart where phase 1 stopped, before the snapshot.
+  // Phase 2 runs the remaining budget, so the end state cannot show a phase 1 that
+  // stopped past its budget; CheckProgram compares these across configurations.
+  std::vector<HartSnapshot> phase1_harts;
   std::vector<TrapEvent> traps;  // first kMaxTrapTrace events
   uint64_t total_traps = 0;
   // Reference-model lockstep (baseline configuration, single-hart programs only).
@@ -112,8 +116,9 @@ RunOutcome RunProgram(const CosimProgram& program, const LockstepConfig& config,
 // freshly constructed Machine, and phase 2 finishes there with the remaining
 // instruction and round budget. With correct snapshots the combined outcome is
 // bit-identical to the uninterrupted RunProgram — this is the snapshot round-trip
-// oracle of the lockstep matrix (DESIGN.md §2h). A restore failure is reported
-// through RunOutcome::build_error.
+// oracle of the lockstep matrix (DESIGN.md §2h). Every hart's state after phase 1
+// goes to RunOutcome::phase1_harts. A restore failure is reported through
+// RunOutcome::build_error.
 RunOutcome RunProgramSplit(const CosimProgram& program, const LockstepConfig& config,
                            uint64_t snapshot_at);
 

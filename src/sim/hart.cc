@@ -728,9 +728,12 @@ bool Hart::RefillWindow(uint64_t paddr, AccessType type, PrivMode priv) {
 
 // The block executor (DESIGN.md §2f). Dispatch is a computed goto: each lowered op
 // carries its handler's label address. Budget checks land batch boundaries on the
-// same instruction as per-instruction stepping: every op post-checks the budget, and
-// fused ops (which retire several instructions atomically) pre-check that they fit
-// entirely, else spill before their first member for RunBatch to run it as one tick.
+// same instruction as per-instruction stepping: every op post-checks one limit, set
+// per pass through a block, and fused ops (which retire several instructions
+// atomically) pre-check that they fit entirely, else spill before their first member
+// for RunBatch to run it as one tick. A pass that ends at a branch or a kEnd
+// continues into the next pass, of the same block or of the valid block cached at
+// the next pc, without returning to RunBatch.
 // Aligned to 64 bytes so that its speed depends on its own code only: two builds
 // whose ExecuteBlock machine code was byte-identical but started 16 bytes apart
 // differed by 4-5% in host cycles per instruction.
@@ -755,7 +758,7 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
   TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
   TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
   uint64_t* const g = gpr_;
-  const BlockOp* const head = &ops_[sb->first_op];
+  const BlockOp* head = &ops_[sb->first_op];  // the running block's first op
   const BlockOp* op = head;
   // Architectural counters and the pc live in locals while inside the block; they are
   // spilled to csrs_/pc_ only at exits and around slow-path memory ops.
@@ -765,15 +768,26 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
   uint64_t dispatched = 0;  // total this dispatch (incl. slow-path mem ops)
   uint64_t spill_base = 0;  // dispatched at the last spill: instret delta at exits
   uint64_t cycles_base = csrs_.mcycle();
-  // The dispatch loop makes a single budget compare per op: cycles >= climit, with
-  // climit clamped by the remaining step budget. This is exact for the cycle bound
-  // and conservative for the step bound — every retired instruction charges at
-  // least instr_base >= 1 cycle (a Machine invariant), so the cycle compare
-  // fires at-or-before the step compare would, and an early block exit is
-  // invisible: RunBatch re-checks its own bounds and simply re-dispatches. Fused ops
-  // pre-check the step budget exactly (VFM_TFIT), so `dispatched` never overshoots.
-  uint64_t climit = stop_cycles > cycles_base ? stop_cycles - cycles_base : 0;
-  climit = climit < steps_left ? climit : steps_left;
+  // The cycle stop as a delta from cycles_base, re-based with it.
+  uint64_t cstop = stop_cycles > cycles_base ? stop_cycles - cycles_base : 0;
+  // The dispatch loop makes a single budget compare per op: cycles >= climit. It is
+  // exact for the cycle stop, and climit also bounds the steps, set at the start of
+  // each pass through a block (`pass` below):
+  //   * A pass that fits the remaining steps whole (count <= steps_left -
+  //     dispatched) runs under the cycle stop alone: a pass retires at most `count`
+  //     instructions, and `link` exits before the next pass when no step is left.
+  //   * The batch's last, partial pass also stops at the static cycle charge of its
+  //     longest op prefix that retires at most the remaining steps. Every op charges
+  //     at least one cycle (instr_base >= 1 is a Machine invariant), so the compare
+  //     fires right after that prefix's last op, or earlier when a runtime surcharge
+  //     (a paged access's replayed walk) adds cycles.
+  //   * After a slow-path op, the limit is the cycle stop clamped by the remaining
+  //     steps counted as cycles until the next pass: conservative for the same
+  //     reason, and enough for an event that is rare.
+  // An early exit is invisible: RunBatch re-checks its own bounds and re-dispatches.
+  // Fused ops pre-check the step budget exactly (VFM_TFIT), so `dispatched` never
+  // overshoots.
+  uint64_t climit = 0;
   // tlb_stamp(), sampled at the block's first memory op along with the rest of the
   // fast-path context, is stable across fast-path ops (fast stores never touch
   // marked lines or PT pages, so no generation it folds can bump); resampled after
@@ -793,11 +807,8 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
     }                        \
     VFM_TGO();               \
   } while (0)
-// Terminal ops (branches, fused compare+branches): pc is already redirected. A taken
-// branch back to the block's own head chains — keeps executing here — when budget
-// remains: fast-path ops cannot invalidate the block or change the interrupt picture
-// (the RunBatch gate's argument applies across iterations unchanged), and slow-path
-// ops re-validate before resuming.
+// Terminal ops (branches, fused compare+branches): pc is already redirected, and the
+// pass continues at `link` when the limit has not been reached.
 #define VFM_TFIN()           \
   do {                       \
     cycles += op->cycles;    \
@@ -805,19 +816,17 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
     if (cycles >= climit) {  \
       goto exit_spill;       \
     }                        \
-    if (pc == sb->tag) {     \
-      op = head;             \
-      VFM_TGO();             \
-    }                        \
-    goto exit_spill;         \
+    goto link;               \
   } while (0)
-// Fused ops retire `n` instructions atomically: they must fit the remaining budget
-// entirely.
-#define VFM_TFIT(n)                                                       \
-  do {                                                                    \
-    if (dispatched + (n) > steps_left || cycles + op->cycles >= climit) { \
-      goto misfit;                                                        \
-    }                                                                     \
+// Fused ops retire `n` instructions atomically: they must fit the remaining steps
+// entirely, and may reach the limit only with their last member. Every member
+// charges at least one cycle, so when the whole op's charge does not pass the limit,
+// no earlier member reached it.
+#define VFM_TFIT(n)                                                      \
+  do {                                                                   \
+    if (dispatched + (n) > steps_left || cycles + op->cycles > climit) { \
+      goto misfit;                                                       \
+    }                                                                    \
   } while (0)
 // Load/store with the host-pointer fast path baked in: one handler does the address
 // add, the proof and the host memcpy. Under paged translation the proof is the TLB
@@ -910,12 +919,61 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
     VFM_TNEXT();                                                                \
   } while (0)
 
+  goto pass;
+
+  // A pass ended at a branch or a kEnd, under the limit, with pc the next pc. With
+  // no step left the block exits. Otherwise the next pass runs here, in the same
+  // block when pc is its head (a loop), else in the block cached at pc when that one
+  // is valid: its key matches the running block's satp, priv and virt, and its
+  // epoch equals the running block's, which is BlockEpoch(cache_stamp()) — nothing
+  // in a block moves the PMP contents or the arena epoch, and a slow-path op that
+  // moves the monotonic part abandons the block — so it was built in this arena
+  // epoch under these contents and its ops are intact. A zero-op barrier entry must
+  // be Ticked, and an open_end block is left for RunBatch to extend, so neither
+  // links. The RunBatch gate's argument holds across passes unchanged: pc is a
+  // block's 4-aligned tag, and nothing a block runs can park the hart or change
+  // the interrupt picture, so the one sample taken per RunBatch dispatch stays
+  // valid. The fast-memory context and the TLB stamp carry over for the same
+  // reasons. A link counts as a superblock hit; the dispatch count does not move.
+link:
+  if (dispatched >= steps_left) {
+    goto exit_spill;
+  }
+  if (pc != sb->tag) {
+    const SuperblockEntry* const next = &sblocks_[CacheSlot(pc) & sb_mask_];
+    if (next->tag != pc || next->epoch != sb->epoch || next->satp != sb->satp ||
+        next->priv != sb->priv || next->virt != sb->virt || next->count == 0 ||
+        next->open_end) {
+      goto exit_spill;
+    }
+    sb = next;
+    head = &ops_[next->first_op];
+    ++sb_hits_;
+  }
+  op = head;
+pass: {
+  // The limit for the pass that starts at `op` (see climit above).
+  const uint64_t steps_rem = steps_left - dispatched;
+  climit = cstop;
+  if (sb->count > steps_rem) {
+    // The members of this block's ops sum to count > steps_rem, so the walk ends at
+    // a real op, before any kEnd.
+    uint64_t prefix = cycles;
+    uint64_t fit = steps_rem;
+    for (const BlockOp* p = op; p->count <= fit; ++p) {
+      fit -= p->count;
+      prefix += p->cycles;
+    }
+    climit = prefix < cstop ? prefix : cstop;
+  }
   VFM_TGO();
+}
 
   // -- Handlers, one per LoweredOp. Those of the block-op table are generated from
   // it and compute through the shared semantics helpers in src/isa/instr.h.
 t_End:
-  goto exit_fall;  // block ended without a branch; resume at the fall-through pc
+  pc = op[-1].next_pc;  // the block ended without a branch: the fall-through pc
+  goto link;
 t_Nop:
   VFM_TNEXT();
 t_Const:
@@ -1049,9 +1107,9 @@ slow_mem: {
     run.last = r;
     goto exit_done;
   }
-  climit = stop_cycles - cycles_base;  // > 0: checked just above
+  cstop = stop_cycles - cycles_base;  // > 0: checked just above
   const uint64_t steps_rem = steps_left - dispatched;
-  climit = climit < steps_rem ? climit : steps_rem;
+  climit = cstop < steps_rem ? cstop : steps_rem;
   ++op;
   VFM_TGO();
 }

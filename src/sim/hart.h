@@ -158,10 +158,14 @@ class Hart {
   uint64_t tlb_flushes() const { return tlb_flushes_; }
 
   // Block engine counters (DESIGN.md §2f). A superblock "hit" is a dispatch into a
-  // valid cached block; a "miss" is a lookup that had to (re)build one. A lookup at a
+  // valid cached block, or a link from one block into another inside the executor;
+  // a "miss" is a lookup that had to (re)build one. A lookup at a
   // pc whose first instruction is a barrier (CSR op, ecall, xRET, wfi, fence) is
-  // neither: its zero-op entry only says "Tick this one", so it counts nowhere. Mean
-  // block length is superblock_instrs()/superblock_blocks(). None of these affect
+  // neither: its zero-op entry only says "Tick this one", so it counts nowhere.
+  // superblock_blocks() counts RunBatch's dispatches into the executor, each of
+  // which may run many passes through chained and linked blocks, so
+  // superblock_instrs()/superblock_blocks() is the instructions per dispatch, not
+  // the mean block length. None of these affect
   // the decode-cache counters: every instruction dispatched from a block still
   // counts one decode-cache hit, keeping hit-rate parity with the per-instruction
   // loop.
@@ -369,7 +373,8 @@ class Hart {
     const uint64_t* ram_lines = nullptr;
   };
 
-  // Outcome of one block dispatch, consumed by RunBatch.
+  // Outcome of one block dispatch, consumed by RunBatch: every pass it ran, through
+  // the dispatched block and the blocks it chained or linked into.
   struct SbRun {
     uint64_t dispatched = 0;  // ticks consumed (== instructions dispatched)
     bool end_batch = false;   // batch must end (trap, WFI, MMIO, ...)
@@ -456,9 +461,14 @@ class Hart {
                       uint64_t fetch_cycles, const void* const* table) const;
   // Executes a block by direct handler dispatch, retiring up to steps_left
   // instructions or until stop_cycles, a trap, or a slow-path event ends the block
-  // or the batch. With `table_out` non-null, performs no execution and only returns
-  // the handler table for LowerInstr (the computed-goto labels are local to this
-  // function); sb may be null then.
+  // or the batch. Where a pass ends at a branch or a fall-through, the next pass
+  // runs here too: again in `sb` when the pc is its head, or in the valid block
+  // cached at the pc (a link). Each pass is bounded by the steps it may retire: a
+  // pass that fits whole runs under the cycle stop alone, and the batch's last,
+  // partial pass stops by the cycle charge of its ops that fit. With `table_out`
+  // non-null, performs no execution and only returns the handler table for
+  // LowerInstr (the computed-goto labels are local to this function); sb may be
+  // null then.
   SbRun ExecuteBlock(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
                      const void* const** table_out = nullptr);
   void BuildFastMemCtx(FastMemCtx* ctx);

@@ -1,6 +1,8 @@
-// Counter tests for four mechanisms the speed of a run rests on, asserted from
+// Counter tests for five mechanisms the speed of a run rests on, asserted from
 // deterministic counters rather than host time, so they hold on any host:
 //   * the block engine (DESIGN.md §2f) runs a compute loop's instructions in blocks;
+//   * a loop stays in the block executor until its batch ends, paged or not, however
+//     many blocks its body spans (§2f);
 //   * a monitored single hart batches a compute loop as a native one does: its
 //     batches end at timer edges, not at every mtime tick;
 //   * a monitor world switch keeps the hart's decoded instructions and blocks
@@ -23,8 +25,8 @@
 namespace vfm {
 namespace {
 
-// What a single-hart vf2-sim machine did in a compute loop, counted from kernel entry
-// (the firmware's boot is left out).
+// What a single-hart vf2-sim machine did in a loop, counted from kernel entry (the
+// firmware's boot is left out).
 struct ComputeLoopCounts {
   uint64_t retired = 0;
   uint64_t in_blocks = 0;   // instructions that ran in blocks
@@ -35,12 +37,16 @@ struct ComputeLoopCounts {
   }
 };
 
-ComputeLoopCounts RunComputeLoop(DeployMode mode) {
+// Boots a kernel whose main body is what `emit` appends, under `mode`, with the
+// kernel's Sv39 identity map when `paging`, and runs it to its finish.
+template <typename Emit>
+ComputeLoopCounts RunLoop(DeployMode mode, bool paging, Emit emit) {
   const PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
   KernelConfig config;
   config.base = profile.kernel_base;
+  config.enable_paging = paging;
   KernelBuilder kb(config);
-  kb.EmitComputeLoop(20'000, 16);
+  emit(kb);
   kb.EmitFinish(/*pass=*/true);
   System system = BootSystem(profile, mode, kb.Finish());
   Machine& machine = *system.machine;
@@ -61,6 +67,13 @@ ComputeLoopCounts RunComputeLoop(DeployMode mode) {
   return counts;
 }
 
+// A 26-instruction compute loop: one block that branches back to its own head.
+void EmitOneBlockLoop(KernelBuilder& kb) { kb.EmitComputeLoop(20'000, 16); }
+
+ComputeLoopCounts RunComputeLoop(DeployMode mode) {
+  return RunLoop(mode, /*paging=*/false, EmitOneBlockLoop);
+}
+
 TEST(BlockCounterTest, ComputeLoopRunsInBlocks) {
   const ComputeLoopCounts counts = RunComputeLoop(DeployMode::kNative);
   ASSERT_GT(counts.retired, 500'000u);
@@ -68,12 +81,54 @@ TEST(BlockCounterTest, ComputeLoopRunsInBlocks) {
       << counts.in_blocks << " of " << counts.retired << " instructions ran in blocks";
 }
 
+TEST(BlockCounterTest, LoopsLeaveTheExecutorOnlyAtBatchEnds) {
+  // A batch ends at a step budget (the 4096-instruction batch cap) or a timer edge.
+  // In between, a loop runs in the executor: each block pass is bounded by steps,
+  // not by its cycle charge, so a paged fetch's replayed walk does not end it, and a
+  // pass continues into the next block, so a loop body of two blocks does not return
+  // to RunBatch either. Measured: 0.244 and 0.257 dispatches per kinstr for the two
+  // compute loops in both modes, and 0.25 bare and 0.67 paged for the memory loop.
+  // With the step budget counted as cycles the compute loops made 23.1 and 29.9
+  // under Sv39, and without links the two-block loop made 20.6 bare.
+  struct Loop {
+    const char* name;
+    double bound;
+    bool paged_like_bare;  // Sv39 within 10% of bare
+    void (*emit)(KernelBuilder&);
+  };
+  const Loop loops[] = {
+      {"one self-looping block", 0.5, true, EmitOneBlockLoop},
+      {"two blocks per iteration", 0.5, true,
+       [](KernelBuilder& kb) { kb.EmitComputeLoop(5'000, 64); }},
+      // Its paged accesses add walk cycles at run time, which end a batch's last pass
+      // before its prefix does.
+      {"memory sweep", 1.0, false, [](KernelBuilder& kb) { kb.EmitMemoryLoop(8'000); }},
+  };
+  for (const Loop& loop : loops) {
+    SCOPED_TRACE(loop.name);
+    const ComputeLoopCounts bare = RunLoop(DeployMode::kNative, false, loop.emit);
+    const ComputeLoopCounts paged = RunLoop(DeployMode::kNative, true, loop.emit);
+    for (const ComputeLoopCounts* counts : {&bare, &paged}) {
+      SCOPED_TRACE(counts == &bare ? "bare" : "Sv39");
+      ASSERT_GT(counts->retired, 400'000u);
+      EXPECT_LT(counts->DispatchesPerKinstr(), loop.bound)
+          << counts->dispatches << " dispatches in " << counts->retired << " instructions";
+    }
+    if (loop.paged_like_bare) {
+      EXPECT_LE(paged.DispatchesPerKinstr(), 1.1 * bare.DispatchesPerKinstr())
+          << "Sv39 " << paged.dispatches << " dispatches in " << paged.retired
+          << " instructions; bare " << bare.dispatches << " in " << bare.retired;
+    }
+  }
+}
+
 TEST(MonitorCounterTest, MonitoredComputeLoopBatchesLikeNative) {
   // A monitored single hart reads exact time, so its batches run to the next timer
   // edge, as a native hart's do, instead of stopping at every mtime tick. Each stop
-  // ends a block early, so the dispatch rate shows where batches end. Measured: 0.487
-  // dispatches per kinstr natively and in both monitored modes; 13.3 in both
-  // monitored modes when batches end at every tick.
+  // ends a block early, so the dispatch rate shows where batches end. Measured: 0.244
+  // dispatches per kinstr natively and in both monitored modes; 6.67 in both
+  // monitored modes when batches end at every tick. (With blocks bounded by cycles
+  // and unlinked, these read 0.487 and 13.3.)
   const ComputeLoopCounts native = RunComputeLoop(DeployMode::kNative);
   ASSERT_GT(native.retired, 500'000u);
   for (const DeployMode mode : {DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {

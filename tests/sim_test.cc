@@ -1399,6 +1399,113 @@ TEST(LoweredBlockMachineTest, BudgetEdgesInsideFusedOpsMatchPerInstruction) {
   EXPECT_GT(deopts, 0u);  // some boundaries did fall inside a fused op
 }
 
+TEST(LoweredBlockMachineTest, BudgetEdgesAcrossChainsAndLinksMatchPerInstruction) {
+  // A loop of two blocks: the first is cut at kMaxSuperblockLen and holds a
+  // two-member kConstChain, a mul, a load and a store; the second ends in a fused
+  // slt + bnez back to the first. Once both are built, the executor links from one
+  // into the other without returning to RunBatch, each pass bounded by the steps it
+  // may retire: whole passes by the cycle stop alone, a partial one by the cycle
+  // charge of its ops that fit. Every step budget and every cycle stop over two
+  // loop passes must leave exactly the state of the per-instruction machine, bare
+  // and under Sv39, where every fetch replays its walk and the accesses add theirs
+  // at run time.
+  constexpr uint64_t kRoot = kRam + 0x1000;
+  constexpr uint64_t kData = kRam + 0x20000;
+  constexpr unsigned kMaxBlockInstrs = 64;  // Hart::kMaxSuperblockLen
+  constexpr unsigned kLoopInstrs = kMaxBlockInstrs + 3;
+  const auto make = [](bool paged, uint32_t sb_entries) {
+    MachineConfig config;
+    config.map.ram_size = 1 << 20;
+    config.tuning.superblock_entries = sb_entries;
+    auto machine = std::make_unique<Machine>(config);
+    Hart& hart = machine->hart(0);
+    hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
+    hart.csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
+    if (paged) {
+      // One identity 1 GiB superpage over RAM (V R W X A D).
+      machine->bus().Write(kRoot + 8 * 2, 8, ((kRam >> 12) << 10) | 0xCF);
+      hart.csrs().Set(kCsrSatp, (uint64_t{8} << 60) | (kRoot >> 12));
+      hart.set_priv(PrivMode::kSupervisor);
+    }
+    Assembler a(kRam + 0x8000);
+    a.Li(t0, kData);
+    a.Li(s2, 0);
+    a.Li(s3, 1000);
+    a.Bind("loop");
+    a.Lui(a0, 0x12345);  // one folded chain of two members
+    a.Addi(a0, a0, 0x678);
+    a.Add(a1, a1, a0);
+    a.Mul(a2, a1, a0);
+    a.Ld(t2, t0, 0);
+    a.Add(a3, a3, t2);
+    a.Sd(a3, t0, 8);
+    for (unsigned i = 7; i < kMaxBlockInstrs; ++i) {
+      if (i % 2 == 0) {
+        a.Addi(s4, s4, 3);
+      } else {
+        a.Xor(s5, s5, s4);
+      }
+    }
+    a.Addi(s2, s2, 1);  // the second block
+    a.Slt(t1, s2, s3);  // fuses with the bnez below
+    a.Bnez(t1, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine->LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    // The first pass decodes the loop one instruction at a time; the second builds
+    // both blocks and ends at the loop head.
+    const uint64_t loop = image.Symbol("loop");
+    hart.RunBatch((loop - image.entry) / 4 + 2 * kLoopInstrs, ~uint64_t{0});
+    EXPECT_EQ(hart.pc(), loop);
+    return machine;
+  };
+  const auto state = [](const Hart& hart) {
+    std::vector<uint64_t> words = {hart.pc(), hart.instret(), hart.cycles()};
+    for (unsigned i = 0; i < 32; ++i) {
+      words.push_back(hart.gpr(i));
+    }
+    return words;
+  };
+  for (const bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "Sv39" : "bare");
+    const auto check = [&](uint64_t steps, uint64_t stop_offset, const char* what) {
+      auto blocks = make(paged, 2048);
+      auto per_instruction = make(paged, 0);
+      for (Machine* m : {blocks.get(), per_instruction.get()}) {
+        Hart& hart = m->hart(0);
+        const uint64_t stop = stop_offset == 0 ? ~uint64_t{0} : hart.cycles() + stop_offset;
+        hart.RunBatch(steps, stop);
+      }
+      EXPECT_EQ(state(blocks->hart(0)), state(per_instruction->hart(0)))
+          << what << " steps=" << steps << " stop=+" << stop_offset;
+      blocks->hart(0).RunBatch(1000, ~uint64_t{0});
+      per_instruction->hart(0).RunBatch(1000, ~uint64_t{0});
+      EXPECT_EQ(state(blocks->hart(0)), state(per_instruction->hart(0)))
+          << what << " resumed, steps=" << steps << " stop=+" << stop_offset;
+    };
+    // The cycles of two passes, on the per-instruction machine.
+    auto probe = make(paged, 0);
+    const uint64_t cycles_before = probe->hart(0).cycles();
+    probe->hart(0).RunBatch(2 * kLoopInstrs, ~uint64_t{0});
+    const uint64_t span = probe->hart(0).cycles() - cycles_before;
+    for (uint64_t steps = 1; steps <= 2 * kLoopInstrs + 3; ++steps) {
+      check(steps, 0, "step budget");
+    }
+    for (uint64_t stop = 1; stop <= span + 3; ++stop) {
+      check(10'000, stop, "cycle stop");
+    }
+    // Two whole passes from the loop head run in one dispatch, through three links.
+    auto blocks = make(paged, 2048);
+    Hart& hart = blocks->hart(0);
+    const uint64_t dispatches = hart.superblock_blocks();
+    const uint64_t hits = hart.superblock_hits();
+    hart.RunBatch(2 * kLoopInstrs, ~uint64_t{0});
+    EXPECT_EQ(hart.superblock_blocks() - dispatches, 1u);
+    EXPECT_EQ(hart.superblock_hits() - hits, 4u);
+  }
+}
+
 // -- The op arena and the hashed cache index (DESIGN.md §2f). ------------------------
 
 TEST(OpArenaTest, MoreBlocksThanTheArenaHoldsMatchPerInstruction) {
