@@ -22,6 +22,15 @@ constexpr uint64_t kSsipMask = InterruptMask(InterruptCause::kSupervisorSoftware
 // Version 3 nests each virtual CSR file as the CsrFile section it now is.
 constexpr uint32_t kStateVersion = 3;
 
+// How long, in mtime ticks, a multi-hart machine keeps one-tick quanta after the
+// monitor last saw a cross-hart exchange live (Machine::HoldTickHorizon). Exchanges
+// come in bursts (a firmware call that sends IPIs and waits for their
+// acknowledgements, a round of remote fences), and a hold that outlasts the gap
+// between them keeps the whole burst prompt. Of the lengths measured (0, 64 and 512
+// ticks), 512 is the shortest that leaves the trap-heavy benches' schedules as they
+// were under one-tick quanta (DESIGN.md §2i).
+constexpr uint64_t kCrossHartHoldTicks = 512;
+
 // ABI GPR indices used by the SBI calling convention.
 constexpr unsigned kA0 = 10;
 constexpr unsigned kA1 = 11;
@@ -211,6 +220,9 @@ void Monitor::Boot() {
     hart.set_priv(PrivMode::kUser);  // vM-mode is physical U-mode
     hart.set_pc(config_.firmware_entry);
   }
+  // Every hart starts in the firmware world, where boot runs its cross-hart
+  // handshakes (hart start, IPIs).
+  HoldForCrossHartExchange();
   VFM_LOG_INFO("monitor", "booting virtual firmware at 0x%llx on %u hart(s)",
                static_cast<unsigned long long>(config_.firmware_entry),
                machine_->hart_count());
@@ -226,6 +238,28 @@ void Monitor::OnMachineTrap(Hart& hart) {
   } else {
     ++stats_.os_traps;
     HandleOsTrap(hart);
+  }
+  if (machine_->hart_count() > 1 && CrossHartExchangeLive()) {
+    HoldForCrossHartExchange();
+  }
+}
+
+bool Monitor::CrossHartExchangeLive() const {
+  // Only the monitor raises a physical msip: the CLINT is virtualized for both
+  // worlds. A raised one is an IPI its target has not taken yet.
+  for (unsigned i = 0; i < machine_->hart_count(); ++i) {
+    const HartState& hs = *harts_[i];
+    if (hs.in_firmware || hs.ipi_ssip_request || hs.rfence_request ||
+        machine_->clint().msip(i)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Monitor::HoldForCrossHartExchange() {
+  if (machine_->hart_count() > 1) {
+    machine_->HoldTickHorizon(machine_->clint().mtime() + kCrossHartHoldTicks);
   }
 }
 

@@ -184,6 +184,13 @@ class Monitor : public MmodeOwner {
   void InstallVirtualContext(Hart& hart);
 
   // Timer and IPI plumbing.
+  // True while a cross-hart exchange is in flight: a hart in the firmware world (it
+  // may be sending or awaiting IPIs), a physical IPI not yet taken, or a fast-path
+  // IPI or remote-fence request not yet delivered.
+  bool CrossHartExchangeLive() const;
+  // Keeps a multi-hart machine's quanta at one tick for kCrossHartHoldTicks from now
+  // (Machine::HoldTickHorizon), so the exchange's IPIs are prompt.
+  void HoldForCrossHartExchange();
   void ReprogramPhysTimer(Hart& hart);
   void RefreshVirtualClintLines();
   void SendPhysIpi(unsigned target);

@@ -59,9 +59,11 @@ struct SimTuning {
   // Lets long quanta run each hart's segment on its own host thread (DESIGN.md
   // §2i): a quantum goes to the worker pool only when its segments may run at least
   // Machine::kMinPooledSegment instructions, and shorter ones run in hart order on
-  // the calling thread. Never changes behaviour: segments only read frozen shared
-  // state, so the worker pool is bit-identical to running the segments serially in
-  // hart order. Ignored on single-hart machines.
+  // the calling thread. Quanta are long when they run to the next timer edge: on a
+  // native machine, and on a monitored one outside the one-tick holds the monitor
+  // sets around cross-hart exchanges. Never changes behaviour: segments only read
+  // frozen shared state, so the worker pool is bit-identical to running the
+  // segments serially in hart order. Ignored on single-hart machines.
   bool parallel_harts = false;
 };
 

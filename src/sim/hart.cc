@@ -776,18 +776,33 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
   //   * A pass that fits the remaining steps whole (count <= steps_left -
   //     dispatched) runs under the cycle stop alone: a pass retires at most `count`
   //     instructions, and `link` exits before the next pass when no step is left.
-  //   * The batch's last, partial pass also stops at the static cycle charge of its
-  //     longest op prefix that retires at most the remaining steps. Every op charges
-  //     at least one cycle (instr_base >= 1 is a Machine invariant), so the compare
-  //     fires right after that prefix's last op, or earlier when a runtime surcharge
-  //     (a paged access's replayed walk) adds cycles.
+  //   * The batch's last, partial pass (a tail pass) also stops at the static cycle
+  //     charge of its longest op prefix that retires at most the remaining steps.
+  //     Every op charges at least one cycle (instr_base >= 1 is a Machine
+  //     invariant), so the compare fires right after that prefix's last op, or
+  //     earlier when a runtime surcharge (a paged access's replayed walk) adds
+  //     cycles.
   //   * After a slow-path op, the limit is the cycle stop clamped by the remaining
-  //     steps counted as cycles until the next pass: conservative for the same
-  //     reason, and enough for an event that is rare.
-  // An early exit is invisible: RunBatch re-checks its own bounds and re-dispatches.
-  // Fused ops pre-check the step budget exactly (VFM_TFIT), so `dispatched` never
-  // overshoots.
+  //     steps counted as cycles: conservative for the same reason.
+  // A limit reached before either stop (a surcharge inside a tail prefix, or the
+  // conservative bound) is re-set at `exit_fall` for the steps still left, and the
+  // pass goes on: each op reduces the steps left and the pass's remaining members
+  // alike, so a tail pass keeps more members than steps and its prefix walk still
+  // ends at a real op. An early exit would be invisible (RunBatch re-checks its own
+  // bounds and re-dispatches), but it costs a dispatch. Fused ops pre-check the step
+  // budget exactly (VFM_TFIT), so `dispatched` never overshoots.
   uint64_t climit = 0;
+  bool tail = false;  // the running pass has more members than steps left
+  // The limit of a tail pass resumed at `from` with `steps` left: the static charge
+  // of its longest op prefix that retires at most `steps`, capped at the cycle stop.
+  const auto tail_limit = [&](const BlockOp* from, uint64_t steps) {
+    uint64_t prefix = cycles;
+    for (const BlockOp* p = from; p->count <= steps; ++p) {
+      steps -= p->count;
+      prefix += p->cycles;
+    }
+    return prefix < cstop ? prefix : cstop;
+  };
   // tlb_stamp(), sampled at the block's first memory op along with the rest of the
   // fast-path context, is stable across fast-path ops (fast stores never touch
   // marked lines or PT pages, so no generation it folds can bump); resampled after
@@ -952,20 +967,12 @@ link:
   }
   op = head;
 pass: {
-  // The limit for the pass that starts at `op` (see climit above).
+  // The limit for the pass that starts at `op` (see climit above). The members of a
+  // tail pass's ops sum to count > steps_rem, so its walk ends at a real op, before
+  // any kEnd.
   const uint64_t steps_rem = steps_left - dispatched;
-  climit = cstop;
-  if (sb->count > steps_rem) {
-    // The members of this block's ops sum to count > steps_rem, so the walk ends at
-    // a real op, before any kEnd.
-    uint64_t prefix = cycles;
-    uint64_t fit = steps_rem;
-    for (const BlockOp* p = op; p->count <= fit; ++p) {
-      fit -= p->count;
-      prefix += p->cycles;
-    }
-    climit = prefix < cstop ? prefix : cstop;
-  }
+  tail = sb->count > steps_rem;
+  climit = tail ? tail_limit(op, steps_rem) : cstop;
   VFM_TGO();
 }
 
@@ -1125,6 +1132,14 @@ misfit:
   goto exit_done;
 
 exit_fall:
+  if (cycles < cstop && dispatched < steps_left) {
+    // The pass's limit came before either stop: re-set it for the steps left (a
+    // whole pass still fits them) and go on with `op`.
+    climit = tail ? tail_limit(op, steps_left - dispatched) : cstop;
+    if (cycles < climit) {
+      VFM_TGO();
+    }
+  }
   pc = op[-1].next_pc;  // non-branch exit: resume after the last executed op
 exit_spill:
   pc_ = pc;

@@ -223,6 +223,10 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
   }
 }
 
+// MACH section version. Version 2 added machine-lifetime progress, version 3 the
+// horizon hold (Machine::HoldTickHorizon).
+constexpr uint32_t kMachineStateVersion = 3;
+
 // MCFG section version. Version 2 dropped three SimTuning fields (tlb_enabled,
 // threaded_enabled, threaded_promote_threshold), version 3 dropped quantum_harts;
 // files of an older version are rejected rather than misread.
@@ -708,16 +712,18 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
     // are such edges too. So the horizon runs to the earliest future comparator
     // edge, not to the next tick. Cases that reintroduce per-tick observers keep
     // the one-tick horizon: Sstc (stimecmp comparators fire on ticks outside the
-    // CLINT), a multi-hart M-mode owner (it reads the stored mtime, which only
-    // barriers push, and its IPIs and remote fences would otherwise wait a whole
-    // quantum), and a busy block device (its completion deadline is an mtime tick;
-    // n == 1 above already serializes it). With every comparator in the past there
-    // is no future edge — the next one needs an mtimecmp write, which ends the
-    // batch — so the horizon is unbounded and the batch cap alone sizes the batch.
-    // This keeps barrier costs amortized over thousands of instructions instead of
-    // one ~hundred-cycle timer tick.
+    // CLINT), a busy block device (its completion deadline is an mtime tick;
+    // n == 1 above already serializes it), and, on several harts, a hold the M-mode
+    // owner set (HoldTickHorizon): a monitor holds while a cross-hart exchange is
+    // live, so that an IPI or a remote fence it forwards reaches its target within a
+    // tick instead of a whole quantum. With every comparator in the past there is no
+    // future edge — the next one needs an mtimecmp write, which ends the batch — so
+    // the horizon is unbounded and the batch cap alone sizes the batch. This keeps
+    // barrier costs amortized over thousands of instructions instead of one
+    // ~hundred-cycle timer tick.
     uint64_t horizon = (clint_->mtime() + 1) * tick_cycles;
-    if ((!kMulti || owner_ == nullptr) && !config_.isa.has_sstc && !blockdev_busy) {
+    if ((!kMulti || clint_->mtime() >= hold_tick_) && !config_.isa.has_sstc &&
+        !blockdev_busy) {
       horizon = ~uint64_t{0};
       for (unsigned i = 0; i < count; ++i) {
         const uint64_t cmp = clint_->mtimecmp(i);
@@ -741,9 +747,10 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
     // bit-identical either way because segments only read frozen shared state. Every
     // instruction charges at least one cycle, so no segment runs past
     // min(n, stop_delta) instructions. Only a bound of kMinPooledSegment or more pays
-    // for the pool's thread handoff; shorter quanta (a multi-hart monitor's one-tick
-    // horizon, per-instruction RunUntil/StepAll, a busy block device) run in hart
-    // order here.
+    // for the pool's thread handoff; shorter quanta (the one-tick horizon of a hold,
+    // Sstc or a busy block device, a near timer edge, per-instruction
+    // RunUntil/StepAll) run in hart order here. A monitored machine outside its
+    // holds batches like a native one, so its long quanta reach the pool too.
     const bool parallel =
         may_pool && (n < stop_delta ? n : stop_delta) >= kMinPooledSegment;
     if constexpr (kMulti) {
@@ -898,7 +905,7 @@ void Machine::SaveSnapshot(Snapshot& snapshot) {
   }
   snapshot.state.clear();
   StateWriter writer;
-  writer.BeginSection(StateTag("MACH"), 2);
+  writer.BeginSection(StateTag("MACH"), kMachineStateVersion);
   // Configuration fingerprint: a snapshot only restores onto a machine whose
   // simulated-behaviour-relevant configuration matches bit for bit. (Host tuning is
   // deliberately excluded — restoring onto a differently-tuned machine is exactly
@@ -907,6 +914,8 @@ void Machine::SaveSnapshot(Snapshot& snapshot) {
   // Version 2: machine-lifetime progress, the anchor for record/replay coordinates.
   writer.U64(lifetime_retired_);
   writer.U64(lifetime_rounds_);
+  // Version 3: the horizon hold, part of the quantum schedule of several harts.
+  writer.U64(hold_tick_);
   // Per-hart sections, the bus section, then every device in bus registration
   // order — the uniform state API means the machine never enumerates device types.
   for (const auto& hart : harts_) {
@@ -949,9 +958,13 @@ bool Machine::LoadSnapshot(const Snapshot& snapshot) {
   CheckConfigFingerprint(reader, config_, "snapshot");
   uint64_t lifetime_retired = 0;
   uint64_t lifetime_rounds = 0;
+  uint64_t hold_tick = 0;  // a file from before version 3 loads with no hold
   if (version >= 2) {
     lifetime_retired = reader.U64();
     lifetime_rounds = reader.U64();
+  }
+  if (version >= 3) {
+    hold_tick = reader.U64();
   }
   for (auto& hart : harts_) {
     if (reader.ok() && !hart->LoadState(reader)) {
@@ -974,6 +987,7 @@ bool Machine::LoadSnapshot(const Snapshot& snapshot) {
   bus_.AdoptRam(snapshot.ram);
   lifetime_retired_ = lifetime_retired;
   lifetime_rounds_ = lifetime_rounds;
+  hold_tick_ = hold_tick;
   return true;
 }
 

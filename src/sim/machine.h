@@ -169,6 +169,18 @@ class Machine {
   void SetMmodeOwner(MmodeOwner* owner) { owner_ = owner; }
   MmodeOwner* mmode_owner() const { return owner_; }
 
+  // Holds a multi-hart machine's quanta at one mtime tick until mtime reaches
+  // `until_tick` (DESIGN.md §2i); a later call may extend the hold, never shorten
+  // it. The M-mode owner sets it while it has a cross-hart exchange in flight, so
+  // an IPI it forwards reaches a computing target within a tick rather than a whole
+  // quantum; outside a hold the quanta run to the next timer edge, as a native
+  // machine's do. Part of the snapshot: the hold shapes the guest-visible schedule.
+  // Ignored on a single hart, whose batch boundaries are invisible.
+  void HoldTickHorizon(uint64_t until_tick) {
+    hold_tick_ = until_tick > hold_tick_ ? until_tick : hold_tick_;
+  }
+  uint64_t hold_tick() const { return hold_tick_; }
+
   // Loads a byte image into RAM.
   bool LoadImage(uint64_t addr, const std::vector<uint8_t>& image);
 
@@ -426,6 +438,7 @@ class Machine {
   TrapObserver trap_observer_;
   std::unique_ptr<WorkerPool> pool_;
   uint64_t pooled_quanta_ = 0;  // see pooled_quanta()
+  uint64_t hold_tick_ = 0;  // see HoldTickHorizon(); serialized in snapshots
   // Machine-lifetime progress counters (see progress()); serialized in snapshots.
   uint64_t lifetime_retired_ = 0;
   uint64_t lifetime_rounds_ = 0;
