@@ -114,7 +114,8 @@ TEST(PaperClaimsTest, Fig10CoreMarkPro) {
   const WorkloadProfile profile = CoreMarkProProfile();
   ASSERT_EQ(profile.harts, 4u);
   const auto score = [&profile](DeployMode mode) {
-    return RunWorkload(PlatformKind::kVf2Sim, mode, profile, kFig10Budget).requests_per_second;
+    return RunWorkload(PlatformKind::kVf2Sim, mode, profile, kFig10Budget)
+        .requests_per_second;
   };
   const double native = score(DeployMode::kNative);
   const double monitor = score(DeployMode::kMiralis) / native;

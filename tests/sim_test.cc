@@ -2143,9 +2143,9 @@ TEST(CrossHartExchangeTest, IpisAndRemoteFencesStayPrompt) {
   // batches (the quiet phase reaches the pool); while they are live the monitor's
   // hold keeps every quantum at one tick, so an IPI reaches a computing target
   // within a tick and a fence's acknowledgement returns as promptly as it did when
-  // every monitored quantum ended at the next tick. Reference figures, from this
-  // test's guest run on the commit before the hold, where every quantum of a
-  // monitored multi-hart machine ended at the next tick:
+  // every monitored quantum ended at the next tick. Reference figures: this test's
+  // guest run at commit 3d07275, before the hold, where every quantum of a monitored
+  // multi-hart machine ended at the next tick.
   struct Case {
     DeployMode mode;
     double ipi;    // cycles per send_ipi round (three targets, acknowledged)
@@ -2160,9 +2160,11 @@ TEST(CrossHartExchangeTest, IpisAndRemoteFencesStayPrompt) {
     System system = BootCrossHart(c.mode, kCrossHartCalls);
     ASSERT_TRUE(system.machine->RunUntilFinished(kCrossHartBudget));
     ASSERT_EQ(system.machine->finisher().exit_code(), 0u);
-    const double tick = static_cast<double>(system.machine->config().cost.mtime_tick_cycles);
+    const double tick =
+        static_cast<double>(system.machine->config().cost.mtime_tick_cycles);
     const double calls = static_cast<double>(kCrossHartCalls);
-    const double ipi = static_cast<double>(system.ReadResult(KernelSlots::kScratch)) * tick / calls;
+    const double ipi =
+        static_cast<double>(system.ReadResult(KernelSlots::kScratch)) * tick / calls;
     const double fence =
         static_cast<double>(system.ReadResult(KernelSlots::kScratch + 1)) * tick / calls;
     EXPECT_NEAR(ipi, c.ipi, 0.05 * c.ipi);
@@ -2179,7 +2181,7 @@ TEST(CrossHartExchangeTest, SplitRunInsideAHoldMatchesTheUninterruptedRun) {
   Machine::RunProgress wp;
   ASSERT_TRUE(whole.machine->RunUntilFinished(budget, 4 * budget, &wp));
 
-  // Phase 1 stops in the IPI rounds (at about 1.05M of 1.09M instructions), with the
+  // Phase 1 stops in the IPI rounds (at about 1.06M of 1.09M instructions), with the
   // hold about 500 ticks ahead of mtime.
   System first = BootCrossHart(DeployMode::kMiralis, kCrossHartCalls);
   Machine::RunProgress p1;
@@ -2197,9 +2199,11 @@ TEST(CrossHartExchangeTest, SplitRunInsideAHoldMatchesTheUninterruptedRun) {
   StateReader reader(monitor_state);
   ASSERT_TRUE(second.monitor->LoadState(reader));
   Machine::RunProgress p2;
-  ASSERT_TRUE(second.machine->RunUntilFinished(budget - p1.retired, 4 * budget - p1.rounds, &p2));
+  ASSERT_TRUE(
+      second.machine->RunUntilFinished(budget - p1.retired, 4 * budget - p1.rounds, &p2));
   EXPECT_EQ(p1.retired + p2.retired, wp.retired);
-  EXPECT_EQ(second.ReadResult(KernelSlots::kScratch), whole.ReadResult(KernelSlots::kScratch));
+  EXPECT_EQ(second.ReadResult(KernelSlots::kScratch),
+            whole.ReadResult(KernelSlots::kScratch));
   // Forks, so that both sides' debug-only bus generations restart alike.
   ExpectSameSnapshot(*whole.machine->Fork(), *second.machine->Fork());
   EXPECT_EQ(MonitorStateBytes(*whole.monitor), MonitorStateBytes(*second.monitor));
