@@ -17,6 +17,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/state.h"
+#include "src/core/monitor.h"
 #include "src/cosim/lockstep.h"
 #include "src/cosim/program.h"
 #include "src/dev/blockdev.h"
@@ -154,6 +155,383 @@ TEST(StateStreamTest, SkipUnknownTrailingSection) {
   EXPECT_EQ(reader.U32(), 6u);
   reader.EndSection();
   EXPECT_TRUE(reader.ok());
+}
+
+// ---------------------------------------------------------------------------------
+// The wire format, pinned. A round trip cannot see two swapped fields, because the
+// writer and the reader swap them alike. So every field below holds a distinct
+// non-zero value where the component's accessors can set one (never through a
+// stream), and each section's bytes must hash to the FNV-1a constant recorded when
+// the format was pinned. A listing that drops, adds, reorders or swaps a field
+// changes its section's hash. The monitor's per-hart world flags and mailboxes
+// change only in its trap handlers, so they keep the values Boot() gives them.
+
+template <typename Part>
+std::vector<uint8_t> SavedState(const Part& part) {
+  StateWriter writer;
+  part.SaveState(writer);
+  return writer.Take();
+}
+
+// Offset of the first section tagged `tag` at or after `from`.
+size_t FindTag(const std::vector<uint8_t>& bytes, uint32_t tag, size_t from = 0) {
+  uint8_t pattern[4];
+  std::memcpy(pattern, &tag, sizeof pattern);
+  const auto at = std::search(bytes.begin() + from, bytes.end(), pattern, pattern + 4);
+  return static_cast<size_t>(at - bytes.begin());
+}
+
+// Sets CSRs to values that stay distinct and non-zero after WARL legalization,
+// shifted by `salt` so two CSR files differ too.
+void SetDistinctCsrs(CsrFile& csrs, uint64_t salt) {
+  const std::pair<uint16_t, uint64_t> values[] = {
+      {kCsrMstatus, 0x0000'000A'0000'1888},  // MPP = M, SPP, MPIE, SPIE
+      {kCsrMedeleg, 0xB109},
+      {kCsrMideleg, 0x222},
+      {kCsrMie, 0x1AAA},
+      {kCsrMip, 0x200},
+      {kCsrMtvec, 0x8000'4101},
+      {kCsrMcounteren, 0x0000'0005},
+      {kCsrMenvcfg, 0x8000'0000'0000'0001},
+      {kCsrMcountinhibit, 0x0000'000D},
+      {kCsrMscratch, 0x5C5C'0001},
+      {kCsrMepc, 0x8000'5004},
+      {kCsrMcause, 0x8000'0000'0000'0007},
+      {kCsrMtval, 0x7A11'0001},
+      {kCsrMtval2, 0x7A12'0002},
+      {kCsrMtinst, 0x7A13'0003},
+      {kCsrMseccfg, 0x0000'0003},
+      {kCsrMcycle, 0xC1C1'0000},
+      {kCsrMinstret, 0x1257'0000},
+      {kCsrStvec, 0x8000'6001},
+      {kCsrScounteren, 0x0000'0006},
+      {kCsrSenvcfg, 0x0000'0001'0000'0000 | 0xF1},
+      {kCsrSscratch, 0x55C5'0002},
+      {kCsrSepc, 0x8000'7008},
+      {kCsrScause, 0x0000'0000'0000'000E},
+      {kCsrStval, 0x57A1'0004},
+      {kCsrSatp, 0x8000'1234'0008'8765},
+      {kCsrStimecmp, 0x5713'0000},
+      {kCsrHstatus, 0x0000'0000'0004'0080},
+      {kCsrHedeleg, 0xB1F1},
+      {kCsrHideleg, 0x444},
+      {kCsrHie, 0x1444},
+      {kCsrHtimedelta, 0x47D0'0000},
+      {kCsrHcounteren, 0x0000'000B},
+      {kCsrHenvcfg, 0x8000'0000'0000'0081},
+      {kCsrHtval, 0x4712'0005},
+      {kCsrHvip, 0x0000'0040},
+      {kCsrHtinst, 0x4715'0006},
+      {kCsrHgatp, 0x0000'0000'0004'4321},  // only Bare is modelled
+      {kCsrVsstatus, 0x0000'0000'0000'0122},
+      {kCsrVstvec, 0x8000'8001},
+      {kCsrVsscratch, 0x755C'0007},
+      {kCsrVsepc, 0x8000'900C},
+      {kCsrVscause, 0x0000'0000'0000'000F},
+      {kCsrVstval, 0x757A'0008},
+      {kCsrVsatp, 0x8000'3456'0000'5678},
+      {kCsrCustom0, 0xC0C0'0000},
+      {kCsrCustom1, 0xC1C1'0001},
+      {kCsrCustom2, 0xC2C2'0002},
+      {kCsrCustom3, 0xC3C3'0003},
+  };
+  for (const auto& [addr, value] : values) {
+    csrs.Set(addr, value + (addr == kCsrMstatus || addr == kCsrMtvec ? 0 : salt));
+  }
+  csrs.SetInterruptLine(InterruptCause::kMachineExternal, true);
+  const uint8_t cfg[8] = {0x09, 0x0B, 0x0D, 0x0F, 0x19, 0x1B, 0x1D, 0x1F};
+  uint64_t cfg_word = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    cfg_word |= uint64_t{cfg[i]} << (8 * i);
+    csrs.Set(CsrPmpaddr(i), 0x2000'0000 + 0x100 * i + salt);
+  }
+  csrs.Set(CsrPmpcfg(0), cfg_word);
+}
+
+TEST(StateFormatTest, EverySectionKeepsItsBytes) {
+  MachineConfig mc;
+  mc.hart_count = 2;
+  mc.map.ram_size = 1 << 20;
+  mc.blockdev.enabled = true;
+  mc.blockdev.sectors = 8;
+  mc.isa.has_time_csr = true;
+  mc.isa.has_sstc = true;
+  mc.isa.has_h_ext = true;
+  mc.isa.has_custom_csrs = true;
+  mc.tuning.parallel_harts = false;
+  Machine machine(mc);
+  const uint64_t base = mc.map.ram_base;
+
+  // Each hart takes one ecall trap, then holds a load reservation.
+  Assembler a(base);
+  a.Ecall();
+  a.Bind("handler");
+  a.LrW(t0, a1);
+  a.Bind("spin");
+  a.J("spin");
+  const Image program = a.Finish().value();
+  ASSERT_TRUE(machine.LoadImage(program.base, program.bytes));
+  for (unsigned i = 0; i < 2; ++i) {
+    machine.hart(i).set_pc(base);
+    machine.hart(i).csrs().Set(kCsrMtvec, program.Symbol("handler"));
+    machine.hart(i).set_gpr(a1, base + 0x800 + 8 * i);
+  }
+  const uint64_t spin = program.Symbol("spin");
+  ASSERT_TRUE(machine.RunUntil(
+      [&] { return machine.hart(0).pc() == spin && machine.hart(1).pc() == spin; }, 100));
+
+  Monitor monitor(&machine, MonitorConfig{});
+  monitor.Boot();
+  for (unsigned i = 0; i < 2; ++i) {
+    Hart& hart = machine.hart(i);
+    for (unsigned r = 1; r < 32; ++r) {
+      hart.set_gpr(r, 0x6000'0000'0000'0000 | uint64_t{i} << 40 | uint64_t{r} << 8 | 0x11);
+    }
+    hart.set_pc(0x8000'0A00 + 0x10 * i);
+    hart.set_priv(PrivMode::kSupervisor);
+    hart.set_virt(true);
+    hart.set_waiting(true);
+    SetDistinctCsrs(hart.csrs(), 0x10 * (i + 1));
+    VirtContext& vctx = monitor.vctx(i);
+    vctx.set_pc(0x8000'0B00 + 0x10 * i);
+    vctx.set_priv(PrivMode::kSupervisor);
+    SetDistinctCsrs(vctx.csrs(), 0x40 * (i + 1));
+    monitor.vclint().set_virtual_mtimecmp(i, 0x7C00 + i);
+    monitor.vclint().set_virtual_msip(i, true);
+    machine.clint().set_mtimecmp(i, 0x6C00 + i);
+    machine.clint().set_msip(i, true);
+  }
+  machine.clint().set_mtime(0x3E8);
+  machine.HoldTickHorizon(0x3E8 + 0x200);
+
+  Plic& plic = machine.plic();
+  for (unsigned src = 1; src < Plic::kMaxSources; ++src) {
+    ASSERT_TRUE(plic.MmioWrite(4 * src, 4, 0x20 + src));
+  }
+  ASSERT_TRUE(plic.MmioWrite(0x2000, 4, 0x0000'F0F6));
+  ASSERT_TRUE(plic.MmioWrite(0x2080, 4, 0x00F0'0F0A));
+  plic.RaiseSource(1);
+  plic.RaiseSource(2);
+  plic.RaiseSource(5);
+  uint64_t claimed = 0;
+  ASSERT_TRUE(plic.MmioRead(0x200004, 4, &claimed));
+
+  Uart& uart = machine.uart();
+  for (const char c : std::string("out")) {
+    ASSERT_TRUE(uart.MmioWrite(Uart::kDataOffset, 1, static_cast<uint8_t>(c)));
+  }
+  uart.PushInput("queued");
+
+  // The block device completes one write, then is left busy with a read.
+  BlockDev& blockdev = *machine.blockdev();
+  ASSERT_TRUE(machine.bus().Write(base + 0x4000, 8, 0xD15C'0001));
+  const uint64_t write[3] = {1, 2, base + 0x4000};  // LBA, COUNT, DMA
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_TRUE(blockdev.MmioWrite(BlockDev::kRegLba + 8 * i, 8, write[i]));
+  }
+  ASSERT_TRUE(blockdev.MmioWrite(BlockDev::kRegCmd, 8, BlockDev::kCmdWrite));
+  blockdev.Tick(0x90);
+  const uint64_t read[3] = {3, 1, base + 0x5000};
+  for (unsigned i = 0; i < 3; ++i) {
+    ASSERT_TRUE(blockdev.MmioWrite(BlockDev::kRegLba + 8 * i, 8, read[i]));
+  }
+  ASSERT_TRUE(blockdev.MmioWrite(BlockDev::kRegCmd, 8, BlockDev::kCmdRead));
+  ASSERT_TRUE(blockdev.busy());
+  ASSERT_TRUE(machine.finisher().MmioWrite(0, 4, 0x2A'0000 | Finisher::kFinishFail));
+
+  // Swaps show only between distinct values: the hart's CSR words are.
+  const std::vector<uint8_t> csrf = SavedState(machine.hart(0).csrs());
+  StateReader words(csrf);
+  words.BeginSection(StateTag("CSRF"));
+  std::vector<uint64_t> seen;
+  for (unsigned i = 0; i < 51; ++i) {
+    const uint64_t word = words.U64();
+    EXPECT_NE(word, 0u) << "CSRF word " << i;
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), word), 0) << "CSRF word " << i;
+    seen.push_back(word);
+  }
+
+  MachineConfig config;
+  config.hart_count = 3;
+  config.map = {0x8100'0000, 0x20'0000, 0x200'1000, 0xC00'2000,
+                0x1000'3000, 0x1001'4000, 0x10'5000};
+  config.blockdev = {true, 0x61, 0x62, 0x63};
+  config.isa.pmp_entries = 16;
+  config.isa.has_time_csr = config.isa.has_sstc = config.isa.has_h_ext = true;
+  config.isa.has_custom_csrs = config.isa.hw_misaligned = true;
+  config.isa.mvendorid = 0x71;
+  config.isa.marchid = 0x72;
+  config.isa.mimpid = 0x73;
+  uint64_t* costs[] = {&config.cost.instr_base,       &config.cost.instr_muldiv,
+                       &config.cost.instr_mem,        &config.cost.trap_entry,
+                       &config.cost.page_walk_level,  &config.cost.hal_csr_access,
+                       &config.cost.monitor_dispatch, &config.cost.hal_mem_access,
+                       &config.cost.hal_base_op,      &config.cost.tlb_flush,
+                       &config.cost.mtime_tick_cycles, &config.cost.freq_mhz};
+  for (size_t i = 0; i < std::size(costs); ++i) {
+    *costs[i] = 0x81 + i;
+  }
+  config.tuning.decode_cache_entries = 0x91;
+  config.tuning.max_batch_instructions = 0x92;
+  config.tuning.tlb_entries = 0x93;
+  config.tuning.superblock_entries = 0x94;
+  config.tuning.parallel_harts = true;
+  StateWriter mcfg;
+  WriteMachineConfig(mcfg, config);
+
+  TraceHeader header;
+  header.fingerprint = {0xA1, 0xA2, 0xA3};
+  header.anchor_retired = 0xB1;
+  header.anchor_rounds = 0xB2;
+  header.hart_count = 0xB3;
+  header.hash_period = 0xB4;
+  TraceEvent event;
+  event.kind = TraceEventKind::kPlicLine;
+  event.sub = 0xC1;
+  event.hart = 0xC2;
+  event.retired = 0xC3;
+  event.round = 0xC4;
+  event.a = 0xC5;
+  event.b = 0xC6;
+  event.payload = {0xC7, 0xC8};
+  TraceWriter trace;
+  trace.Begin(header);
+  trace.Append(event);
+
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+  const struct {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    uint64_t hash;
+  } sections[] = {
+      {"MACH", snapshot.state, 0x7164'C76A'7DBA'A91F},
+      {"HART 0", SavedState(machine.hart(0)), 0x7CE6'5902'805C'44E5},
+      {"HART 1", SavedState(machine.hart(1)), 0xB1DC'727D'4596'5DD3},
+      {"CSRF", csrf, 0x6308'3F5D'93D8'2FCA},
+      {"PMPB", SavedState(machine.hart(1).csrs().pmp()), 0xC20E'3F68'A2CF'92CD},
+      {"BUSS", SavedState(machine.bus()), 0xE0B9'57A2'DCCD'172C},
+      {"CLNT", SavedState(machine.clint()), 0x235D'2C4D'8235'FD61},
+      {"PLIC", SavedState(plic), 0x46AD'AEC6'53C9'D29F},
+      {"UART", SavedState(uart), 0xA32B'E895'FE85'682D},
+      {"BLKD", SavedState(blockdev), 0xE033'3603'F19C'D19E},
+      {"FINI", SavedState(machine.finisher()), 0x58CE'2CB7'E287'F7EE},
+      {"MONS", SavedState(monitor), 0xCD37'37E5'A4F2'825F},
+      {"VCTX", SavedState(monitor.vctx(1)), 0x6883'D413'5641'02D5},
+      {"MCFG", mcfg.bytes(), 0x0100'8B92'9601'6428},
+      {"TRAC", trace.Finish(), 0x42ED'2FA4'2164'8882},
+  };
+  for (const auto& section : sections) {
+    EXPECT_EQ(Fnv1a64(section.bytes.data(), section.bytes.size()), section.hash)
+        << section.name << " section changed: " << section.bytes.size() << " bytes, hash 0x"
+        << std::hex << Fnv1a64(section.bytes.data(), section.bytes.size());
+  }
+  // The MACH section carries the progress and the hold the run left.
+  EXPECT_GT(machine.progress().retired, 0u);
+  EXPECT_GT(machine.hold_tick(), machine.clint().mtime());
+}
+
+// CSRF's load rule: mstatus.MPP never holds the reserved privilege 2 (the runtime
+// legalizes it away), so a snapshot that does is rejected, for a hart's CSR file and
+// for the monitor's virtual one alike. MPP is bits 12:11 of mstatus, the second word
+// of a CSRF section.
+uint64_t PatchMpp(std::vector<uint8_t>& bytes, size_t csrf_at, uint64_t mpp) {
+  const size_t mstatus_at = csrf_at + 16 + 8;
+  uint64_t mstatus = 0;
+  std::memcpy(&mstatus, bytes.data() + mstatus_at, sizeof mstatus);
+  mstatus = (mstatus & ~(uint64_t{3} << 11)) | mpp << 11;
+  std::memcpy(bytes.data() + mstatus_at, &mstatus, sizeof mstatus);
+  return mstatus;
+}
+
+TEST(StateFormatTest, LoadRejectsTheReservedMachinePreviousPrivilege) {
+  const std::string rule = "mstatus.MPP holds the reserved privilege 2";
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  Machine machine(mc);
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+  const size_t csrf_at = FindTag(snapshot.state, StateTag("CSRF"));
+  ASSERT_LT(csrf_at, snapshot.state.size());
+  // MPP = S loads, which shows the patch lands on mstatus.
+  Snapshot supervisor = snapshot;
+  const uint64_t mstatus = PatchMpp(supervisor.state, csrf_at, 1);
+  Machine loaded(mc);
+  ASSERT_TRUE(loaded.RestoreSnapshot(supervisor));
+  EXPECT_EQ(loaded.hart(0).csrs().mstatus(), mstatus);
+  Snapshot reserved = snapshot;
+  PatchMpp(reserved.state, csrf_at, 2);
+  Machine target(mc);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(target.RestoreSnapshot(reserved));
+  const std::string error = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(error.find(rule), std::string::npos) << error;
+
+  Monitor monitor(&machine, MonitorConfig{});
+  monitor.Boot();
+  StateWriter writer;
+  monitor.SaveState(writer);
+  std::vector<uint8_t> state = writer.Take();
+  const size_t vctx_csrf_at = FindTag(state, StateTag("CSRF"), FindTag(state, StateTag("VCTX")));
+  ASSERT_LT(vctx_csrf_at, state.size());
+  PatchMpp(state, vctx_csrf_at, 1);
+  StateReader good(state);
+  EXPECT_TRUE(monitor.LoadState(good)) << good.error();
+  PatchMpp(state, vctx_csrf_at, 2);
+  StateReader bad(state);
+  EXPECT_FALSE(monitor.LoadState(bad));
+  EXPECT_NE(bad.error().find(rule), std::string::npos) << bad.error();
+}
+
+// MACH version 1 had no lifetime progress and version 2 no hold tick: both still load
+// onto a machine that has progress and a hold of its own, version 1 with zero
+// progress, and both with no hold and the saved harts. The progress and the hold sit
+// between the fingerprint and the first hart section.
+TEST(StateFormatTest, OlderMachineVersionsLoadWithZeroProgressAndNoHold) {
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  mc.hart_count = 2;
+  Assembler a(mc.map.ram_base);
+  a.Bind("loop");
+  a.Addi(a0, a0, 1);
+  a.J("loop");
+  const Image program = a.Finish().value();
+  // A machine that has counted `retired` instructions on both harts and holds.
+  const auto run = [&](Machine& machine, uint64_t retired) {
+    ASSERT_TRUE(machine.LoadImage(program.base, program.bytes));
+    machine.RunUntilFinished(retired, retired, nullptr);
+    machine.HoldTickHorizon(machine.clint().mtime() + retired);
+  };
+  Machine source(mc);
+  run(source, 500);
+  ASSERT_GT(source.progress().retired, 0u);
+  Snapshot snapshot;
+  source.SaveSnapshot(snapshot);
+  const size_t hart_at = FindTag(snapshot.state, StateTag("HART"));
+  ASSERT_LT(hart_at, snapshot.state.size());
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("MACH version " + std::to_string(version));
+    const size_t dropped = version == 1 ? 24 : 8;
+    Snapshot old = snapshot;
+    old.state.erase(old.state.begin() + hart_at - dropped, old.state.begin() + hart_at);
+    uint64_t payload = 0;
+    std::memcpy(&payload, old.state.data() + 8, sizeof payload);
+    payload -= dropped;
+    std::memcpy(old.state.data() + 4, &version, sizeof version);
+    std::memcpy(old.state.data() + 8, &payload, sizeof payload);
+    Machine target(mc);
+    run(target, 100);
+    ASSERT_GT(target.progress().retired, 0u);
+    ASSERT_TRUE(target.RestoreSnapshot(old));
+    const Machine::RunProgress progress =
+        version == 1 ? Machine::RunProgress{} : source.progress();
+    EXPECT_EQ(target.progress().retired, progress.retired);
+    EXPECT_EQ(target.progress().rounds, progress.rounds);
+    EXPECT_EQ(target.hold_tick(), 0u);
+    for (unsigned i = 0; i < 2; ++i) {
+      EXPECT_TRUE(SavedState(target.hart(i)) == SavedState(source.hart(i))) << "hart " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------------
