@@ -7,11 +7,12 @@
 
 namespace vfm {
 
-void StateWriter::BeginSection(uint32_t tag, uint32_t version) {
+uint32_t StateWriter::BeginSection(uint32_t tag, uint32_t version) {
   U32(tag);
   U32(version);
   open_.push_back(bytes_.size());
   U64(0);  // payload length, patched by EndSection()
+  return version;
 }
 
 void StateWriter::EndSection(uint64_t trailing) {
@@ -94,6 +95,16 @@ uint32_t StateReader::BeginSection(uint32_t tag) {
   return version;
 }
 
+void StateReader::BeginSection(uint32_t tag, uint32_t version, const char* what,
+                               const char* artifact) {
+  const uint32_t got = BeginSection(tag);
+  if (ok() && got != version) {
+    Fail("unsupported " + std::string(what) + " version " + std::to_string(got) +
+         " (this build reads version " + std::to_string(version) + "); re-record the " +
+         artifact);
+  }
+}
+
 void StateReader::EndSection() {
   if (!ok()) {
     return;
@@ -129,14 +140,6 @@ void StateReader::SkipSection() {
   EndSection();
 }
 
-void StateReader::Bytes(std::vector<uint8_t>* out) {
-  uint64_t size = 0;
-  const uint8_t* view = BytesView(&size);
-  if (view != nullptr) {
-    out->assign(view, view + size);
-  }
-}
-
 const uint8_t* StateReader::BytesView(uint64_t* size) {
   *size = 0;
   const uint64_t length = U64();
@@ -155,9 +158,9 @@ const uint8_t* StateReader::BytesView(uint64_t* size) {
 }
 
 std::string StateReader::Str() {
-  std::vector<uint8_t> raw;
-  Bytes(&raw);
-  return std::string(raw.begin(), raw.end());
+  std::string s;
+  Bytes(s);
+  return s;
 }
 
 void StateReader::FixedBytes(void* out, uint64_t size) {

@@ -1,7 +1,10 @@
 // Uniform machine-state serialization (DESIGN.md §2h). Every stateful component —
-// devices, harts, the bus, the monitor — saves and loads itself through one
-// StateWriter/StateReader pair, so eight implementations share one format instead of
-// inventing eight.
+// devices, harts, the bus, the monitor — lists its fields once, in wire order, in a
+// `template <typename Io> void VisitState(Io& io)`, and both StateWriter and
+// StateReader drive that one listing: `io.U64(field)` writes the field or reads it
+// back. A field's load rule sits beside it as `io.Require(...)`, which only the reader
+// checks, and post-load rebuilds sit under `if constexpr (Io::kLoading)`. ListedState
+// serves a component's public SaveState/LoadState from its listing.
 //
 // Wire format: a flat byte stream of *sections*. A section is
 //
@@ -16,8 +19,10 @@
 //
 // Primitives are fixed-width little-endian; byte blobs are u64-length-prefixed.
 // Readers never abort on malformed input: errors are sticky (ok() turns false, all
-// subsequent reads return zeros) and carry a message, so LoadState paths can reject
-// a corrupt or mismatched snapshot cleanly.
+// subsequent reads return zeros) and carry a message, so loads can reject a corrupt
+// or mismatched snapshot cleanly. Loads do not stage: a failed load leaves the
+// component in an unspecified state, and Machine::RestoreSnapshot stages a whole
+// restore in a fresh machine before it touches its own.
 
 #ifndef SRC_COMMON_STATE_H_
 #define SRC_COMMON_STATE_H_
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace vfm {
@@ -39,11 +45,20 @@ constexpr uint32_t StateTag(const char (&s)[5]) {
 
 class StateWriter {
  public:
+  static constexpr bool kLoading = false;
+
   // Opens a section; payload length is patched in by the matching EndSection().
   // Sections may nest. An outermost section whose payload ends in bytes too large
   // to stage here (a RAM image bound for a file) is closed with the count of those
-  // bytes as `trailing`: the caller writes them right after bytes().
-  void BeginSection(uint32_t tag, uint32_t version);
+  // bytes as `trailing`: the caller writes them right after bytes(). Returns
+  // `version`, as StateReader returns the version it finds.
+  uint32_t BeginSection(uint32_t tag, uint32_t version);
+  // The version gate's writing side (see StateReader).
+  void BeginSection(uint32_t tag, uint32_t version, const char* what, const char* artifact) {
+    (void)what;
+    (void)artifact;
+    BeginSection(tag, version);
+  }
   void EndSection(uint64_t trailing = 0);
 
   void U8(uint8_t v) { bytes_.push_back(v); }
@@ -53,7 +68,27 @@ class StateWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   // u64 length prefix + raw bytes.
   void Bytes(const void* data, uint64_t size);
+  void FixedBytes(const void* data, uint64_t size) { Bytes(data, size); }
+  // A container of bytes (vector, string, deque) as one blob.
+  template <typename Container>
+  void Bytes(const Container& bytes) {
+    if constexpr (requires { bytes.data(); }) {
+      Bytes(bytes.data(), bytes.size());
+    } else {
+      U64(bytes.size());
+      for (const uint8_t byte : bytes) {
+        U8(byte);
+      }
+    }
+  }
   void Str(const std::string& s) { Bytes(s.data(), s.size()); }
+
+  // A load rule: only StateReader checks it.
+  template <typename Message>
+  void Require(bool holds, const Message& message) {
+    (void)holds;
+    (void)message;
+  }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
@@ -74,10 +109,21 @@ class StateReader {
   explicit StateReader(const std::vector<uint8_t>& bytes)
       : StateReader(bytes.data(), bytes.size()) {}
 
+  static constexpr bool kLoading = true;
+
   // Opens the next section, which must carry `tag`. Returns its version (0 on
   // error). The matching EndSection() skips whatever payload the caller did not
-  // consume (forward compatibility).
+  // consume (forward compatibility). The two-argument form is a listing's: it
+  // ignores the version the writer writes.
   uint32_t BeginSection(uint32_t tag);
+  uint32_t BeginSection(uint32_t tag, uint32_t version) {
+    (void)version;
+    return BeginSection(tag);
+  }
+  // The version gate: opens a section that this build reads only at `version`, and
+  // fails on any other with "unsupported <what> version N (this build reads version
+  // M); re-record the <artifact>".
+  void BeginSection(uint32_t tag, uint32_t version, const char* what, const char* artifact);
   void EndSection();
   // Peeks the next section's tag without consuming it (0 if none/err).
   uint32_t PeekTag();
@@ -89,8 +135,23 @@ class StateReader {
   uint32_t U32();
   uint64_t U64();
   bool Bool() { return U8() != 0; }
-  // Reads a length-prefixed blob into out (resized). Fails (sticky) on overrun.
-  void Bytes(std::vector<uint8_t>* out);
+  // A listing's reads: each stores into the field it is given.
+  void U8(uint8_t& v) { v = U8(); }
+  void U32(uint32_t& v) { v = U32(); }
+  void U64(uint64_t& v) { v = U64(); }
+  void Bool(bool& v) { v = Bool(); }
+  void Bool(std::vector<bool>::reference v) { v = Bool(); }
+  // Reads a length-prefixed blob into out (resized). Fails (sticky) on overrun and
+  // leaves out as it was.
+  void Bytes(std::vector<uint8_t>* out) { Bytes(*out); }
+  template <typename Container>
+  void Bytes(Container& out) {
+    uint64_t size = 0;
+    const uint8_t* view = BytesView(&size);
+    if (view != nullptr) {
+      out.assign(view, view + size);
+    }
+  }
   // Reads a length-prefixed blob without copying it: returns a pointer into the
   // stream (valid while the stream's buffer lives) and sets *size, or returns null
   // with *size = 0 on failure.
@@ -103,6 +164,19 @@ class StateReader {
   const std::string& error() const { return error_; }
   // Marks the stream as failed (e.g. a semantic check in LoadState).
   void Fail(const std::string& message);
+  // A load rule: fails with `message` unless the rule holds. `message` is a string or
+  // a function that builds one, called only when the rule fails on a stream that had
+  // not failed yet, so a load that passes builds no message.
+  template <typename Message>
+  void Require(bool holds, const Message& message) {
+    if (!holds && ok()) {
+      if constexpr (std::is_invocable_v<const Message&>) {
+        Fail(message());
+      } else {
+        Fail(message);
+      }
+    }
+  }
 
   // True when the current innermost section still has unread payload.
   bool SectionBytesRemain() const;
@@ -115,6 +189,25 @@ class StateReader {
   size_t pos_ = 0;
   std::vector<size_t> limits_;  // payload-end offsets of open sections
   std::string error_;
+};
+
+// Serves a component's SaveState and LoadState from its one listing, VisitState.
+// `Base` is the class the component derives from otherwise: a device passes
+// MmioDevice, whose state API is virtual, and these two override it.
+struct NoStateBase {};
+
+template <typename Derived, typename Base = NoStateBase>
+class ListedState : public Base {
+ public:
+  void SaveState(StateWriter& writer) const {
+    // A StateWriter only reads the fields it visits, so nothing is written through
+    // this cast.
+    const_cast<Derived&>(static_cast<const Derived&>(*this)).VisitState(writer);
+  }
+  bool LoadState(StateReader& reader) {
+    static_cast<Derived&>(*this).VisitState(reader);
+    return reader.ok();
+  }
 };
 
 }  // namespace vfm

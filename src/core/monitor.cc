@@ -6,8 +6,6 @@
 #include "src/isa/disasm.h"
 #include "src/isa/sbi.h"
 
-#include "src/common/state.h"
-
 namespace vfm {
 
 namespace {
@@ -16,11 +14,6 @@ constexpr uint64_t kMonitorMie = InterruptMask(InterruptCause::kMachineTimer) |
                                  InterruptMask(InterruptCause::kMachineSoftware);
 constexpr uint64_t kStipMask = InterruptMask(InterruptCause::kSupervisorTimer);
 constexpr uint64_t kSsipMask = InterruptMask(InterruptCause::kSupervisorSoftware);
-
-// Version 2 dropped a per-hart field that was written but never read, and nests the
-// virtual PMP and virtual CLINT as the PmpBank and Clint sections they now are.
-// Version 3 nests each virtual CSR file as the CsrFile section it now is.
-constexpr uint32_t kStateVersion = 3;
 
 // How long, in mtime ticks, a multi-hart machine keeps one-tick quanta after the
 // monitor last saw a cross-hart exchange live (Machine::HoldTickHorizon). Exchanges
@@ -906,49 +899,6 @@ bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
   hs.vctx.set_pc(hart.csrs().mepc() + 4);
   ResumeFirmware(hart);
   return true;
-}
-
-void Monitor::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("MONS"), kStateVersion);
-  writer.U32(static_cast<uint32_t>(harts_.size()));
-  for (const auto& hart : harts_) {
-    writer.Bool(hart->in_firmware);
-    writer.U64(hart->os_timer_deadline);
-    writer.U64(hart->mip_snapshot);
-    writer.Bool(hart->ipi_ssip_request);
-    writer.Bool(hart->rfence_request);
-    hart->vctx.SaveState(writer);
-  }
-  vclint_.SaveState(writer);
-  writer.EndSection();
-}
-
-bool Monitor::LoadState(StateReader& reader) {
-  const uint32_t version = reader.BeginSection(StateTag("MONS"));
-  if (reader.ok() && version != kStateVersion) {
-    reader.Fail("monitor state version " + std::to_string(version) +
-                " is not supported (this build reads version " +
-                std::to_string(kStateVersion) + "); re-record the snapshot");
-    return false;
-  }
-  const uint32_t harts = reader.U32();
-  if (reader.ok() && harts != harts_.size()) {
-    reader.Fail("MONS: hart count mismatch");
-  }
-  for (auto& hart : harts_) {
-    if (!reader.ok()) {
-      break;
-    }
-    hart->in_firmware = reader.Bool();
-    hart->os_timer_deadline = reader.U64();
-    hart->mip_snapshot = reader.U64();
-    hart->ipi_ssip_request = reader.Bool();
-    hart->rfence_request = reader.Bool();
-    hart->vctx.LoadState(reader);
-  }
-  vclint_.LoadState(reader);
-  reader.EndSection();
-  return reader.ok();
 }
 
 }  // namespace vfm

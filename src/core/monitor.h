@@ -91,7 +91,7 @@ struct MonitorStats {
   bool operator==(const MonitorStats&) const = default;
 };
 
-class Monitor : public MmodeOwner {
+class Monitor : public MmodeOwner, public ListedState<Monitor> {
  public:
   Monitor(Machine* machine, const MonitorConfig& config);
 
@@ -149,10 +149,30 @@ class Monitor : public MmodeOwner {
   // monitor's own state (per-hart virtual contexts and world flags, the virtual
   // CLINT). Statistics are observability, not machine state, and are not saved.
   // Restore order matters: restore the Machine first, then the monitor.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("MONS"), kStateVersion, "monitor state", "snapshot");
+    uint32_t harts = static_cast<uint32_t>(harts_.size());
+    io.U32(harts);
+    io.Require(harts == harts_.size(), "MONS: hart count mismatch");
+    for (const auto& hart : harts_) {
+      io.Bool(hart->in_firmware);
+      io.U64(hart->os_timer_deadline);
+      io.U64(hart->mip_snapshot);
+      io.Bool(hart->ipi_ssip_request);
+      io.Bool(hart->rfence_request);
+      hart->vctx.VisitState(io);
+    }
+    vclint_.VisitState(io);
+    io.EndSection();
+  }
 
  private:
+  // Version 2 dropped a per-hart field that was written but never read, and nests the
+  // virtual PMP and virtual CLINT as the PmpBank and Clint sections they now are.
+  // Version 3 nests each virtual CSR file as the CsrFile section it now is.
+  static constexpr uint32_t kStateVersion = 3;
+
   struct HartState {
     HartState(const HartIsaConfig& isa, unsigned index) : vctx(isa, index) {}
     VirtContext vctx;

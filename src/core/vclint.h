@@ -51,8 +51,10 @@ class VirtClint {
 
   // Uniform state API (DESIGN.md §2h): the virtual registers' CLINT section. The
   // physical CLINT pointer is wiring; mtime lives in the physical device's section.
-  void SaveState(StateWriter& writer) const { regs_.SaveState(writer); }
-  bool LoadState(StateReader& reader) { return regs_.LoadState(reader); }
+  template <typename Io>
+  void VisitState(Io& io) {
+    regs_.VisitState(io);
+  }
 
  private:
   Clint* phys_;

@@ -88,26 +88,4 @@ EmulationResult VirtContext::EmulatePrivileged(const DecodedInstr& d, uint64_t* 
   return result;
 }
 
-void VirtContext::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("VCTX"), 1);
-  writer.U64(state_.pc);
-  writer.U8(static_cast<uint8_t>(state_.priv));
-  csrs_.SaveState(writer);
-  writer.EndSection();
-}
-
-bool VirtContext::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("VCTX"));
-  state_.pc = reader.U64();
-  const uint8_t priv = reader.U8();
-  if (IsPrivModeEncoding(priv)) {
-    state_.priv = static_cast<PrivMode>(priv);
-  } else {
-    reader.Fail("virtual privilege " + std::to_string(priv) + " is not U, S or M");
-  }
-  csrs_.LoadState(reader);
-  reader.EndSection();
-  return reader.ok();
-}
-
 }  // namespace vfm

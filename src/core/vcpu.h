@@ -18,15 +18,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
+#include "src/common/state.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
 #include "src/sim/csr_file.h"
 
 namespace vfm {
-
-class StateReader;
-class StateWriter;
 
 // The ISA of the virtual hart the firmware sees on harts with the `physical` ISA. It
 // mirrors the physical platform (the time CSR, Sstc, the custom CSRs and the H
@@ -49,7 +48,7 @@ struct EmulationResult {
   unsigned work_units = 1;      // HAL-operation count, for cycle accounting
 };
 
-class VirtContext {
+class VirtContext : public ListedState<VirtContext> {
  public:
   // `hart_index` is the virtual mhartid.
   VirtContext(const HartIsaConfig& isa, unsigned hart_index) : csrs_(isa, hart_index) {}
@@ -89,9 +88,24 @@ class VirtContext {
 
   // Uniform state API (DESIGN.md §2h): virtual pc, virtual privilege, and the
   // nested shadow CSR file (a CsrFile section). A privilege other than U, S or M
-  // fails the load.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  // fails the load and leaves the privilege as it was.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("VCTX"), 1);
+    io.U64(state_.pc);
+    uint8_t priv = static_cast<uint8_t>(state_.priv);
+    io.U8(priv);
+    io.Require(IsPrivModeEncoding(priv), [priv] {
+      return "virtual privilege " + std::to_string(priv) + " is not U, S or M";
+    });
+    if constexpr (Io::kLoading) {
+      if (IsPrivModeEncoding(priv)) {
+        state_.priv = static_cast<PrivMode>(priv);
+      }
+    }
+    csrs_.VisitState(io);
+    io.EndSection();
+  }
 
  private:
   CsrFile csrs_;

@@ -1,10 +1,7 @@
 #include "src/dev/blockdev.h"
 
-#include <string>
-
 #include "src/common/check.h"
 #include "src/common/log.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -110,54 +107,6 @@ void BlockDev::Tick(uint64_t now_ticks) {
   if (busy() && now_ticks >= deadline_) {
     CompleteCommand();
   }
-}
-
-void BlockDev::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("BLKD"), 1);
-  writer.Bytes(disk_.data(), disk_.size());
-  writer.U64(lba_);
-  writer.U64(count_);
-  writer.U64(dma_addr_);
-  writer.U64(status_);
-  writer.U64(pending_cmd_);
-  writer.U64(deadline_);
-  writer.U64(last_tick_);
-  writer.U64(completed_commands_);
-  writer.EndSection();
-}
-
-bool BlockDev::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("BLKD"));
-  std::vector<uint8_t> disk(disk_.size());
-  reader.FixedBytes(disk.data(), disk.size());
-  const uint64_t lba = reader.U64();
-  const uint64_t count = reader.U64();
-  const uint64_t dma_addr = reader.U64();
-  const uint64_t status = reader.U64();
-  const uint64_t pending_cmd = reader.U64();
-  const uint64_t deadline = reader.U64();
-  const uint64_t last_tick = reader.U64();
-  const uint64_t completed = reader.U64();
-  reader.EndSection();
-  if (reader.ok() && (status & kStatusBusy) != 0 && !CanStart(pending_cmd, lba, count)) {
-    reader.Fail("blockdev busy with command " + std::to_string(pending_cmd) + " on " +
-                std::to_string(count) + " sectors at LBA " + std::to_string(lba) +
-                ", which a " + std::to_string(disk_.size() / kSectorSize) +
-                "-sector disk could not have started");
-  }
-  if (!reader.ok()) {
-    return false;
-  }
-  disk_ = std::move(disk);
-  lba_ = lba;
-  count_ = count;
-  dma_addr_ = dma_addr;
-  status_ = status;
-  pending_cmd_ = pending_cmd;
-  deadline_ = deadline;
-  last_tick_ = last_tick;
-  completed_commands_ = completed;
-  return true;
 }
 
 }  // namespace vfm

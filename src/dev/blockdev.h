@@ -17,14 +17,16 @@
 #define SRC_DEV_BLOCKDEV_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "src/common/state.h"
 #include "src/dev/plic.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
 
-class BlockDev : public MmioDevice {
+class BlockDev : public ListedState<BlockDev, MmioDevice> {
  public:
   static constexpr uint64_t kSize = 0x1000;
   static constexpr uint64_t kSectorSize = 512;
@@ -51,8 +53,29 @@ class BlockDev : public MmioDevice {
   const char* name() const override { return "blockdev"; }
   bool MmioRead(uint64_t offset, unsigned size, uint64_t* value) override;
   bool MmioWrite(uint64_t offset, unsigned size, uint64_t value) override;
-  void SaveState(StateWriter& writer) const override;
-  bool LoadState(StateReader& reader) override;
+
+  // Uniform state API (DESIGN.md §2h): the whole disk, then the registers and the
+  // in-flight command. A busy device must hold a command the guest could have
+  // started, or its DMA would run outside the disk on the first tick.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("BLKD"), 1);
+    io.FixedBytes(disk_.data(), disk_.size());
+    io.U64(lba_);
+    io.U64(count_);
+    io.U64(dma_addr_);
+    io.U64(status_);
+    io.U64(pending_cmd_);
+    io.Require(!busy() || CanStart(pending_cmd_, lba_, count_), [this] {
+      return "blockdev busy with command " + std::to_string(pending_cmd_) + " on " +
+             std::to_string(count_) + " sectors at LBA " + std::to_string(lba_) + ", which a " +
+             std::to_string(disk_.size() / kSectorSize) + "-sector disk could not have started";
+    });
+    io.U64(deadline_);
+    io.U64(last_tick_);
+    io.U64(completed_commands_);
+    io.EndSection();
+  }
 
   // Advances device time; completes an in-flight command when its deadline passes.
   void Tick(uint64_t now_ticks);

@@ -1,7 +1,6 @@
 #include "src/dev/clint.h"
 
 #include "src/common/bits.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -73,36 +72,6 @@ bool Clint::MmioWrite(uint64_t offset, unsigned size, uint64_t value) {
     return true;
   }
   return false;
-}
-
-void Clint::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("CLNT"), 1);
-  writer.U64(mtime_);
-  writer.U32(hart_count());
-  for (unsigned i = 0; i < hart_count(); ++i) {
-    writer.U64(mtimecmp_[i]);
-    writer.Bool(msip_[i]);
-  }
-  writer.EndSection();
-}
-
-bool Clint::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("CLNT"));
-  const uint64_t mtime = reader.U64();
-  const uint32_t harts = reader.U32();
-  if (reader.ok() && harts != hart_count()) {
-    reader.Fail("clint hart count mismatch");
-  }
-  for (unsigned i = 0; reader.ok() && i < hart_count(); ++i) {
-    mtimecmp_[i] = reader.U64();
-    msip_[i] = reader.Bool();
-  }
-  reader.EndSection();
-  if (!reader.ok()) {
-    return false;
-  }
-  mtime_ = mtime;
-  return true;
 }
 
 }  // namespace vfm

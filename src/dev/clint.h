@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/state.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
 
-class Clint : public MmioDevice {
+class Clint : public ListedState<Clint, MmioDevice> {
  public:
   static constexpr uint64_t kMsipBase = 0x0;
   static constexpr uint64_t kMtimecmpBase = 0x4000;
@@ -30,8 +31,21 @@ class Clint : public MmioDevice {
   const char* name() const override { return "clint"; }
   bool MmioRead(uint64_t offset, unsigned size, uint64_t* value) override;
   bool MmioWrite(uint64_t offset, unsigned size, uint64_t value) override;
-  void SaveState(StateWriter& writer) const override;
-  bool LoadState(StateReader& reader) override;
+
+  // Uniform state API (DESIGN.md §2h): mtime, then each hart's comparator and msip.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("CLNT"), 1);
+    io.U64(mtime_);
+    uint32_t harts = hart_count();
+    io.U32(harts);
+    io.Require(harts == hart_count(), "clint hart count mismatch");
+    for (unsigned i = 0; i < hart_count(); ++i) {
+      io.U64(mtimecmp_[i]);
+      io.Bool(msip_[i]);
+    }
+    io.EndSection();
+  }
 
   // Timer state, driven by the machine.
   uint64_t mtime() const { return mtime_; }

@@ -1,7 +1,6 @@
 #include "src/dev/plic.h"
 
 #include "src/common/check.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -102,50 +101,6 @@ bool Plic::MmioWrite(uint64_t offset, unsigned size, uint64_t value) {
     return true;
   }
   return offset < kSize;
-}
-
-void Plic::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("PLIC"), 1);
-  writer.U32(pending_);
-  writer.U32(claimed_);
-  writer.U32(hart_count_);
-  for (unsigned i = 0; i < hart_count_; ++i) {
-    writer.U32(enable_[i]);
-  }
-  for (unsigned i = 0; i < kMaxSources; ++i) {
-    writer.U32(priority_[i]);
-  }
-  writer.EndSection();
-}
-
-bool Plic::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("PLIC"));
-  const uint32_t pending = reader.U32();
-  const uint32_t claimed = reader.U32();
-  const uint32_t harts = reader.U32();
-  if (reader.ok() && harts != hart_count_) {
-    reader.Fail("plic hart count mismatch");
-  }
-  std::vector<uint32_t> enable(hart_count_, 0);
-  for (unsigned i = 0; reader.ok() && i < hart_count_; ++i) {
-    enable[i] = reader.U32();
-  }
-  uint32_t priority[kMaxSources] = {};
-  for (unsigned i = 0; i < kMaxSources; ++i) {
-    priority[i] = reader.U32();
-  }
-  reader.EndSection();
-  if (!reader.ok()) {
-    return false;
-  }
-  pending_ = pending;
-  claimed_ = claimed;
-  enable_ = std::move(enable);
-  for (unsigned i = 0; i < kMaxSources; ++i) {
-    priority_[i] = priority[i];
-  }
-  RebuildPriorityMask();  // priority_mask_ is derived state
-  return true;
 }
 
 }  // namespace vfm

@@ -16,11 +16,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/state.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
 
-class Plic : public MmioDevice {
+class Plic : public ListedState<Plic, MmioDevice> {
  public:
   static constexpr uint64_t kSize = 0x400000;
   static constexpr unsigned kMaxSources = 32;
@@ -30,8 +31,28 @@ class Plic : public MmioDevice {
   const char* name() const override { return "plic"; }
   bool MmioRead(uint64_t offset, unsigned size, uint64_t* value) override;
   bool MmioWrite(uint64_t offset, unsigned size, uint64_t value) override;
-  void SaveState(StateWriter& writer) const override;
-  bool LoadState(StateReader& reader) override;
+
+  // Uniform state API (DESIGN.md §2h): the pending and claimed bitmaps, each hart
+  // context's enable word, then every source's priority.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("PLIC"), 1);
+    io.U32(pending_);
+    io.U32(claimed_);
+    uint32_t harts = hart_count_;
+    io.U32(harts);
+    io.Require(harts == hart_count_, "plic hart count mismatch");
+    for (uint32_t& enable : enable_) {
+      io.U32(enable);
+    }
+    for (uint32_t& priority : priority_) {
+      io.U32(priority);
+    }
+    io.EndSection();
+    if constexpr (Io::kLoading) {
+      RebuildPriorityMask();  // priority_mask_ is derived state
+    }
+  }
 
   // Device-side interface: raise or clear a source's interrupt line.
   void RaiseSource(unsigned source);

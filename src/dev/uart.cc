@@ -1,7 +1,6 @@
 #include "src/dev/uart.h"
 
 #include <cstdio>
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -49,33 +48,6 @@ void Uart::PushInput(const std::string& text) {
   for (char c : text) {
     input_.push_back(static_cast<uint8_t>(c));
   }
-}
-
-void Uart::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("UART"), 1);
-  writer.Str(output_);
-  writer.U64(input_.size());
-  for (const uint8_t byte : input_) {
-    writer.U8(byte);
-  }
-  writer.EndSection();
-}
-
-bool Uart::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("UART"));
-  std::string output = reader.Str();
-  const uint64_t queued = reader.U64();
-  std::deque<uint8_t> input;
-  for (uint64_t i = 0; reader.ok() && i < queued; ++i) {
-    input.push_back(reader.U8());
-  }
-  reader.EndSection();  // echo_ is a host-side setting, not machine state
-  if (!reader.ok()) {
-    return false;
-  }
-  output_ = std::move(output);
-  input_ = std::move(input);
-  return true;
 }
 
 }  // namespace vfm

@@ -10,11 +10,12 @@
 #include <deque>
 #include <string>
 
+#include "src/common/state.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
 
-class Uart : public MmioDevice {
+class Uart : public ListedState<Uart, MmioDevice> {
  public:
   static constexpr uint64_t kSize = 0x100;
   static constexpr uint64_t kDataOffset = 0x00;
@@ -25,8 +26,16 @@ class Uart : public MmioDevice {
   const char* name() const override { return "uart"; }
   bool MmioRead(uint64_t offset, unsigned size, uint64_t* value) override;
   bool MmioWrite(uint64_t offset, unsigned size, uint64_t value) override;
-  void SaveState(StateWriter& writer) const override;
-  bool LoadState(StateReader& reader) override;
+
+  // Uniform state API (DESIGN.md §2h): the console output and the queued input, each
+  // as a blob. echo_ is a host-side setting, not machine state.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("UART"), 1);
+    io.Bytes(output_);
+    io.Bytes(input_);
+    io.EndSection();
+  }
 
   // Host-side access to the console.
   const std::string& output() const { return output_; }

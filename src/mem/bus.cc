@@ -9,7 +9,6 @@
 #endif
 
 #include "src/common/check.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -306,43 +305,6 @@ void Bus::AdoptRam(std::shared_ptr<RamImage> image) {
   ram_.AdoptImage(std::move(image));
   ram_.ClearMarks(kExecMark | kPtMark);
   any_marks_ = false;
-}
-
-// Version 2: one RAM region. Version 1 listed a region count first.
-constexpr uint32_t kBusStateVersion = 2;
-
-void Bus::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("BUSS"), kBusStateVersion);
-  writer.U64(ram_.base());
-  writer.U64(ram_.size());
-  // Informational: generations let a debugger relate a snapshot to live counters.
-  writer.U64(code_generation_);
-  writer.U64(pt_generation_);
-  writer.EndSection();
-}
-
-bool Bus::LoadState(StateReader& reader) {
-  const uint32_t version = reader.BeginSection(StateTag("BUSS"));
-  if (reader.ok() && version != kBusStateVersion) {
-    reader.Fail("bus state version " + std::to_string(version) +
-                " is not supported (this build reads version " +
-                std::to_string(kBusStateVersion) + "); re-record the snapshot");
-    return false;
-  }
-  const uint64_t base = reader.U64();
-  const uint64_t size = reader.U64();
-  if (reader.ok() && (base != ram_.base() || size != ram_.size())) {
-    reader.Fail("snapshot RAM geometry mismatch");
-  }
-  reader.EndSection();  // generations: read-only debug info, skipped
-  if (!reader.ok()) {
-    return false;
-  }
-  // All translation caches are being reset by the restore, so dependency marks
-  // restart empty and rebuild on refill.
-  ram_.ClearMarks(kExecMark | kPtMark);
-  any_marks_ = false;
-  return true;
 }
 
 void Bus::InvalidateMarkedPages(uint8_t marks) {

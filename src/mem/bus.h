@@ -30,12 +30,10 @@
 #include <vector>
 
 #include "src/common/mapped_array.h"
+#include "src/common/state.h"
 #include "src/mem/cow.h"
 
 namespace vfm {
-
-class StateReader;
-class StateWriter;
 
 enum class AccessType : uint8_t {
   kFetch = 0,
@@ -178,7 +176,7 @@ class Ram {
 };
 
 // The physical bus: one RAM region and an ordered set of MMIO windows.
-class Bus {
+class Bus : public ListedState<Bus> {
  public:
   static constexpr uint8_t kExecMark = Ram::kExecMark;
   static constexpr uint8_t kPtMark = Ram::kPtMark;
@@ -283,9 +281,26 @@ class Bus {
   // and, for debugging, the generation counters. Those are deliberately NOT
   // restored — they are host-side monotonic clocks, and restoring one backward
   // could make a stale cached stamp compare equal again. Loading clears all marks
-  // instead (see AdoptRam).
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  // instead (see AdoptRam): the restore resets every translation cache, so the
+  // marks rebuild as the caches refill.
+  template <typename Io>
+  void VisitState(Io& io) {
+    // Version 2: one RAM region. Version 1 listed a region count first.
+    io.BeginSection(StateTag("BUSS"), 2, "bus state", "snapshot");
+    uint64_t base = ram_.base();
+    uint64_t size = ram_.size();
+    io.U64(base);
+    io.U64(size);
+    io.Require(base == ram_.base() && size == ram_.size(), "snapshot RAM geometry mismatch");
+    if constexpr (Io::kLoading) {
+      ram_.ClearMarks(kExecMark | kPtMark);
+      any_marks_ = false;
+    } else {
+      io.U64(code_generation_);
+      io.U64(pt_generation_);
+    }
+    io.EndSection();
+  }
 
  private:
   bool ReadMmio(uint64_t addr, unsigned size, uint64_t* value);

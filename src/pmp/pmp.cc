@@ -6,7 +6,6 @@
 
 #include "src/common/bits.h"
 #include "src/common/check.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -311,36 +310,6 @@ std::string PmpBank::Describe() const {
     out += line;
   }
   return out;
-}
-
-void PmpBank::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("PMPB"), 1);
-  writer.U32(entry_count_);
-  for (unsigned i = 0; i < entry_count_; ++i) {
-    writer.U8(contents_.cfg[i]);
-    writer.U64(contents_.addr[i]);
-  }
-  writer.EndSection();
-}
-
-bool PmpBank::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("PMPB"));
-  const uint32_t count = reader.U32();
-  if (reader.ok() && count != entry_count_) {
-    reader.Fail("pmp entry count mismatch");
-  }
-  Contents contents;
-  for (unsigned i = 0; reader.ok() && i < entry_count_; ++i) {
-    contents.cfg[i] = reader.U8();
-    contents.addr[i] = reader.U64();
-  }
-  reader.EndSection();
-  if (!reader.ok()) {
-    return false;
-  }
-  ResetIds();
-  Install(contents);
-  return true;
 }
 
 }  // namespace vfm

@@ -10,13 +10,11 @@
 #include <optional>
 #include <string>
 
+#include "src/common/state.h"
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
 
 namespace vfm {
-
-class StateReader;
-class StateWriter;
 
 // Address-matching modes in pmpcfg.A.
 enum class PmpAddrMode : uint8_t {
@@ -75,7 +73,7 @@ struct PmpRange {
 std::optional<PmpRange> DecodePmpRange(PmpCfg cfg, uint64_t addr, uint64_t prev_addr);
 
 // A bank of PMP entries as architected state, with WARL-legalizing CSR accessors.
-class PmpBank {
+class PmpBank : public ListedState<PmpBank> {
  public:
   static constexpr unsigned kMaxEntries = 64;
   // Layout of epoch(): the top 16 bits hold the id of the bank's current contents,
@@ -148,11 +146,26 @@ class PmpBank {
 
   std::string Describe() const;
 
-  // Uniform state API (DESIGN.md §2h). A load empties the intern table and moves
-  // epoch() past every word the bank handed out before, so nothing cached under the
-  // bank's earlier contents survives a restore.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  // Uniform state API (DESIGN.md §2h): the entry count, then each entry's cfg byte
+  // and address. A load empties the intern table and moves epoch() past every word
+  // the bank handed out before, so nothing cached under the bank's earlier contents
+  // survives a restore.
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("PMPB"), 1);
+    uint32_t count = entry_count_;
+    io.U32(count);
+    io.Require(count == entry_count_, "pmp entry count mismatch");
+    for (unsigned i = 0; i < entry_count_; ++i) {
+      io.U8(contents_.cfg[i]);
+      io.U64(contents_.addr[i]);
+    }
+    io.EndSection();
+    if constexpr (Io::kLoading) {
+      ResetIds();
+      Install(contents_);
+    }
+  }
 
  private:
   static constexpr uint64_t kAddrMask = (uint64_t{1} << 54) - 1;  // addr[55:2]

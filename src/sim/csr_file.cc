@@ -2,7 +2,6 @@
 
 #include "src/common/bits.h"
 #include "src/common/check.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -714,124 +713,6 @@ bool CsrFile::WriteCsr(uint16_t addr, PrivMode priv, bool virt, uint64_t value) 
   }
   Set(addr, value);
   return true;
-}
-
-void CsrFile::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("CSRF"), 1);
-  writer.U64(misa_);
-  writer.U64(mstatus_);
-  writer.U64(medeleg_);
-  writer.U64(mideleg_);
-  writer.U64(mie_);
-  writer.U64(mip_);
-  writer.U64(mip_lines_);
-  writer.U64(mtvec_);
-  writer.U64(mcounteren_);
-  writer.U64(menvcfg_);
-  writer.U64(mcountinhibit_);
-  writer.U64(mscratch_);
-  writer.U64(mepc_);
-  writer.U64(mcause_);
-  writer.U64(mtval_);
-  writer.U64(mtval2_);
-  writer.U64(mtinst_);
-  writer.U64(mseccfg_);
-  writer.U64(mcycle_);
-  writer.U64(minstret_);
-  writer.U64(stvec_);
-  writer.U64(scounteren_);
-  writer.U64(senvcfg_);
-  writer.U64(sscratch_);
-  writer.U64(sepc_);
-  writer.U64(scause_);
-  writer.U64(stval_);
-  writer.U64(satp_);
-  writer.U64(stimecmp_);
-  writer.U64(hstatus_);
-  writer.U64(hedeleg_);
-  writer.U64(hideleg_);
-  writer.U64(hie_);
-  writer.U64(htimedelta_);
-  writer.U64(hcounteren_);
-  writer.U64(henvcfg_);
-  writer.U64(htval_);
-  writer.U64(hvip_);
-  writer.U64(htinst_);
-  writer.U64(hgatp_);
-  writer.U64(vsstatus_);
-  writer.U64(vstvec_);
-  writer.U64(vsscratch_);
-  writer.U64(vsepc_);
-  writer.U64(vscause_);
-  writer.U64(vstval_);
-  writer.U64(vsatp_);
-  for (unsigned i = 0; i < 4; ++i) {
-    writer.U64(custom_[i]);
-  }
-  pmp_.SaveState(writer);
-  writer.EndSection();
-}
-
-bool CsrFile::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("CSRF"));
-  misa_ = reader.U64();
-  mstatus_ = reader.U64();
-  if (!IsPrivModeEncoding(ExtractBits(mstatus_, MstatusBits::kMppHi, MstatusBits::kMppLo))) {
-    reader.Fail("mstatus.MPP holds the reserved privilege 2");
-  }
-  medeleg_ = reader.U64();
-  mideleg_ = reader.U64();
-  mie_ = reader.U64();
-  mip_ = reader.U64();
-  mip_lines_ = reader.U64();
-  mtvec_ = reader.U64();
-  mcounteren_ = reader.U64();
-  menvcfg_ = reader.U64();
-  mcountinhibit_ = reader.U64();
-  mscratch_ = reader.U64();
-  mepc_ = reader.U64();
-  mcause_ = reader.U64();
-  mtval_ = reader.U64();
-  mtval2_ = reader.U64();
-  mtinst_ = reader.U64();
-  mseccfg_ = reader.U64();
-  mcycle_ = reader.U64();
-  minstret_ = reader.U64();
-  stvec_ = reader.U64();
-  scounteren_ = reader.U64();
-  senvcfg_ = reader.U64();
-  sscratch_ = reader.U64();
-  sepc_ = reader.U64();
-  scause_ = reader.U64();
-  stval_ = reader.U64();
-  satp_ = reader.U64();
-  stimecmp_ = reader.U64();
-  hstatus_ = reader.U64();
-  hedeleg_ = reader.U64();
-  hideleg_ = reader.U64();
-  hie_ = reader.U64();
-  htimedelta_ = reader.U64();
-  hcounteren_ = reader.U64();
-  henvcfg_ = reader.U64();
-  htval_ = reader.U64();
-  hvip_ = reader.U64();
-  htinst_ = reader.U64();
-  hgatp_ = reader.U64();
-  vsstatus_ = reader.U64();
-  vstvec_ = reader.U64();
-  vsscratch_ = reader.U64();
-  vsepc_ = reader.U64();
-  vscause_ = reader.U64();
-  vstval_ = reader.U64();
-  vsatp_ = reader.U64();
-  for (unsigned i = 0; i < 4; ++i) {
-    custom_[i] = reader.U64();
-  }
-  if (!pmp_.LoadState(reader)) {
-    return false;
-  }
-  reader.EndSection();
-  return reader.ok();
 }
 
 // -- Privileged transitions. -----------------------------------------------------------

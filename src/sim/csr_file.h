@@ -14,6 +14,8 @@
 #include <functional>
 #include <optional>
 
+#include "src/common/bits.h"
+#include "src/common/state.h"
 #include "src/isa/csr.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
@@ -22,10 +24,7 @@
 
 namespace vfm {
 
-class StateReader;
-class StateWriter;
-
-class CsrFile {
+class CsrFile : public ListedState<CsrFile> {
  public:
   explicit CsrFile(const HartIsaConfig& config, unsigned hart_index);
 
@@ -102,8 +101,64 @@ class CsrFile {
   // bank, in fixed field order. The time source is wiring, not state — the owning
   // machine re-installs it. Values are stored raw (they were legalized when
   // written), so a load reproduces the exact architectural state bit for bit.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("CSRF"), 1);
+    io.U64(misa_);
+    io.U64(mstatus_);
+    io.Require(IsPrivModeEncoding(ExtractBits(mstatus_, MstatusBits::kMppHi, MstatusBits::kMppLo)),
+               "mstatus.MPP holds the reserved privilege 2");
+    io.U64(medeleg_);
+    io.U64(mideleg_);
+    io.U64(mie_);
+    io.U64(mip_);
+    io.U64(mip_lines_);
+    io.U64(mtvec_);
+    io.U64(mcounteren_);
+    io.U64(menvcfg_);
+    io.U64(mcountinhibit_);
+    io.U64(mscratch_);
+    io.U64(mepc_);
+    io.U64(mcause_);
+    io.U64(mtval_);
+    io.U64(mtval2_);
+    io.U64(mtinst_);
+    io.U64(mseccfg_);
+    io.U64(mcycle_);
+    io.U64(minstret_);
+    io.U64(stvec_);
+    io.U64(scounteren_);
+    io.U64(senvcfg_);
+    io.U64(sscratch_);
+    io.U64(sepc_);
+    io.U64(scause_);
+    io.U64(stval_);
+    io.U64(satp_);
+    io.U64(stimecmp_);
+    io.U64(hstatus_);
+    io.U64(hedeleg_);
+    io.U64(hideleg_);
+    io.U64(hie_);
+    io.U64(htimedelta_);
+    io.U64(hcounteren_);
+    io.U64(henvcfg_);
+    io.U64(htval_);
+    io.U64(hvip_);
+    io.U64(htinst_);
+    io.U64(hgatp_);
+    io.U64(vsstatus_);
+    io.U64(vstvec_);
+    io.U64(vsscratch_);
+    io.U64(vsepc_);
+    io.U64(vscause_);
+    io.U64(vstval_);
+    io.U64(vsatp_);
+    for (uint64_t& custom : custom_) {
+      io.U64(custom);
+    }
+    pmp_.VisitState(io);
+    io.EndSection();
+  }
 
   // Legalization helpers, exposed for tests.
   uint64_t LegalizeMstatus(uint64_t old_value, uint64_t new_value) const;

@@ -7,7 +7,6 @@
 #include "src/common/bits.h"
 #include "src/common/check.h"
 #include "src/common/log.h"
-#include "src/common/state.h"
 
 namespace vfm {
 
@@ -1494,68 +1493,6 @@ bool Hart::SegmentPt::WritePte(uint64_t pte_addr, uint64_t pte) {
     return false;
   }
   hart_->SegmentBufferStore(pte_addr, 8, pte);
-  return true;
-}
-
-void Hart::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("HART"), 1);
-  writer.U32(index_);
-  for (unsigned i = 0; i < 32; ++i) {
-    writer.U64(gpr_[i]);
-  }
-  writer.U64(pc_);
-  writer.U8(static_cast<uint8_t>(priv_));
-  writer.Bool(virt_);
-  writer.Bool(waiting_);
-  writer.Bool(reservation_.has_value());
-  writer.U64(reservation_.value_or(0));
-  writer.U64(traps_taken_);
-  csrs_.SaveState(writer);
-  writer.EndSection();
-}
-
-bool Hart::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("HART"));
-  const uint32_t index = reader.U32();
-  if (reader.ok() && index != index_) {
-    reader.Fail("hart index mismatch");
-  }
-  for (unsigned i = 0; i < 32; ++i) {
-    gpr_[i] = reader.U64();
-  }
-  pc_ = reader.U64();
-  const uint8_t priv = reader.U8();
-  const bool virt = reader.Bool();
-  if (!IsPrivModeEncoding(priv)) {
-    reader.Fail("hart privilege " + std::to_string(priv) + " is not U, S or M");
-  } else if (virt && (!csrs_.config().has_h_ext ||
-                      priv == static_cast<uint8_t>(PrivMode::kMachine))) {
-    reader.Fail("hart V bit set in M-mode or without the H extension");
-  } else {
-    priv_ = static_cast<PrivMode>(priv);
-    virt_ = virt;
-  }
-  waiting_ = reader.Bool();
-  const bool has_reservation = reader.Bool();
-  const uint64_t reservation = reader.U64();
-  reservation_ = has_reservation ? std::optional<uint64_t>(reservation) : std::nullopt;
-  traps_taken_ = reader.U64();
-  if (!csrs_.LoadState(reader)) {
-    return false;
-  }
-  reader.EndSection();
-  if (!reader.ok()) {
-    return false;
-  }
-  // Translation caches are derived state: rather than serialize them, advance the
-  // generation counters so every cached entry's stamp mismatches. The monotonic part
-  // of each stamp only grows, so a +1 on each local counter moves it past that of
-  // every previously recorded stamp — no stale decode/TLB/superblock entry can
-  // validate again, and they rebuild (and re-mark dependency pages) on demand. The
-  // PMP bank's LoadState has moved its epoch past every earlier word, which empties
-  // the PMP windows as well.
-  ++fence_gen_;
-  ++tlb_gen_;
   return true;
 }
 

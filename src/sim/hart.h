@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/mapped_array.h"
+#include "src/common/state.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
@@ -40,7 +41,7 @@ struct StepResult {
   bool aborted = false;
 };
 
-class Hart {
+class Hart : public ListedState<Hart> {
  public:
   Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* cost,
        const SimTuning& tuning = SimTuning{});
@@ -208,10 +209,46 @@ class Hart {
   // privilege, virtualization mode, WFI parking, the load reservation, the trap
   // counter, and the nested CSR file (which carries the PMP bank). The translation
   // caches (decode cache, TLB, lowered superblocks) are host-side derived
-  // state: they are never serialized, and LoadState instead bumps the hart's
+  // state: they are never serialized, and a load instead bumps the hart's
   // generation counters so every cached entry mis-stamps and rebuilds on demand.
-  void SaveState(StateWriter& writer) const;
-  bool LoadState(StateReader& reader);
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("HART"), 1);
+    uint32_t index = index_;
+    io.U32(index);
+    io.Require(index == index_, "hart index mismatch");
+    for (uint64_t& gpr : gpr_) {
+      io.U64(gpr);
+    }
+    io.U64(pc_);
+    uint8_t priv = static_cast<uint8_t>(priv_);
+    io.U8(priv);
+    io.Require(IsPrivModeEncoding(priv), [priv] {
+      return "hart privilege " + std::to_string(priv) + " is not U, S or M";
+    });
+    io.Bool(virt_);
+    const bool machine = priv == static_cast<uint8_t>(PrivMode::kMachine);
+    io.Require(!virt_ || (csrs_.config().has_h_ext && !machine),
+               "hart V bit set in M-mode or without the H extension");
+    io.Bool(waiting_);
+    bool has_reservation = reservation_.has_value();
+    uint64_t reservation = reservation_.value_or(0);
+    io.Bool(has_reservation);
+    io.U64(reservation);
+    io.U64(traps_taken_);
+    csrs_.VisitState(io);
+    io.EndSection();
+    if constexpr (Io::kLoading) {
+      priv_ = static_cast<PrivMode>(priv);
+      reservation_ = has_reservation ? std::optional<uint64_t>(reservation) : std::nullopt;
+      // +1 on each local counter moves every stamp past those recorded before (the
+      // monotonic part of a stamp only grows), so no stale decode, TLB or superblock
+      // entry validates again. The PMP bank's load has moved its epoch past every
+      // earlier word, which empties the PMP windows as well.
+      ++fence_gen_;
+      ++tlb_gen_;
+    }
+  }
 
  private:
   struct AccessOutcome {

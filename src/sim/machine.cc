@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <new>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -33,26 +35,6 @@ bool Finisher::MmioWrite(uint64_t offset, unsigned size, uint64_t value) {
       exit_code_ = exit_code_ == 0 ? 1 : exit_code_;
     }
   }
-  return true;
-}
-
-void Finisher::SaveState(StateWriter& writer) const {
-  writer.BeginSection(StateTag("FINI"), 1);
-  writer.Bool(finished_);
-  writer.U32(exit_code_);
-  writer.EndSection();
-}
-
-bool Finisher::LoadState(StateReader& reader) {
-  reader.BeginSection(StateTag("FINI"));
-  const bool finished = reader.Bool();
-  const uint32_t exit_code = reader.U32();
-  reader.EndSection();
-  if (!reader.ok()) {
-    return false;
-  }
-  finished_ = finished;
-  exit_code_ = exit_code;
   return true;
 }
 
@@ -166,61 +148,56 @@ std::string CoordString(uint64_t retired, uint64_t round) {
   return "(retired " + std::to_string(retired) + ", round " + std::to_string(round) + ")";
 }
 
-}  // namespace
-
-void WriteConfigFingerprint(StateWriter& writer, const MachineConfig& config) {
-  writer.U32(config.hart_count);
-  writer.U64(config.map.ram_base);
-  writer.U64(config.map.ram_size);
-  writer.U64(config.map.clint_base);
-  writer.U64(config.map.plic_base);
-  writer.U64(config.map.uart_base);
-  writer.U64(config.map.blockdev_base);
-  writer.U64(config.map.finisher_base);
-  writer.Bool(config.blockdev.enabled);
-  writer.U64(config.blockdev.sectors);
-  writer.U32(config.isa.pmp_entries);
-  writer.Bool(config.isa.has_time_csr);
-  writer.Bool(config.isa.has_sstc);
-  writer.Bool(config.isa.has_h_ext);
-  writer.Bool(config.isa.has_custom_csrs);
-  writer.Bool(config.isa.hw_misaligned);
+// The simulated-behaviour-relevant configuration, in wire order: what a snapshot or
+// a trace must match to load. Host tuning is left out on purpose: restoring onto a
+// differently tuned machine is exactly the cosim matrix's job. `Config` may be const.
+template <typename Config>
+auto FingerprintFields(Config& config) {
+  return std::tie(config.hart_count,
+                  config.map.ram_base,
+                  config.map.ram_size,
+                  config.map.clint_base,
+                  config.map.plic_base,
+                  config.map.uart_base,
+                  config.map.blockdev_base,
+                  config.map.finisher_base,
+                  config.blockdev.enabled,
+                  config.blockdev.sectors,
+                  config.isa.pmp_entries,
+                  config.isa.has_time_csr,
+                  config.isa.has_sstc,
+                  config.isa.has_h_ext,
+                  config.isa.has_custom_csrs,
+                  config.isa.hw_misaligned);
 }
 
-void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
-                            const char* what) {
-  const uint32_t hart_count = reader.U32();
-  const uint64_t ram_base = reader.U64();
-  const uint64_t ram_size = reader.U64();
-  const uint64_t clint_base = reader.U64();
-  const uint64_t plic_base = reader.U64();
-  const uint64_t uart_base = reader.U64();
-  const uint64_t blockdev_base = reader.U64();
-  const uint64_t finisher_base = reader.U64();
-  const bool blockdev_enabled = reader.Bool();
-  const uint64_t blockdev_sectors = reader.U64();
-  const uint32_t pmp_entries = reader.U32();
-  const bool has_time_csr = reader.Bool();
-  const bool has_sstc = reader.Bool();
-  const bool has_h_ext = reader.Bool();
-  const bool has_custom_csrs = reader.Bool();
-  const bool hw_misaligned = reader.Bool();
-  if (reader.ok() &&
-      (hart_count != config.hart_count || ram_base != config.map.ram_base ||
-       ram_size != config.map.ram_size || clint_base != config.map.clint_base ||
-       plic_base != config.map.plic_base || uart_base != config.map.uart_base ||
-       blockdev_base != config.map.blockdev_base ||
-       finisher_base != config.map.finisher_base ||
-       blockdev_enabled != config.blockdev.enabled ||
-       blockdev_sectors != config.blockdev.sectors ||
-       pmp_entries != config.isa.pmp_entries ||
-       has_time_csr != config.isa.has_time_csr || has_sstc != config.isa.has_sstc ||
-       has_h_ext != config.isa.has_h_ext ||
-       has_custom_csrs != config.isa.has_custom_csrs ||
-       hw_misaligned != config.isa.hw_misaligned)) {
-    reader.Fail(std::string(what) +
-                " fingerprint does not match this machine's configuration");
+// One field of a tuple-listed section, by its type.
+template <typename Io, typename T>
+void VisitField(Io& io, T& field) {
+  if constexpr (std::is_same_v<std::remove_const_t<T>, bool>) {
+    io.Bool(field);
+  } else if constexpr (sizeof(T) == sizeof(uint32_t)) {
+    io.U32(field);
+  } else {
+    io.U64(field);
   }
+}
+
+template <typename Io, typename Fields>
+void VisitFields(Io& io, Fields fields) {
+  std::apply([&io](auto&... field) { (VisitField(io, field), ...); }, fields);
+}
+
+// The fingerprint that snapshot restore and trace replay share: written from
+// `config`, or read and required to match it, rejected with a message naming `what`
+// ("snapshot", "trace").
+template <typename Io>
+void VisitFingerprint(Io& io, const MachineConfig& config, const char* what) {
+  MachineConfig recorded = config;
+  VisitFields(io, FingerprintFields(recorded));
+  io.Require(FingerprintFields(recorded) == FingerprintFields(config), [what] {
+    return std::string(what) + " fingerprint does not match this machine's configuration";
+  });
 }
 
 // MACH section version. Version 2 added machine-lifetime progress, version 3 the
@@ -232,82 +209,46 @@ constexpr uint32_t kMachineStateVersion = 3;
 // files of an older version are rejected rather than misread.
 constexpr uint32_t kMachineConfigVersion = 3;
 
+// The whole MachineConfig: the fingerprint, then the rest of the ISA, the block
+// device's timing, the cost model and the host tuning.
+template <typename Io, typename Config>
+void VisitMachineConfig(Io& io, Config& config) {
+  io.BeginSection(StateTag("MCFG"), kMachineConfigVersion, "machine config", "snapshot");
+  VisitFields(io, FingerprintFields(config));
+  io.U64(config.isa.mvendorid);
+  io.U64(config.isa.marchid);
+  io.U64(config.isa.mimpid);
+  io.U64(config.blockdev.latency_ticks);
+  io.U64(config.blockdev.ticks_per_sector);
+  io.U64(config.cost.instr_base);
+  io.U64(config.cost.instr_muldiv);
+  io.U64(config.cost.instr_mem);
+  io.U64(config.cost.trap_entry);
+  io.U64(config.cost.page_walk_level);
+  io.U64(config.cost.hal_csr_access);
+  io.U64(config.cost.monitor_dispatch);
+  io.U64(config.cost.hal_mem_access);
+  io.U64(config.cost.hal_base_op);
+  io.U64(config.cost.tlb_flush);
+  io.U64(config.cost.mtime_tick_cycles);
+  io.U64(config.cost.freq_mhz);
+  io.U32(config.tuning.decode_cache_entries);
+  io.U32(config.tuning.max_batch_instructions);
+  io.U32(config.tuning.tlb_entries);
+  io.U32(config.tuning.superblock_entries);
+  io.Bool(config.tuning.parallel_harts);
+  io.EndSection();
+}
+
+}  // namespace
+
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
-  writer.BeginSection(StateTag("MCFG"), kMachineConfigVersion);
-  WriteConfigFingerprint(writer, config);
-  writer.U64(config.isa.mvendorid);
-  writer.U64(config.isa.marchid);
-  writer.U64(config.isa.mimpid);
-  writer.U64(config.blockdev.latency_ticks);
-  writer.U64(config.blockdev.ticks_per_sector);
-  writer.U64(config.cost.instr_base);
-  writer.U64(config.cost.instr_muldiv);
-  writer.U64(config.cost.instr_mem);
-  writer.U64(config.cost.trap_entry);
-  writer.U64(config.cost.page_walk_level);
-  writer.U64(config.cost.hal_csr_access);
-  writer.U64(config.cost.monitor_dispatch);
-  writer.U64(config.cost.hal_mem_access);
-  writer.U64(config.cost.hal_base_op);
-  writer.U64(config.cost.tlb_flush);
-  writer.U64(config.cost.mtime_tick_cycles);
-  writer.U64(config.cost.freq_mhz);
-  writer.U32(config.tuning.decode_cache_entries);
-  writer.U32(config.tuning.max_batch_instructions);
-  writer.U32(config.tuning.tlb_entries);
-  writer.U32(config.tuning.superblock_entries);
-  writer.Bool(config.tuning.parallel_harts);
-  writer.EndSection();
+  VisitMachineConfig(writer, config);
 }
 
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   MachineConfig c;
-  const uint32_t version = reader.BeginSection(StateTag("MCFG"));
-  if (reader.ok() && version != kMachineConfigVersion) {
-    reader.Fail("machine config version " + std::to_string(version) +
-                " is not supported (this build reads version " +
-                std::to_string(kMachineConfigVersion) + "); re-record the snapshot");
-    return false;
-  }
-  c.hart_count = reader.U32();
-  c.map.ram_base = reader.U64();
-  c.map.ram_size = reader.U64();
-  c.map.clint_base = reader.U64();
-  c.map.plic_base = reader.U64();
-  c.map.uart_base = reader.U64();
-  c.map.blockdev_base = reader.U64();
-  c.map.finisher_base = reader.U64();
-  c.blockdev.enabled = reader.Bool();
-  c.blockdev.sectors = reader.U64();
-  c.isa.pmp_entries = reader.U32();
-  c.isa.has_time_csr = reader.Bool();
-  c.isa.has_sstc = reader.Bool();
-  c.isa.has_h_ext = reader.Bool();
-  c.isa.has_custom_csrs = reader.Bool();
-  c.isa.hw_misaligned = reader.Bool();
-  c.isa.mvendorid = reader.U64();
-  c.isa.marchid = reader.U64();
-  c.isa.mimpid = reader.U64();
-  c.blockdev.latency_ticks = reader.U64();
-  c.blockdev.ticks_per_sector = reader.U64();
-  c.cost.instr_base = reader.U64();
-  c.cost.instr_muldiv = reader.U64();
-  c.cost.instr_mem = reader.U64();
-  c.cost.trap_entry = reader.U64();
-  c.cost.page_walk_level = reader.U64();
-  c.cost.hal_csr_access = reader.U64();
-  c.cost.monitor_dispatch = reader.U64();
-  c.cost.hal_mem_access = reader.U64();
-  c.cost.hal_base_op = reader.U64();
-  c.cost.tlb_flush = reader.U64();
-  c.cost.mtime_tick_cycles = reader.U64();
-  c.cost.freq_mhz = reader.U64();
-  c.tuning.decode_cache_entries = reader.U32();
-  c.tuning.max_batch_instructions = reader.U32();
-  c.tuning.tlb_entries = reader.U32();
-  c.tuning.superblock_entries = reader.U32();
-  c.tuning.parallel_harts = reader.Bool();
-  reader.EndSection();
+  VisitMachineConfig(reader, c);
   if (reader.ok()) {
     const std::string error = ConfigError(c);
     if (!error.empty()) {
@@ -905,29 +846,46 @@ void Machine::SaveSnapshot(Snapshot& snapshot) {
   }
   snapshot.state.clear();
   StateWriter writer;
-  writer.BeginSection(StateTag("MACH"), kMachineStateVersion);
+  VisitState(writer);
+  snapshot.state = writer.Take();
+  snapshot.ram = bus_.ram().Freeze();
+}
+
+template <typename Io>
+void Machine::VisitState(Io& io) {
+  const uint32_t version = io.BeginSection(StateTag("MACH"), kMachineStateVersion);
   // Configuration fingerprint: a snapshot only restores onto a machine whose
-  // simulated-behaviour-relevant configuration matches bit for bit. (Host tuning is
-  // deliberately excluded — restoring onto a differently-tuned machine is exactly
-  // the cosim matrix's job.) The same fingerprint guards trace replay.
-  WriteConfigFingerprint(writer, config_);
+  // simulated-behaviour-relevant configuration matches bit for bit.
+  VisitFingerprint(io, config_, "snapshot");
   // Version 2: machine-lifetime progress, the anchor for record/replay coordinates.
-  writer.U64(lifetime_retired_);
-  writer.U64(lifetime_rounds_);
-  // Version 3: the horizon hold, part of the quantum schedule of several harts.
-  writer.U64(hold_tick_);
+  // Version 3: the horizon hold, part of the quantum schedule of several harts. A
+  // file of an older version loads with them zero.
+  if constexpr (Io::kLoading) {
+    lifetime_retired_ = 0;
+    lifetime_rounds_ = 0;
+    hold_tick_ = 0;
+  }
+  if (version >= 2) {
+    io.U64(lifetime_retired_);
+    io.U64(lifetime_rounds_);
+  }
+  if (version >= 3) {
+    io.U64(hold_tick_);
+  }
   // Per-hart sections, the bus section, then every device in bus registration
   // order — the uniform state API means the machine never enumerates device types.
   for (const auto& hart : harts_) {
-    hart->SaveState(writer);
+    hart->VisitState(io);
   }
-  bus_.SaveState(writer);
+  bus_.VisitState(io);
   for (const Bus::MmioWindow& window : bus_.mmio_windows()) {
-    window.device->SaveState(writer);
+    if constexpr (Io::kLoading) {
+      window.device->LoadState(io);
+    } else {
+      window.device->SaveState(io);
+    }
   }
-  writer.EndSection();
-  snapshot.state = writer.Take();
-  snapshot.ram = bus_.ram().Freeze();
+  io.EndSection();
 }
 
 bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
@@ -954,40 +912,12 @@ bool Machine::LoadSnapshot(const Snapshot& snapshot) {
     return false;
   }
   StateReader reader(snapshot.state);
-  const uint32_t version = reader.BeginSection(StateTag("MACH"));
-  CheckConfigFingerprint(reader, config_, "snapshot");
-  uint64_t lifetime_retired = 0;
-  uint64_t lifetime_rounds = 0;
-  uint64_t hold_tick = 0;  // a file from before version 3 loads with no hold
-  if (version >= 2) {
-    lifetime_retired = reader.U64();
-    lifetime_rounds = reader.U64();
-  }
-  if (version >= 3) {
-    hold_tick = reader.U64();
-  }
-  for (auto& hart : harts_) {
-    if (reader.ok() && !hart->LoadState(reader)) {
-      break;
-    }
-  }
-  if (reader.ok()) {
-    bus_.LoadState(reader);
-  }
-  for (const Bus::MmioWindow& window : bus_.mmio_windows()) {
-    if (reader.ok() && !window.device->LoadState(reader)) {
-      break;
-    }
-  }
-  reader.EndSection();
+  VisitState(reader);
   if (!reader.ok()) {
     VFM_LOG_WARN("sim", "snapshot restore failed: %s", reader.error().c_str());
     return false;
   }
   bus_.AdoptRam(snapshot.ram);
-  lifetime_retired_ = lifetime_retired;
-  lifetime_rounds_ = lifetime_rounds;
-  hold_tick_ = hold_tick;
   return true;
 }
 
@@ -1033,7 +963,7 @@ bool Machine::StartRecording(const std::string& path, uint64_t hash_period_round
       blockdev_ != nullptr ? blockdev_->completed_commands() : 0;
   TraceHeader header;
   StateWriter fingerprint;
-  WriteConfigFingerprint(fingerprint, config_);
+  VisitFingerprint(fingerprint, config_, "trace");
   header.fingerprint = fingerprint.Take();
   header.anchor_retired = lifetime_retired_;
   header.anchor_rounds = lifetime_rounds_;
@@ -1392,7 +1322,7 @@ ReplayResult Machine::ReplayFrom(const Snapshot& snapshot,
     // The same rejection path snapshot restore uses: the trace embeds the
     // recording machine's config fingerprint, checked against this machine.
     StateReader fingerprint(header.fingerprint);
-    CheckConfigFingerprint(fingerprint, config_, "trace");
+    VisitFingerprint(fingerprint, config_, "trace");
     if (!fingerprint.ok()) {
       result.error = "trace rejected: " + fingerprint.error();
       return result;
@@ -1564,12 +1494,7 @@ bool ReadSnapshotFile(const std::string& path, MachineConfig* config,
     return false;
   }
   StateReader reader(bytes);
-  const uint32_t version = reader.BeginSection(StateTag("SNPF"));
-  if (reader.ok() && version != kSnapshotFileVersion) {
-    reader.Fail("snapshot file version " + std::to_string(version) +
-                " is not supported (this build reads version " +
-                std::to_string(kSnapshotFileVersion) + "); re-record the snapshot");
-  }
+  reader.BeginSection(StateTag("SNPF"), kSnapshotFileVersion, "snapshot file", "snapshot");
   MachineConfig file_config;
   if (reader.ok()) {
     ReadMachineConfig(reader, &file_config);

@@ -68,7 +68,7 @@ struct MachineConfig {
 
 // The SiFive-style test finisher: a store of kFinishPass/kFinishFail powers off the
 // machine. Used by kernels and firmware to terminate simulations.
-class Finisher : public MmioDevice {
+class Finisher : public ListedState<Finisher, MmioDevice> {
  public:
   static constexpr uint64_t kSize = 0x1000;
   static constexpr uint32_t kFinishPass = 0x5555;
@@ -77,8 +77,14 @@ class Finisher : public MmioDevice {
   const char* name() const override { return "finisher"; }
   bool MmioRead(uint64_t offset, unsigned size, uint64_t* value) override;
   bool MmioWrite(uint64_t offset, unsigned size, uint64_t value) override;
-  void SaveState(StateWriter& writer) const override;
-  bool LoadState(StateReader& reader) override;
+
+  template <typename Io>
+  void VisitState(Io& io) {
+    io.BeginSection(StateTag("FINI"), 1);
+    io.Bool(finished_);
+    io.U32(exit_code_);
+    io.EndSection();
+  }
 
   bool finished() const { return finished_; }
   uint32_t exit_code() const { return exit_code_; }
@@ -99,17 +105,9 @@ struct Snapshot {
   std::shared_ptr<RamImage> ram;  // Ram::ImageSize(map.ram_size) bytes
 };
 
-// The simulated-behaviour-relevant configuration fingerprint (hart count, memory
-// map, ISA, block device — host tuning deliberately excluded), shared by snapshot
-// restore and trace replay: both artifacts embed it at save/record time and both
-// load paths reject a mismatch the same way. Check* Fail()s the reader with a
-// message naming `what` ("snapshot", "trace") on any mismatch.
-void WriteConfigFingerprint(StateWriter& writer, const MachineConfig& config);
-void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
-                            const char* what);
-
-// Full MachineConfig serialization (fingerprint fields plus cost model and tuning),
-// used by snapshot *files* so tools can reconstruct a Machine from the file alone.
+// Full MachineConfig serialization (the fingerprint that snapshots and traces carry,
+// plus the cost model and tuning), used by snapshot *files* so tools can reconstruct
+// a Machine from the file alone.
 // ReadMachineConfig Fail()s the reader on a config the Machine constructor would
 // abort on (no harts, a zero instr_base or mtime tick, an empty or overlapping map).
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config);
@@ -353,9 +351,13 @@ class Machine {
 
  private:
   void RefreshInterruptLines();
-  // RestoreSnapshot's load, unstaged: on a rejected snapshot the harts, the bus and
-  // the devices before the rejecting section have already loaded.
+  // RestoreSnapshot's load, unstaged: a rejected snapshot leaves the machine in an
+  // unspecified state.
   bool LoadSnapshot(const Snapshot& snapshot);
+  // The MACH section's one listing (DESIGN.md §2h), behind SaveSnapshot and
+  // LoadSnapshot.
+  template <typename Io>
+  void VisitState(Io& io);
 
   // The one run loop behind StepAll, RunUntilFinished, RunUntil and RunSlice
   // (DESIGN.md §2i). Per barrier: `predicate`, when given, is checked; every hart

@@ -15,6 +15,35 @@ constexpr uint32_t kEventTag = StateTag("TREV");
 constexpr uint32_t kTraceVersion = 3;
 constexpr uint32_t kEventVersion = 1;
 
+// The header's one listing, inside the TRAC section.
+template <typename Io, typename Header>
+void VisitHeader(Io& io, Header& header) {
+  io.Bytes(header.fingerprint);
+  io.U64(header.anchor_retired);
+  io.U64(header.anchor_rounds);
+  io.U32(header.hart_count);
+  io.U64(header.hash_period);
+}
+
+// One event's listing: a TREV section. `Event` may be const.
+template <typename Io, typename Event>
+void VisitEvent(Io& io, Event& event) {
+  io.BeginSection(kEventTag, kEventVersion, "trace event", "trace");
+  uint8_t kind = static_cast<uint8_t>(event.kind);
+  io.U8(kind);
+  if constexpr (Io::kLoading) {
+    event.kind = static_cast<TraceEventKind>(kind);
+  }
+  io.U8(event.sub);
+  io.U32(event.hart);
+  io.U64(event.retired);
+  io.U64(event.round);
+  io.U64(event.a);
+  io.U64(event.b);
+  io.Bytes(event.payload);
+  io.EndSection();
+}
+
 bool IsDroppable(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kUartInput:
@@ -32,25 +61,12 @@ void TraceWriter::Begin(const TraceHeader& header) {
   VFM_CHECK_MSG(!begun_, "TraceWriter::Begin called twice");
   begun_ = true;
   writer_.BeginSection(kTraceTag, kTraceVersion);
-  writer_.Bytes(header.fingerprint.data(), header.fingerprint.size());
-  writer_.U64(header.anchor_retired);
-  writer_.U64(header.anchor_rounds);
-  writer_.U32(header.hart_count);
-  writer_.U64(header.hash_period);
+  VisitHeader(writer_, header);
 }
 
 void TraceWriter::Append(const TraceEvent& event) {
   VFM_CHECK_MSG(begun_, "TraceWriter::Append before Begin");
-  writer_.BeginSection(kEventTag, kEventVersion);
-  writer_.U8(static_cast<uint8_t>(event.kind));
-  writer_.U8(event.sub);
-  writer_.U32(event.hart);
-  writer_.U64(event.retired);
-  writer_.U64(event.round);
-  writer_.U64(event.a);
-  writer_.U64(event.b);
-  writer_.Bytes(event.payload.data(), event.payload.size());
-  writer_.EndSection();
+  VisitEvent(writer_, event);
   ++event_count_;
 }
 
@@ -62,43 +78,16 @@ std::vector<uint8_t> TraceWriter::Finish() {
 
 TraceReader::TraceReader(const std::vector<uint8_t>& bytes) {
   StateReader reader(bytes.data(), bytes.size());
-  uint32_t version = reader.BeginSection(kTraceTag);
-  if (!reader.ok()) {
-    error_ = reader.error();
-    return;
-  }
-  if (version != kTraceVersion) {
-    error_ = "unsupported trace version " + std::to_string(version) +
-             " (this build reads version " + std::to_string(kTraceVersion) +
-             "); re-record the trace";
-    return;
-  }
-  reader.Bytes(&header_.fingerprint);
-  header_.anchor_retired = reader.U64();
-  header_.anchor_rounds = reader.U64();
-  header_.hart_count = reader.U32();
-  header_.hash_period = reader.U64();
+  reader.BeginSection(kTraceTag, kTraceVersion, "trace", "trace");
+  VisitHeader(reader, header_);
   while (reader.ok() && reader.SectionBytesRemain()) {
-    uint32_t ev = reader.BeginSection(kEventTag);
-    if (!reader.ok()) break;
-    if (ev != kEventVersion) {
-      error_ = "unsupported trace event version " + std::to_string(ev);
-      return;
-    }
     TraceEvent event;
-    event.kind = static_cast<TraceEventKind>(reader.U8());
-    event.sub = reader.U8();
-    event.hart = reader.U32();
-    event.retired = reader.U64();
-    event.round = reader.U64();
-    event.a = reader.U64();
-    event.b = reader.U64();
-    reader.Bytes(&event.payload);
-    reader.EndSection();
-    if (!reader.ok()) break;
-    events_.push_back(std::move(event));
+    VisitEvent(reader, event);
+    if (reader.ok()) {
+      events_.push_back(std::move(event));
+    }
   }
-  if (reader.ok()) reader.EndSection();
+  reader.EndSection();
   if (!reader.ok()) {
     error_ = reader.error();
     return;
