@@ -54,9 +54,8 @@ class StateWriter {
   // `version`, as StateReader returns the version it finds.
   uint32_t BeginSection(uint32_t tag, uint32_t version);
   // The version gate's writing side (see StateReader).
-  void BeginSection(uint32_t tag, uint32_t version, const char* what, const char* artifact) {
-    (void)what;
-    (void)artifact;
+  void BeginSection(uint32_t tag, uint32_t version, const char* /*what*/,
+                    const char* /*artifact*/) {
     BeginSection(tag, version);
   }
   void EndSection(uint64_t trailing = 0);
@@ -85,10 +84,7 @@ class StateWriter {
 
   // A load rule: only StateReader checks it.
   template <typename Message>
-  void Require(bool holds, const Message& message) {
-    (void)holds;
-    (void)message;
-  }
+  void Require(bool /*holds*/, const Message& /*message*/) {}
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
@@ -116,10 +112,7 @@ class StateReader {
   // consume (forward compatibility). The two-argument form is a listing's: it
   // ignores the version the writer writes.
   uint32_t BeginSection(uint32_t tag);
-  uint32_t BeginSection(uint32_t tag, uint32_t version) {
-    (void)version;
-    return BeginSection(tag);
-  }
+  uint32_t BeginSection(uint32_t tag, uint32_t /*version*/) { return BeginSection(tag); }
   // The version gate: opens a section that this build reads only at `version`, and
   // fails on any other with "unsupported <what> version N (this build reads version
   // M); re-record the <artifact>".
@@ -193,10 +186,13 @@ class StateReader {
 
 // Serves a component's SaveState and LoadState from its one listing, VisitState.
 // `Base` is the class the component derives from otherwise: a device passes
-// MmioDevice, whose state API is virtual, and these two override it.
+// MmioDevice, whose state API is virtual, and these two override it. The default
+// base is empty and distinct per component, so a component whose first member is
+// another listed component (VirtContext's CsrFile) keeps its layout.
+template <typename Derived>
 struct NoStateBase {};
 
-template <typename Derived, typename Base = NoStateBase>
+template <typename Derived, typename Base = NoStateBase<Derived>>
 class ListedState : public Base {
  public:
   void SaveState(StateWriter& writer) const {

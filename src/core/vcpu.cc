@@ -1,8 +1,5 @@
 #include "src/core/vcpu.h"
 
-#include <string>
-
-#include "src/common/state.h"
 #include "src/core/vpmp.h"
 
 namespace vfm {

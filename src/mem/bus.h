@@ -59,8 +59,9 @@ inline const char* AccessTypeName(AccessType type) {
 //
 // Devices also participate in whole-machine snapshots (DESIGN.md §2h) through the
 // uniform state API: SaveState emits the device's architectural state as one tagged
-// section, LoadState restores it. The defaults are no-ops so stateless devices and
-// test doubles need nothing.
+// section, LoadState restores it. A device serves both from its one field listing
+// through ListedState (src/common/state.h). The defaults are no-ops so stateless
+// devices and test doubles need nothing.
 class MmioDevice {
  public:
   virtual ~MmioDevice() = default;

@@ -239,7 +239,7 @@ class Hart : public ListedState<Hart> {
     csrs_.VisitState(io);
     io.EndSection();
     if constexpr (Io::kLoading) {
-      priv_ = static_cast<PrivMode>(priv);
+      priv_ = IsPrivModeEncoding(priv) ? static_cast<PrivMode>(priv) : priv_;
       reservation_ = has_reservation ? std::optional<uint64_t>(reservation) : std::nullopt;
       // +1 on each local counter moves every stamp past those recorded before (the
       // monotonic part of a stamp only grows), so no stale decode, TLB or superblock
