@@ -185,7 +185,7 @@ size_t FindTag(const std::vector<uint8_t>& bytes, uint32_t tag, size_t from = 0)
 // shifted by `salt` so two CSR files differ too.
 void SetDistinctCsrs(CsrFile& csrs, uint64_t salt) {
   const std::pair<uint16_t, uint64_t> values[] = {
-      {kCsrMstatus, 0x0000'000A'0000'1888},  // MPP = M, SPP, MPIE, SPIE
+      {kCsrMstatus, 0x0000'000A'0000'1888},  // MIE, MPIE, MPP = M, 64-bit UXL and SXL
       {kCsrMedeleg, 0xB109},
       {kCsrMideleg, 0x222},
       {kCsrMie, 0x1AAA},
