@@ -20,9 +20,10 @@
 // Primitives are fixed-width little-endian; byte blobs are u64-length-prefixed.
 // Readers never abort on malformed input: errors are sticky (ok() turns false, all
 // subsequent reads return zeros) and carry a message, so loads can reject a corrupt
-// or mismatched snapshot cleanly. Loads do not stage: a failed load leaves the
-// component in an unspecified state, and Machine::RestoreSnapshot stages a whole
-// restore in a fresh machine before it touches its own.
+// or mismatched snapshot cleanly. Components do not stage their loads: a failed load
+// leaves the component in an unspecified state. Machine::RestoreSnapshot stages a
+// whole restore in a fresh machine before it touches its own, and Monitor::LoadState
+// puts the monitor's state back when its load fails.
 
 #ifndef SRC_COMMON_STATE_H_
 #define SRC_COMMON_STATE_H_

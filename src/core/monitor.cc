@@ -901,4 +901,17 @@ bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
   return true;
 }
 
+bool Monitor::LoadState(StateReader& reader) {
+  // The listing assigns each field as it reads it, and a rule can fail after the
+  // first harts have loaded: keep the state the load replaces, and put it back.
+  StateWriter kept;
+  SaveState(kept);
+  if (ListedState::LoadState(reader)) {
+    return true;
+  }
+  StateReader restore(kept.bytes());
+  VisitState(restore);
+  return false;
+}
+
 }  // namespace vfm

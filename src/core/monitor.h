@@ -148,7 +148,10 @@ class Monitor : public MmodeOwner, public ListedState<Monitor> {
   // Machine::SaveSnapshot captures the physical machine, and this captures the
   // monitor's own state (per-hart virtual contexts and world flags, the virtual
   // CLINT). Statistics are observability, not machine state, and are not saved.
-  // Restore order matters: restore the Machine first, then the monitor.
+  // Restore order matters: restore the Machine first, then the monitor. A rejected
+  // load leaves the monitor as it was, since Machine::RestoreSnapshot stages only the
+  // machine.
+  bool LoadState(StateReader& reader);
   template <typename Io>
   void VisitState(Io& io) {
     io.BeginSection(StateTag("MONS"), kStateVersion, "monitor state", "snapshot");

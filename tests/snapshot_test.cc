@@ -1129,6 +1129,55 @@ TEST(MonitorSnapshotTest, RejectsOlderStateVersions) {
   }
 }
 
+// Machine::RestoreSnapshot stages only the machine, so a rejected monitor load must
+// leave the monitor as it was: an older version, another hart count, and a section
+// whose second virtual context breaks a rule after the first one has loaded.
+TEST(MonitorSnapshotTest, RejectedLoadLeavesTheMonitorUntouched) {
+  PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 2, false);
+  KernelConfig config;
+  config.base = profile.kernel_base;
+  config.hart_count = 2;
+  KernelBuilder kb(config);
+  kb.EmitFinish(/*pass=*/true);
+  System system = BootSystem(profile, DeployMode::kMiralis, kb.Finish());
+  Monitor& monitor = *system.monitor;
+  const std::vector<uint8_t> before = SavedState(monitor);
+  const uint64_t pc = monitor.vctx(0).pc();
+  const PrivMode priv = monitor.vctx(0).priv();
+
+  StateWriter older;
+  older.BeginSection(StateTag("MONS"), 2);
+  older.U32(2);
+  older.EndSection();
+  std::vector<uint8_t> harts = before;
+  const uint32_t three = 3;
+  std::memcpy(harts.data() + 16, &three, sizeof three);  // after the section header
+  // A VCTX holds its pc, then its privilege, after its section header.
+  std::vector<uint8_t> second = before;
+  const size_t first_vctx = FindTag(second, StateTag("VCTX"));
+  const size_t second_vctx = FindTag(second, StateTag("VCTX"), first_vctx + 4);
+  ASSERT_LT(second_vctx, second.size());
+  const uint64_t other_pc = pc ^ 0x1110;
+  std::memcpy(second.data() + first_vctx + 16, &other_pc, sizeof other_pc);
+  second[first_vctx + 24] =
+      static_cast<uint8_t>(priv == PrivMode::kMachine ? PrivMode::kSupervisor : PrivMode::kMachine);
+  second[second_vctx + 24] = 7;
+
+  const std::pair<std::vector<uint8_t>, std::string> rejected[] = {
+      {older.Take(), "monitor state version 2"},
+      {harts, "MONS: hart count mismatch"},
+      {second, "virtual privilege 7 is not U, S or M"},
+  };
+  for (const auto& [bytes, error] : rejected) {
+    StateReader reader(bytes);
+    EXPECT_FALSE(monitor.LoadState(reader));
+    EXPECT_NE(reader.error().find(error), std::string::npos) << reader.error();
+    EXPECT_EQ(monitor.vctx(0).pc(), pc);
+    EXPECT_EQ(monitor.vctx(0).priv(), priv);
+    EXPECT_EQ(SavedState(monitor), before) << error;
+  }
+}
+
 // ---------------------------------------------------------------------------------
 // Parallel-hart snapshots (DESIGN.md §2i): a machine running the quantum schedule on
 // the worker pool snapshots byte-identically to one running the same schedule
