@@ -136,14 +136,27 @@ class StateReader {
   void Bool(bool& v) { v = Bool(); }
   void Bool(std::vector<bool>::reference v) { v = Bool(); }
   // Reads a length-prefixed blob into out (resized). Fails (sticky) on overrun and
-  // leaves out as it was.
+  // leaves out as it was. A container without contiguous storage (a deque) is read a
+  // byte at a time, as StateWriter writes it, so a length that runs past the section
+  // fails as a truncation.
   void Bytes(std::vector<uint8_t>* out) { Bytes(*out); }
   template <typename Container>
   void Bytes(Container& out) {
-    uint64_t size = 0;
-    const uint8_t* view = BytesView(&size);
-    if (view != nullptr) {
-      out.assign(view, view + size);
+    if constexpr (requires { out.data(); }) {
+      uint64_t size = 0;
+      const uint8_t* view = BytesView(&size);
+      if (view != nullptr) {
+        out.assign(view, view + size);
+      }
+    } else {
+      const uint64_t size = U64();
+      Container bytes;
+      for (uint64_t i = 0; ok() && i < size; ++i) {
+        bytes.push_back(U8());
+      }
+      if (ok()) {
+        out = std::move(bytes);
+      }
     }
   }
   // Reads a length-prefixed blob without copying it: returns a pointer into the

@@ -66,14 +66,16 @@ class BlockDev : public ListedState<BlockDev, MmioDevice> {
     io.U64(dma_addr_);
     io.U64(status_);
     io.U64(pending_cmd_);
+    io.U64(deadline_);
+    io.U64(last_tick_);
+    io.U64(completed_commands_);
+    // Checked after the section's last field, so a truncated section reports the
+    // truncation first.
     io.Require(!busy() || CanStart(pending_cmd_, lba_, count_), [this] {
       return "blockdev busy with command " + std::to_string(pending_cmd_) + " on " +
              std::to_string(count_) + " sectors at LBA " + std::to_string(lba_) + ", which a " +
              std::to_string(disk_.size() / kSectorSize) + "-sector disk could not have started";
     });
-    io.U64(deadline_);
-    io.U64(last_tick_);
-    io.U64(completed_commands_);
     io.EndSection();
   }
 

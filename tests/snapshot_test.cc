@@ -650,6 +650,44 @@ TEST(DeviceStateTest, BlockDevRoundTripPreservesDiskContents) {
   EXPECT_EQ(readback, sector);
 }
 
+// A count or a field that runs past its section fails as a truncation, before any
+// rule over the fields it cut off: the UART's input queue counts more bytes than its
+// section holds, and a busy block device's section ends after its command, which is
+// one it could not have started.
+TEST(DeviceStateTest, TruncatedSectionsFailAsTruncations) {
+  Uart uart;
+  uart.PushInput("xy");
+  std::vector<uint8_t> bytes = SavedState(uart);
+  const uint64_t queued = 5;
+  std::memcpy(bytes.data() + bytes.size() - 2 - sizeof queued, &queued, sizeof queued);
+  StateReader uart_reader(bytes);
+  EXPECT_FALSE(Uart().LoadState(uart_reader));
+  EXPECT_EQ(uart_reader.error(), "state stream truncated");
+
+  Bus bus(0x8000'0000, 0x10000);
+  Plic plic(1);
+  BlockDev a(&bus, &plic, 1, /*capacity_sectors=*/64, /*latency_ticks=*/5,
+             /*ticks_per_sector=*/1);
+  ASSERT_TRUE(a.MmioWrite(BlockDev::kRegCount, 8, 1));
+  ASSERT_TRUE(a.MmioWrite(BlockDev::kRegDmaAddr, 8, 0x8000'1000));
+  ASSERT_TRUE(a.MmioWrite(BlockDev::kRegCmd, 8, BlockDev::kCmdRead));
+  ASSERT_TRUE(a.busy());
+  bytes = SavedState(a);
+  // Section header, then the disk blob, then LBA, COUNT, DMA, status and command.
+  const size_t cmd_at = 16 + 8 + 64 * BlockDev::kSectorSize + 4 * 8;
+  const uint64_t command = 7;
+  std::memcpy(bytes.data() + cmd_at, &command, sizeof command);
+  StateReader whole(bytes);
+  EXPECT_FALSE(BlockDev(&bus, &plic, 1, 64, 5, 1).LoadState(whole));
+  EXPECT_NE(whole.error().find("could not have started"), std::string::npos) << whole.error();
+  bytes.resize(cmd_at + sizeof command);
+  const uint64_t payload = bytes.size() - 16;
+  std::memcpy(bytes.data() + 8, &payload, sizeof payload);
+  StateReader cut(bytes);
+  EXPECT_FALSE(BlockDev(&bus, &plic, 1, 64, 5, 1).LoadState(cut));
+  EXPECT_EQ(cut.error(), "state stream truncated");
+}
+
 TEST(DeviceStateTest, FinisherRoundTrip) {
   MachineConfig mc;
   mc.map.ram_size = 1 << 20;
