@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <new>
 #include <string>
-#include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -151,41 +149,30 @@ std::string CoordString(uint64_t retired, uint64_t round) {
 // The simulated-behaviour-relevant configuration, in wire order: what a snapshot or
 // a trace must match to load. Host tuning is left out on purpose: restoring onto a
 // differently tuned machine is exactly the cosim matrix's job. `Config` may be const.
-template <typename Config>
-auto FingerprintFields(Config& config) {
-  return std::tie(config.hart_count,
-                  config.map.ram_base,
-                  config.map.ram_size,
-                  config.map.clint_base,
-                  config.map.plic_base,
-                  config.map.uart_base,
-                  config.map.blockdev_base,
-                  config.map.finisher_base,
-                  config.blockdev.enabled,
-                  config.blockdev.sectors,
-                  config.isa.pmp_entries,
-                  config.isa.has_time_csr,
-                  config.isa.has_sstc,
-                  config.isa.has_h_ext,
-                  config.isa.has_custom_csrs,
-                  config.isa.hw_misaligned);
+template <typename Io, typename Config>
+void VisitFingerprintFields(Io& io, Config& config) {
+  io.U32(config.hart_count);
+  io.U64(config.map.ram_base);
+  io.U64(config.map.ram_size);
+  io.U64(config.map.clint_base);
+  io.U64(config.map.plic_base);
+  io.U64(config.map.uart_base);
+  io.U64(config.map.blockdev_base);
+  io.U64(config.map.finisher_base);
+  io.Bool(config.blockdev.enabled);
+  io.U64(config.blockdev.sectors);
+  io.U32(config.isa.pmp_entries);
+  io.Bool(config.isa.has_time_csr);
+  io.Bool(config.isa.has_sstc);
+  io.Bool(config.isa.has_h_ext);
+  io.Bool(config.isa.has_custom_csrs);
+  io.Bool(config.isa.hw_misaligned);
 }
 
-// One field of a tuple-listed section, by its type.
-template <typename Io, typename T>
-void VisitField(Io& io, T& field) {
-  if constexpr (std::is_same_v<std::remove_const_t<T>, bool>) {
-    io.Bool(field);
-  } else if constexpr (sizeof(T) == sizeof(uint32_t)) {
-    io.U32(field);
-  } else {
-    io.U64(field);
-  }
-}
-
-template <typename Io, typename Fields>
-void VisitFields(Io& io, Fields fields) {
-  std::apply([&io](auto&... field) { (VisitField(io, field), ...); }, fields);
+std::vector<uint8_t> FingerprintBytes(const MachineConfig& config) {
+  StateWriter writer;
+  VisitFingerprintFields(writer, config);
+  return writer.Take();
 }
 
 // The fingerprint that snapshot restore and trace replay share: written from
@@ -193,11 +180,15 @@ void VisitFields(Io& io, Fields fields) {
 // ("snapshot", "trace").
 template <typename Io>
 void VisitFingerprint(Io& io, const MachineConfig& config, const char* what) {
-  MachineConfig recorded = config;
-  VisitFields(io, FingerprintFields(recorded));
-  io.Require(FingerprintFields(recorded) == FingerprintFields(config), [what] {
-    return std::string(what) + " fingerprint does not match this machine's configuration";
-  });
+  if constexpr (Io::kLoading) {
+    MachineConfig recorded = config;
+    VisitFingerprintFields(io, recorded);
+    io.Require(FingerprintBytes(recorded) == FingerprintBytes(config), [what] {
+      return std::string(what) + " fingerprint does not match this machine's configuration";
+    });
+  } else {
+    VisitFingerprintFields(io, config);
+  }
 }
 
 // MACH section version. Version 2 added machine-lifetime progress, version 3 the
@@ -214,7 +205,7 @@ constexpr uint32_t kMachineConfigVersion = 3;
 template <typename Io, typename Config>
 void VisitMachineConfig(Io& io, Config& config) {
   io.BeginSection(StateTag("MCFG"), kMachineConfigVersion, "machine config", "snapshot");
-  VisitFields(io, FingerprintFields(config));
+  VisitFingerprintFields(io, config);
   io.U64(config.isa.mvendorid);
   io.U64(config.isa.marchid);
   io.U64(config.isa.mimpid);
