@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutant catalogue: every committed fault must still be caught by its test.
 
-    python3 tools/mutants.py [--rev REV] [--workdir DIR] [--jobs N] [NAME ...]
+    python3 tools/mutants.py [--workdir DIR] [NAME ...]
 
 Each tests/mutants/<name>.patch injects one fault that a named test must catch.
 The text before its diff says what the fault is, where it comes from, and holds
@@ -11,13 +11,14 @@ one line
 
 naming the ctest binary and the case in it that must fail once the patch is in.
 
-The script exports REV (default HEAD; committed files only) with `git archive`
-into DIR (default: a new temporary directory, outside the repository) and
-configures one Release build there. It checks that every named case passes on the
-unpatched tree, then takes one patch at a time: applies it, rebuilds the binary
-(make rebuilds only what the patch touches), runs the case and reverts the patch.
-A mutant is killed when its case fails; it survives when the case passes or no
-longer exists. NAMEs pick patches by file stem (default: every patch).
+The script exports HEAD (committed files only) with `git archive` into DIR
+(default: a temporary directory, removed on exit; a given DIR must lie outside
+the repository and is kept) and configures one Release build there. It checks
+that every named case passes on the unpatched tree, then takes one patch at a
+time: applies it, rebuilds the binary (make rebuilds only what the patch
+touches), runs the case and reverts the patch. A mutant is killed when its case
+fails; it survives when the case passes or no longer exists. NAMEs pick patches
+by file stem (default: every patch).
 
 Exit status: 0 when every mutant is killed, 1 when one survives, a patch no
 longer applies or a patched tree does not build, 2 on a usage or setup error.
@@ -45,13 +46,13 @@ def kill_line(patch):
     sys.exit("%s: no 'Kill: <test binary> <gtest case>' line" % patch.name)
 
 
-def export(rev, tree):
+def export(tree):
     tree.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "archive", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
-        sys.exit("git archive %s failed" % rev)
+        sys.exit("git archive HEAD failed")
 
 
 def quiet(cmd, cwd):
@@ -59,9 +60,9 @@ def quiet(cmd, cwd):
                           text=True)
 
 
-def build(tree, binary, jobs):
+def build(tree, binary):
     result = quiet(["cmake", "--build", str(tree / "build"), "--target", binary,
-                    "-j", str(jobs)], tree)
+                    "-j", str(os.cpu_count() or 2)], tree)
     if result.returncode != 0:
         sys.stdout.write(result.stdout[-4000:])
     return result.returncode == 0
@@ -87,10 +88,8 @@ def apply(tree, patch, reverse=False):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("names", nargs="*", help="patch stems (default: every patch)")
-    parser.add_argument("--rev", default="HEAD", help="commit to mutate (default HEAD)")
-    parser.add_argument("--workdir", help="where to export and build (default: a new "
-                                          "temporary directory)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
+    parser.add_argument("--workdir", help="where to export and build (default: a "
+                                          "temporary directory, removed on exit)")
     args = parser.parse_args()
 
     patches = sorted(CATALOGUE.glob("*.patch"))
@@ -104,13 +103,20 @@ def main():
         return 2
     kills = {patch: kill_line(patch) for patch in patches}
 
-    workdir = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="mutants-"))
-    workdir = workdir.resolve()
+    if not args.workdir:
+        with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+            return mutate(Path(workdir), kills)
+    workdir = Path(args.workdir).resolve()
     if workdir == ROOT or ROOT in workdir.parents:
         sys.stderr.write("refusing to run: --workdir must lie outside the repository\n")
         return 2
+    return mutate(workdir, kills)
+
+
+def mutate(workdir, kills):
+    """Exports and builds HEAD under `workdir`, then runs every mutant in `kills`."""
     tree = workdir / "tree"
-    export(args.rev, tree)
+    export(tree)
     configure = quiet(["cmake", "-S", str(tree), "-B", str(tree / "build"),
                        "-DCMAKE_BUILD_TYPE=Release"], tree)
     if configure.returncode != 0:
@@ -120,7 +126,7 @@ def main():
     # Every killing case must pass on the unpatched tree, or a failure would not
     # be the mutant's doing.
     for binary, case in sorted(set(kills.values())):
-        if not build(tree, binary, args.jobs):
+        if not build(tree, binary):
             sys.stderr.write("the unpatched tree does not build %s\n" % binary)
             return 2
         if run_case(tree, binary, case) == "failed":
@@ -133,7 +139,7 @@ def main():
             print("%-32s NO LONGER APPLIES" % patch.stem, flush=True)
             bad += 1
             continue
-        if not build(tree, binary, args.jobs):
+        if not build(tree, binary):
             verdict = "DOES NOT BUILD"
         else:
             verdict = {"failed": "killed by %s %s",
