@@ -1,6 +1,7 @@
 #include "src/sim/machine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <new>
@@ -306,16 +307,52 @@ Machine::Machine(const MachineConfig& config)
 
 Machine::~Machine() {
   if (pool_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(pool_->mutex);
-      pool_->shutdown = true;
-    }
-    pool_->work_cv.notify_all();
+    pool_->shutdown = true;
+    pool_->epoch.fetch_add(1, std::memory_order_release);
+    pool_->epoch.notify_all();
     for (std::thread& thread : pool_->threads) {
       thread.join();
     }
   }
 }
+
+namespace {
+
+// How long a side of the worker pool's handoff spins on the other's word before it
+// parks. A pooled segment of 4096 instructions takes about 12 us on a 4-vCPU x86-64
+// VM, so inside a run of pooled quanta the other side arrives within a segment or
+// two, and a bound of a few segments' time keeps every such handoff out of the
+// kernel; a worker that inline quanta or the end of a run call leave idle gives its
+// core back after this long. A time rather than an iteration count, because a
+// relax hint's cost differs several-fold across x86 parts.
+constexpr std::chrono::microseconds kSpinBeforePark{50};
+
+// Tells the core that it is in a spin-wait loop.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+  asm volatile("yield");
+#endif
+}
+
+// Returns the first value of `word` (read with acquire loads) for which `ready`
+// holds, spinning for kSpinBeforePark and then parking on the word until it changes.
+template <typename Ready>
+uint32_t AwaitWord(const std::atomic<uint32_t>& word, Ready ready) {
+  const auto park_at = std::chrono::steady_clock::now() + kSpinBeforePark;
+  uint32_t value;
+  while (!ready(value = word.load(std::memory_order_acquire))) {
+    if (std::chrono::steady_clock::now() < park_at) {
+      CpuRelax();
+    } else {
+      word.wait(value, std::memory_order_acquire);
+    }
+  }
+  return value;
+}
+
+}  // namespace
 
 void Machine::EnsurePool() {
   if (pool_ != nullptr) {
@@ -329,30 +366,23 @@ void Machine::EnsurePool() {
 
 void Machine::WorkerMain(unsigned hart_index) {
   WorkerPool& pool = *pool_;
-  uint64_t seen_epoch = 0;
+  const uint32_t workers = hart_count() - 1;
+  uint32_t seen_epoch = 0;
   while (true) {
-    uint64_t batch = 0;
-    uint64_t stop = 0;
-    {
-      std::unique_lock<std::mutex> lock(pool.mutex);
-      pool.work_cv.wait(lock, [&] { return pool.shutdown || pool.epoch != seen_epoch; });
-      if (pool.shutdown) {
-        return;
-      }
-      seen_epoch = pool.epoch;
-      batch = pool.batch;
-      stop = segment_stops_[hart_index];
+    seen_epoch =
+        AwaitWord(pool.epoch, [seen_epoch](uint32_t epoch) { return epoch != seen_epoch; });
+    if (pool.shutdown) {
+      return;
     }
     // The segment itself: this hart's private execution. Everything it shares with
     // other segments is read-only for the duration (RAM, devices, mtime), except the
     // bus's dependency page marks, which are monotonic relaxed-atomic set-bits.
     Hart& hart = *harts_[hart_index];
-    new (&segment_results_[hart_index]) Hart::BatchResult(hart.RunBatch(batch, stop));
-    {
-      std::lock_guard<std::mutex> lock(pool.mutex);
-      ++pool.done;
+    new (&segment_results_[hart_index])
+        Hart::BatchResult(hart.RunBatch(pool.batch, segment_stops_[hart_index]));
+    if (pool.done.fetch_add(1, std::memory_order_release) + 1 == workers) {
+      pool.done.notify_one();
     }
-    pool.done_cv.notify_one();
   }
 }
 
@@ -694,13 +724,10 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
     if (parallel) {
       EnsurePool();
       ++pooled_quanta_;
-      {
-        std::lock_guard<std::mutex> lock(pool_->mutex);
-        pool_->batch = n;
-        pool_->done = 0;
-        ++pool_->epoch;
-      }
-      pool_->work_cv.notify_all();
+      pool_->batch = n;
+      pool_->done.store(0, std::memory_order_relaxed);
+      pool_->epoch.fetch_add(1, std::memory_order_release);
+      pool_->epoch.notify_all();
     }
     for (unsigned i = 0; i < (parallel ? 1 : count); ++i) {
       // Constructed in place, so RunBatch writes the slot itself: copying a result
@@ -708,8 +735,7 @@ Machine::RunStop Machine::RunBarriers(uint64_t max_instructions, uint64_t max_ro
       new (&results[i]) Hart::BatchResult(harts_[i]->RunBatch(n, stops[i]));
     }
     if (parallel) {
-      std::unique_lock<std::mutex> lock(pool_->mutex);
-      pool_->done_cv.wait(lock, [&] { return pool_->done == count - 1; });
+      AwaitWord(pool_->done, [count](uint32_t done) { return done == count - 1; });
     }
     // -- Barrier: all cross-hart effects, in canonical hart order. -----------------
     // (a) Buffered stores flush through Bus::Write (marks and generations bump as

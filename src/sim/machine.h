@@ -6,11 +6,10 @@
 #ifndef SRC_SIM_MACHINE_H_
 #define SRC_SIM_MACHINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -401,18 +400,18 @@ class Machine {
   // Parallel-hart worker pool, created lazily on the first pooled quantum (one whose
   // segment bound reaches kMinPooledSegment), so a machine whose quanta all stay
   // short never starts a thread. One worker per hart 1..n-1 (the calling thread runs
-  // hart 0's segment). Epoch protocol: the coordinator publishes the per-quantum
-  // work (the batch cap here, segment_stops_) under the mutex and bumps `epoch`;
-  // workers run their hart's segment into segment_results_ and count into `done`.
-  // The mutex/condvar handoff establishes happens-before for everything a segment
-  // reads and writes.
+  // hart 0's segment). Epoch protocol: the coordinator writes the per-quantum work
+  // (the batch cap here, segment_stops_) and publishes it with a release increment
+  // of `epoch`; workers run their hart's segment into segment_results_ and publish
+  // it with a release increment of `done`. Each side reads the other's word with
+  // acquire loads, which establishes happens-before for everything a segment reads
+  // and writes. A waiting side spins for a bounded time before it parks on the word
+  // (std::atomic::wait), so back-to-back pooled quanta hand off without a lock or a
+  // system call, and only a side that parked is woken.
   struct WorkerPool {
-    std::mutex mutex;
-    std::condition_variable work_cv;
-    std::condition_variable done_cv;
-    uint64_t epoch = 0;
-    unsigned done = 0;
-    uint64_t batch = 0;  // segment instruction cap this quantum
+    std::atomic<uint32_t> epoch{0};  // one step per pooled quantum, one at shutdown
+    std::atomic<uint32_t> done{0};   // workers through this epoch's segment
+    uint64_t batch = 0;              // segment instruction cap this quantum
     bool shutdown = false;
     std::vector<std::thread> threads;
   };
@@ -453,7 +452,7 @@ class Machine {
   std::vector<Hart::BatchResult> segment_results_;
   // True exactly while hart segments are in flight; the Bus/Clint barrier-ordering
   // asserts of multi-hart machines point here (written only at serial points; the
-  // pool's mutex handoff publishes it to workers).
+  // pool's epoch increment publishes it to workers).
   bool segment_in_flight_ = false;
 };
 

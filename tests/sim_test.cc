@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -2071,6 +2073,86 @@ TEST(PoolDispatchTest, ArmedTimerPhasesRunInlineAndMatchSerial) {
   EXPECT_TRUE(saw_inline);
   EXPECT_TRUE(saw_pooled);
   EXPECT_GE(parallel->hart(0).gpr(s4), 2u);  // completed armed + disarmed phases
+  EXPECT_EQ(serial->pooled_quanta(), 0u);
+  ExpectSameSnapshot(*serial, *parallel);
+}
+
+TEST(PoolDispatchTest, ParkedWorkersWakeForTheNextRunCall) {
+  // Between run calls the pool's workers spin for a bounded time and then park, so
+  // a sleep longer than that bound leaves every worker parked and the next run
+  // call's first pooled quantum must wake them. Hart 0 computes and sends harts 1-3
+  // an IPI now and then; each of them computes a little, publishes its count, and
+  // waits in WFI for the next IPI, so most quanta run hart 0 alone while harts 1-3
+  // are parked. The run must end as the serial schedule does.
+  constexpr uint64_t kClint = 0x200'0000;
+  constexpr uint64_t kData = kRam + 0x10'0000;
+  const auto build = [](bool parallel) {
+    MachineConfig config;
+    config.hart_count = 4;
+    config.tuning.parallel_harts = parallel;
+    auto machine = std::make_unique<Machine>(config);
+    Assembler a(kRam);
+    a.Li(t2, kData);
+    a.Li(s2, kClint + Clint::kMsipBase);
+    a.Csrr(t0, kCsrMhartid);
+    a.Bnez(t0, "worker");
+    a.Li(t1, 1);
+    a.Bind("round");
+    a.Li(t3, 30'000);
+    a.Bind("spin0");
+    a.Addi(t3, t3, -1);
+    a.Bnez(t3, "spin0");
+    a.Addi(s4, s4, 1);
+    a.Sd(s4, t2, 0);
+    a.Sw(t1, s2, 4);  // msip of harts 1-3
+    a.Sw(t1, s2, 8);
+    a.Sw(t1, s2, 12);
+    a.J("round");
+    a.Bind("worker");
+    a.Li(t1, uint64_t{1} << 3);  // mie.MSIE: WFI wakes on the IPI, mstatus.MIE stays 0
+    a.Csrs(kCsrMie, t1);
+    a.Slli(t4, t0, 2);
+    a.Add(t4, t4, s2);  // own msip
+    a.Slli(t5, t0, 3);
+    a.Add(t5, t5, t2);  // own count slot
+    a.Bind("work");
+    a.Li(t3, 5'000);
+    a.Bind("spin");
+    a.Addi(t3, t3, -1);
+    a.Bnez(t3, "spin");
+    a.Addi(s0, s0, 1);
+    a.Sd(s0, t5, 0);
+    a.Ld(s5, t2, 0);
+    a.Add(s6, s6, s5);
+    a.Wfi();
+    a.Sw(zero, t4, 0);
+    a.J("work");
+    Image image = std::move(a.Finish()).value();
+    machine->LoadImage(image.base, image.bytes);
+    for (unsigned i = 0; i < 4; ++i) {
+      machine->hart(i).set_pc(image.entry);
+    }
+    return machine;
+  };
+  const std::unique_ptr<Machine> serial = build(/*parallel=*/false);
+  const std::unique_ptr<Machine> parallel = build(/*parallel=*/true);
+  bool saw_parked = false;
+  for (int call = 0; call < 8; ++call) {
+    // 2 ms: far past the spin bound, a few dozen microseconds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const uint64_t pooled_before = parallel->pooled_quanta();
+    const uint64_t budget = 150'000;
+    Machine::RunProgress sp, pp;
+    serial->RunUntilFinished(budget, 4 * budget, &sp);
+    parallel->RunUntilFinished(budget, 4 * budget, &pp);
+    ASSERT_EQ(sp.retired, pp.retired);
+    EXPECT_GT(parallel->pooled_quanta(), pooled_before) << "run call " << call;
+    saw_parked = saw_parked || (!parallel->hart(0).waiting() && parallel->hart(1).waiting() &&
+                                parallel->hart(2).waiting() && parallel->hart(3).waiting());
+  }
+  EXPECT_TRUE(saw_parked);
+  EXPECT_GE(parallel->hart(0).gpr(s4), 8u);  // hart 0's rounds
+  EXPECT_GE(parallel->hart(1).gpr(s0), 8u);  // hart 1 woke for each
   EXPECT_EQ(serial->pooled_quanta(), 0u);
   ExpectSameSnapshot(*serial, *parallel);
 }
