@@ -943,12 +943,14 @@ __attribute__((aligned(64))) Hart::SbRun Hart::ExecuteBlock(const SuperblockEntr
   // in a block moves the PMP contents or the arena epoch, and a slow-path op that
   // moves the monotonic part abandons the block — so it was built in this arena
   // epoch under these contents and its ops are intact. A zero-op barrier entry must
-  // be Ticked, and an open_end block is left for RunBatch to extend, so neither
-  // links. The RunBatch gate's argument holds across passes unchanged: pc is a
-  // block's 4-aligned tag, and nothing a block runs can park the hart or change
-  // the interrupt picture, so the one sample taken per RunBatch dispatch stays
-  // valid. The fast-memory context and the TLB stamp carry over for the same
-  // reasons. A link counts as a superblock hit; the dispatch count does not move.
+  // be Ticked, so it does not link. An open_end block links like any other (RunBatch
+  // extends it when a dispatch starts there): its cold continuation may be a member
+  // that the block cached at it runs, so nothing decodes it again. The RunBatch
+  // gate's argument holds across passes unchanged: pc is a block's 4-aligned tag,
+  // and nothing a block runs can park the hart or change the interrupt picture, so
+  // the one sample taken per RunBatch dispatch stays valid. The fast-memory context
+  // and the TLB stamp carry over for the same reasons. A link counts as a superblock
+  // hit; the dispatch count does not move.
 link:
   if (dispatched >= steps_left) {
     goto exit_spill;
@@ -956,8 +958,7 @@ link:
   if (pc != sb->tag) {
     const SuperblockEntry* const next = &sblocks_[CacheSlot(pc) & sb_mask_];
     if (next->tag != pc || next->epoch != sb->epoch || next->satp != sb->satp ||
-        next->priv != sb->priv || next->virt != sb->virt || next->count == 0 ||
-        next->open_end) {
+        next->priv != sb->priv || next->virt != sb->virt || next->count == 0) {
       goto exit_spill;
     }
     sb = next;

@@ -357,9 +357,9 @@ class Hart : public ListedState<Hart> {
   // (the next pc may translate differently), or at kMaxSuperblockLen; a block that
   // does not end in a branch ends in a kEnd op. `open_end` marks a block cut short
   // by a cold decode-cache slot; a later dispatch retries the build to extend it
-  // once the continuation has been decoded. A zero-op entry (count 0) records that
-  // the instruction at `tag` is a barrier, so the lookup there Ticks it without a
-  // build attempt.
+  // once the continuation has been decoded, and links enter it meanwhile like any
+  // block. A zero-op entry (count 0) records that the instruction at `tag` is a
+  // barrier, so the lookup there Ticks it without a build attempt.
   struct SuperblockEntry {
     uint64_t tag;       // starting virtual pc
     uint64_t satp;      // effective satp at build time

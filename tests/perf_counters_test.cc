@@ -2,7 +2,8 @@
 // deterministic counters rather than host time, so they hold on any host:
 //   * the block engine (DESIGN.md §2f) runs a compute loop's instructions in blocks;
 //   * a loop stays in the block executor until its batch ends, paged or not, however
-//     many blocks its body spans (§2f);
+//     many blocks its body spans (§2f), also where a block was cut at a decode-cache
+//     slot that another pc holds;
 //   * a monitored single hart batches a compute loop as a native one does: its
 //     batches end at timer edges, not at every mtime tick;
 //   * a monitor world switch keeps the hart's decoded instructions and blocks
@@ -17,6 +18,7 @@
 
 #include <numeric>
 
+#include "src/asm/assembler.h"
 #include "src/fleet/fleet.h"
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
@@ -119,6 +121,61 @@ TEST(BlockCounterTest, LoopsLeaveTheExecutorOnlyAtBatchEnds) {
         << "Sv39 " << paged.dispatches << " dispatches in " << paged.retired
         << " instructions; bare " << bare.dispatches << " in " << bare.retired;
   }
+}
+
+TEST(BlockCounterTest, BlockCutAtAnEvictedSlotStillLinks) {
+  // A loop runs through two pcs that share one decode-cache slot: `p`, in the loop
+  // body, and `sub`, a routine the loop calls every other iteration (a 64-entry
+  // cache maps pcs 256 bytes apart to one slot). The loop is entered at p, so the
+  // block at p is built while p is decoded; the first call then evicts p before the
+  // loop head's block is built, which cuts that block short at p (open_end). From
+  // then on the block at p runs p, so nothing decodes p again, and the head's block
+  // can never be extended; it must still link. Measured: 0.245 dispatches per
+  // kinstr and no builds or decodes; 80.2 dispatches per kinstr when links refuse
+  // an open-end block.
+  MachineConfig config;
+  config.tuning.decode_cache_entries = 64;
+  Machine machine(config);
+  Assembler a(config.map.ram_base);
+  a.Li(s1, uint64_t{1} << 40);
+  a.J("p");
+  a.Align(256);
+  a.Bind("loop");
+  for (int i = 0; i < 4; ++i) {
+    a.Addi(a0, a0, 1);
+  }
+  a.Bind("p");  // loop + 16
+  for (int i = 0; i < 4; ++i) {
+    a.Addi(a1, a1, 1);
+  }
+  a.Addi(s1, s1, -1);
+  a.Andi(t0, s1, 1);
+  a.Bnez(t0, "loop");
+  a.Call("sub");
+  a.J("loop");
+  a.Align(256);
+  for (int i = 0; i < 4; ++i) {
+    a.Nop();  // never run: places sub at p's offset in the next 256 bytes
+  }
+  a.Bind("sub");
+  a.Ret();
+  const Image image = std::move(a.Finish()).value();
+  ASSERT_TRUE(machine.LoadImage(image.base, image.bytes));
+  Hart& hart = machine.hart(0);
+  hart.set_pc(image.entry);
+
+  EXPECT_FALSE(machine.RunUntilFinished(100'000));  // warm-up
+  const uint64_t instret = hart.instret();
+  const uint64_t dispatches = hart.superblock_blocks();
+  const uint64_t builds = hart.threaded_promotions();
+  const uint64_t misses = hart.decode_cache_misses();
+  EXPECT_FALSE(machine.RunUntilFinished(1'000'000));
+  const double kinstr = static_cast<double>(hart.instret() - instret) / 1000;
+  ASSERT_GE(kinstr, 1000);
+  EXPECT_LT(static_cast<double>(hart.superblock_blocks() - dispatches) / kinstr, 1.0)
+      << hart.superblock_blocks() - dispatches << " dispatches in " << kinstr << " kinstr";
+  EXPECT_EQ(hart.threaded_promotions(), builds);
+  EXPECT_EQ(hart.decode_cache_misses(), misses);
 }
 
 TEST(MonitorCounterTest, MonitoredComputeLoopBatchesLikeNative) {
