@@ -1996,13 +1996,15 @@ TEST(PoolDispatchTest, MonitoredMachineReachesThePoolAndMatchesSerial) {
 }
 
 TEST(PoolDispatchTest, ArmedTimerPhasesRunInlineAndMatchSerial) {
-  // Hart 0 alternates two phases. Armed: it keeps mtimecmp a few ticks (a few
-  // hundred cycles) ahead of its own clock, so the horizon keeps every quantum
-  // short. (It reads mcycle, not mtime: mtime is frozen for a quantum, so a
-  // deadline taken from it falls behind within one long quantum.) Disarmed: no
-  // comparator lies in the future, so the 4096-instruction batch cap sizes the
-  // quanta. Harts 1-3 count and publish their counts while reading hart 0's
-  // phase count, so the barrier's store order shows up in RAM.
+  // Hart 0 alternates two phases. Armed: it keeps mtimecmp 6 ticks (at most 300
+  // cycles at 50 cycles a tick) ahead of its own clock, so the horizon keeps every
+  // quantum's segment bound under kMinPooledSegment (512), and each rearm, about
+  // 125 instructions apart, lands before the comparator falls behind. (It reads
+  // mcycle, not mtime: mtime is frozen for a quantum, so a deadline taken from it
+  // falls behind within one long quantum.) Disarmed: no comparator lies in the
+  // future, so the 4096-instruction batch cap sizes the quanta. Harts 1-3 count
+  // and publish their counts while reading hart 0's phase count, so the barrier's
+  // store order shows up in RAM.
   constexpr uint64_t kClint = 0x200'0000;
   constexpr uint64_t kData = kRam + 0x10'0000;
   const auto build = [](bool parallel) {
