@@ -197,8 +197,7 @@ class Machine {
   // run at most min(batch cap, horizon in cycles) instructions each, since every
   // instruction charges at least one cycle; below this bound the pool's thread
   // handoff costs more than running the segments in hart order on the calling
-  // thread (the crossover measured under the spin-then-park handoff, DESIGN.md §2i;
-  // it was 2048 under the mutex/condvar handoff before it).
+  // thread (the crossover measured under the spin-then-park handoff, DESIGN.md §2i).
   static constexpr uint64_t kMinPooledSegment = 512;
   // Quanta whose segments ran on the worker pool since construction. Host-side
   // bookkeeping only: not part of snapshots, and a fork starts at 0.
