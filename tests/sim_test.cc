@@ -1999,7 +1999,7 @@ TEST(PoolDispatchTest, ArmedTimerPhasesRunInlineAndMatchSerial) {
   // Hart 0 alternates two phases. Armed: it keeps mtimecmp 6 ticks (at most 300
   // cycles at 50 cycles a tick) ahead of its own clock, so the horizon keeps every
   // quantum's segment bound under kMinPooledSegment (512), and each rearm, about
-  // 125 instructions apart, lands before the comparator falls behind. (It reads
+  // 140 cycles after the last, lands before the comparator falls behind. (It reads
   // mcycle, not mtime: mtime is frozen for a quantum, so a deadline taken from it
   // falls behind within one long quantum.) Disarmed: no comparator lies in the
   // future, so the 4096-instruction batch cap sizes the quanta. Harts 1-3 count
